@@ -24,7 +24,7 @@ from .grids import (PhaseField, PhaseGrid, SpectralField, WaveFunction,
                     fourier_partial, integrate, l2_inner, l2_norm, make_grid,
                     read_field, write_field, write_field_csv)
 from .ordering import (CohenSmoother, GaussianSmoother, IdentitySmoother,
-                       OrderingSpec, WordSmoother, moyal_spec)
+                       OrderingSpec, WordSmoother)
 from .polyalg import (DiffOpWord, OperatorNF, PolyH, WordGenerator, apply_word,
                       nf_adjoint, nf_multiply, ppoisson, pstar, sigma_S_order,
                       sigma_order)

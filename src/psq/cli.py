@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from math import sqrt
 
@@ -97,44 +98,39 @@ def _write_dat(path, columns):
             fh.write(" ".join(_fmt(float(v)) for v in row) + "\n")
 
 
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_FACTOR = r"(?:%s|[xp](?:\^\d+)?)" % _NUMBER
+_TERM = re.compile(r"([+-]?)(%s(?:\*%s)*)" % (_FACTOR, _FACTOR))
+
+
 def parse_poly(text):
-    """Tiny parser for inline polynomials like '0.5*p^2 + 0.25*x^4 - x*p'."""
-    cleaned = text.replace("**", "^").replace(" ", "")
+    """Strict parser for inline polynomials like '0.5*p^2 + 0.25*x^4 - x*p'.
+
+    A term is a signed product of numbers (exponent notation allowed) and
+    the symbols x and p, raised by ^ or ** to non-negative integer powers;
+    anything else raises PSQError.
+    """
+    cleaned = "".join(text.split()).replace("**", "^")
     if not cleaned:
         raise PSQError("empty polynomial expression")
-    cleaned = cleaned.replace("-", "+-")
     out = PolyH.zero()
-    for chunk in cleaned.split("+"):
-        if not chunk:
-            continue
-        coeff = 1.0
+    pos = 0
+    while pos < len(cleaned):
+        match = _TERM.match(cleaned, pos)
+        if match is None or (pos and not match.group(1)):
+            raise PSQError("cannot parse %r at %r" % (text, cleaned[pos:]))
+        coeff = -1.0 if match.group(1) == "-" else 1.0
         n = m = 0
-        if chunk == "-":
-            raise PSQError("dangling sign in %r" % text)
-        for factor in chunk.split("*"):
-            if not factor:
-                raise PSQError("empty factor in %r" % text)
-            if factor[0] in "xp":
-                var, _, power = factor.partition("^")
-                expnt = int(power) if power else 1
-                if var == "x":
-                    n += expnt
-                else:
-                    m += expnt
-            elif factor == "-":
-                coeff = -coeff
+        for factor in match.group(2).split("*"):
+            var, _, power = factor.partition("^")
+            if var == "x":
+                n += int(power or 1)
+            elif var == "p":
+                m += int(power or 1)
             else:
-                if factor.startswith("-") and factor[1:2] in "xp":
-                    coeff = -coeff
-                    var, _, power = factor[1:].partition("^")
-                    expnt = int(power) if power else 1
-                    if var == "x":
-                        n += expnt
-                    else:
-                        m += expnt
-                else:
-                    coeff *= float(factor)
+                coeff *= float(factor)
         out = out + PolyH.monomial(n, m, c=coeff)
+        pos = match.end()
     return out
 
 
@@ -472,14 +468,19 @@ _RUNNERS = {
 
 
 def run(config_path):
-    """Execute a scenario config; returns (exit_code, manifest or None)."""
-    import jsonschema
+    """Execute a scenario config file; returns (exit_code, manifest or None)."""
     try:
         with open(config_path) as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2, None
+    return run_config(config)
+
+
+def run_config(config):
+    """Execute a scenario config dict; returns (exit_code, manifest or None)."""
+    import jsonschema
     try:
         jsonschema.validate(config, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -618,8 +619,7 @@ def main(argv=None):
         if args.print_schema:
             print(json.dumps(CONFIG_SCHEMA, indent=2, sort_keys=True))
             return 0
-        code, _manifest = run(args.config)
-        return code
+        return run(args.config)[0]
 
     config = _config_from_args(args)
     p = config["params"]
@@ -654,15 +654,7 @@ def main(argv=None):
         p.update({"family": args.family,
                   "hbars": [float(h) for h in args.hbars.split(",")]})
 
-    import tempfile
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(config, fh)
-        tmp = fh.name
-    try:
-        code, _manifest = run(tmp)
-    finally:
-        os.unlink(tmp)
-    return code
+    return run_config(config)[0]
 
 
 if __name__ == "__main__":

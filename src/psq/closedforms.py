@@ -21,7 +21,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .errors import PSQError, SpanError
-from .grids import PhaseField, integrate, l2_norm
+from .grids import PhaseField, integrate, l2_norm, spectral_derivatives
 from .ordering import GaussianSmoother, IdentitySmoother, OrderingSpec
 from .polyalg import PolyH
 from .starprod import ObservableSpec, bopp_apply
@@ -333,11 +333,8 @@ def coherent_genvalue_residuals(params, state):
     left = l2_norm(bopp_apply(a_dn, psi, "left", state.spec) - psi * z) / nrm
     right = l2_norm(bopp_apply(a_up, psi, "right", state.spec) - psi * np.conj(z)) / nrm
     # first-order system, spectral derivatives
-    from .grids import SpectralField, fourier_full, fourier_full_inverse
-    F = fourier_full(psi)
-    XI, ETA = grid.conj_meshes()
-    dx_vals = fourier_full_inverse(SpectralField(grid, F.values * (1j * XI / hbar))).values
-    dp_vals = fourier_full_inverse(SpectralField(grid, F.values * (-1j * ETA / hbar))).values
+    d = spectral_derivatives(psi, [(1, 0), (0, 1)])
+    dx_vals, dp_vals = d[(1, 0)], d[(0, 1)]
     X, P = grid.meshes()
     v = psi.values
     pde1 = (omega * (X - params.x_bar) + 1j * (P - params.p_bar)) * v \

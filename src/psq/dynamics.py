@@ -20,8 +20,8 @@ from math import pi, sqrt
 import numpy as np
 
 from .errors import PSQError, StabilityBoundError, TruncationError, UnsupportedObservableError
-from .grids import (PhaseField, SpectralField, WaveFunction, fourier_full,
-                    fourier_full_inverse, half_dft, integrate, l2_norm)
+from .grids import (PhaseField, WaveFunction, half_dft, integrate, l2_norm,
+                    spectral_derivatives)
 from .polyalg import PolyH, pstar
 from .spectra import expectation, operator_matrix
 from .starprod import ObservableSpec, bopp_apply
@@ -104,14 +104,6 @@ def _separable_parts(H, spec, grid):
                 t_prof = t_prof + cc * grid.xi.astype(complex) ** m
     return t_prof, v_prof
 
-def _spectral_rt(grid, values, forward):
-    """x axis <-> its conjugate lattice, unitary scaling."""
-    if forward:
-        return half_dft(values, 0, grid.x[0], grid.dx, grid.xi[0], grid.dxi,
-                        -1, grid.hbar) / grid.nx
-    return half_dft(values, 0, grid.xi[0], grid.dxi, grid.x[0], grid.dx,
-                    +1, grid.hbar)
-
 def evolve_schrodinger(phi0, H, spec, cfg, observables=None,
                        phase_space_snapshots=True):
     """Propagate a wavefunction under the ordered Hamiltonian operator.
@@ -134,11 +126,14 @@ def evolve_schrodinger(phi0, H, spec, cfg, observables=None,
     if parts is not None:
         t_prof, v_prof = parts
         half_v = np.exp(-0.5j * cfg.dt * v_prof / grid.hbar)
-        full_t = np.exp(-1j * cfg.dt * t_prof / grid.hbar)
+        # the 1/nx of the round trip x -> xi -> x rides on the kinetic phase
+        full_t = np.exp(-1j * cfg.dt * t_prof / grid.hbar) / grid.nx
         def step(values):
             values = values * half_v
-            values = _spectral_rt(grid, values[:, None], True)[:, 0] * full_t
-            values = _spectral_rt(grid, values[:, None], False)[:, 0]
+            values = half_dft(values, 0, grid.x[0], grid.dx, grid.xi[0], grid.dxi,
+                              -1, grid.hbar) * full_t
+            values = half_dft(values, 0, grid.xi[0], grid.dxi, grid.x[0], grid.dx,
+                              +1, grid.hbar)
             return values * half_v
     else:
         from .spectra import hermiticity_defect
@@ -192,15 +187,10 @@ def _classical_rhs(H, grid):
     X, P = grid.meshes()
     hx = poly.diff_x().evaluate(X, P, grid.hbar)
     hp = poly.diff_p().evaluate(X, P, grid.hbar)
-    XI, ETA = grid.conj_meshes()
 
     def rhs(field):
-        F = fourier_full(field)
-        dx_vals = fourier_full_inverse(
-            SpectralField(grid, F.values * (1j * XI / grid.hbar))).values
-        dp_vals = fourier_full_inverse(
-            SpectralField(grid, F.values * (-1j * ETA / grid.hbar))).values
-        return PhaseField(grid, hx * dp_vals - hp * dx_vals)
+        d = spectral_derivatives(field, [(1, 0), (0, 1)])
+        return PhaseField(grid, hx * d[(0, 1)] - hp * d[(1, 0)])
     return rhs
 
 def _estimate_spectral_radius(rhs, grid, iterations=8, seed=7):

@@ -11,7 +11,11 @@ Conventions (fixed once here, everything downstream inherits them):
 Consequences used as test oracles elsewhere: the self-dual Gaussian
 e^{-(x^2+p^2)/2 hbar} is a fixed point of F, the map is unitary
 (<f|g> = <Ff|Fg> with no extra constant), and derivatives map to the
-multipliers (i xi/hbar)^n (-i eta/hbar)^m.
+multipliers (i xi/hbar)^n (-i eta/hbar)^m, which live in
+:func:`spectral_derivatives` and nowhere else.
+
+This is the only module that builds hbar-scaled DFT phases: everything
+else transforms through :func:`half_dft` and the axis helpers below.
 
 Fields are immutable values: every operation returns a new field.  Two
 fields interoperate only if their grids compare equal; there is never an
@@ -31,6 +35,7 @@ from .errors import GridMismatchError, PSQError
 
 _MAGIC = b"PSQF"
 _VERSION = 1
+TAIL_MARGIN = 2                 # outer lattice cells counted as boundary tail
 
 
 def _workers():
@@ -143,11 +148,6 @@ class PhaseField:
         self.meta = dict(meta) if meta else {}
 
     @classmethod
-    def from_function(cls, grid, fn):
-        X, P = grid.meshes()
-        return cls(grid, np.asarray(fn(X, P), dtype=complex))
-
-    @classmethod
     def constant(cls, grid, value=1.0):
         return cls(grid, np.full((grid.nx, grid.np), value, dtype=complex))
 
@@ -204,10 +204,6 @@ class WaveFunction:
                            % (arr.shape, grid.nx))
         self.grid = grid
         self.values = arr
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        return cls(grid, np.asarray(fn(grid.x), dtype=complex))
 
     def norm(self):
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dx))
@@ -317,6 +313,27 @@ def fourier_partial(field, axis, direction):
     return PhaseField(g, out)
 
 
+def spectral_derivatives(field, orders):
+    """{(r, s): d_x^r d_p^s field values} for each requested order.
+
+    One full transform of the field, then one inverse transform per distinct
+    nonzero order with the multiplier (i xi/hbar)^r (-i eta/hbar)^s; the
+    order (0, 0) returns the samples themselves.
+    """
+    g = field.grid
+    wanted = set(orders)
+    out = {(0, 0): field.values} if (0, 0) in wanted else {}
+    wanted.discard((0, 0))
+    if wanted:
+        spectrum = fourier_full(field).values
+        XI, ETA = g.conj_meshes()
+        mx, mp = 1j * XI / g.hbar, -1j * ETA / g.hbar
+        for r, s in sorted(wanted):
+            mult = spectrum * (mx ** r) * (mp ** s)
+            out[(r, s)] = fourier_full_inverse(SpectralField(g, mult)).values
+    return out
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -339,20 +356,14 @@ def l2_norm(field):
     return float(np.sqrt(np.sum(np.abs(field.values) ** 2) * g.dx * g.dp))
 
 
-def boundary_tail_mass(field, margin=2):
-    """Fraction of |f|^2 mass in the outer `margin` cells of the lattice."""
+def boundary_tail_mass(field):
+    """Fraction of |f|^2 mass in the outer TAIL_MARGIN cells of the lattice."""
     v = np.abs(field.values) ** 2
     total = v.sum()
     if total == 0.0:
         return 0.0
-    inner = v[margin:-margin, margin:-margin].sum()
+    inner = v[TAIL_MARGIN:-TAIL_MARGIN, TAIL_MARGIN:-TAIL_MARGIN].sum()
     return float((total - inner) / total)
-
-
-def spectral_tail_mass(field, margin=2):
-    """Fraction of spectral mass in the outer `margin` conjugate cells."""
-    F = fourier_full(field)
-    return boundary_tail_mass(PhaseField(field.grid, F.values), margin=margin)
 
 
 # ---------------------------------------------------------------------------

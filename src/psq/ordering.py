@@ -8,7 +8,7 @@ and commutes with integration.  Supported kinds:
   exp(-(alpha xi^2 + beta eta^2) / 2 hbar) in the forward direction
 * CohenMultiplier(F): general Fourier-multiplier smoother whose *inverse*
   applies F(xi, eta); admissibility F(0,0)=1 and grad F(0,0)=0 is checked
-  numerically at the lattice origin on first use
+  numerically at the lattice origin on every use
 * DiffOpWord: a grading-decreasing differential-operator word; exact on
   polynomials, not applicable to sampled fields.
 """
@@ -76,7 +76,6 @@ class CohenSmoother:
     def __init__(self, fn, label="cohen"):
         self.fn = fn
         self.label = label
-        self._checked = False
 
     def _admissibility(self, dxi, deta, hbar):
         """F(0,0) = 1 and grad F(0,0) = 0, finite differences at the origin."""
@@ -88,13 +87,12 @@ class CohenSmoother:
         scale = max(abs(dxi), abs(deta))
         if max(abs(gx), abs(gy)) * scale > 1e-8:
             raise PSQError("Cohen multiplier violates grad F(0,0)=0")
-        self._checked = True
 
     def multiplier(self, XI, ETA, hbar):
-        if not self._checked:
-            xi1 = XI[XI > 0].min() if np.any(XI > 0) else 1.0
-            eta1 = ETA[ETA > 0].min() if np.any(ETA > 0) else 1.0
-            self._admissibility(xi1, eta1, hbar)
+        # checked on every lattice: admissibility depends on the spacing
+        xi1 = XI[XI > 0].min() if np.any(XI > 0) else 1.0
+        eta1 = ETA[ETA > 0].min() if np.any(ETA > 0) else 1.0
+        self._admissibility(xi1, eta1, hbar)
         vals = np.asarray(self.fn(XI, ETA), dtype=complex)
         # forward smoother multiplier = 1/F; invertibility on lattice assumed
         if np.any(vals == 0):
@@ -157,19 +155,11 @@ class OrderingSpec:
     def sigma_bar(self):
         return 1.0 - self.sigma
 
-    def conjugate_spec(self):
-        """(sigma_bar, Sbar), the spec of the conjugated product."""
-        return OrderingSpec(self.sigma_bar, self.smoother.conjugated())
-
     def is_plain_sigma(self):
         return self.smoother.is_identity()
 
     def as_dict(self):
         return {"sigma": self.sigma, "smoother": self.smoother.as_dict()}
-
-
-def moyal_spec():
-    return OrderingSpec(0.5, IdentitySmoother())
 
 
 def spec_from_dict(d):

@@ -101,9 +101,6 @@ class PolyH:
     def max_abs_coeff(self):
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
-    def prune(self, tol):
-        return PolyH({k: c for k, c in self.terms.items() if abs(c) > tol})
-
     # -- calculus ------------------------------------------------------------
     def diff_x(self, order=1):
         out = self.terms
@@ -122,9 +119,6 @@ class PolyH:
 
     def hbar_slice(self, k):
         return PolyH({(n, m, 0): c for (n, m, kk), c in self.terms.items() if kk == k})
-
-    def max_hbar_degree(self):
-        return max((k for (_n, _m, k) in self.terms), default=0)
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, X, P, hbar):
@@ -377,10 +371,6 @@ class OperatorNF:
         return (isinstance(other, OperatorNF) and self.terms == other.terms
                 and self.comm_sign == other.comm_sign)
 
-    def close_to(self, other, tol=0.0):
-        d = self - other
-        return max((abs(c) for c in d.terms.values()), default=0.0) <= tol
-
     def render(self):
         if not self.terms:
             return "0"
@@ -419,6 +409,27 @@ def nf_multiply(A, B):
                 key = (n1 + n2 - j, m1 + m2 - j, k1 + k2 + j)
                 out[key] = out.get(key, 0.0) + coeff
     return OperatorNF(out, s)
+
+
+def word_profiles(word, q, hbar):
+    """Coefficient functions of a standard-ordered word, p-power by p-power.
+
+    Returns [(m, a_m)] in increasing m, where a_m = sum_{n,k} c_nmk hbar^k q^n
+    with the numeric hbar folded in and the q-polynomial evaluated at q by
+    Horner's rule.  a_m stays a scalar when the p^m part is constant in q.
+    """
+    by_m = {}
+    for (n, m, k), c in word.terms.items():
+        qc = by_m.setdefault(m, {})
+        qc[n] = qc.get(n, 0.0) + c * hbar ** k
+    out = []
+    for m, qc in sorted(by_m.items()):
+        nmax = max(qc)
+        a_m = qc[nmax]
+        for n in range(nmax - 1, -1, -1):
+            a_m = a_m * q + qc.get(n, 0.0)
+        out.append((m, a_m))
+    return out
 
 
 def nf_adjoint(A):
@@ -466,7 +477,3 @@ def sigma_order_right(f, sigma):
 def sigma_S_order(f, sigma, word):
     """(sigma, S)-ordered word: sigma-order the pulled-back symbol S^-1 f."""
     return sigma_order(word.apply(f, "inverse"), sigma)
-
-
-def sigma_S_order_right(f, sigma, word):
-    return sigma_order_right(word.apply(f, "inverse"), sigma)

@@ -2,9 +2,9 @@
 
 The eigensolver never discretizes the star-genvalue equation directly: the
 ordered operator A_{sigma,S}(qhat, phat) with qhat = x, phat = -i hbar d_x is
-assembled as a dense matrix on the x axis (spectral differentiation for
-momentum powers, pointwise multiplication for potentials, the exact ordered
-word for cross terms), the Hermitian eigenproblem is solved there, and
+assembled as a dense matrix on the x axis (momentum powers through the
+grids x-axis transforms, pointwise multiplication for potentials, the exact
+ordered word for cross terms), the Hermitian eigenproblem is solved there, and
 phase-space eigenfields are re-assembled with the twisted tensor product.
 The bridge identity
 
@@ -14,14 +14,14 @@ is the master cross-check between this module and the Bopp route.
 """
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import sqrt
 
 import numpy as np
 
 from .errors import NumericalPreconditionError, PSQError
-from .grids import WaveFunction, integrate, l2_norm
+from .grids import WaveFunction, _fwd_x, _inv_x, integrate, l2_norm
 from .ordering import OrderingSpec
-from .polyalg import nf_adjoint, sigma_S_order
+from .polyalg import nf_adjoint, sigma_S_order, word_profiles
 from .starprod import ObservableSpec, bopp_apply
 from .states import MixedState, twisted_tensor
 
@@ -77,57 +77,41 @@ def stargen_residual(H, state, energy):
 # the ordered operator as a dense matrix on the x axis
 # ---------------------------------------------------------------------------
 
-def _axis_dft_matrix(grid):
-    """Unitary matrix of the forward x-axis transform (rows: conjugate lattice)."""
-    phase = np.exp(-1j * np.outer(grid.xi, grid.x) / grid.hbar)
-    return phase / sqrt(grid.nx)
-
-
 def operator_matrix(A, spec, grid):
-    """Dense matrix of A_{sigma,S}(qhat, phat) on the grid's x axis."""
+    """Dense matrix of A_{sigma,S}(qhat, phat) on the grid's x axis.
+
+    Momentum profiles T(u) act as W^H diag(T(u)) W with W the unitary
+    x-axis transform, applied column by column to the identity through the
+    grids transforms; position profiles scale rows or add to the diagonal.
+    """
     nx = grid.nx
-    x = grid.x
     u = grid.xi
-    W = _axis_dft_matrix(grid)
-    Wh = W.conj().T
+    diag = np.arange(nx)
+    fwd_eye = _fwd_x(grid, np.eye(nx)) / nx
+
+    def momentum(profile):
+        return _inv_x(grid, np.asarray(profile, dtype=complex)[:, None] * fwd_eye)
+
     M = np.zeros((nx, nx), dtype=complex)
-    pieces = []
     for kind, payload in A.fn_terms():
         if kind == "x":
-            term = np.diag(np.asarray(payload(x), dtype=complex))
-            pieces.append(("x-function", term))
+            M[diag, diag] += np.asarray(payload(grid.x), dtype=complex)
         else:
-            term = Wh @ np.diag(np.asarray(payload(u), dtype=complex)) @ W
-            pieces.append(("p-function", term))
+            M += momentum(payload(u))
     poly = A.poly_part()
     if poly.terms:
         word = sigma_S_order(poly, spec.sigma, spec.smoother.to_word())
-        by_m = {}
-        for (n, m, k), c in word.terms.items():
-            by_m.setdefault(m, {})[n] = by_m.get(m, {}).get(n, 0.0) + c * grid.hbar ** k
-        for m, qc in sorted(by_m.items()):
-            nmax = max(qc)
-            profile = np.full(nx, qc.get(nmax, 0.0), dtype=complex)
-            for n in range(nmax - 1, -1, -1):
-                profile = profile * x + qc.get(n, 0.0)
+        for m, a_m in word_profiles(word, grid.x, grid.hbar):
+            a_m = np.broadcast_to(a_m, (nx,))
             if m == 0:
-                term = np.diag(profile)
+                M[diag, diag] += a_m
             else:
-                pm = Wh @ np.diag(u.astype(complex) ** m) @ W
-                term = np.diag(profile) @ pm
-            pieces.append(("q^n p^%d" % m, term))
-    for _label, term in pieces:
-        M += term
+                M += a_m[:, None] * momentum(u ** m)
     return M
 
 
 def apply_operator_matrix(M, wavefunction):
     return WaveFunction(wavefunction.grid, M @ wavefunction.values)
-
-
-def adjoint_operator_matrix(A, spec, grid):
-    """Matrix of the adjoint word; discretely the conjugate transpose."""
-    return operator_matrix(A, spec, grid).conj().T
 
 
 def hermiticity_defect(A, spec, grid):

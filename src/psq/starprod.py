@@ -28,9 +28,9 @@ from .errors import (IllPosedSmoothingError, PSQError,
                      UnsupportedObservableError)
 from .grids import (PhaseField, SpectralField, _check_same_grid, _workers,
                     boundary_tail_mass, fourier_full, fourier_full_inverse,
-                    fourier_partial)
+                    fourier_partial, spectral_derivatives)
 from .ordering import GaussianSmoother, OrderingSpec
-from .polyalg import PolyH, sigma_order, sigma_order_right
+from .polyalg import PolyH, sigma_order, sigma_order_right, word_profiles
 
 TAIL_MASS_THRESHOLD = 1e-10
 AMPLIFICATION_CUTOFF = 1e6
@@ -106,9 +106,6 @@ class ObservableSpec:
             raise UnsupportedObservableError(
                 "observable %s has non-polynomial terms" % self.label)
         return self.poly_part()
-
-    def is_polynomial(self):
-        return not self.fn_terms()
 
     def sample(self, grid):
         """Evaluate the symbol A(x, p) on the grid (numeric hbar)."""
@@ -232,7 +229,7 @@ def _check_tail_mass(field, meta):
         meta["tail_mass_warning"] = max(meta.get("tail_mass_warning", 0.0), tail)
 
 
-def star_sigma(f, g_field, sigma, zero_pad=False):
+def star_sigma(f, g_field, sigma):
     """Discrete f *_sigma g through the Fourier-domain twisted convolution."""
     _check_same_grid(f, g_field)
     grid = f.grid
@@ -241,32 +238,20 @@ def star_sigma(f, g_field, sigma, zero_pad=False):
     _check_tail_mass(g_field, meta)
     Ff = fourier_full(f).values
     Fg = fourier_full(g_field).values
-    xi, eta = grid.xi, grid.eta
-    if zero_pad:
-        nx, npn = grid.nx, grid.np
-        xi = (np.arange(2 * nx) - nx) * grid.dxi
-        eta = (np.arange(2 * npn) - npn) * grid.deta
-        Ff2 = np.zeros((2 * nx, 2 * npn), dtype=complex)
-        Fg2 = np.zeros((2 * nx, 2 * npn), dtype=complex)
-        Ff2[nx // 2: nx // 2 + nx, npn // 2: npn // 2 + npn] = Ff
-        Fg2[nx // 2: nx // 2 + nx, npn // 2: npn // 2 + npn] = Fg
-        full = _twisted_convolution(Ff2, Fg2, xi, eta, sigma, grid.hbar)
-        spect = full[nx // 2: nx // 2 + nx, npn // 2: npn // 2 + npn]
-    else:
-        spect = _twisted_convolution(Ff, Fg, xi, eta, sigma, grid.hbar)
+    spect = _twisted_convolution(Ff, Fg, grid.xi, grid.eta, sigma, grid.hbar)
     out = fourier_full_inverse(SpectralField(grid, spect))
     out.meta.update(meta)
     return out.assert_finite()
 
 
-def star_sigma_S(f, g_field, spec, zero_pad=False):
+def star_sigma_S(f, g_field, spec):
     """f *_{sigma,S} g = S(S^-1 f *_sigma S^-1 g); identity smoother reduces
     bit-for-bit to star_sigma."""
     if spec.is_plain_sigma():
-        return star_sigma(f, g_field, spec.sigma, zero_pad=zero_pad)
+        return star_sigma(f, g_field, spec.sigma)
     fi = apply_smoother(spec, f, "inverse")
     gi = apply_smoother(spec, g_field, "inverse")
-    prod = star_sigma(fi, gi, spec.sigma, zero_pad=zero_pad)
+    prod = star_sigma(fi, gi, spec.sigma)
     out = apply_smoother(spec, prod, "forward")
     out.meta.update(prod.meta)
     return out
@@ -306,49 +291,18 @@ def _word_action(word_nf, field, side, sigma, hbar):
     else:
         xq = g.x[:, None] - sb * g.eta[None, :]
         pq = g.p[None, :] - sigma * g.xi[:, None]
-    # group by p-power: result = sum_m (sum_n c_nm q^n) p^m Psi
-    by_m = {}
-    for (n, m, k), c in word_nf.terms.items():
-        by_m.setdefault(m, {})[n] = by_m.get(m, {}).get(n, 0.0) + c * hbar ** k
+    # result = sum_m a_m(q) p^m Psi, with a_m evaluated on the sheared profile
     out = None
-    for m, qcoeffs in sorted(by_m.items()):
-        work = field
-        if m:
-            work = _multiply_in_u_rep(work, pq ** m)
-        nmax = max(qcoeffs)
-        if nmax == 0:
-            contrib = work * qcoeffs[0]
+    for m, a_m in word_profiles(word_nf, xq, hbar):
+        work = _multiply_in_u_rep(field, pq ** m) if m else field
+        if np.ndim(a_m) == 0:
+            contrib = work * a_m
         else:
-            # Horner in the sheared coordinate profile
-            acc = np.full((g.nx, g.np), qcoeffs.get(nmax, 0.0), dtype=complex)
-            for n in range(nmax - 1, -1, -1):
-                acc = acc * xq + qcoeffs.get(n, 0.0)
-            contrib = _multiply_in_y_rep(work, acc)
+            contrib = _multiply_in_y_rep(work, a_m)
         out = contrib if out is None else out + contrib
     if out is None:
         out = PhaseField(g, np.zeros((g.nx, g.np), dtype=complex))
     return out
-
-
-class _SpectralDerivatives:
-    """Lazy cache of d_x^r d_p^s field, computed spectrally on demand."""
-
-    def __init__(self, field):
-        self.grid = field.grid
-        self.values = field.values
-        self.spectrum = fourier_full(field).values
-        XI, ETA = field.grid.conj_meshes()
-        self.mx = 1j * XI / field.grid.hbar
-        self.mp = -1j * ETA / field.grid.hbar
-        self.cache = {(0, 0): field.values}
-
-    def __getitem__(self, key):
-        if key not in self.cache:
-            r, s = key
-            spect = self.spectrum * (self.mx ** r) * (self.mp ** s)
-            self.cache[key] = fourier_full_inverse(
-                SpectralField(self.grid, spect)).values
-        return self.cache[key]
 
 
 def _gaussian_direct_product(poly, field, side, sigma, alpha, beta, hbar):
@@ -370,12 +324,11 @@ def _gaussian_direct_product(poly, field, side, sigma, alpha, beta, hbar):
     X, P = g.meshes()
     degx = max((n for (n, _m, _k) in poly.terms), default=0)
     degp = max((m for (_n, m, _k) in poly.terms), default=0)
-    table = _SpectralDerivatives(field)
-    out = np.zeros((g.nx, g.np), dtype=complex)
     # coefficient factors: left multiplication carries (+i hbar sigma) on the
     # (symbol d_x, field d_p) pairing; the right action is the mirror image
     ca = 1j * hbar * sigma if side == "left" else -1j * hbar * (1.0 - sigma)
     cb = -1j * hbar * (1.0 - sigma) if side == "left" else 1j * hbar * sigma
+    terms = []
     for a in range(degx + 1):
         for c in range(degx + 1 - a):
             d_sym_x = poly.diff_x(a + c)
@@ -390,10 +343,12 @@ def _gaussian_direct_product(poly, field, side, sigma, alpha, beta, hbar):
                         * ((hbar * alpha) ** c) * ((hbar * beta) ** d) \
                         / (factorial(a) * factorial(b)
                            * factorial(c) * factorial(d))
-                    if coeff == 0:
-                        continue
-                    out += coeff * d_sym.evaluate(X, P, hbar) \
-                        * table[(b + c, a + d)]
+                    if coeff != 0:
+                        terms.append((coeff, d_sym, (b + c, a + d)))
+    derivs = spectral_derivatives(field, [order for _c, _d, order in terms])
+    out = np.zeros((g.nx, g.np), dtype=complex)
+    for coeff, d_sym, order in terms:
+        out += coeff * d_sym.evaluate(X, P, hbar) * derivs[order]
     return PhaseField(g, out)
 
 

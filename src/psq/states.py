@@ -20,8 +20,8 @@ from math import pi, sqrt
 import numpy as np
 
 from .errors import NumericalPreconditionError, PSQError
-from .grids import (PhaseField, WaveFunction, half_dft, integrate, l2_inner,
-                    l2_norm, read_field, write_field)
+from .grids import (PhaseField, WaveFunction, _fwd_x, fourier_partial, half_dft,
+                    integrate, l2_inner, l2_norm, read_field, write_field)
 from .ordering import OrderingSpec
 from .starprod import apply_smoother, involution_dagger, star_sigma_S
 
@@ -123,13 +123,6 @@ class MixedState:
 # twisted tensor product
 # ---------------------------------------------------------------------------
 
-def _interp_coefficients(grid, values):
-    """Coefficients c_m of the trig interpolant sum_m c_m e^{i xi_m x/hbar}."""
-    col = half_dft(values[:, None], 0, grid.x[0], grid.dx,
-                   grid.xi[0], grid.dxi, -1, grid.hbar)[:, 0]
-    return col / grid.nx
-
-
 def _interpolation_tail(coeffs):
     """Relative weight of the outermost interpolation modes."""
     mags = np.abs(coeffs)
@@ -153,27 +146,26 @@ def _shear_mask(grid, scale):
     return (arg >= grid.x_min) & (arg < grid.x_min + grid.nx * grid.dx)
 
 
-def twisted_tensor(phi, psi, spec, interp_threshold=INTERPOLATION_TAIL_THRESHOLD):
+def twisted_tensor(phi, psi, spec):
     """Build the quasi-distribution of the pair (phi, psi) under the spec."""
     if phi.grid != psi.grid:
         raise PSQError("wavefunctions live on different axes")
     grid = phi.grid
     sigma, sb = spec.sigma, spec.sigma_bar
-    cp = _interp_coefficients(grid, phi.values)
-    cs = _interp_coefficients(grid, psi.values)
+    # coefficients c_m of the trig interpolants sum_m c_m e^{i xi_m x/hbar}
+    cp = _fwd_x(grid, phi.values) / grid.nx
+    cs = _fwd_x(grid, psi.values) / grid.nx
     tail = max(_interpolation_tail(cp), _interpolation_tail(cs))
-    if tail > interp_threshold:
+    if tail > INTERPOLATION_TAIL_THRESHOLD:
         raise NumericalPreconditionError(
             "band-limited interpolation error estimate %.3g exceeds %.1g; "
-            "refine the axis or widen the span" % (tail, interp_threshold))
+            "refine the axis or widen the span"
+            % (tail, INTERPOLATION_TAIL_THRESHOLD))
     mask = _shear_mask(grid, sigma) & _shear_mask(grid, -sb)
     chi = np.conj(_sheared_samples(grid, cp, -sb)) * _sheared_samples(grid, cs, sigma)
     chi *= mask
     # one partial transform on the shift axis: y -> p with kernel e^{-i p y/hbar}
-    spect = half_dft(chi, 1, grid.eta[0], grid.deta, grid.p[0], grid.dp,
-                     -1, grid.hbar)
-    spect *= grid.deta / sqrt(2.0 * pi * grid.hbar)
-    out = PhaseField(grid, spect)
+    out = fourier_partial(PhaseField(grid, chi), "p", "forward")
     if not spec.is_plain_sigma():
         out = apply_smoother(spec, out, "forward")
     return QuasiDistribution(out.assert_finite(), spec, provenance=(phi, psi))

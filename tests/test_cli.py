@@ -26,6 +26,10 @@ class TestParsePoly:
         want = PolyH.monomial(0, 2, c=0.5) + PolyH.monomial(4, 0, c=0.25) \
             + PolyH.monomial(1, 1, c=-1.0)
         assert got == want
+        assert parse_poly("1e-3*x^2 + 0.5*p^2") == PolyH.monomial(2, 0, c=1e-3) \
+            + PolyH.monomial(0, 2, c=0.5)
+        assert parse_poly("2.5E+1*x - .5e-1*p**2") == PolyH.monomial(1, 0, c=25.0) \
+            + PolyH.monomial(0, 2, c=-0.05)
 
     def test_double_star_power(self):
         assert parse_poly("x**3") == PolyH.monomial(3, 0)
@@ -39,6 +43,9 @@ class TestParsePoly:
     def test_rejects_garbage(self):
         with pytest.raises((PSQError, ValueError)):
             parse_poly("0.5*q^2")
+        for text in ("y", "x^-1", "x^2.5", "2x", "x*", "x +- p", "1e-3*y^2"):
+            with pytest.raises(PSQError):
+                parse_poly(text)
 
 
 class TestBundledConfigs:
@@ -194,6 +201,14 @@ class TestSubcommands:
         assert code == 0
         lines = (Path(outdir) / "spectrum.csv").read_text().splitlines()
         assert abs(float(lines[1].split(",")[1]) - 0.5) < 1e-8
+
+    def test_malformed_hamiltonian_exit_2(self, tmp_path, capsys):
+        outdir = tmp_path / "bad"
+        code = main(["spectrum", "--output-dir", str(outdir), "--nx", "64",
+                     "--np", "32", "--hamiltonian", "0.5*p^2 + x^-1"])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (outdir / "manifest.json").exists()
 
     def test_wigner_subcommand(self, tmp_path):
         outdir = str(tmp_path / "wig")

@@ -5,6 +5,7 @@ from psq import (GridMismatchError, PhaseField, PSQError, SpectralField,
                  WaveFunction, fourier_full, fourier_full_inverse,
                  fourier_partial, integrate, l2_inner, l2_norm, make_grid,
                  read_field, write_field, write_field_csv)
+from psq.grids import spectral_derivatives
 from psq.ordering import OrderingSpec
 from psq.states import hermite_function, twisted_tensor
 
@@ -121,6 +122,8 @@ class TestDerivativeRule:
         mult = (1j * XI / hbar) ** n * (-1j * ETA / hbar) ** m
         approx = fourier_full_inverse(SpectralField(grid64, F.values * mult))
         assert np.abs(approx.values - exact).max() < 1e-10
+        helper = spectral_derivatives(PhaseField(grid64, f), [(n, m)])[(n, m)]
+        assert np.abs(helper - exact).max() < 1e-10
 
 
 class TestQuadrature:

@@ -219,6 +219,9 @@ class TestBridgeTheorem:
                                  + PolyH.monomial(2, 0, c=0.5)
                                  + PolyH.monomial(4, 0, c=0.1), "H"),
     ]
+    # function terms: bopp_apply takes them under the identity smoother only
+    FUNCTION_TERMS = ObservableSpec.x_function(lambda x: 0.3 * np.cos(x)) \
+        + ObservableSpec.p_function(lambda p: 0.5 * p ** 2 + 0.1 * np.cos(p))
 
     @pytest.mark.parametrize("spec", [
         OrderingSpec(0.5), OrderingSpec(0.0),
@@ -235,7 +238,10 @@ class TestBridgeTheorem:
             psi = WaveFunction(grid64, sum(c * b.values
                                            for c, b in zip(c2, basis))).normalized()
             state = twisted_tensor(phi, psi, spec)
-            for A in self.OBSERVABLES:
+            observables = list(self.OBSERVABLES)
+            if spec.is_plain_sigma():
+                observables.append(self.FUNCTION_TERMS)
+            for A in observables:
                 M = operator_matrix(A, spec, grid64)
                 left = bopp_apply(A, state.psi_field, "left", spec)
                 want = twisted_tensor(phi, apply_operator_matrix(M, psi), spec)

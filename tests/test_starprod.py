@@ -82,13 +82,6 @@ class TestStarSigma:
             k = int(round((p - grid64.p_min) / grid64.dp))
             assert abs(prod.values[j, k] - want) < 1e-7
 
-    def test_zero_pad_agrees_on_localized_fields(self, grid64, rng):
-        f = gaussian_mixture(grid64, rng)
-        g2 = gaussian_mixture(grid64, rng)
-        plain = star_sigma(f, g2, 0.4)
-        padded = star_sigma(f, g2, 0.4, zero_pad=True)
-        assert l2_norm(plain - padded) / l2_norm(plain) < 1e-10
-
     def test_tail_mass_warning_and_flag(self, grid64):
         X, P = grid64.meshes()
         raw_x = PhaseField(grid64, X.astype(complex))
@@ -331,6 +324,15 @@ class TestSmoothers:
             lambda xi, eta: 1.0 + np.asarray(xi) + 0 * np.asarray(eta))
         with pytest.raises(Exception, match="grad"):
             apply_smoother(OrderingSpec(0.5, bad_grad), f, "forward")
+        # flat at the coarse spacing only: one instance, checked per lattice
+        coarse = grid64.dxi
+        lattice_bound = OrderingSpec(0.5, CohenSmoother(
+            lambda xi, eta: 1.0 + 0.1 * np.sin(np.pi * np.asarray(xi) / coarse)
+            + 0 * np.asarray(eta)))
+        apply_smoother(lattice_bound, f, "forward")
+        wide = make_grid(64, 64, -16.0, 16.0, -16.0, 16.0, 1.0)
+        with pytest.raises(Exception, match="grad"):
+            apply_smoother(lattice_bound, PhaseField.constant(wide), "forward")
 
 
 class TestStarSigmaS:
