@@ -38,6 +38,41 @@ FIELD_FORMAT_VERSION = 1
 SCENARIOS = ("starprod", "symbolic", "wigner", "spectrum", "evolve",
              "oracle", "classical-limit", "gauge-check")
 
+_GRID_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "nx": {"type": "integer", "minimum": 2, "maximum": 4096},
+        "np": {"type": "integer", "minimum": 2, "maximum": 4096},
+        "x_min": {"type": "number"}, "x_max": {"type": "number"},
+        "p_min": {"type": "number"}, "p_max": {"type": "number"},
+        "hbar": {"type": "number", "exclusiveMinimum": 0},
+    },
+}
+
+# every params key a scenario reads, by JSON type (one type per key)
+_PARAM_KEYS = {
+    "string": ("hamiltonian", "system", "method", "observables", "state", "op",
+               "direction", "observable", "side", "f", "g", "family"),
+    "integer": ("levels", "steps", "snapshot_every", "m", "n", "phi_hermite",
+                "psi_hermite", "left_hermite", "right_hermite"),
+    "number": ("dt", "omega", "x0", "p0", "delta_p", "sigma", "sigma_to", "t",
+               "alpha", "beta"),
+    "boolean": ("emit_fields",),
+}
+_PARAMS_SCHEMA = {
+    "type": "object",
+    "properties": {
+        **{k: {"type": t} for t, keys in _PARAM_KEYS.items() for k in keys},
+        "sigmas": {"type": "array", "items": {"type": "number"}},
+        "hbars": {"type": "array", "items": {"type": "number"}},
+        "smoothers": {"type": "array", "items": {
+            "type": "object",
+            "properties": {"kind": {"type": "string"}, "alpha": {"type": "number"},
+                           "beta": {"type": "number"}}}},
+        "grid": _GRID_SCHEMA,
+    },
+}
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -47,16 +82,7 @@ CONFIG_SCHEMA = {
         "output_dir": {"type": "string"},
         "formats": {"type": "array",
                     "items": {"enum": ["csv", "bin", "dat"]}},
-        "grid": {
-            "type": "object",
-            "properties": {
-                "nx": {"type": "integer", "minimum": 2, "maximum": 4096},
-                "np": {"type": "integer", "minimum": 2, "maximum": 4096},
-                "x_min": {"type": "number"}, "x_max": {"type": "number"},
-                "p_min": {"type": "number"}, "p_max": {"type": "number"},
-                "hbar": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
+        "grid": _GRID_SCHEMA,
         "ordering": {
             "type": "object",
             "properties": {
@@ -71,7 +97,7 @@ CONFIG_SCHEMA = {
                 },
             },
         },
-        "params": {"type": "object"},
+        "params": _PARAMS_SCHEMA,
     },
 }
 
@@ -269,6 +295,8 @@ def _scenario_evolve(cfg, emit):
         state0 = coherent_state(cp, grid)
         phi0 = None
     elif scenario == "custom":
+        if "hamiltonian" not in params:
+            raise PSQError("system 'custom' needs params.hamiltonian")
         hobs = ObservableSpec.from_poly(parse_poly(params["hamiltonian"]), "H")
         cp = CoherentParams(float(params.get("x0", 1.0)),
                             float(params.get("p0", 0.0)), omega, spec.sigma)

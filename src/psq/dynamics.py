@@ -78,30 +78,18 @@ def default_observables(omega=1.0):
 def _separable_parts(H, spec, grid):
     """Ordered operator of a natural symbol as (T(u) profile, V(x) profile).
 
-    Returns None when the pulled-back symbol has cross terms, in which case
-    split-stepping does not apply.
+    Returns None when a factor pair couples q and p (the pulled-back symbol
+    has cross terms), in which case split-stepping does not apply.
     """
-    if H.fn_terms() and not spec.is_plain_sigma():
-        return None
     t_prof = np.zeros(grid.nx, dtype=complex)
     v_prof = np.zeros(grid.nx, dtype=complex)
-    for kind, payload in H.fn_terms():
-        if kind == "x":
-            v_prof = v_prof + np.asarray(payload(grid.x), dtype=complex)
+    for b, a in H.factors(spec, "left", grid.x, grid.xi, grid.hbar):
+        if b is None:
+            v_prof = v_prof + a
+        elif np.ndim(a) == 0:
+            t_prof = t_prof + a * b
         else:
-            t_prof = t_prof + np.asarray(payload(grid.xi), dtype=complex)
-    extra = H.poly_part()
-    if extra.terms:
-        pulled = spec.smoother.to_word().apply(extra, "inverse")
-        # sigma-ordering correction exp(-i hbar sigma d_x d_p) kills separable terms
-        for (n, m, k), c in pulled.terms.items():
-            if n > 0 and m > 0:
-                return None
-            cc = c * grid.hbar ** k
-            if m == 0:
-                v_prof = v_prof + cc * grid.x.astype(complex) ** n
-            else:
-                t_prof = t_prof + cc * grid.xi.astype(complex) ** m
+            return None
     return t_prof, v_prof
 
 def evolve_schrodinger(phi0, H, spec, cfg, observables=None,

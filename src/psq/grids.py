@@ -22,7 +22,6 @@ fields interoperate only if their grids compare equal; there is never an
 implicit resample.
 """
 
-import io
 import os
 import struct
 from dataclasses import dataclass
@@ -155,26 +154,32 @@ class PhaseField:
         return PhaseField(self.grid, self.values.copy(), self.meta)
 
     def conj(self):
-        return PhaseField(self.grid, np.conj(self.values))
+        return PhaseField(self.grid, np.conj(self.values), self.meta)
+
+    def _merged_meta(self, other):
+        """Guard flags of both operands, the larger value where both carry one."""
+        _check_same_grid(self, other)
+        meta = dict(other.meta)
+        for key, value in self.meta.items():
+            meta[key] = max(value, meta.get(key, value))
+        return meta
 
     def __add__(self, other):
-        _check_same_grid(self, other)
-        return PhaseField(self.grid, self.values + other.values)
+        return PhaseField(self.grid, self.values + other.values, self._merged_meta(other))
 
     def __sub__(self, other):
-        _check_same_grid(self, other)
-        return PhaseField(self.grid, self.values - other.values)
+        return PhaseField(self.grid, self.values - other.values, self._merged_meta(other))
 
     def __mul__(self, scalar):
-        return PhaseField(self.grid, self.values * scalar)
+        return PhaseField(self.grid, self.values * scalar, self.meta)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return PhaseField(self.grid, self.values / scalar)
+        return PhaseField(self.grid, self.values / scalar, self.meta)
 
     def __neg__(self):
-        return PhaseField(self.grid, -self.values)
+        return PhaseField(self.grid, -self.values, self.meta)
 
     def assert_finite(self):
         if not np.all(np.isfinite(self.values.view(float))):
@@ -313,6 +318,26 @@ def fourier_partial(field, axis, direction):
     return PhaseField(g, out)
 
 
+def multiply_mixed(grid, values, axis, profile):
+    """Multiply samples by a profile in a mixed representation and map back.
+
+    axis='x' multiplies on the (u, p) lattice (x -> u, multiply, u -> x);
+    axis='p' multiplies on the (x, y) lattice (p -> y, multiply, y -> p).
+    The sqrt(2 pi hbar) weights of :func:`fourier_partial` cancel on the
+    round trip, leaving 1/n.  Only axis 0 (x) or axis 1 (p) is transformed,
+    so any array whose x or p axis sits there may be passed.
+    """
+    if axis == "x":
+        out = _inv_x(grid, _fwd_x(grid, values) * profile)
+        out /= grid.nx
+    elif axis == "p":
+        out = _eta_to_p(grid, _p_to_eta(grid, values) * profile)
+        out /= grid.np
+    else:
+        raise PSQError("axis must be 'x' or 'p'")
+    return out
+
+
 def spectral_derivatives(field, orders):
     """{(r, s): d_x^r d_p^s field values} for each requested order.
 
@@ -411,14 +436,10 @@ def read_field(path):
 def write_field_csv(field, path):
     """CSV export: columns x,p,re,im with a comment header."""
     g = field.grid
-    buf = io.StringIO()
-    buf.write("# hbar=%.17g nx=%d np=%d\n" % (g.hbar, g.nx, g.np))
-    buf.write("x,p,re,im\n")
+    X, P = g.meshes()
     v = field.values
-    for j in range(g.nx):
-        xj = g.x[j]
-        for k in range(g.np):
-            buf.write("%.17g,%.17g,%.17g,%.17g\n"
-                      % (xj, g.p[k], v[j, k].real, v[j, k].imag))
+    rows = zip(X.ravel().tolist(), P.ravel().tolist(),
+               v.real.ravel().tolist(), v.imag.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        fh.write("# hbar=%.17g nx=%d np=%d\nx,p,re,im\n" % (g.hbar, g.nx, g.np))
+        fh.writelines(map("%.17g,%.17g,%.17g,%.17g\n".__mod__, rows))

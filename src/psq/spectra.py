@@ -2,10 +2,11 @@
 
 The eigensolver never discretizes the star-genvalue equation directly: the
 ordered operator A_{sigma,S}(qhat, phat) with qhat = x, phat = -i hbar d_x is
-assembled as a dense matrix on the x axis (momentum powers through the
-grids x-axis transforms, pointwise multiplication for potentials, the exact
-ordered word for cross terms), the Hermitian eigenproblem is solved there, and
-phase-space eigenfields are re-assembled with the twisted tensor product.
+assembled as a dense matrix on the x axis from the same a(q) b(p) factor
+pairs that drive the Bopp route (momentum factors through the grids mixed
+multiply, position factors as row scalings or diagonal terms), the Hermitian
+eigenproblem is solved there, and phase-space eigenfields are re-assembled
+with the twisted tensor product.
 The bridge identity
 
     A (star) (phi tensor psi) = phi tensor (A_matrix psi)
@@ -19,9 +20,9 @@ from math import sqrt
 import numpy as np
 
 from .errors import NumericalPreconditionError, PSQError
-from .grids import WaveFunction, _fwd_x, _inv_x, integrate, l2_norm
+from .grids import WaveFunction, integrate, l2_norm, multiply_mixed
 from .ordering import OrderingSpec
-from .polyalg import nf_adjoint, sigma_S_order, word_profiles
+from .polyalg import nf_adjoint, sigma_S_order
 from .starprod import ObservableSpec, bopp_apply
 from .states import MixedState, twisted_tensor
 
@@ -80,33 +81,22 @@ def stargen_residual(H, state, energy):
 def operator_matrix(A, spec, grid):
     """Dense matrix of A_{sigma,S}(qhat, phat) on the grid's x axis.
 
-    Momentum profiles T(u) act as W^H diag(T(u)) W with W the unitary
-    x-axis transform, applied column by column to the identity through the
-    grids transforms; position profiles scale rows or add to the diagonal.
+    Each factor pair a(x) b(u) of :meth:`ObservableSpec.factors` becomes
+    diag(a) W^H diag(b) W, with W the x-axis transform applied column by
+    column to the identity through the grids mixed multiply; p-independent
+    pairs add to the diagonal.  Function terms under a non-identity smoother
+    raise UnsupportedObservableError, as in the Bopp route.
     """
     nx = grid.nx
-    u = grid.xi
     diag = np.arange(nx)
-    fwd_eye = _fwd_x(grid, np.eye(nx)) / nx
-
-    def momentum(profile):
-        return _inv_x(grid, np.asarray(profile, dtype=complex)[:, None] * fwd_eye)
-
+    eye = np.eye(nx)
     M = np.zeros((nx, nx), dtype=complex)
-    for kind, payload in A.fn_terms():
-        if kind == "x":
-            M[diag, diag] += np.asarray(payload(grid.x), dtype=complex)
+    for b, a in A.factors(spec, "left", grid.x, grid.xi, grid.hbar):
+        a = np.broadcast_to(a, (nx,))
+        if b is None:
+            M[diag, diag] += a
         else:
-            M += momentum(payload(u))
-    poly = A.poly_part()
-    if poly.terms:
-        word = sigma_S_order(poly, spec.sigma, spec.smoother.to_word())
-        for m, a_m in word_profiles(word, grid.x, grid.hbar):
-            a_m = np.broadcast_to(a_m, (nx,))
-            if m == 0:
-                M[diag, diag] += a_m
-            else:
-                M += a_m[:, None] * momentum(u ** m)
+            M += a[:, None] * multiply_mixed(grid, eye, "x", b[:, None])
     return M
 
 

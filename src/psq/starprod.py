@@ -4,9 +4,10 @@ Two computational routes, cross-checked in the test suite:
 
 * ``star_sigma`` - the exact-on-lattice twisted convolution in the conjugate
   domain (the reference path, cost O((nx np)^2), meant for grids <= 128^2);
-* ``bopp_apply`` - the fast route for observable-on-state action, realizing
-  left/right multiplication through shift operators in mixed representations
-  (one partial transform per factor group).
+* ``bopp_apply`` - the fast route for observable-on-state action: the
+  ordered operator with q and p replaced by Bopp shifts, applied pair by
+  pair from :meth:`ObservableSpec.factors` through the mixed-representation
+  multiply ``grids.multiply_mixed`` (one round trip per non-scalar factor).
 
 Smoothers, gauge maps between sigma values, star commutators and the
 involution are Fourier multipliers on the conjugate lattice.
@@ -28,7 +29,7 @@ from .errors import (IllPosedSmoothingError, PSQError,
                      UnsupportedObservableError)
 from .grids import (PhaseField, SpectralField, _check_same_grid, _workers,
                     boundary_tail_mass, fourier_full, fourier_full_inverse,
-                    fourier_partial, spectral_derivatives)
+                    multiply_mixed, spectral_derivatives)
 from .ordering import GaussianSmoother, OrderingSpec
 from .polyalg import PolyH, sigma_order, sigma_order_right, word_profiles
 
@@ -106,6 +107,33 @@ class ObservableSpec:
             raise UnsupportedObservableError(
                 "observable %s has non-polynomial terms" % self.label)
         return self.poly_part()
+
+    def factors(self, spec, side, xq, pq, hbar):
+        """The ordered operator as [(b, a)]: sum of a(q) b(p), p acting first.
+
+        xq and pq are the caller's q and p coordinates (Bopp-sheared lattices
+        or the plain x and u axes).  b is None for a p-independent pair and a
+        is a scalar when constant in q.  The polynomial part is pulled back by
+        S^-1 and sigma-ordered for the requested side; function terms admit
+        only the identity smoother.
+        """
+        if not spec.is_plain_sigma() and self.fn_terms():
+            raise UnsupportedObservableError(
+                "x-only/p-only function terms support only the identity smoother; "
+                "use polynomial terms for smoothed orderings")
+        pairs = []
+        for kind, payload in self.fn_terms():
+            if kind == "x":
+                pairs.append((None, np.asarray(payload(xq), dtype=complex)))
+            else:
+                pairs.append((np.asarray(payload(pq), dtype=complex), 1.0))
+        poly = self.poly_part()
+        if poly.terms:
+            pulled = spec.smoother.to_word().apply(poly, "inverse")
+            order = sigma_order if side == "left" else sigma_order_right
+            for m, a_m in word_profiles(order(pulled, spec.sigma), xq, hbar):
+                pairs.append((pq ** m if m else None, a_m))
+        return pairs
 
     def sample(self, grid):
         """Evaluate the symbol A(x, p) on the grid (numeric hbar)."""
@@ -261,50 +289,6 @@ def star_sigma_S(f, g_field, spec):
 # Bopp-shift route: observable acting on a state
 # ---------------------------------------------------------------------------
 
-def _multiply_in_y_rep(field, profile):
-    """profile is a (nx, np) array over the (x, y) mixed lattice."""
-    chi = fourier_partial(field, "p", "inverse")
-    chi.values *= profile
-    return fourier_partial(chi, "p", "forward")
-
-
-def _multiply_in_u_rep(field, profile):
-    """profile is a (nx, np) array over the (u, p) mixed lattice."""
-    ups = fourier_partial(field, "x", "forward")
-    ups.values *= profile
-    return fourier_partial(ups, "x", "inverse")
-
-
-def _word_action(word_nf, field, side, sigma, hbar):
-    """Realize a standard-ordered operator word on a field.
-
-    Left action factors: q = multiply by (x + sigma y) in the (x, y)
-    representation, p = multiply by (p + sigmabar u) in the (u, p)
-    representation.  Right action mirrors with (x - sigmabar y) and
-    (p - sigma u).  Standard order means p-powers act first.
-    """
-    g = field.grid
-    sb = 1.0 - sigma
-    if side == "left":
-        xq = g.x[:, None] + sigma * g.eta[None, :]
-        pq = g.p[None, :] + sb * g.xi[:, None]
-    else:
-        xq = g.x[:, None] - sb * g.eta[None, :]
-        pq = g.p[None, :] - sigma * g.xi[:, None]
-    # result = sum_m a_m(q) p^m Psi, with a_m evaluated on the sheared profile
-    out = None
-    for m, a_m in word_profiles(word_nf, xq, hbar):
-        work = _multiply_in_u_rep(field, pq ** m) if m else field
-        if np.ndim(a_m) == 0:
-            contrib = work * a_m
-        else:
-            contrib = _multiply_in_y_rep(work, a_m)
-        out = contrib if out is None else out + contrib
-    if out is None:
-        out = PhaseField(g, np.zeros((g.nx, g.np), dtype=complex))
-    return out
-
-
 def _gaussian_direct_product(poly, field, side, sigma, alpha, beta, hbar):
     """Polynomial symbol times field under the Gaussian-smoothed product.
 
@@ -355,11 +339,14 @@ def _gaussian_direct_product(poly, field, side, sigma, alpha, beta, hbar):
 def bopp_apply(A, psi, side="left", spec=None):
     """A *_{sigma,S} psi (side='left') or psi *_{sigma,S} A (side='right').
 
-    x-only and p-only function terms become exact multiplications in mixed
-    representations; polynomial cross terms go through the ordered operator
-    word.  Gaussian smoothers use the finite bidirectional series directly
-    (no deconvolution); other non-identity smoothers pull the state back by
-    S^-1, apply the pulled-back symbol, and push forward by S.
+    With the identity smoother the ordered operator acts with q and p
+    replaced by Bopp shifts: left q = x + sigma y on the (x, y) lattice and
+    p = p + sigmabar u on the (u, p) lattice; the right action uses
+    x - sigmabar y and p - sigma u.  Each factor pair of
+    :meth:`ObservableSpec.factors` costs one mixed multiply per non-scalar
+    factor.  Gaussian smoothers use the finite bidirectional series directly
+    (no deconvolution); every other smoother, and function terms under a
+    Gaussian one, raise UnsupportedObservableError.
     """
     if spec is None:
         spec = OrderingSpec(0.5)
@@ -367,49 +354,26 @@ def bopp_apply(A, psi, side="left", spec=None):
         raise PSQError("side must be 'left' or 'right'")
     g = psi.grid
     sigma, sb = spec.sigma, spec.sigma_bar
-    plain = spec.is_plain_sigma()
-    if not plain and A.fn_terms():
-        raise UnsupportedObservableError(
-            "x-only/p-only function terms support only the identity smoother; "
-            "use polynomial terms for smoothed orderings")
-    poly = A.poly_part()
-    gaussian_route = not plain and isinstance(spec.smoother, GaussianSmoother)
-    if gaussian_route and poly.terms:
+    if not spec.is_plain_sigma():
+        if A.fn_terms() or not isinstance(spec.smoother, GaussianSmoother):
+            raise UnsupportedObservableError(
+                "smoothed Bopp actions need a Gaussian smoother and polynomial "
+                "terms; got %s with %s" % (spec.smoother.kind, A.label))
         # the whole smoothed product of a polynomial is a finite series
-        out = _gaussian_direct_product(poly, psi, side, sigma,
-                                       spec.smoother.alpha,
-                                       spec.smoother.beta, g.hbar)
-        return out.assert_finite()
-    work = psi if plain else apply_smoother(spec, psi, "inverse")
-    out = None
-    for kind, payload in A.fn_terms():
-        if kind == "x":
-            scale = sigma if side == "left" else -sb
-            profile = np.asarray(payload(g.x[:, None] + scale * g.eta[None, :]),
-                                 dtype=complex)
-            contrib = _multiply_in_y_rep(work, profile)
-        else:
-            scale = sb if side == "left" else -sigma
-            profile = np.asarray(payload(g.p[None, :] + scale * g.xi[:, None]),
-                                 dtype=complex)
-            contrib = _multiply_in_u_rep(work, profile)
-        out = contrib if out is None else out + contrib
-    if poly.terms:
-        if plain:
-            pulled = poly
-        else:
-            pulled = spec.smoother.to_word().apply(poly, "inverse")
-        if side == "left":
-            word = sigma_order(pulled, sigma)
-        else:
-            word = sigma_order_right(pulled, sigma)
-        contrib = _word_action(word, work, side, sigma, g.hbar)
-        out = contrib if out is None else out + contrib
-    if out is None:
-        out = PhaseField(g, np.zeros((g.nx, g.np), dtype=complex))
-    if not plain:
-        out = apply_smoother(spec, out, "forward")
-    return out.assert_finite()
+        return _gaussian_direct_product(A.poly_part(), psi, side, sigma,
+                                        spec.smoother.alpha, spec.smoother.beta,
+                                        g.hbar).assert_finite()
+    if side == "left":
+        xq = g.x[:, None] + sigma * g.eta[None, :]
+        pq = g.p[None, :] + sb * g.xi[:, None]
+    else:
+        xq = g.x[:, None] - sb * g.eta[None, :]
+        pq = g.p[None, :] - sigma * g.xi[:, None]
+    out = np.zeros((g.nx, g.np), dtype=complex)
+    for b, a in A.factors(spec, side, xq, pq, g.hbar):
+        work = psi.values if b is None else multiply_mixed(g, psi.values, "x", b)
+        out += work * a if np.ndim(a) == 0 else multiply_mixed(g, work, "p", a)
+    return PhaseField(g, out).assert_finite()
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,18 @@ class TestRunContract:
         assert code == 2
         assert manifest is None
         assert not (tmp_path / "out").exists()
+        # malformed params: wrong JSON types, and a custom system without
+        # its Hamiltonian (the last input, because it gets past the schema)
+        for scenario, params in (
+                ("spectrum", {"levels": "abc"}),
+                ("gauge-check", {"smoothers": [{"kind": "gaussian", "alpha": "x"}]}),
+                ("evolve", {"observables": 5}),
+                ("evolve", {"system": "custom"})):
+            (code, manifest), outdir = run_config(
+                {"scenario": scenario, "params": params}, tmp_path)
+            assert code == 2
+            assert manifest is None
+            assert not Path(outdir).exists() or not os.listdir(outdir)
 
     def test_unreadable_config_exit_2(self, tmp_path):
         path = tmp_path / "nope.json"

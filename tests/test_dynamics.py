@@ -51,6 +51,12 @@ class TestSchrodinger:
         overlap = phi0.inner(final)
         energy = -np.angle(overlap) * grid64.hbar / t
         assert abs(energy - (n + 0.5)) < 1e-6
+        # kinetic and potential given as function terms take the same step
+        H_fn = (ObservableSpec.p_function(lambda u: 0.5 * u ** 2)
+                + ObservableSpec.x_function(lambda x: 0.5 * x ** 2))
+        fn_final = evolve_schrodinger(phi0, H_fn, OrderingSpec(0.5), cfg,
+                                      phase_space_snapshots=False).snapshots[-1]
+        assert np.abs(fn_final.values - final.values).max() < 1e-12
 
     def test_smoothed_split_step_energy_shift(self, grid64):
         # the smoothed ordering turns the oscillator symbol into the same

@@ -5,8 +5,9 @@ from psq import (CohenSmoother, GaussianSmoother, IdentitySmoother,
                  IllPosedSmoothingError, ObservableSpec, OrderingSpec,
                  PhaseField, PolyH, UnsupportedObservableError, WordSmoother,
                  apply_smoother, bopp_apply, gauge_transform, integrate,
-                 involution_dagger, l2_norm, make_grid, moyal_bracket, pstar,
-                 star_commutator, star_sigma, star_sigma_S)
+                 involution_dagger, l2_norm, make_grid, moyal_bracket,
+                 operator_matrix, pstar, star_commutator, star_sigma,
+                 star_sigma_S)
 from psq.polyalg import DiffOpWord
 
 from conftest import dense_star_oracle, gaussian_mixture, plateau_window
@@ -89,6 +90,12 @@ class TestStarSigma:
         with pytest.warns(UserWarning, match="tail mass"):
             out = star_sigma(raw_x, state, 0.5)
         assert out.meta.get("tail_mass_warning", 0.0) > 0
+        # the flag survives the field arithmetic of brackets
+        with pytest.warns(UserWarning, match="tail mass"):
+            com = star_commutator(raw_x, state, OrderingSpec(0.5))
+            bracket = moyal_bracket(raw_x, state, OrderingSpec(0.5))
+        for derived in (com, bracket):
+            assert derived.meta["tail_mass_warning"] == out.meta["tail_mass_warning"]
 
 
 class TestBoppApply:
@@ -211,6 +218,11 @@ class TestBoppApply:
         spec = OrderingSpec(0.5, GaussianSmoother(0.1, 0.0))
         with pytest.raises(UnsupportedObservableError):
             bopp_apply(A, f, "left", spec)
+        # the operator matrix refuses the same input instead of applying the
+        # function term unsmoothed
+        mixed = ObservableSpec.x_function(np.cos) + ObservableSpec.harmonic(1.0)
+        with pytest.raises(UnsupportedObservableError):
+            operator_matrix(mixed, OrderingSpec(0.4, GaussianSmoother(0.1, 0.2)), grid64)
 
 
 class TestObservableSampling:
