@@ -5,6 +5,11 @@ scenario, the run emits data files plus a manifest.json listing every
 artifact with its content hash.  Identical configs yield byte-identical
 CSVs; floats are printed with 17 significant digits.
 
+`PARAMS` declares each scenario's params keys once; the config schema, the
+subcommand flags (`--<key>`, `_` written as `-`) and the values a scenario
+reads, defaults included, all come from it.  A failed run leaves output_dir
+as it found it.
+
 Exit codes: 0 ok, 2 config/schema violation, 3 numerical-precondition
 failure, 4 I/O error.
 """
@@ -14,7 +19,9 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import sys
+import tempfile
 from math import sqrt
 
 import numpy as np
@@ -22,21 +29,18 @@ import numpy as np
 from . import __version__
 from .errors import NumericalPreconditionError, PSQError
 from .grids import PhaseField, make_grid, write_field, write_field_csv
-from .ordering import GaussianSmoother, IdentitySmoother, spec_from_dict
+from .ordering import IdentitySmoother, spec_from_dict
 from .polyalg import PolyH, pstar, sigma_order
 from .spectra import gauge_spectrum_check, spectrum_via_schrodinger
-from .starprod import (ObservableSpec, apply_smoother, gauge_transform,
-                       involution_dagger, moyal_bracket, star_sigma_S)
+from .starprod import (ObservableSpec, apply_smoother, bopp_apply, gauge_transform,
+                       involution_dagger, moyal_bracket, star_commutator, star_sigma_S)
 from .states import hermite_function, marginal, purity_check, twisted_tensor, write_state
 from .closedforms import (CoherentParams, FreeGaussianParams, OscillatorParams,
-                          classical_limit_probe, coherent_state, free_gaussian,
-                          ho_ladder, ho_state)
+                          classical_limit_probe, coherent_state, coherent_wavepacket,
+                          free_gaussian, free_wavepacket, ho_ladder, ho_state)
 from .dynamics import EvolutionConfig, default_observables, evolve_phase_space, evolve_schrodinger
 
 FIELD_FORMAT_VERSION = 1
-
-SCENARIOS = ("starprod", "symbolic", "wigner", "spectrum", "evolve",
-             "oracle", "classical-limit", "gauge-check")
 
 _GRID_SCHEMA = {
     "type": "object",
@@ -49,28 +53,57 @@ _GRID_SCHEMA = {
     },
 }
 
-# every params key a scenario reads, by JSON type (one type per key)
-_PARAM_KEYS = {
-    "string": ("hamiltonian", "system", "method", "observables", "state", "op",
-               "direction", "observable", "side", "f", "g", "family"),
-    "integer": ("levels", "steps", "snapshot_every", "m", "n", "phi_hermite",
-                "psi_hermite", "left_hermite", "right_hermite"),
-    "number": ("dt", "omega", "x0", "p0", "delta_p", "sigma", "sigma_to", "t",
-               "alpha", "beta"),
-    "boolean": ("emit_fields",),
-}
-_PARAMS_SCHEMA = {
+_SMOOTHER_SCHEMA = {
     "type": "object",
     "properties": {
-        **{k: {"type": t} for t, keys in _PARAM_KEYS.items() for k in keys},
-        "sigmas": {"type": "array", "items": {"type": "number"}},
-        "hbars": {"type": "array", "items": {"type": "number"}},
-        "smoothers": {"type": "array", "items": {
-            "type": "object",
-            "properties": {"kind": {"type": "string"}, "alpha": {"type": "number"},
-                           "beta": {"type": "number"}}}},
-        "grid": _GRID_SCHEMA,
+        "kind": {"enum": ["identity", "gaussian"]},
+        "alpha": {"type": "number", "minimum": -2, "maximum": 2},
+        "beta": {"type": "number", "minimum": -2, "maximum": 2},
     },
+}
+
+_INT = {"type": "integer"}
+_NUM = {"type": "number"}
+_STR = {"type": "string"}
+_NUMS = {"type": "array", "items": _NUM}
+_HARMONIC = "0.5*p^2 + 0.5*x^2"
+
+
+def _enum(*values):
+    return {"type": "string", "enum": list(values)}
+
+
+# scenario -> {params key: (JSON-schema fragment, default)}; a default of None
+# means the scenario derives the value (see its docstring)
+PARAMS = {
+    "spectrum": {"hamiltonian": (_STR, _HARMONIC), "levels": (_INT, 5),
+                 "emit_fields": ({"type": "boolean"}, False)},
+    "gauge-check": {"hamiltonian": (_STR, _HARMONIC), "sigmas": (_NUMS, [0.0, 0.5, 1.0]),
+                    "levels": (_INT, 5),
+                    "smoothers": ({"type": "array", "items": _SMOOTHER_SCHEMA}, [])},
+    "evolve": {"system": (_enum("free", "oscillator", "custom"), "free"),
+               "method": (_enum("split_step_schrodinger", "phase_space_rk4",
+                                "matrix_exponential"), "split_step_schrodinger"),
+               "dt": (_NUM, 1e-3), "steps": (_INT, 1000), "snapshot_every": (_INT, None),
+               "observables": (_STR, "x,p,x2,p2,H"), "omega": (_NUM, 1.0),
+               "x0": (_NUM, 1.0), "p0": (_NUM, None), "delta_p": (_NUM, None),
+               "hamiltonian": (_STR, None)},
+    "oracle": {"state": (_enum("free", "ho", "ho-ladder", "coherent"), "ho"),
+               "m": (_INT, 0), "n": (_INT, 0), "t": (_NUM, 0.0), "omega": (_NUM, 1.0),
+               "x0": (_NUM, 1.0), "p0": (_NUM, None), "delta_p": (_NUM, None),
+               "sigma": (_NUM, 0.5), "alpha": (_NUM, 0.0), "beta": (_NUM, 0.0)},
+    "wigner": {"phi_hermite": (_INT, 0), "psi_hermite": (_INT, 0), "omega": (_NUM, 1.0)},
+    "starprod": {"op": (_enum("star", "commutator", "bracket", "dagger", "smooth",
+                              "gauge", "bopp"), "star"),
+                 "left_hermite": (_INT, 0), "right_hermite": (_INT, 0),
+                 "omega": (_NUM, 1.0), "direction": (_enum("forward", "inverse"), "forward"),
+                 "sigma_to": (_NUM, 0.5), "observable": (_STR, "x"),
+                 "side": (_enum("left", "right"), "left")},
+    "symbolic": {"f": (_STR, "x"), "g": (_STR, "p")},
+    "classical-limit": {"family": (_enum("coherent", "free", "ho"), "coherent"),
+                        "hbars": (_NUMS, [0.2, 0.1, 0.05, 0.025]), "x0": (_NUM, 1.0),
+                        "p0": (_NUM, 0.5), "t": (_NUM, 1.0), "n": (_INT, 1),
+                        "grid": (_GRID_SCHEMA, {})},
 }
 
 CONFIG_SCHEMA = {
@@ -78,7 +111,7 @@ CONFIG_SCHEMA = {
     "type": "object",
     "required": ["scenario", "output_dir"],
     "properties": {
-        "scenario": {"enum": list(SCENARIOS)},
+        "scenario": {"enum": list(PARAMS)},
         "output_dir": {"type": "string"},
         "formats": {"type": "array",
                     "items": {"enum": ["csv", "bin", "dat"]}},
@@ -87,22 +120,22 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "sigma": {"type": "number", "minimum": -4, "maximum": 5},
-                "smoother": {
-                    "type": "object",
-                    "properties": {
-                        "kind": {"enum": ["identity", "gaussian"]},
-                        "alpha": {"type": "number", "minimum": -2, "maximum": 2},
-                        "beta": {"type": "number", "minimum": -2, "maximum": 2},
-                    },
-                },
+                "smoother": _SMOOTHER_SCHEMA,
             },
         },
-        "params": _PARAMS_SCHEMA,
+        # flat: a key read by several scenarios has one fragment in all of them
+        "params": {
+            "type": "object",
+            "properties": {key: schema for table in PARAMS.values()
+                           for key, (schema, _default) in table.items()},
+        },
     },
 }
 
 DEFAULT_GRID = {"nx": 128, "np": 128, "x_min": -8.0, "x_max": 8.0,
                 "p_min": -8.0, "p_max": 8.0, "hbar": 1.0}
+
+_CASTS = {"integer": int, "number": float}
 
 
 def _fmt(value):
@@ -171,41 +204,64 @@ def _spec_from_config(cfg):
     return spec_from_dict(cfg.get("ordering", {"sigma": 0.5}))
 
 
+def _params(cfg):
+    """The scenario's params: table defaults under the config's values.
+
+    The one coercion point: integer keys go through int() and number keys
+    through float(), so {"levels": 5.0} reads as 5.
+    """
+    table = PARAMS[cfg["scenario"]]
+    p = {key: default for key, (_schema, default) in table.items()}
+    p.update(cfg.get("params", {}))
+    for key, (schema, _default) in table.items():
+        cast = _CASTS.get(schema["type"])
+        if cast is not None and p[key] is not None:
+            p[key] = cast(p[key])
+    return p
+
+
 class _Emitter:
+    """Writes a run's artifacts into a staging directory inside outdir.
+
+    `commit` moves them into outdir; `discard` removes the staging directory,
+    so a failed run leaves outdir as it found it.
+    """
+
     def __init__(self, outdir, formats):
         self.outdir = outdir
         self.formats = formats
         self.files = []
+        self.staging = tempfile.mkdtemp(prefix=".psq-staging-", dir=outdir)
 
     def path(self, name):
-        return os.path.join(self.outdir, name)
-
-    def note(self, name):
         self.files.append(name)
+        return os.path.join(self.staging, name)
 
     def csv(self, name, header, rows):
         if "csv" in self.formats:
             _write_csv(self.path(name), header, rows)
-            self.note(name)
 
     def dat(self, name, columns):
         if "dat" in self.formats:
             _write_dat(self.path(name), columns)
-            self.note(name)
 
     def field(self, name, field):
         if "bin" in self.formats:
             write_field(field, self.path(name))
-            self.note(name)
         if "csv" in self.formats:
             write_field_csv(field, self.path(name + ".csv"))
-            self.note(name + ".csv")
+
+    def state(self, name, state):
+        """A quasi-distribution: its binary field plus the JSON sidecar."""
+        if "bin" in self.formats:
+            self.path(name + ".json")
+            write_state(state, self.path(name))
 
     def manifest(self, config):
         entries = []
         for name in sorted(self.files):
             digest = hashlib.sha256()
-            with open(self.path(name), "rb") as fh:
+            with open(os.path.join(self.staging, name), "rb") as fh:
                 digest.update(fh.read())
             entries.append({"path": name, "sha256": digest.hexdigest()})
         payload = {
@@ -219,41 +275,57 @@ class _Emitter:
             fh.write("\n")
         return payload
 
+    def commit(self):
+        for name in self.files:
+            os.replace(os.path.join(self.staging, name), os.path.join(self.outdir, name))
+        os.rmdir(self.staging)
+
+    def discard(self):
+        shutil.rmtree(self.staging, ignore_errors=True)
+
 
 # ---------------------------------------------------------------------------
 # scenario implementations
 # ---------------------------------------------------------------------------
 
+def _free_packet(p, grid, sigma):
+    return FreeGaussianParams(1.0 if p["p0"] is None else p["p0"],
+                              sqrt(grid.hbar / 2.0) if p["delta_p"] is None else p["delta_p"],
+                              sigma)
+
+
+def _coherent_packet(p, sigma):
+    return CoherentParams(p["x0"], 0.0 if p["p0"] is None else p["p0"], p["omega"], sigma)
+
+
 def _scenario_spectrum(cfg, emit):
+    """star-genvalue spectrum of `hamiltonian`, optionally with eigenfields"""
     grid = _grid_from_config(cfg)
     spec = _spec_from_config(cfg)
-    params = cfg.get("params", {})
-    hpoly = parse_poly(params.get("hamiltonian", "0.5*p^2 + 0.5*x^2"))
-    levels = int(params.get("levels", 5))
-    result = spectrum_via_schrodinger(ObservableSpec.from_poly(hpoly, "H"),
+    p = _params(cfg)
+    levels = p["levels"]
+    result = spectrum_via_schrodinger(ObservableSpec.from_poly(parse_poly(p["hamiltonian"]), "H"),
                                       spec, levels, grid)
     rows = [(n, float(result.energies[n]), float(result.residuals[n][0]),
              float(result.residuals[n][1])) for n in range(levels)]
     emit.csv("spectrum.csv", "n,energy,residual_left,residual_right", rows)
-    if params.get("emit_fields"):
+    if p["emit_fields"]:
         for n in range(levels):
             emit.field("eigenfield_%02d.psqf" % n,
                        result.eigenfield(n, n).psi_field)
 
 
 def _scenario_gauge_check(cfg, emit):
+    """spectrum invariance across `sigmas` and (JSON only) `smoothers`"""
     grid = _grid_from_config(cfg)
-    params = cfg.get("params", {})
-    hpoly = parse_poly(params.get("hamiltonian", "0.5*p^2 + 0.5*x^2"))
-    sigmas = params.get("sigmas", [0.0, 0.5, 1.0])
-    levels = int(params.get("levels", 5))
+    p = _params(cfg)
     smoothers = [IdentitySmoother()]
-    for entry in params.get("smoothers", []):
-        if entry.get("kind") == "gaussian":
-            smoothers.append(GaussianSmoother(entry.get("alpha", 0.0),
-                                              entry.get("beta", 0.0)))
-    report = gauge_spectrum_check(ObservableSpec.from_poly(hpoly, "H"),
-                                  sigmas, smoothers, levels, grid)
+    for entry in p["smoothers"]:
+        smoother = spec_from_dict({"smoother": entry}).smoother
+        if smoother.kind != "identity" and smoother not in smoothers:
+            smoothers.append(smoother)
+    report = gauge_spectrum_check(ObservableSpec.from_poly(parse_poly(p["hamiltonian"]), "H"),
+                                  p["sigmas"], smoothers, p["levels"], grid)
     rows = []
     for label, energies in sorted(report["energies"].items()):
         for n, e in enumerate(energies):
@@ -264,60 +336,47 @@ def _scenario_gauge_check(cfg, emit):
 
 
 def _scenario_evolve(cfg, emit):
+    """time evolution
+
+    free: a packet at p0 (default 1), width delta_p (default sqrt(hbar/2));
+    oscillator, custom (needs hamiltonian): a coherent state at x0, p0
+    (default 0).  snapshot_every defaults to steps // 8.
+    """
     grid = _grid_from_config(cfg)
     spec = _spec_from_config(cfg)
-    params = cfg.get("params", {})
-    scenario = params.get("system", "free")
-    dt = float(params.get("dt", 1e-3))
-    steps = int(params.get("steps", 1000))
-    every = int(params.get("snapshot_every", max(steps // 8, 1)))
-    method = params.get("method", "split_step_schrodinger")
-    names = [s for s in params.get("observables", "x,p,x2,p2,H").split(",") if s]
-    omega = float(params.get("omega", 1.0))
-    obs_all = default_observables(omega)
+    p = _params(cfg)
+    obs_all = default_observables(p["omega"])
     observables = {}
-    for name in names:
+    for name in [s for s in p["observables"].split(",") if s]:
         if name not in obs_all:
             raise PSQError("unknown observable %r" % name)
         observables[name] = obs_all[name]
-    if scenario == "free":
+    free = p["system"] == "free"
+    if free:
         hobs = ObservableSpec.from_poly(PolyH.monomial(0, 2, c=0.5), "H")
-        fp = FreeGaussianParams(float(params.get("p0", 1.0)),
-                                float(params.get("delta_p", sqrt(grid.hbar / 2.0))),
-                                spec.sigma)
-        from .closedforms import free_wavepacket
-        phi0 = free_wavepacket(fp, 0.0, grid)
-        state0 = None
-    elif scenario == "oscillator":
-        hobs = ObservableSpec.harmonic(omega)
-        cp = CoherentParams(float(params.get("x0", 1.0)),
-                            float(params.get("p0", 0.0)), omega, spec.sigma)
-        state0 = coherent_state(cp, grid)
-        phi0 = None
-    elif scenario == "custom":
-        if "hamiltonian" not in params:
-            raise PSQError("system 'custom' needs params.hamiltonian")
-        hobs = ObservableSpec.from_poly(parse_poly(params["hamiltonian"]), "H")
-        cp = CoherentParams(float(params.get("x0", 1.0)),
-                            float(params.get("p0", 0.0)), omega, spec.sigma)
-        state0 = coherent_state(cp, grid)
-        phi0 = None
+        packet = _free_packet(p, grid, spec.sigma)
+    elif p["system"] == "oscillator":
+        hobs = ObservableSpec.harmonic(p["omega"])
+        packet = _coherent_packet(p, spec.sigma)
     else:
-        raise PSQError("unknown system %r" % scenario)
-    cfg_evo = EvolutionConfig(dt=dt, steps=steps, method=method, snapshot_every=every)
-    if method == "phase_space_rk4":
-        if state0 is None:
-            state0 = free_gaussian(fp, 0.0, grid)
+        if p["hamiltonian"] is None:
+            raise PSQError("system 'custom' needs params.hamiltonian")
+        hobs = ObservableSpec.from_poly(parse_poly(p["hamiltonian"]), "H")
+        packet = _coherent_packet(p, spec.sigma)
+    every = p["snapshot_every"]
+    cfg_evo = EvolutionConfig(dt=p["dt"], steps=p["steps"], method=p["method"],
+                              snapshot_every=max(p["steps"] // 8, 1) if every is None else every)
+    # the coherent state is built on both routes: its grid-span check guards them
+    state0 = None if free else coherent_state(packet, grid)
+    if p["method"] == "phase_space_rk4":
+        if free:
+            state0 = free_gaussian(packet, 0.0, grid)
         result = evolve_phase_space(state0, hobs, spec, cfg_evo,
                                     observables=observables)
-        snap_fields = result.snapshots
     else:
-        if phi0 is None:
-            from .closedforms import coherent_wavepacket
-            phi0 = coherent_wavepacket(cp, grid)
+        phi0 = free_wavepacket(packet, 0.0, grid) if free else coherent_wavepacket(packet, grid)
         result = evolve_schrodinger(phi0, hobs, spec, cfg_evo,
                                     observables=observables)
-        snap_fields = result.snapshots
     header = "t," + ",".join("%s_re,%s_im" % (n, n) for n in observables) + ",norm"
     rows = []
     for i, t in enumerate(result.times):
@@ -329,7 +388,7 @@ def _scenario_evolve(cfg, emit):
         rows.append(tuple(row))
     emit.csv("trajectory.csv", header, rows)
     for i, t in enumerate(result.times):
-        field = snap_fields[i]
+        field = result.snapshots[i]
         if isinstance(field, PhaseField):
             emit.field("snapshot_%03d.psqf" % i, field)
             emit.dat("snapshot_%03d.dat" % i,
@@ -338,55 +397,38 @@ def _scenario_evolve(cfg, emit):
 
 
 def _scenario_oracle(cfg, emit):
+    """dump a closed-form state
+
+    p0 defaults to 1 for the free packet (delta_p to sqrt(hbar/2)) and to 0
+    for the coherent state.
+    """
     grid = _grid_from_config(cfg)
-    params = cfg.get("params", {})
-    kind = params.get("state", "ho")
+    p = _params(cfg)
+    kind = p["state"]
     if kind == "free":
-        fp = FreeGaussianParams(float(params.get("p0", 1.0)),
-                                float(params.get("delta_p", sqrt(grid.hbar / 2.0))),
-                                float(params.get("sigma", 0.5)))
-        state = free_gaussian(fp, float(params.get("t", 0.0)), grid)
+        state = free_gaussian(_free_packet(p, grid, p["sigma"]), p["t"], grid)
         name = "free_gaussian"
-    elif kind == "ho":
-        op = OscillatorParams(float(params.get("omega", 1.0)), 0.5,
-                              float(params.get("alpha", 0.0)),
-                              float(params.get("beta", 0.0)))
-        state = ho_state(int(params.get("m", 0)), int(params.get("n", 0)), op, grid)
-        name = "ho_state"
-    elif kind == "ho-ladder":
-        op = OscillatorParams(float(params.get("omega", 1.0)), 0.5,
-                              float(params.get("alpha", 0.0)),
-                              float(params.get("beta", 0.0)))
-        state = ho_ladder(int(params.get("m", 0)), int(params.get("n", 0)), op, grid)
-        name = "ho_ladder"
     elif kind == "coherent":
-        cp = CoherentParams(float(params.get("x0", 1.0)), float(params.get("p0", 0.0)),
-                            float(params.get("omega", 1.0)),
-                            float(params.get("sigma", 0.5)))
-        state = coherent_state(cp, grid)
+        state = coherent_state(_coherent_packet(p, p["sigma"]), grid)
         name = "coherent"
     else:
-        raise PSQError("unknown oracle state %r" % kind)
+        name, build = {"ho": ("ho_state", ho_state), "ho-ladder": ("ho_ladder", ho_ladder)}[kind]
+        state = build(p["m"], p["n"], OscillatorParams(p["omega"], 0.5, p["alpha"], p["beta"]),
+                      grid)
     emit.field(name + ".psqf", state.psi_field)
-    if "bin" in emit.formats:
-        write_state(state, emit.path(name + ".state.psqf"))
-        emit.note(name + ".state.psqf")
-        emit.note(name + ".state.psqf.json")
+    emit.state(name + ".state.psqf", state)
 
 
 def _scenario_wigner(cfg, emit):
+    """twisted tensor of Hermite functions"""
     grid = _grid_from_config(cfg)
     spec = _spec_from_config(cfg)
-    params = cfg.get("params", {})
-    i = int(params.get("phi_hermite", 0))
-    j = int(params.get("psi_hermite", 0))
-    omega = float(params.get("omega", 1.0))
-    state = twisted_tensor(hermite_function(grid, i, omega),
-                           hermite_function(grid, j, omega), spec)
+    p = _params(cfg)
+    i, j = p["phi_hermite"], p["psi_hermite"]
+    state = twisted_tensor(hermite_function(grid, i, p["omega"]),
+                           hermite_function(grid, j, p["omega"]), spec)
     emit.field("wigner_%d_%d.psqf" % (i, j), state.psi_field)
-    write_state(state, emit.path("wigner_state.psqf"))
-    emit.note("wigner_state.psqf")
-    emit.note("wigner_state.psqf.json")
+    emit.state("wigner_state.psqf", state)
     if i == j:
         is_pure, residuals = purity_check(state)
         emit.csv("purity.csv", "is_pure,herm,idem,norm",
@@ -398,43 +440,40 @@ def _scenario_wigner(cfg, emit):
 
 
 def _scenario_starprod(cfg, emit):
+    """star-product operations on states (--symbolic: on polynomials f, g)"""
     grid = _grid_from_config(cfg)
     spec = _spec_from_config(cfg)
-    params = cfg.get("params", {})
-    op = params.get("op", "star")
-    omega = float(params.get("omega", 1.0))
-    i = int(params.get("left_hermite", 0))
-    j = int(params.get("right_hermite", 0))
-    left = twisted_tensor(hermite_function(grid, i, omega),
-                          hermite_function(grid, i, omega), spec).psi_field
-    right = twisted_tensor(hermite_function(grid, j, omega),
-                           hermite_function(grid, j, omega), spec).psi_field
+    p = _params(cfg)
+    op = p["op"]
+    i, j = p["left_hermite"], p["right_hermite"]
+    left = twisted_tensor(hermite_function(grid, i, p["omega"]),
+                          hermite_function(grid, i, p["omega"]), spec).psi_field
+    right = twisted_tensor(hermite_function(grid, j, p["omega"]),
+                           hermite_function(grid, j, p["omega"]), spec).psi_field
     if op == "star":
         result = star_sigma_S(left, right, spec)
     elif op == "commutator":
-        result = star_sigma_S(left, right, spec) - star_sigma_S(right, left, spec)
+        result = star_commutator(left, right, spec)
     elif op == "bracket":
         result = moyal_bracket(left, right, spec)
     elif op == "dagger":
         result = involution_dagger(left, spec)
     elif op == "smooth":
-        result = apply_smoother(spec, left, params.get("direction", "forward"))
+        result = apply_smoother(spec, left, p["direction"])
     elif op == "gauge":
-        result = gauge_transform(left, spec.sigma, float(params.get("sigma_to", 0.5)))
-    elif op == "bopp":
-        from .starprod import bopp_apply
-        obs = ObservableSpec.from_poly(parse_poly(params.get("observable", "x")))
-        result = bopp_apply(obs, right, params.get("side", "left"), spec)
+        result = gauge_transform(left, spec.sigma, p["sigma_to"])
     else:
-        raise PSQError("unknown starprod op %r" % op)
+        obs = ObservableSpec.from_poly(parse_poly(p["observable"]))
+        result = bopp_apply(obs, right, p["side"], spec)
     emit.field("starprod_%s.psqf" % op, result)
 
 
 def _scenario_symbolic(cfg, emit):
-    params = cfg.get("params", {})
+    """symbolic star product and sigma ordering of polynomials"""
+    p = _params(cfg)
     spec = _spec_from_config(cfg)
-    f = parse_poly(params.get("f", "x"))
-    g = parse_poly(params.get("g", "p"))
+    f = parse_poly(p["f"])
+    g = parse_poly(p["g"])
     prod = pstar(f, g, spec.sigma)
     ordered = sigma_order(f, spec.sigma)
     lines = [
@@ -443,20 +482,17 @@ def _scenario_symbolic(cfg, emit):
         "f star g = " + prod.render(),
         "sigma_order(f) = " + ordered.render(),
     ]
-    path = emit.path("symbolic.txt")
-    with open(path, "w") as fh:
+    with open(emit.path("symbolic.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    emit.note("symbolic.txt")
 
 
 def _scenario_classical_limit(cfg, emit):
-    params = cfg.get("params", {})
-    base = dict(DEFAULT_GRID)
-    base.update(cfg.get("params", {}).get("grid", {}))
-    hbars = params.get("hbars", [0.2, 0.1, 0.05, 0.025])
-    family_kind = params.get("family", "coherent")
-    x0 = float(params.get("x0", 1.0))
-    p0 = float(params.get("p0", 0.5))
+    """hbar-sweep weak-limit pairings; params.grid (JSON only) overrides nx, np"""
+    p = _params(cfg)
+    base = {**DEFAULT_GRID, **cfg.get("grid", {}), **p["grid"]}
+    hbars = p["hbars"]
+    family_kind = p["family"]
+    x0, p0 = p["x0"], p["p0"]
 
     def family(hb):
         scale = sqrt(hb / hbars[0])
@@ -467,12 +503,8 @@ def _scenario_classical_limit(cfg, emit):
         if family_kind == "coherent":
             return coherent_state(CoherentParams(x0, p0, 1.0, 0.5), grid)
         if family_kind == "free":
-            fp = FreeGaussianParams(p0, sqrt(hb) * 0.5, 0.5)
-            return free_gaussian(fp, float(params.get("t", 1.0)), grid)
-        if family_kind == "ho":
-            n = int(params.get("n", 1))
-            return ho_state(n, n, OscillatorParams(1.0, 0.5, 0.0, 0.0), grid)
-        raise PSQError("unknown family %r" % family_kind)
+            return free_gaussian(FreeGaussianParams(p0, sqrt(hb) * 0.5, 0.5), p["t"], grid)
+        return ho_state(p["n"], p["n"], OscillatorParams(1.0, 0.5, 0.0, 0.0), grid)
 
     def testfn(X, P):
         return np.exp(-((X - x0) ** 2 + (P - p0) ** 2) / 4.0)
@@ -507,7 +539,10 @@ def run(config_path):
 
 
 def run_config(config):
-    """Execute a scenario config dict; returns (exit_code, manifest or None)."""
+    """Execute a scenario config dict; returns (exit_code, manifest or None).
+
+    On a non-zero exit output_dir is left as the run found it.
+    """
     import jsonschema
     try:
         jsonschema.validate(config, CONFIG_SCHEMA)
@@ -517,42 +552,47 @@ def run_config(config):
     outdir = config["output_dir"]
     try:
         os.makedirs(outdir, exist_ok=True)
+        emit = _Emitter(outdir, config.get("formats", ["csv"]))
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 4, None
-    emit = _Emitter(outdir, config.get("formats", ["csv"]))
     try:
         _RUNNERS[config["scenario"]](config, emit)
         manifest = emit.manifest(config)
+        emit.commit()
+        return 0, manifest
     except NumericalPreconditionError as exc:
-        print("numerical precondition violated: %s" % exc, file=sys.stderr)
-        return 3, None
+        code, message = 3, "numerical precondition violated: %s" % exc
     except PSQError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2, None
+        code, message = 2, "error: %s" % exc
     except OSError as exc:
-        print("i/o error: %s" % exc, file=sys.stderr)
-        return 4, None
-    return 0, manifest
+        code, message = 4, "i/o error: %s" % exc
+    finally:
+        emit.discard()
+    print(message, file=sys.stderr)
+    return code, None
 
 
-def _config_from_args(args):
-    """Assemble a scenario config dict from subcommand flags."""
-    config = {
-        "scenario": args.scenario,
-        "output_dir": args.output_dir,
-        "formats": args.formats.split(","),
-        "grid": {"nx": args.nx, "np": args.np, "x_min": -args.span,
-                 "x_max": args.span, "p_min": -args.span, "p_max": args.span,
-                 "hbar": args.hbar},
-        "ordering": {"sigma": args.sigma,
-                     "smoother": ({"kind": "gaussian", "alpha": args.alpha,
-                                   "beta": args.beta}
-                                  if (args.alpha or args.beta)
-                                  else {"kind": "identity"})},
-        "params": {},
-    }
-    return config
+def _number_list(text):
+    return [float(v) for v in text.split(",")]
+
+
+def _add_param_flags(parser, scenario):
+    """One flag per scalar or number-list params key, absent unless given."""
+    for key, (schema, default) in PARAMS[scenario].items():
+        if key in ("sigma", "alpha", "beta"):
+            continue        # the common ordering flags set these keys too
+        kwargs = {"default": argparse.SUPPRESS,
+                  "help": None if default is None else "default %s" % json.dumps(default)}
+        if schema is _NUMS:
+            kwargs["type"] = _number_list
+        elif schema["type"] == "boolean":
+            kwargs["action"] = "store_true"
+        elif schema["type"] in ("string", "integer", "number"):
+            kwargs.update(type=_CASTS.get(schema["type"], str), choices=schema.get("enum"))
+        else:
+            continue        # smoothers and params.grid are JSON-only
+        parser.add_argument("--" + key.replace("_", "-"), **kwargs)
 
 
 def main(argv=None):
@@ -567,8 +607,12 @@ def main(argv=None):
     run_p.add_argument("config")
     run_p.add_argument("--print-schema", action="store_true")
 
-    def add_common(p, scenario):
-        p.set_defaults(scenario=scenario)
+    for scenario, runner in _RUNNERS.items():
+        if scenario == "symbolic":
+            continue        # reached through starprod --symbolic
+        p = sub.add_parser(scenario, help=runner.__doc__.splitlines()[0],
+                           description=runner.__doc__,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--output-dir", default="psq-out")
         p.add_argument("--formats", default="csv")
         p.add_argument("--nx", type=int, default=DEFAULT_GRID["nx"])
@@ -578,66 +622,10 @@ def main(argv=None):
         p.add_argument("--sigma", type=float, default=0.5)
         p.add_argument("--alpha", type=float, default=0.0)
         p.add_argument("--beta", type=float, default=0.0)
-
-    spect = sub.add_parser("spectrum", help="star-genvalue spectrum")
-    add_common(spect, "spectrum")
-    spect.add_argument("--hamiltonian", default="0.5*p^2 + 0.5*x^2")
-    spect.add_argument("--levels", type=int, default=5)
-    spect.add_argument("--emit-fields", action="store_true")
-
-    ev = sub.add_parser("evolve", help="time evolution")
-    add_common(ev, "evolve")
-    ev.add_argument("--system", choices=["free", "oscillator", "custom"],
-                    default="free")
-    ev.add_argument("--method", default="split_step_schrodinger",
-                    choices=["split_step_schrodinger", "phase_space_rk4",
-                             "matrix_exponential"])
-    ev.add_argument("--dt", type=float, default=1e-3)
-    ev.add_argument("--steps", type=int, default=1000)
-    ev.add_argument("--observables", default="x,p,x2,p2,H")
-    ev.add_argument("--hamiltonian", default=None)
-    ev.add_argument("--x0", type=float, default=1.0)
-    ev.add_argument("--p0", type=float, default=1.0)
-
-    orc = sub.add_parser("oracle", help="dump a closed-form state")
-    add_common(orc, "oracle")
-    orc.add_argument("--state", choices=["free", "ho", "ho-ladder", "coherent"],
-                     default="ho")
-    orc.add_argument("--m", type=int, default=0)
-    orc.add_argument("--n", type=int, default=0)
-    orc.add_argument("--t", type=float, default=0.0)
-
-    wig = sub.add_parser("wigner", help="twisted tensor of Hermite functions")
-    add_common(wig, "wigner")
-    wig.add_argument("--phi-hermite", type=int, default=0)
-    wig.add_argument("--psi-hermite", type=int, default=0)
-
-    sp = sub.add_parser("starprod", help="star-product operations on states")
-    add_common(sp, "starprod")
-    sp.add_argument("--op", default="star",
-                    choices=["star", "commutator", "bracket", "dagger",
-                             "smooth", "gauge", "bopp"])
-    sp.add_argument("--left-hermite", type=int, default=0)
-    sp.add_argument("--right-hermite", type=int, default=0)
-    sp.add_argument("--observable", default="x",
-                    help="polynomial symbol for --op bopp")
-    sp.add_argument("--side", default="left", choices=["left", "right"])
-    sp.add_argument("--symbolic", action="store_true",
-                    help="run the symbolic layer instead")
-    sp.add_argument("--f", default="x")
-    sp.add_argument("--g", default="p")
-
-    gc = sub.add_parser("gauge-check", help="spectrum invariance across orderings")
-    add_common(gc, "gauge-check")
-    gc.add_argument("--hamiltonian", default="0.5*p^2 + 0.5*x^2")
-    gc.add_argument("--sigmas", default="0,0.5,1")
-    gc.add_argument("--levels", type=int, default=5)
-
-    cl = sub.add_parser("classical-limit", help="hbar-sweep weak-limit pairings")
-    add_common(cl, "classical-limit")
-    cl.add_argument("--family", choices=["coherent", "free", "ho"],
-                    default="coherent")
-    cl.add_argument("--hbars", default="0.2,0.1,0.05,0.025")
+        _add_param_flags(p, scenario)
+    sub.choices["starprod"].add_argument("--symbolic", action="store_true",
+                                         help="run the symbolic layer instead")
+    _add_param_flags(sub.choices["starprod"], "symbolic")
 
     args = parser.parse_args(argv)
     if args.command is None:
@@ -649,39 +637,21 @@ def main(argv=None):
             return 0
         return run(args.config)[0]
 
-    config = _config_from_args(args)
-    p = config["params"]
-    if args.command == "spectrum":
-        p["hamiltonian"] = args.hamiltonian
-        p["levels"] = args.levels
-        p["emit_fields"] = bool(args.emit_fields)
-    elif args.command == "evolve":
-        p.update({"system": args.system, "method": args.method, "dt": args.dt,
-                  "steps": args.steps, "observables": args.observables,
-                  "x0": args.x0, "p0": args.p0})
-        if args.hamiltonian:
-            p["hamiltonian"] = args.hamiltonian
-    elif args.command == "oracle":
-        p.update({"state": args.state, "m": args.m, "n": args.n, "t": args.t,
-                  "sigma": args.sigma, "alpha": args.alpha, "beta": args.beta})
-    elif args.command == "wigner":
-        p.update({"phi_hermite": args.phi_hermite, "psi_hermite": args.psi_hermite})
-    elif args.command == "starprod":
-        if args.symbolic:
-            config["scenario"] = "symbolic"
-            p.update({"f": args.f, "g": args.g})
-        else:
-            p.update({"op": args.op, "left_hermite": args.left_hermite,
-                      "right_hermite": args.right_hermite,
-                      "observable": args.observable, "side": args.side})
-    elif args.command == "gauge-check":
-        p.update({"hamiltonian": args.hamiltonian,
-                  "sigmas": [float(s) for s in args.sigmas.split(",")],
-                  "levels": args.levels})
-    elif args.command == "classical-limit":
-        p.update({"family": args.family,
-                  "hbars": [float(h) for h in args.hbars.split(",")]})
-
+    scenario = "symbolic" if vars(args).get("symbolic") else args.command
+    config = {
+        "scenario": scenario,
+        "output_dir": args.output_dir,
+        "formats": args.formats.split(","),
+        "grid": {"nx": args.nx, "np": args.np, "x_min": -args.span,
+                 "x_max": args.span, "p_min": -args.span, "p_max": args.span,
+                 "hbar": args.hbar},
+        "ordering": {"sigma": args.sigma,
+                     "smoother": ({"kind": "gaussian", "alpha": args.alpha,
+                                   "beta": args.beta}
+                                  if (args.alpha or args.beta)
+                                  else {"kind": "identity"})},
+        "params": {k: v for k, v in vars(args).items() if k in PARAMS[scenario]},
+    }
     return run_config(config)[0]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from psq import PolyH, PSQError
-from psq.cli import CONFIG_SCHEMA, main, parse_poly, run
+from psq.cli import CONFIG_SCHEMA, PARAMS, main, parse_poly, run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -142,6 +142,8 @@ class TestRunContract:
                 ("spectrum", {"levels": "abc"}),
                 ("gauge-check", {"smoothers": [{"kind": "gaussian", "alpha": "x"}]}),
                 ("evolve", {"observables": 5}),
+                ("gauge-check", {"smoothers": [{"kind": "gausian", "alpha": 0.1,
+                                                "beta": 0.1}]}),
                 ("evolve", {"system": "custom"})):
             (code, manifest), outdir = run_config(
                 {"scenario": scenario, "params": params}, tmp_path)
@@ -166,6 +168,46 @@ class TestRunContract:
         }
         (code, manifest), _ = run_config(payload, tmp_path)
         assert code == 3
+        # p0 = 7 needs about 10.5 p-units at the default span 8; the span check
+        # holds on the Schrodinger route too
+        code = main(["evolve", "--output-dir", str(tmp_path / "evolve"), "--nx", "128",
+                     "--np", "64", "--system", "oscillator", "--p0", "7", "--steps", "8"])
+        assert code == 3
+        assert not os.listdir(tmp_path / "evolve")
+        # a smoother too strong for the grid: the x-marginal goes negative
+        # after the first artifacts are written, and none of them may stay
+        payload = {
+            "scenario": "wigner",
+            "formats": ["csv", "bin"],
+            "grid": {"nx": 64, "np": 64},
+            "ordering": {"sigma": 0.5,
+                         "smoother": {"kind": "gaussian", "alpha": 2, "beta": 2}},
+            "params": {"phi_hermite": 0, "psi_hermite": 0},
+        }
+        with pytest.warns(UserWarning, match="tail mass"):
+            (code, manifest), outdir = run_config(payload, tmp_path)
+        assert code == 3
+        assert manifest is None
+        assert not os.listdir(outdir)
+        # a failed rerun leaves an earlier run's files and manifest as they were
+        good = dict(payload, ordering={"sigma": 0.5, "smoother": {"kind": "identity"}})
+        (code, manifest), _ = run_config(good, tmp_path)
+        assert code == 0
+        before = {name: (Path(outdir) / name).read_bytes() for name in os.listdir(outdir)}
+        assert "manifest.json" in before
+        with pytest.warns(UserWarning, match="tail mass"):
+            (code, manifest), _ = run_config(payload, tmp_path)
+        assert code == 3
+        assert {name: (Path(outdir) / name).read_bytes() for name in os.listdir(outdir)} \
+            == before
+
+    def test_params_keys_share_one_schema(self):
+        # the config schema's params map is flat over all scenarios
+        seen = {}
+        for table in PARAMS.values():
+            for key, (schema, _default) in table.items():
+                assert seen.setdefault(key, schema) == schema, key
+        assert CONFIG_SCHEMA["properties"]["params"]["properties"] == seen
 
     def test_determinism_byte_identical(self, tmp_path):
         payload = {
@@ -230,6 +272,13 @@ class TestSubcommands:
         assert code == 0
         purity = (Path(outdir) / "purity.csv").read_text().splitlines()
         assert purity[1].split(",")[0] == "1"
+        # without "bin" no binary file is written
+        csv_only = tmp_path / "wig_csv"
+        code = main(["wigner", "--output-dir", str(csv_only), "--nx", "64",
+                     "--np", "64", "--phi-hermite", "1", "--psi-hermite", "1"])
+        assert code == 0
+        assert (csv_only / "purity.csv").exists()
+        assert not list(csv_only.glob("*.psqf"))
 
     def test_starprod_symbolic_subcommand(self, tmp_path):
         outdir = str(tmp_path / "sym")
@@ -248,6 +297,16 @@ class TestSubcommands:
         from psq import read_field
         field = read_field(Path(outdir) / "ho_state.psqf")
         assert field.grid.nx == 64
+        # the README example: every params key is a flag
+        outdir = tmp_path / "coh"
+        code = main(["oracle", "--state", "coherent", "--x0", "1", "--p0", "0.5",
+                     "--formats", "bin", "--nx", "64", "--np", "64",
+                     "--output-dir", str(outdir)])
+        assert code == 0
+        field = read_field(outdir / "coherent.psqf")
+        X, P = field.grid.meshes()
+        peak = np.unravel_index(np.abs(field.values).argmax(), X.shape)
+        assert abs(X[peak] - 1.0) <= field.grid.dx and abs(P[peak] - 0.5) <= field.grid.dp
 
     def test_starprod_star_subcommand(self, tmp_path):
         outdir = str(tmp_path / "star")
@@ -289,3 +348,38 @@ class TestSubcommands:
         assert code == 0
         lines = (Path(outdir) / "classical_limit.csv").read_text().splitlines()
         assert len(lines) == 3
+        # the grid flags set nx and np, as params.grid does in a JSON config
+        small = tmp_path / "clim32"
+        code = main(["classical-limit", "--output-dir", str(small), "--nx", "32",
+                     "--np", "32", "--hbars", "0.2,0.1"])
+        assert code == 0
+        (code, _manifest), outdir = run_config(
+            {"scenario": "classical-limit",
+             "params": {"hbars": [0.2, 0.1], "grid": {"nx": 32, "np": 32}}}, tmp_path)
+        assert code == 0
+        assert (small / "classical_limit.csv").read_bytes() \
+            == (Path(outdir) / "classical_limit.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv, scenario, params", [
+        (["spectrum"], "spectrum", {}),
+        (["gauge-check"], "gauge-check", {}),
+        (["evolve"], "evolve", {}),
+        (["evolve", "--system", "oscillator"], "evolve", {"system": "oscillator"}),
+        (["oracle"], "oracle", {}),
+        (["wigner"], "wigner", {}),
+        (["starprod"], "starprod", {}),
+        (["starprod", "--symbolic"], "symbolic", {}),
+        (["classical-limit"], "classical-limit", {}),
+    ])
+    def test_flags_match_json_config(self, tmp_path, argv, scenario, params):
+        # a subcommand and its JSON config share every default
+        flags_out = tmp_path / "flags"
+        code = main(argv + ["--nx", "64", "--np", "32", "--formats", "csv,bin,dat",
+                            "--output-dir", str(flags_out)])
+        assert code == 0
+        (code, manifest), _ = run_config(
+            {"scenario": scenario, "formats": ["csv", "bin", "dat"],
+             "grid": {"nx": 64, "np": 32}, "params": params}, tmp_path)
+        assert code == 0
+        flags_manifest = json.loads((flags_out / "manifest.json").read_text())
+        assert manifest["files"] == flags_manifest["files"]
