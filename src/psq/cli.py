@@ -38,15 +38,17 @@ from .states import hermite_function, marginal, purity_check, twisted_tensor, wr
 from .closedforms import (CoherentParams, FreeGaussianParams, OscillatorParams,
                           classical_limit_probe, coherent_state, coherent_wavepacket,
                           free_gaussian, free_wavepacket, ho_ladder, ho_state)
-from .dynamics import EvolutionConfig, default_observables, evolve_phase_space, evolve_schrodinger
+from .dynamics import (METHODS, EvolutionConfig, default_observables, evolve_phase_space,
+                       evolve_schrodinger)
 
 FIELD_FORMAT_VERSION = 1
 
 _GRID_SCHEMA = {
     "type": "object",
     "properties": {
-        "nx": {"type": "integer", "minimum": 2, "maximum": 4096},
-        "np": {"type": "integer", "minimum": 2, "maximum": 4096},
+        # boundary_tail_mass counts 2 cells on each side as tail: all of a 4-cell axis
+        "nx": {"type": "integer", "minimum": 8, "maximum": 4096},
+        "np": {"type": "integer", "minimum": 8, "maximum": 4096},
         "x_min": {"type": "number"}, "x_max": {"type": "number"},
         "p_min": {"type": "number"}, "p_max": {"type": "number"},
         "hbar": {"type": "number", "exclusiveMinimum": 0},
@@ -82,8 +84,7 @@ PARAMS = {
                     "levels": (_INT, 5),
                     "smoothers": ({"type": "array", "items": _SMOOTHER_SCHEMA}, [])},
     "evolve": {"system": (_enum("free", "oscillator", "custom"), "free"),
-               "method": (_enum("split_step_schrodinger", "phase_space_rk4",
-                                "matrix_exponential"), "split_step_schrodinger"),
+               "method": (_enum(*METHODS), "split_step_schrodinger"),
                "dt": (_NUM, 1e-3), "steps": (_INT, 1000), "snapshot_every": (_INT, None),
                "observables": (_STR, "x,p,x2,p2,H"), "omega": (_NUM, 1.0),
                "x0": (_NUM, 1.0), "p0": (_NUM, None), "delta_p": (_NUM, None),

@@ -21,7 +21,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .errors import PSQError, SpanError
-from .grids import PhaseField, integrate, l2_norm, spectral_derivatives
+from .grids import PhaseField, WaveFunction, integrate, l2_norm, spectral_derivatives
 from .ordering import GaussianSmoother, IdentitySmoother, OrderingSpec
 from .polyalg import PolyH
 from .starprod import ObservableSpec, bopp_apply
@@ -143,7 +143,6 @@ def free_gaussian(params, t, grid):
 
 def free_wavepacket(params, t, grid):
     """Configuration-space wavefunction of the same packet at time t."""
-    from .grids import WaveFunction
     hbar = grid.hbar
     dp_ = params.delta_p
     dx_ = params.delta_x(hbar)
@@ -170,13 +169,13 @@ def _laguerre_recurrence(n, s, z):
     return l_cur
 
 
-def ho_state(m, n, params, grid, renormalize=True):
+def ho_state(m, n, params, grid):
     """Closed-form oscillator star-genfield with left index m, right index n.
 
     Valid on the Laguerre line (sigma=1/2, beta=omega^2 alpha); for m < n the
     conjugate-transposed form of the (n, m) state is used.  The prefactor is
     re-measured against the analytic one and the state renormalized in the
-    Hilbert-algebra norm unless renormalize=False.
+    Hilbert-algebra norm (the factor is kept as meta 'prefactor_rescale').
     """
     params.require_laguerre_family()
     if max(m, n) > HO_STATE_INDEX_CAP or min(m, n) < 0:
@@ -186,7 +185,7 @@ def ho_state(m, n, params, grid, renormalize=True):
     _require_span(grid, 5.0 * sqrt(hbar * (max(m, n) + 1) * max(lam, 0.5) / omega),
                   5.0 * sqrt(hbar * omega * (max(m, n) + 1) * max(lam, 0.5)))
     if m < n:
-        swapped = ho_state(n, m, params, grid, renormalize=renormalize)
+        swapped = ho_state(n, m, params, grid)
         return QuasiDistribution(swapped.psi_field.conj(), swapped.spec,
                                  is_state=(m == n))
     X, P = grid.meshes()
@@ -204,11 +203,9 @@ def ho_state(m, n, params, grid, renormalize=True):
         * np.exp(-1j * (m - n) * theta) * np.exp(-r2 / (2.0 * hbar * omega * lam))
     field = PhaseField(grid, vals)
     state = QuasiDistribution(field, params.spec(), is_state=(m == n))
-    if renormalize:
-        nrm = state.norm_h()
-        field = field * (1.0 / nrm)
-        state = QuasiDistribution(field, params.spec(), is_state=(m == n))
-        state.psi_field.meta["prefactor_rescale"] = nrm
+    nrm = state.norm_h()
+    state = QuasiDistribution(field * (1.0 / nrm), params.spec(), is_state=(m == n))
+    state.psi_field.meta["prefactor_rescale"] = nrm
     return state
 
 
@@ -303,7 +300,6 @@ def momentum_plane_wave_state(p0, sigma, alpha, beta, grid):
 
 def coherent_wavepacket(params, grid):
     """Configuration-space wavefunction whose tensor square is the coherent state."""
-    from .grids import WaveFunction
     hbar = grid.hbar
     omega = params.omega
     x = grid.x

@@ -23,12 +23,19 @@ from .errors import PSQError, StabilityBoundError, TruncationError, UnsupportedO
 from .grids import (PhaseField, WaveFunction, half_dft, integrate, l2_norm,
                     spectral_derivatives)
 from .polyalg import PolyH, pstar
-from .spectra import expectation, operator_matrix
+from .spectra import expectation, hermitian_eigh
 from .starprod import ObservableSpec, bopp_apply
 from .states import QuasiDistribution, twisted_tensor
 
+# evolve_schrodinger runs the first and the last, evolve_phase_space the second
+METHODS = ("split_step_schrodinger", "phase_space_rk4", "matrix_exponential")
 RK4_STABILITY_LIMIT = 2.6          # conservative |lambda dt| cap (imaginary axis)
+POWER_ITERATIONS = 8               # of the seeded RK4 stability estimate
+POWER_SEED = 7
 STAR_EXP_TAIL_BOUND = 1e-8
+HEISENBERG_ORDER = 18              # Heisenberg bracket-series cap and tail bound
+HEISENBERG_TAIL = 1e-12
+EOM_CHECK_TOL = 1e-5               # equation-of-motion residual bound
 
 
 @dataclass(frozen=True)
@@ -41,8 +48,7 @@ class EvolutionConfig:
     def __post_init__(self):
         if not (self.dt > 0 and self.steps > 0):
             raise PSQError("dt and steps must be positive")
-        if self.method not in ("split_step_schrodinger", "phase_space_rk4",
-                               "matrix_exponential"):
+        if self.method not in METHODS:
             raise PSQError("unknown method %r" % self.method)
 
     def snapshot_steps(self):
@@ -96,22 +102,22 @@ def evolve_schrodinger(phi0, H, spec, cfg, observables=None,
                        phase_space_snapshots=True):
     """Propagate a wavefunction under the ordered Hamiltonian operator.
 
-    Natural symbols split into kinetic and potential factors (second-order
-    Strang splitting, spectrally exact factors); anything else goes through
-    the exact eigendecomposition propagator of the dense ordered matrix.
-    Snapshots are phase-space fields obtained by re-tensoring unless
-    disabled.
+    method='split_step_schrodinger' needs a natural symbol and splits it into
+    kinetic and potential factors (second-order Strang splitting, spectrally
+    exact factors); method='matrix_exponential' propagates exactly with the
+    eigensystem of the dense ordered matrix (spectra.hermitian_eigh).  Any
+    other method raises PSQError.  Snapshots are phase-space fields obtained
+    by re-tensoring unless disabled.
     """
     grid = phi0.grid
     observables = observables if observables is not None else {}
     marks = cfg.snapshot_steps()
-    parts = _separable_parts(H, spec, grid) \
-        if cfg.method == "split_step_schrodinger" else None
-    if cfg.method == "split_step_schrodinger" and parts is None:
-        raise UnsupportedObservableError(
-            "split-step requires a natural (kinetic + potential) symbol; "
-            "use method='matrix_exponential'")
-    if parts is not None:
+    if cfg.method == "split_step_schrodinger":
+        parts = _separable_parts(H, spec, grid)
+        if parts is None:
+            raise UnsupportedObservableError(
+                "split-step requires a natural (kinetic + potential) symbol; "
+                "use method='matrix_exponential'")
         t_prof, v_prof = parts
         half_v = np.exp(-0.5j * cfg.dt * v_prof / grid.hbar)
         # the 1/nx of the round trip x -> xi -> x rides on the kinetic phase
@@ -123,16 +129,14 @@ def evolve_schrodinger(phi0, H, spec, cfg, observables=None,
             values = half_dft(values, 0, grid.xi[0], grid.dxi, grid.x[0], grid.dx,
                               +1, grid.hbar)
             return values * half_v
-    else:
-        from .spectra import hermiticity_defect
-        M = operator_matrix(H, spec, grid)
-        if hermiticity_defect(H, spec, grid) > 1e-10 * max(np.abs(M).max(), 1.0):
-            raise PSQError("ordered operator is not Hermitian; cannot propagate")
-        # band-edge discretization defect removed by symmetrization
-        evals, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
+    elif cfg.method == "matrix_exponential":
+        evals, vecs = hermitian_eigh(H, spec, grid)
         phase = np.exp(-1j * cfg.dt * evals / grid.hbar)
         def step(values):
             return vecs @ (phase * (vecs.conj().T @ values))
+    else:
+        raise PSQError("evolve_schrodinger runs split_step_schrodinger or "
+                       "matrix_exponential, not %r" % cfg.method)
     times, snapshots, norms = [], [], []
     exps = {name: [] for name in observables}
     values = phi0.values.copy()
@@ -181,8 +185,8 @@ def _classical_rhs(H, grid):
         return PhaseField(grid, hx * d[(0, 1)] - hp * d[(1, 0)])
     return rhs
 
-def _estimate_spectral_radius(rhs, grid, iterations=8, seed=7):
-    rng = np.random.default_rng(seed)
+def _estimate_spectral_radius(rhs, grid):
+    rng = np.random.default_rng(POWER_SEED)
     X, P = grid.meshes()
     envelope = np.exp(-(X ** 2 / (2 * (0.4 * grid.x_max) ** 2)
                         + P ** 2 / (2 * (0.4 * grid.p_max) ** 2)))
@@ -190,7 +194,7 @@ def _estimate_spectral_radius(rhs, grid, iterations=8, seed=7):
                                        + 1j * rng.normal(size=(grid.nx, grid.np))))
     vec = vec * (1.0 / l2_norm(vec))
     est = 0.0
-    for _ in range(iterations):
+    for _ in range(POWER_ITERATIONS):
         nxt = rhs(vec)
         nrm = l2_norm(nxt)
         if nrm == 0.0:
@@ -206,6 +210,8 @@ def evolve_phase_space(rho0, H, spec, cfg, observables=None, classical=False):
     instead (the hbar-deformation terms are dropped); for quadratic symbols
     the two flows agree on Gaussians, which the tests exploit.
     """
+    if cfg.method != "phase_space_rk4":
+        raise PSQError("evolve_phase_space runs phase_space_rk4, not %r" % cfg.method)
     if isinstance(rho0, QuasiDistribution):
         field = rho0.rho_field()
     else:
@@ -326,7 +332,7 @@ def formal_star_bracket(A_poly, H_poly, spec):
         shifted[(n, m, k - 1)] = c / 1j
     return PolyH(shifted)
 
-def heisenberg_observable(A_poly, H_poly, spec, t, order=18, tail=1e-12):
+def heisenberg_observable(A_poly, H_poly, spec, t):
     """A(t) as a polynomial: truncated exponential of the bracket derivation.
 
     A(t) = sum_k t^k/k! ad^k A with ad X = [[X, H]]; exact for each term,
@@ -336,16 +342,16 @@ def heisenberg_observable(A_poly, H_poly, spec, t, order=18, tail=1e-12):
     """
     total = A_poly
     term = A_poly
-    for k in range(1, order + 1):
+    for k in range(1, HEISENBERG_ORDER + 1):
         term = formal_star_bracket(term, H_poly, spec).scale(t / k)
         total = total + term
-        if term.max_abs_coeff() <= tail * max(total.max_abs_coeff(), 1e-300):
+        if term.max_abs_coeff() <= HEISENBERG_TAIL * max(total.max_abs_coeff(), 1e-300):
             return total
     raise TruncationError(
         "Heisenberg series tail %.3g above %.1g at order %d"
-        % (term.max_abs_coeff(), tail, order))
+        % (term.max_abs_coeff(), HEISENBERG_TAIL, HEISENBERG_ORDER))
 
-def heisenberg_trajectory(A, state0, H, spec, cfg, check_tol=1e-5):
+def heisenberg_trajectory(A, state0, H, spec, cfg):
     """Expectation trajectory of A with the equation-of-motion residual.
 
     Evolves the state in the Schrodinger picture, records <A>(t), and checks
@@ -368,7 +374,7 @@ def heisenberg_trajectory(A, state0, H, spec, cfg, check_tol=1e-5):
         dt2 = times[i + 1] - times[i - 1]
         deriv = (vals[i + 1] - vals[i - 1]) / dt2
         resid = max(resid, abs(deriv - brak[i]))
-    if resid > check_tol:
+    if resid > EOM_CHECK_TOL:
         raise PSQError(
-            "equation-of-motion residual %.3g exceeds %.1g" % (resid, check_tol))
+            "equation-of-motion residual %.3g exceeds %.1g" % (resid, EOM_CHECK_TOL))
     return times, vals, resid

@@ -5,8 +5,9 @@ ordered operator A_{sigma,S}(qhat, phat) with qhat = x, phat = -i hbar d_x is
 assembled as a dense matrix on the x axis from the same a(q) b(p) factor
 pairs that drive the Bopp route (momentum factors through the grids mixed
 multiply, position factors as row scalings or diagonal terms), the Hermitian
-eigenproblem is solved there, and phase-space eigenfields are re-assembled
-with the twisted tensor product.
+eigenproblem is solved there (hermitian_eigh, whose eigensystem the dense
+Schrodinger propagator of psq.dynamics shares), and phase-space eigenfields
+are re-assembled with the twisted tensor product.
 The bridge identity
 
     A (star) (phi tensor psi) = phi tensor (A_matrix psi)
@@ -15,6 +16,7 @@ is the master cross-check between this module and the Bopp route.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import sqrt
 
 import numpy as np
@@ -110,20 +112,40 @@ def hermiticity_defect(A, spec, grid):
     The discrete matrix of a symbolically Hermitian word can carry a spurious
     band-edge defect (the lattice [x, p] commutator fails on the highest
     mode), so the check must not use the matrix itself.  Returns the largest
-    violating coefficient magnitude plus the largest imaginary part of
-    function terms on the lattice.
+    violating coefficient magnitude of the ordered polynomial part or largest
+    imaginary part of a function term on the lattice, with a name for the
+    term that carries it.
     """
-    defect = 0.0
+    defect, term = 0.0, "none"
     poly = A.poly_part()
     if poly.terms:
         word = sigma_S_order(poly, spec.sigma, spec.smoother.to_word())
         diff = word - nf_adjoint(word)
         defect = max((abs(c) for c in diff.terms.values()), default=0.0)
+        term = "polynomial part %s" % poly.render()
     for kind, payload in A.fn_terms():
         coords = grid.x if kind == "x" else grid.xi
         vals = np.asarray(payload(coords), dtype=complex)
-        defect = max(defect, float(np.abs(vals.imag).max()))
-    return defect
+        fn_defect = float(np.abs(vals.imag).max())
+        if fn_defect > defect:
+            defect, term = fn_defect, "%s-function term" % kind
+    return defect, term
+
+
+def hermitian_eigh(A, spec, grid):
+    """Eigensystem (np.linalg.eigh) of the ordered operator's dense matrix.
+
+    Checks Hermiticity symbolically (PSQError names the offending term), then
+    symmetrizes away the band-edge defect; the eigensolver and the dense
+    propagator both start here.
+    """
+    defect, term = hermiticity_defect(A, spec, grid)
+    M = operator_matrix(A, spec, grid)
+    if defect > HERMITICITY_TOL * max(np.abs(M).max(), 1.0):
+        raise PSQError(
+            "ordered operator is not Hermitian (defect %.3g); offending term: %s"
+            % (defect, term))
+    return np.linalg.eigh(0.5 * (M + M.conj().T))
 
 
 @dataclass
@@ -133,10 +155,9 @@ class SpectralResult:
     ordering: OrderingSpec
     residuals: list           # per level (left, right) star-genvalue residuals
 
-    def eigenfield(self, m, n, spec=None):
+    def eigenfield(self, m, n):
         """Phase-space star-genfield  phi_m* tensor phi_n."""
-        spec = spec or self.ordering
-        return twisted_tensor(self.wavefunctions[m], self.wavefunctions[n], spec)
+        return twisted_tensor(self.wavefunctions[m], self.wavefunctions[n], self.ordering)
 
 
 def _reorthonormalize_windows(energies, vectors, dx):
@@ -157,32 +178,18 @@ def _reorthonormalize_windows(energies, vectors, dx):
 
 
 def spectrum_via_schrodinger(H, spec, n_levels, grid, residual_fields=True):
-    """Lowest levels of the (sigma, S)-ordered operator of the symbol H.
+    """Lowest levels of the (sigma, S)-ordered operator of the ObservableSpec H.
 
     The ordered matrix must be Hermitian; eigenfunctions are returned
     orthonormal with respect to the dx-weighted inner product, and the
     two-sided star-genvalue residuals of the diagonal eigenfields are
     recorded unless residual_fields is disabled.
     """
-    if isinstance(H, ObservableSpec):
-        obs = H
-    else:
-        obs = ObservableSpec.from_poly(H)
-    nx = grid.nx
-    if n_levels > nx // 4:
+    if n_levels > grid.nx // 4:
         raise NumericalPreconditionError(
             "n_levels=%d exceeds the reliable resolution bound nx/4=%d"
-            % (n_levels, nx // 4))
-    defect = hermiticity_defect(obs, spec, grid)
-    M = operator_matrix(obs, spec, grid)
-    scale = np.abs(M).max()
-    if defect > HERMITICITY_TOL * max(scale, 1.0):
-        offender = _name_non_hermitian_term(obs, spec, grid)
-        raise PSQError(
-            "ordered operator is not Hermitian (defect %.3g); offending term: %s"
-            % (defect, offender))
-    # symmetrize away the band-edge discretization defect of Hermitian words
-    energies, vectors = np.linalg.eigh(0.5 * (M + M.conj().T))
+            % (n_levels, grid.nx // 4))
+    energies, vectors = hermitian_eigh(H, spec, grid)
     vectors = _reorthonormalize_windows(energies, vectors, grid.dx)
     kept_e = energies[:n_levels]
     waves = [WaveFunction(grid, vectors[:, n]) for n in range(n_levels)]
@@ -197,44 +204,27 @@ def spectrum_via_schrodinger(H, spec, n_levels, grid, residual_fields=True):
     if residual_fields:
         for n, w in enumerate(waves):
             state = twisted_tensor(w, w, spec)
-            residuals.append(stargen_residual(obs, state, kept_e[n]))
+            residuals.append(stargen_residual(H, state, kept_e[n]))
     return SpectralResult(kept_e, waves, spec, residuals)
-
-
-def _name_non_hermitian_term(obs, spec, grid):
-    """Identify which symbol term breaks Hermiticity, for the error message."""
-    worst, name = 0.0, "unknown"
-    for kind, payload in obs.terms:
-        single = ObservableSpec(((kind, payload),))
-        try:
-            defect = hermiticity_defect(single, spec, grid)
-        except Exception:
-            continue
-        if defect > worst:
-            worst = defect
-            if kind == "poly":
-                name = "polynomial part %s" % payload.render()
-            else:
-                name = "%s-function term" % kind
-    return name
 
 
 def gauge_spectrum_check(H, sigma_list, smoother_list, n_levels, grid):
     """Spectra across orderings; natural Hamiltonians must agree pairwise.
 
-    Returns {'energies': {label: array}, 'max_deviation': float}.
+    Returns {'energies': {label: array}, 'max_deviation': float}, labels
+    'sigma=%g,<smoother kind>'; different orderings sharing a label raise.
     """
-    runs = {}
+    specs = {}
     for sigma in sigma_list:
         for smoother in smoother_list:
             spec = OrderingSpec(sigma, smoother)
             label = "sigma=%g,%s" % (sigma, smoother.kind)
-            result = spectrum_via_schrodinger(H, spec, n_levels, grid,
-                                              residual_fields=False)
-            runs[label] = result.energies
-    labels = list(runs)
-    dev = 0.0
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            dev = max(dev, float(np.abs(runs[labels[i]] - runs[labels[j]]).max()))
+            if specs.setdefault(label, spec) != spec:
+                raise PSQError("orderings %r and %r share the label %r"
+                               % (specs[label], spec, label))
+    runs = {label: spectrum_via_schrodinger(H, spec, n_levels, grid,
+                                            residual_fields=False).energies
+            for label, spec in specs.items()}
+    dev = max((float(np.abs(a - b).max()) for a, b in combinations(runs.values(), 2)),
+              default=0.0)
     return {"energies": runs, "max_deviation": dev}

@@ -3,7 +3,8 @@
 Two computational routes, cross-checked in the test suite:
 
 * ``star_sigma`` - the exact-on-lattice twisted convolution in the conjugate
-  domain (the reference path, cost O((nx np)^2), meant for grids <= 128^2);
+  domain (the reference path, cost O(nx^2 np log np): a Python loop over the nx
+  conjugate rows, each a batch of length-3np FFTs);
 * ``bopp_apply`` - the fast route for observable-on-state action: the
   ordered operator with q and p replaced by Bopp shifts, applied pair by
   pair from :meth:`ObservableSpec.factors` through the mixed-representation
@@ -27,7 +28,7 @@ import scipy.fft as sp_fft
 
 from .errors import (IllPosedSmoothingError, PSQError,
                      UnsupportedObservableError)
-from .grids import (PhaseField, SpectralField, _check_same_grid, _workers,
+from .grids import (PhaseField, SpectralField, _workers,
                     boundary_tail_mass, fourier_full, fourier_full_inverse,
                     multiply_mixed, spectral_derivatives)
 from .ordering import GaussianSmoother, OrderingSpec
@@ -77,11 +78,6 @@ class ObservableSpec:
     @classmethod
     def p_function(cls, fn, label="T(p)"):
         return cls((("p", fn),), label)
-
-    @classmethod
-    def natural(cls, v_poly, mass=1.0, label="H"):
-        """1/(2 mass) p^2 + V(x) with polynomial V."""
-        return cls.from_poly(PolyH.monomial(0, 2, c=0.5 / mass) + v_poly, label)
 
     @classmethod
     def harmonic(cls, omega=1.0):
@@ -258,10 +254,12 @@ def _check_tail_mass(field, meta):
 
 
 def star_sigma(f, g_field, sigma):
-    """Discrete f *_sigma g through the Fourier-domain twisted convolution."""
-    _check_same_grid(f, g_field)
+    """Discrete f *_sigma g through the Fourier-domain twisted convolution.
+
+    The result keeps its operands' guard flags (maximum per key).
+    """
+    meta = f._merged_meta(g_field)
     grid = f.grid
-    meta = {}
     _check_tail_mass(f, meta)
     _check_tail_mass(g_field, meta)
     Ff = fourier_full(f).values
@@ -333,7 +331,7 @@ def _gaussian_direct_product(poly, field, side, sigma, alpha, beta, hbar):
     out = np.zeros((g.nx, g.np), dtype=complex)
     for coeff, d_sym, order in terms:
         out += coeff * d_sym.evaluate(X, P, hbar) * derivs[order]
-    return PhaseField(g, out)
+    return PhaseField(g, out, field.meta)
 
 
 def bopp_apply(A, psi, side="left", spec=None):
@@ -346,7 +344,8 @@ def bopp_apply(A, psi, side="left", spec=None):
     :meth:`ObservableSpec.factors` costs one mixed multiply per non-scalar
     factor.  Gaussian smoothers use the finite bidirectional series directly
     (no deconvolution); every other smoother, and function terms under a
-    Gaussian one, raise UnsupportedObservableError.
+    Gaussian one, raise UnsupportedObservableError.  The result keeps
+    psi's guard flags.
     """
     if spec is None:
         spec = OrderingSpec(0.5)
@@ -373,7 +372,7 @@ def bopp_apply(A, psi, side="left", spec=None):
     for b, a in A.factors(spec, side, xq, pq, g.hbar):
         work = psi.values if b is None else multiply_mixed(g, psi.values, "x", b)
         out += work * a if np.ndim(a) == 0 else multiply_mixed(g, work, "p", a)
-    return PhaseField(g, out).assert_finite()
+    return PhaseField(g, out, psi.meta).assert_finite()
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,11 @@ import numpy as np
 from .errors import NumericalPreconditionError, PSQError
 from .grids import (PhaseField, WaveFunction, _fwd_x, fourier_partial, half_dft,
                     integrate, l2_inner, l2_norm, read_field, write_field)
-from .ordering import OrderingSpec
+from .ordering import OrderingSpec, spec_from_dict
 from .starprod import apply_smoother, involution_dagger, star_sigma_S
 
 INTERPOLATION_TAIL_THRESHOLD = 1e-6
+PURITY_TOL = 1e-5
 
 
 def hermite_function(grid, n, omega=1.0):
@@ -204,10 +205,10 @@ def marginal(state, axis):
     return coords, dens.real
 
 
-def purity_check(state, tol=1e-5):
+def purity_check(state):
     """Hermiticity, idempotence and normalization residuals of a state.
 
-    Returns (is_pure, (r_herm, r_idem, r_norm)); is_pure iff all three < tol.
+    Returns (is_pure, (r_herm, r_idem, r_norm)); is_pure iff all three < PURITY_TOL.
     """
     psi = state.psi_field
     spec = state.spec
@@ -219,7 +220,7 @@ def purity_check(state, tol=1e-5):
     r_idem = l2_norm(prod - psi * (1.0 / sqrt(2.0 * pi * grid.hbar))) / nrm
     r_norm = abs(state.norm_h() - 1.0)
     flags = (r_herm, r_idem, r_norm)
-    return all(r < tol for r in flags), flags
+    return all(r < PURITY_TOL for r in flags), flags
 
 
 def basis_idempotence_check(i, j, k, l, spec, grid, omega=1.0):
@@ -275,9 +276,10 @@ def pure_factorization(state, nmax=16, omega=1.0):
 # serialization: field + JSON sidecar
 # ---------------------------------------------------------------------------
 
-def write_state(state, path, sidecar_path=None):
+def write_state(state, path):
+    """Write the field to path and its ordering to the sidecar path + '.json'."""
     write_field(state.psi_field, path)
-    sidecar = sidecar_path or (str(path) + ".json")
+    sidecar = str(path) + ".json"
     payload = dict(state.spec.as_dict())
     payload["normalized"] = bool(abs(state.normalization_integral() - 1.0) < 1e-6)
     with open(sidecar, "w") as fh:
@@ -285,10 +287,9 @@ def write_state(state, path, sidecar_path=None):
         fh.write("\n")
 
 
-def read_state(path, sidecar_path=None):
-    from .ordering import spec_from_dict
+def read_state(path):
     field = read_field(path)
-    sidecar = sidecar_path or (str(path) + ".json")
+    sidecar = str(path) + ".json"
     with open(sidecar) as fh:
         payload = json.load(fh)
     spec = spec_from_dict(payload)

@@ -136,17 +136,25 @@ class TestRunContract:
         assert code == 2
         assert manifest is None
         assert not (tmp_path / "out").exists()
-        # malformed params: wrong JSON types, and a custom system without
-        # its Hamiltonian (the last input, because it gets past the schema)
-        for scenario, params in (
-                ("spectrum", {"levels": "abc"}),
-                ("gauge-check", {"smoothers": [{"kind": "gaussian", "alpha": "x"}]}),
-                ("evolve", {"observables": 5}),
-                ("gauge-check", {"smoothers": [{"kind": "gausian", "alpha": 0.1,
-                                                "beta": 0.1}]}),
-                ("evolve", {"system": "custom"})):
-            (code, manifest), outdir = run_config(
-                {"scenario": scenario, "params": params}, tmp_path)
+        # malformed params and grids: wrong JSON types, out-of-range values,
+        # and two inputs that get past the schema (a gauge-check label
+        # collision, a custom system without its Hamiltonian)
+        for payload in (
+                {"scenario": "spectrum", "params": {"levels": "abc"}},
+                {"scenario": "gauge-check",
+                 "params": {"smoothers": [{"kind": "gaussian", "alpha": "x"}]}},
+                {"scenario": "evolve", "params": {"observables": 5}},
+                {"scenario": "gauge-check",
+                 "params": {"smoothers": [{"kind": "gausian", "alpha": 0.1, "beta": 0.1}]}},
+                # two Gaussian smoothers would share the label 'sigma=0,gaussian'
+                {"scenario": "gauge-check",
+                 "params": {"smoothers": [{"kind": "gaussian", "alpha": 0.1, "beta": 0.1},
+                                          {"kind": "gaussian", "alpha": 0.3, "beta": 0.0}]}},
+                # every cell of a 4-cell axis is boundary tail
+                {"scenario": "oracle", "grid": {"nx": 4, "np": 4},
+                 "params": {"state": "coherent"}},
+                {"scenario": "evolve", "params": {"system": "custom"}}):
+            (code, manifest), outdir = run_config(payload, tmp_path)
             assert code == 2
             assert manifest is None
             assert not Path(outdir).exists() or not os.listdir(outdir)

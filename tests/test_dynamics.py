@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psq import (EvolutionConfig, ObservableSpec, OrderingSpec, PhaseField,
-                 PolyH, StabilityBoundError, TruncationError, WaveFunction,
+                 PolyH, PSQError, StabilityBoundError, TruncationError, WaveFunction,
                  bopp_apply, default_observables, evolve_phase_space,
                  evolve_schrodinger, expectation, formal_star_bracket,
                  heisenberg_observable, heisenberg_trajectory, l2_norm,
@@ -101,6 +101,17 @@ class TestSchrodinger:
         with pytest.raises(Exception, match="natural"):
             evolve_schrodinger(phi0, H, OrderingSpec(0.5),
                                EvolutionConfig(dt=0.01, steps=5),
+                               phase_space_snapshots=False)
+        # the phase-space method is not a Schrodinger route
+        with pytest.raises(PSQError, match="phase_space_rk4"):
+            evolve_schrodinger(phi0, H, OrderingSpec(0.5),
+                               EvolutionConfig(dt=0.01, steps=5, method="phase_space_rk4"),
+                               phase_space_snapshots=False)
+        # the dense propagator names the term that breaks Hermiticity
+        H_bad = ObservableSpec.from_poly(
+            PolyH.monomial(0, 2, c=0.5) + PolyH.monomial(1, 0, c=1j), "Hbad")
+        with pytest.raises(PSQError, match="offending term"):
+            evolve_schrodinger(phi0, H_bad, OrderingSpec(0.5), cfg,
                                phase_space_snapshots=False)
 
 
@@ -216,6 +227,10 @@ class TestPhaseSpace:
             evolve_phase_space(cs, OSC_H, OrderingSpec(0.5),
                                EvolutionConfig(dt=0.5, steps=5,
                                                method="phase_space_rk4"))
+        # the default method is a Schrodinger route; refused before any estimate
+        with pytest.raises(PSQError, match="split_step_schrodinger"):
+            evolve_phase_space(cs, OSC_H, OrderingSpec(0.5),
+                               EvolutionConfig(dt=0.5, steps=5))
 
     def test_picture_equivalence(self, grid64):
         # Schrodinger evolve + tensor vs direct phase-space evolve

@@ -7,8 +7,9 @@ from psq import (CohenSmoother, GaussianSmoother, IdentitySmoother,
                  apply_smoother, bopp_apply, gauge_transform, integrate,
                  involution_dagger, l2_norm, make_grid, moyal_bracket,
                  operator_matrix, pstar, star_commutator, star_sigma,
-                 star_sigma_S)
+                 star_sigma_S, twisted_tensor)
 from psq.polyalg import DiffOpWord
+from psq.states import hermite_function
 
 from conftest import dense_star_oracle, gaussian_mixture, plateau_window
 
@@ -96,6 +97,17 @@ class TestStarSigma:
             bracket = moyal_bracket(raw_x, state, OrderingSpec(0.5))
         for derived in (com, bracket):
             assert derived.meta["tail_mass_warning"] == out.meta["tail_mass_warning"]
+        # the smoothed product keeps the flag of its own inverse smoothing,
+        # and Bopp actions keep their operand's flags on both routes
+        spec = OrderingSpec(0.5, GaussianSmoother(0.1, 0.1))
+        h1 = hermite_function(grid64, 1)
+        wig = twisted_tensor(h1, h1, spec).psi_field
+        pulled = apply_smoother(spec, wig, "inverse")
+        clamped = pulled.meta["deconvolution_clamped"]
+        assert star_sigma_S(wig, wig, spec).meta["deconvolution_clamped"] == clamped
+        for bopp_spec in (OrderingSpec(0.5), spec):
+            acted = bopp_apply(ObservableSpec.harmonic(1.0), pulled, "right", bopp_spec)
+            assert acted.meta["deconvolution_clamped"] == clamped
 
 
 class TestBoppApply:
