@@ -46,9 +46,7 @@ print("\npurity of the pure state: %s, residuals %s"
 phi0 = hermite_function(grid, 0)
 mix = MixedState(((0.5, twisted_tensor(phi0, phi0, OrderingSpec(0.5))),
                   (0.5, moyal)))
-from psq import QuasiDistribution
-blended = QuasiDistribution(mix.combined_field(), OrderingSpec(0.5))
-is_pure, residuals = purity_check(blended)
+is_pure, residuals = purity_check(mix)
 print("purity of the 50/50 mixture: %s, idempotence residual %.3f"
       % (is_pure, residuals[1]))
 

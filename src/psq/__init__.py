@@ -26,8 +26,8 @@ from .grids import (PhaseField, PhaseGrid, SpectralField, WaveFunction,
 from .ordering import (CohenSmoother, GaussianSmoother, IdentitySmoother,
                        OrderingSpec, WordSmoother)
 from .polyalg import (DiffOpWord, OperatorNF, PolyH, WordGenerator, apply_word,
-                      nf_adjoint, nf_multiply, ppoisson, pstar, sigma_S_order,
-                      sigma_order)
+                      nf_adjoint, nf_multiply, ppoisson, pstar, pstar_S,
+                      sigma_S_order, sigma_order)
 from .starprod import (ObservableSpec, apply_smoother, bopp_apply,
                        gauge_transform, involution_dagger, moyal_bracket,
                        star_commutator, star_sigma, star_sigma_S)

@@ -30,7 +30,7 @@ from . import __version__
 from .errors import NumericalPreconditionError, PSQError
 from .grids import PhaseField, make_grid, write_field, write_field_csv
 from .ordering import IdentitySmoother, spec_from_dict
-from .polyalg import PolyH, pstar, sigma_order
+from .polyalg import PolyH, pstar_S, sigma_S_order
 from .spectra import gauge_spectrum_check, spectrum_via_schrodinger
 from .starprod import (ObservableSpec, apply_smoother, bopp_apply, gauge_transform,
                        involution_dagger, moyal_bracket, star_commutator, star_sigma_S)
@@ -65,9 +65,11 @@ _SMOOTHER_SCHEMA = {
 }
 
 _INT = {"type": "integer"}
+_INDEX = {"type": "integer", "minimum": 0}          # Hermite and oscillator indices
+_LEVELS = {"type": "integer", "minimum": 1}
 _NUM = {"type": "number"}
 _STR = {"type": "string"}
-_NUMS = {"type": "array", "items": _NUM}
+_NUMS = {"type": "array", "items": _NUM, "minItems": 1}
 _HARMONIC = "0.5*p^2 + 0.5*x^2"
 
 
@@ -78,10 +80,10 @@ def _enum(*values):
 # scenario -> {params key: (JSON-schema fragment, default)}; a default of None
 # means the scenario derives the value (see its docstring)
 PARAMS = {
-    "spectrum": {"hamiltonian": (_STR, _HARMONIC), "levels": (_INT, 5),
+    "spectrum": {"hamiltonian": (_STR, _HARMONIC), "levels": (_LEVELS, 5),
                  "emit_fields": ({"type": "boolean"}, False)},
     "gauge-check": {"hamiltonian": (_STR, _HARMONIC), "sigmas": (_NUMS, [0.0, 0.5, 1.0]),
-                    "levels": (_INT, 5),
+                    "levels": (_LEVELS, 5),
                     "smoothers": ({"type": "array", "items": _SMOOTHER_SCHEMA}, [])},
     "evolve": {"system": (_enum("free", "oscillator", "custom"), "free"),
                "method": (_enum(*METHODS), "split_step_schrodinger"),
@@ -90,20 +92,21 @@ PARAMS = {
                "x0": (_NUM, 1.0), "p0": (_NUM, None), "delta_p": (_NUM, None),
                "hamiltonian": (_STR, None)},
     "oracle": {"state": (_enum("free", "ho", "ho-ladder", "coherent"), "ho"),
-               "m": (_INT, 0), "n": (_INT, 0), "t": (_NUM, 0.0), "omega": (_NUM, 1.0),
+               "m": (_INDEX, 0), "n": (_INDEX, 0), "t": (_NUM, 0.0), "omega": (_NUM, 1.0),
                "x0": (_NUM, 1.0), "p0": (_NUM, None), "delta_p": (_NUM, None),
                "sigma": (_NUM, 0.5), "alpha": (_NUM, 0.0), "beta": (_NUM, 0.0)},
-    "wigner": {"phi_hermite": (_INT, 0), "psi_hermite": (_INT, 0), "omega": (_NUM, 1.0)},
+    "wigner": {"phi_hermite": (_INDEX, 0), "psi_hermite": (_INDEX, 0), "omega": (_NUM, 1.0)},
     "starprod": {"op": (_enum("star", "commutator", "bracket", "dagger", "smooth",
                               "gauge", "bopp"), "star"),
-                 "left_hermite": (_INT, 0), "right_hermite": (_INT, 0),
+                 "left_hermite": (_INDEX, 0), "right_hermite": (_INDEX, 0),
                  "omega": (_NUM, 1.0), "direction": (_enum("forward", "inverse"), "forward"),
                  "sigma_to": (_NUM, 0.5), "observable": (_STR, "x"),
                  "side": (_enum("left", "right"), "left")},
     "symbolic": {"f": (_STR, "x"), "g": (_STR, "p")},
     "classical-limit": {"family": (_enum("coherent", "free", "ho"), "coherent"),
-                        "hbars": (_NUMS, [0.2, 0.1, 0.05, 0.025]), "x0": (_NUM, 1.0),
-                        "p0": (_NUM, 0.5), "t": (_NUM, 1.0), "n": (_INT, 1),
+                        "hbars": (dict(_NUMS, items={"type": "number", "exclusiveMinimum": 0}),
+                                  [0.2, 0.1, 0.05, 0.025]), "x0": (_NUM, 1.0),
+                        "p0": (_NUM, 0.5), "t": (_NUM, 1.0), "n": (_INDEX, 1),
                         "grid": (_GRID_SCHEMA, {})},
 }
 
@@ -470,13 +473,14 @@ def _scenario_starprod(cfg, emit):
 
 
 def _scenario_symbolic(cfg, emit):
-    """symbolic star product and sigma ordering of polynomials"""
+    """symbolic (sigma, S) star product and ordering of polynomials"""
     p = _params(cfg)
     spec = _spec_from_config(cfg)
+    word = spec.smoother.to_word()
     f = parse_poly(p["f"])
     g = parse_poly(p["g"])
-    prod = pstar(f, g, spec.sigma)
-    ordered = sigma_order(f, spec.sigma)
+    prod = pstar_S(f, g, spec.sigma, word)
+    ordered = sigma_S_order(f, spec.sigma, word)
     lines = [
         "f = " + f.render(),
         "g = " + g.render(),
@@ -585,7 +589,7 @@ def _add_param_flags(parser, scenario):
             continue        # the common ordering flags set these keys too
         kwargs = {"default": argparse.SUPPRESS,
                   "help": None if default is None else "default %s" % json.dumps(default)}
-        if schema is _NUMS:
+        if schema["type"] == "array" and schema["items"]["type"] == "number":
             kwargs["type"] = _number_list
         elif schema["type"] == "boolean":
             kwargs["action"] = "store_true"

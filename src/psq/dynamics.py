@@ -22,7 +22,7 @@ import numpy as np
 from .errors import PSQError, StabilityBoundError, TruncationError, UnsupportedObservableError
 from .grids import (PhaseField, WaveFunction, half_dft, integrate, l2_norm,
                     spectral_derivatives)
-from .polyalg import PolyH, pstar
+from .polyalg import PolyH, pstar, pstar_S
 from .spectra import expectation, hermitian_eigh
 from .starprod import ObservableSpec, bopp_apply
 from .states import QuasiDistribution, twisted_tensor
@@ -60,6 +60,9 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionResult:
+    """Snapshots are Psi fields from evolve_schrodinger (WaveFunctions without
+    phase-space snapshots) and rho = Psi / sqrt(2 pi hbar) from evolve_phase_space."""
+
     times: np.ndarray
     snapshots: list                 # PhaseField or WaveFunction per snapshot
     expectations: dict              # name -> complex array over snapshot times
@@ -203,19 +206,18 @@ def _estimate_spectral_radius(rhs, grid):
         vec = nxt * (1.0 / nrm)
     return est
 
-def evolve_phase_space(rho0, H, spec, cfg, observables=None, classical=False):
+def evolve_phase_space(state0, H, spec, cfg, observables=None, classical=False):
     """Method-of-lines RK4 on the phase-space evolution equation.
 
-    With classical=True the same integrator solves the Liouville equation
-    instead (the hbar-deformation terms are dropped); for quadratic symbols
-    the two flows agree on Gaussians, which the tests exploit.
+    Evolves rho of the state (pure or mixed: the equation is linear in rho)
+    and records rho snapshots.  With classical=True the same integrator
+    solves the Liouville equation instead (the hbar-deformation terms are
+    dropped); for quadratic symbols the two flows agree on Gaussians, which
+    the tests exploit.
     """
     if cfg.method != "phase_space_rk4":
         raise PSQError("evolve_phase_space runs phase_space_rk4, not %r" % cfg.method)
-    if isinstance(rho0, QuasiDistribution):
-        field = rho0.rho_field()
-    else:
-        field = rho0
+    field = state0.rho_field()
     grid = field.grid
     observables = observables if observables is not None else {}
     rhs = _classical_rhs(H, grid) if classical else _quantum_rhs(H, spec, grid.hbar)
@@ -315,14 +317,11 @@ def formal_star_bracket(A_poly, H_poly, spec):
     """Deformed bracket of two polynomial symbols under the spec, exactly.
 
     (A *_{sigma,S} H - H *_{sigma,S} A)/(i hbar) computed in the symbolic
-    layer: pull back by S, take the sigma bracket, push forward, shift the
-    formal hbar grading down by one.
+    layer: the (sigma, S) commutator, with the formal hbar grading shifted
+    down by one.
     """
     word = spec.smoother.to_word()
-    a = word.apply(A_poly, "inverse")
-    h = word.apply(H_poly, "inverse")
-    com = pstar(a, h, spec.sigma) - pstar(h, a, spec.sigma)
-    com = word.apply(com, "forward")
+    com = pstar_S(A_poly, H_poly, spec.sigma, word) - pstar_S(H_poly, A_poly, spec.sigma, word)
     shifted = {}
     for (n, m, k), c in com.terms.items():
         if k == 0:
@@ -356,11 +355,14 @@ def heisenberg_trajectory(A, state0, H, spec, cfg):
 
     Evolves the state in the Schrodinger picture, records <A>(t), and checks
     d/dt <A> = <[[A, H]]> at interior snapshot times by centered differences.
+    The state must be phi* (x) phi with known provenance.
     Returns (times, values, residual_max).
     """
     if state0.provenance is None:
         raise PSQError("heisenberg_trajectory needs a pure state with provenance")
-    phi = state0.provenance[1]
+    phi, psi = state0.provenance
+    if not np.array_equal(phi.values, psi.values):
+        raise PSQError("heisenberg_trajectory needs phi* (x) phi; its provenance pair differs")
     bracket = ObservableSpec.from_poly(
         formal_star_bracket(A.as_poly(), H.as_poly(), spec), "[[A,H]]")
     result = evolve_schrodinger(phi, H, spec, cfg,

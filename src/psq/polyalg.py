@@ -29,13 +29,81 @@ def _clean(terms):
     return {key: c for key, c in terms.items() if c != 0}
 
 
-class PolyH:
-    """Sparse polynomial sum c * hbar^k * x^n * p^m, keys (n, m, k)."""
+def _fmt_coeff(c):
+    c = complex(c)
+    if c.imag == 0:
+        return "%.12g" % c.real
+    if c.real == 0:
+        return "%.12gj" % c.imag
+    return "(%.12g%+.12gj)" % (c.real, c.imag)
+
+
+class _TermSum:
+    """Sparse sum c * hbar^k * a^n * b^m over two symbols (a, b), keys (n, m, k).
+
+    Holds the term table, its linear algebra, equality and rendering; a
+    subclass names its two symbols and defines products.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = _clean(dict(terms) if terms else {})
+
+    def _new(self, terms):
+        """A sum of the same kind and algebra holding the given terms."""
+        return type(self)(terms)
+
+    def _check(self, other):
+        """Raise unless other belongs to the same algebra (no-op here)."""
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0.0) + c
+        return self._new(out)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0.0) - c
+        return self._new(out)
+
+    def scale(self, s):
+        return self._new({k: c * s for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def render(self):
+        """Deterministic text rendering, term order lexicographic in (k, n, m)."""
+        if not self.terms:
+            return "0"
+        a, b = self.SYMBOLS
+        parts = []
+        for (n, m, k) in sorted(self.terms, key=lambda t: (t[2], t[0], t[1])):
+            c = self.terms[(n, m, k)]
+            factors = [_fmt_coeff(c)]
+            if k:
+                factors.append("hbar" + ("^%d" % k if k > 1 else ""))
+            if n:
+                factors.append(a + ("^%d" % n if n > 1 else ""))
+            if m:
+                factors.append(b + ("^%d" % m if m > 1 else ""))
+            parts.append("*".join(factors))
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self.render())
+
+
+class PolyH(_TermSum):
+    """Commutative polynomial sum c * hbar^k * x^n * p^m, keys (n, m, k)."""
+
+    __slots__ = ()
+    SYMBOLS = ("x", "p")
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -59,23 +127,8 @@ class PolyH:
         return cls({(int(n), int(m), int(k)): complex(c)})
 
     # -- algebra -------------------------------------------------------------
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return PolyH(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) - c
-        return PolyH(out)
-
     def __neg__(self):
         return PolyH({k: -c for k, c in self.terms.items()})
-
-    def scale(self, s):
-        return PolyH({k: c * s for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, PolyH):
@@ -91,9 +144,6 @@ class PolyH:
 
     def conj(self):
         return PolyH({k: np.conj(c) for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, PolyH) and self.terms == other.terms
 
     def is_zero(self, tol=0.0):
         return all(abs(c) <= tol for c in self.terms.values())
@@ -127,35 +177,6 @@ class PolyH:
         for (n, m, k), c in self.terms.items():
             out += c * (hbar ** k) * (X ** n) * (P ** m)
         return out
-
-    def render(self):
-        """Deterministic text rendering, term order lexicographic in (k, n, m)."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for (n, m, k) in sorted(self.terms, key=lambda t: (t[2], t[0], t[1])):
-            c = self.terms[(n, m, k)]
-            factors = [_fmt_coeff(c)]
-            if k:
-                factors.append("hbar" + ("^%d" % k if k > 1 else ""))
-            if n:
-                factors.append("x" + ("^%d" % n if n > 1 else ""))
-            if m:
-                factors.append("p" + ("^%d" % m if m > 1 else ""))
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "PolyH(%s)" % self.render()
-
-
-def _fmt_coeff(c):
-    c = complex(c)
-    if c.imag == 0:
-        return "%.12g" % c.real
-    if c.real == 0:
-        return "%.12gj" % c.imag
-    return "(%.12g%+.12gj)" % (c.real, c.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +340,7 @@ def apply_word(word, f, direction="forward"):
 # operator normal forms
 # ---------------------------------------------------------------------------
 
-class OperatorNF:
+class OperatorNF(_TermSum):
     """Standard-ordered operator sum c * hbar^k * q^n p^m, keys (n, m, k).
 
     Standard order: all q factors to the left of all p factors; the
@@ -327,10 +348,11 @@ class OperatorNF:
     (+1 for left/canonical operators, -1 for the right-action pair).
     """
 
-    __slots__ = ("terms", "comm_sign")
+    __slots__ = ("comm_sign",)
+    SYMBOLS = ("q", "p")
 
     def __init__(self, terms=None, comm_sign=+1):
-        self.terms = _clean(dict(terms) if terms else {})
+        super().__init__(terms)
         self.comm_sign = comm_sign
 
     @classmethod
@@ -346,66 +368,35 @@ class OperatorNF:
         """Interpret x^n p^m hbar^k coefficients as q^n p^m hbar^k directly."""
         return cls(dict(poly.terms), comm_sign)
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return OperatorNF(out, self.comm_sign)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) - c
-        return OperatorNF(out, self.comm_sign)
-
-    def scale(self, s):
-        return OperatorNF({k: c * s for k, c in self.terms.items()}, self.comm_sign)
+    def _new(self, terms):
+        return OperatorNF(terms, self.comm_sign)
 
     def _check(self, other):
         if self.comm_sign != other.comm_sign:
             raise PSQError("cannot mix operator algebras with opposite commutators")
 
     def __eq__(self, other):
-        return (isinstance(other, OperatorNF) and self.terms == other.terms
-                and self.comm_sign == other.comm_sign)
+        return super().__eq__(other) and self.comm_sign == other.comm_sign
 
-    def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (n, m, k) in sorted(self.terms, key=lambda t: (t[2], t[0], t[1])):
-            c = self.terms[(n, m, k)]
-            factors = [_fmt_coeff(c)]
-            if k:
-                factors.append("hbar" + ("^%d" % k if k > 1 else ""))
-            if n:
-                factors.append("q" + ("^%d" % n if n > 1 else ""))
-            if m:
-                factors.append("p" + ("^%d" % m if m > 1 else ""))
-            parts.append("*".join(factors))
-        return " + ".join(parts)
 
-    def __repr__(self):
-        return "OperatorNF(%s)" % self.render()
+def _reduce_pq(c, m, n, s):
+    """c p^m q^n in standard order: [(j, coefficient of hbar^j q^(n-j) p^(m-j))].
+
+    p^m q^n = sum_j C(m,j) C(n,j) j! (-s i hbar)^j q^(n-j) p^(m-j), where s
+    is the algebra's commutator sign.
+    """
+    return [(j, c * comb(m, j) * comb(n, j) * factorial(j) * ((-s * 1j) ** j))
+            for j in range(min(m, n) + 1)]
 
 
 def nf_multiply(A, B):
-    """Product of standard-ordered words, reduced back to standard order.
-
-    Uses p^b q^c = sum_j C(b,j) C(c,j) j! (-s i hbar)^j q^{c-j} p^{b-j}
-    where s is the algebra's commutator sign.
-    """
+    """Product of standard-ordered words, reduced back to standard order."""
     A._check(B)
     s = A.comm_sign
     out = {}
     for (n1, m1, k1), c1 in A.terms.items():
         for (n2, m2, k2), c2 in B.terms.items():
-            # reduce p^m1 q^n2
-            for j in range(min(m1, n2) + 1):
-                coeff = (c1 * c2 * comb(m1, j) * comb(n2, j) * factorial(j)
-                         * ((-s * 1j) ** j))
+            for j, coeff in _reduce_pq(c1 * c2, m1, n2, s):
                 key = (n1 + n2 - j, m1 + m2 - j, k1 + k2 + j)
                 out[key] = out.get(key, 0.0) + coeff
     return OperatorNF(out, s)
@@ -440,9 +431,7 @@ def nf_adjoint(A):
     s = A.comm_sign
     out = {}
     for (n, m, k), c in A.terms.items():
-        cc = np.conj(c)
-        for j in range(min(m, n) + 1):
-            coeff = cc * comb(m, j) * comb(n, j) * factorial(j) * ((-s * 1j) ** j)
+        for j, coeff in _reduce_pq(np.conj(c), m, n, s):
             key = (n - j, m - j, k + j)
             out[key] = out.get(key, 0.0) + coeff
     return OperatorNF(out, s)
@@ -477,3 +466,9 @@ def sigma_order_right(f, sigma):
 def sigma_S_order(f, sigma, word):
     """(sigma, S)-ordered word: sigma-order the pulled-back symbol S^-1 f."""
     return sigma_order(word.apply(f, "inverse"), sigma)
+
+
+def pstar_S(f, g, sigma, word):
+    """Exact (sigma, S) star product S(S^-1 f *_sigma S^-1 g) of polynomials."""
+    return word.apply(pstar(word.apply(f, "inverse"), word.apply(g, "inverse"), sigma),
+                      "forward")

@@ -26,7 +26,7 @@ from .grids import WaveFunction, integrate, l2_norm, multiply_mixed
 from .ordering import OrderingSpec
 from .polyalg import nf_adjoint, sigma_S_order
 from .starprod import ObservableSpec, bopp_apply
-from .states import MixedState, twisted_tensor
+from .states import twisted_tensor
 
 HERMITICITY_TOL = 1e-10
 DEGENERACY_WINDOW = 1e-9
@@ -38,8 +38,6 @@ DEGENERACY_WINDOW = 1e-9
 
 def expectation(A, state):
     """<A> = iint (A star rho) dx dp for a pure or mixed state."""
-    if isinstance(state, MixedState):
-        return complex(sum(w * expectation(A, s) for w, s in state.components))
     rho = state.rho_field()
     acted = bopp_apply(A, rho, "left", state.spec)
     return integrate(acted)
@@ -183,8 +181,10 @@ def spectrum_via_schrodinger(H, spec, n_levels, grid, residual_fields=True):
     The ordered matrix must be Hermitian; eigenfunctions are returned
     orthonormal with respect to the dx-weighted inner product, and the
     two-sided star-genvalue residuals of the diagonal eigenfields are
-    recorded unless residual_fields is disabled.
+    recorded unless residual_fields is disabled.  Needs n_levels >= 1.
     """
+    if n_levels < 1:
+        raise PSQError("n_levels must be at least 1 (got %r)" % n_levels)
     if n_levels > grid.nx // 4:
         raise NumericalPreconditionError(
             "n_levels=%d exceeds the reliable resolution bound nx/4=%d"

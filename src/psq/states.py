@@ -34,7 +34,10 @@ def hermite_function(grid, n, omega=1.0):
 
     phi_0 = (omega/pi hbar)^{1/4} exp(-omega x^2 / 2 hbar),
     phi_{n+1} = (x sqrt(2 omega/hbar) phi_n - sqrt(n) phi_{n-1}) / sqrt(n+1).
+    Needs n >= 0 and omega > 0.
     """
+    if n < 0 or not omega > 0:
+        raise PSQError("hermite_function needs n >= 0 and omega > 0, not %r, %r" % (n, omega))
     x = grid.x
     hbar = grid.hbar
     h0 = (omega / (pi * hbar)) ** 0.25 * np.exp(-omega * x ** 2 / (2.0 * hbar))
@@ -88,36 +91,27 @@ class QuasiDistribution:
         return l2_inner(a, b)
 
 
-@dataclass
-class MixedState:
-    """Convex mixture of pure quasi-distributions."""
+class MixedState(QuasiDistribution):
+    """Convex mixture sum_i w_i Psi_i of states that share one ordering.
 
-    components: tuple
+    A quasi-distribution whose field is the weighted sum of the components'
+    fields, so every operation on a state acts on a mixture, linearly.
+    """
 
-    def __post_init__(self):
-        ws = np.array([w for w, _s in self.components], dtype=float)
+    def __init__(self, components):
+        ws = np.array([w for w, _s in components], dtype=float)
         if np.any(ws < -1e-15) or np.any(ws > 1 + 1e-12):
             raise PSQError("mixture weights must lie in [0, 1]")
         if abs(ws.sum() - 1.0) > 1e-12:
             raise PSQError("mixture weights must sum to 1 (got %.17g)" % ws.sum())
-
-    @property
-    def spec(self):
-        return self.components[0][1].spec
-
-    @property
-    def grid(self):
-        return self.components[0][1].grid
-
-    def combined_field(self):
-        out = None
-        for w, state in self.components:
+        spec = components[0][1].spec
+        if any(state.spec != spec for _w, state in components):
+            raise PSQError("mixture components must share one ordering")
+        field = None
+        for w, state in components:
             term = state.psi_field * w
-            out = term if out is None else out + term
-        return out
-
-    def rho_field(self):
-        return self.combined_field() * (1.0 / sqrt(2.0 * pi * self.grid.hbar))
+            field = term if field is None else field + term
+        super().__init__(field, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +171,12 @@ def twisted_tensor(phi, psi, spec):
 # ---------------------------------------------------------------------------
 
 def marginal(state, axis):
-    """Position or momentum probability density of a (mixed) state.
+    """Position or momentum probability density of a pure or mixed state.
 
     P(x) = int (S^-1 rho) dp,  P(p) = int (S^-1 rho) dx.
     Returns (coordinates, density).
     """
-    rho = state.rho_field()   # QuasiDistribution and MixedState both provide it
+    rho = state.rho_field()
     spec = state.spec
     grid = rho.grid
     pulled = apply_smoother(spec, rho, "inverse")

@@ -153,7 +153,25 @@ class TestRunContract:
                 # every cell of a 4-cell axis is boundary tail
                 {"scenario": "oracle", "grid": {"nx": 4, "np": 4},
                  "params": {"state": "coherent"}},
-                {"scenario": "evolve", "params": {"system": "custom"}}):
+                {"scenario": "evolve", "params": {"system": "custom"}},
+                # out-of-range indices, levels and hbars, and empty sweeps
+                {"scenario": "classical-limit",
+                 "params": {"hbars": [0.2, -0.1], "grid": {"nx": 16, "np": 16}}},
+                {"scenario": "classical-limit",
+                 "params": {"hbars": [], "grid": {"nx": 16, "np": 16}}},
+                {"scenario": "wigner", "grid": {"nx": 64, "np": 64},
+                 "params": {"phi_hermite": -1, "psi_hermite": -1}},
+                {"scenario": "starprod", "grid": {"nx": 64, "np": 64},
+                 "params": {"left_hermite": -1, "right_hermite": -1}},
+                {"scenario": "gauge-check", "grid": {"nx": 64, "np": 64},
+                 "params": {"levels": -2, "sigmas": [0.5]}},
+                {"scenario": "gauge-check", "grid": {"nx": 64, "np": 64},
+                 "params": {"sigmas": []}},
+                {"scenario": "spectrum", "grid": {"nx": 64, "np": 64},
+                 "params": {"levels": 0}},
+                # omega stays unbounded in the schema; hermite_function refuses 0
+                {"scenario": "wigner", "grid": {"nx": 64, "np": 64},
+                 "params": {"omega": 0}}):
             (code, manifest), outdir = run_config(payload, tmp_path)
             assert code == 2
             assert manifest is None
@@ -295,6 +313,14 @@ class TestSubcommands:
         assert code == 0
         text = (Path(outdir) / "symbolic.txt").read_text()
         assert "f star g = 1*x*p + 0.5j*hbar" in text
+        # the (sigma, S) product and ordering under a Gaussian smoother
+        outdir = tmp_path / "sym_s"
+        code = main(["starprod", "--symbolic", "--f", "x^2", "--g", "x^2", "--sigma", "0.3",
+                     "--alpha", "0.1", "--beta", "0.2", "--output-dir", str(outdir)])
+        assert code == 0
+        lines = (outdir / "symbolic.txt").read_text().splitlines()
+        assert lines[2] == "f star g = 1*x^4 + 0.4*hbar*x^2 + 0.02*hbar^2"
+        assert lines[3] == "sigma_order(f) = 1*q^2 + -0.1*hbar"
 
     def test_oracle_subcommand(self, tmp_path):
         outdir = str(tmp_path / "orc")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psq import (EvolutionConfig, ObservableSpec, OrderingSpec, PhaseField,
+from psq import (EvolutionConfig, MixedState, ObservableSpec, OrderingSpec, PhaseField,
                  PolyH, PSQError, StabilityBoundError, TruncationError, WaveFunction,
                  bopp_apply, default_observables, evolve_phase_space,
                  evolve_schrodinger, expectation, formal_star_bracket,
@@ -187,6 +187,16 @@ class TestPhaseSpace:
                               snapshot_every=20)
         result = evolve_phase_space(cs, OSC_H, OrderingSpec(0.5), cfg)
         assert np.abs(result.norms - result.norms[0]).max() < 1e-8
+        # a mixture evolves linearly: its <x^2> is the weighted <x^2> of its
+        # components at every snapshot
+        other = coherent_state(CoherentParams(-0.4, 0.5, 1.0, 0.5), grid64)
+        short = EvolutionConfig(dt=0.01, steps=4, method="phase_space_rk4",
+                                snapshot_every=1)
+        x2 = {"x2": default_observables()["x2"]}
+        runs = [evolve_phase_space(s, OSC_H, OrderingSpec(0.5), short, observables=x2)
+                for s in (MixedState(((0.3, cs), (0.7, other))), cs, other)]
+        mixed, first, second = (r.expectations["x2"] for r in runs)
+        assert np.abs(mixed - (0.3 * first + 0.7 * second)).max() < 1e-12
 
     def test_quantum_equals_liouville_for_quadratic(self, grid64):
         # quadratic symbols: the deformation terms cancel on Gaussians
@@ -363,6 +373,13 @@ class TestHeisenberg:
         # <x>(t) = <x>(0) + <p> t for the free particle
         drift = vals[-1] - vals[0]
         assert abs(drift - 0.7 * times[-1]) < 1e-6
+        # only phi* (x) phi: a twisted pair is not a state to evolve
+        from psq.states import hermite_function
+        twisted = twisted_tensor(hermite_function(grid64, 0), hermite_function(grid64, 1),
+                                 OrderingSpec(0.5))
+        with pytest.raises(PSQError, match="provenance pair differs"):
+            heisenberg_trajectory(ObservableSpec.position(), twisted, FREE_H,
+                                  OrderingSpec(0.5), cfg)
 
     def test_oscillator_energy_constant(self, grid64):
         # exact eigendecomposition propagator: conservation to rounding

@@ -164,6 +164,10 @@ class TestPurity:
             prod - half.psi_field * (1 / np.sqrt(TWO_PI * grid64.hbar))) \
             / l2_norm(half.psi_field)
         assert abs(residuals[1] - expected_residual) < 1e-12
+        # a MixedState is the same quasi-distribution
+        mix_pure, mix_residuals = purity_check(MixedState(((0.5, s00), (0.5, s11))))
+        assert not mix_pure
+        assert mix_residuals == residuals
 
     def test_wrong_scale_fails_normalization_only(self, grid64):
         phi = hermite_function(grid64, 0)
@@ -225,6 +229,12 @@ class TestMixedState:
             MixedState(((0.6, state), (0.6, state)))
         with pytest.raises(PSQError, match="lie in"):
             MixedState(((1.5, state), (-0.5, state)))
+        # every component must carry the same ordering
+        smoothed = twisted_tensor(phi, phi, OrderingSpec(0.5, GaussianSmoother(0.3, 0.3)))
+        excited = hermite_function(grid64, 1)
+        with pytest.raises(PSQError, match="one ordering"):
+            MixedState(((0.5, smoothed),
+                        (0.5, twisted_tensor(excited, excited, OrderingSpec(0.5)))))
 
 
 class TestStateIO:
@@ -239,3 +249,10 @@ class TestStateIO:
         assert np.array_equal(back.psi_field.values, state.psi_field.values)
         assert back.spec.sigma == spec.sigma
         assert back.spec.smoother.alpha == 0.05
+        # a mixture is written and read like any state
+        mix = MixedState(((0.25, state),
+                          (0.75, twisted_tensor(phi.conj(), phi.conj(), spec))))
+        write_state(mix, path)
+        back = read_state(path)
+        assert np.array_equal(back.psi_field.values, mix.psi_field.values)
+        assert back.spec == spec
