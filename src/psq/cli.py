@@ -7,8 +7,10 @@ CSVs; floats are printed with 17 significant digits.
 
 `PARAMS` declares each scenario's params keys once; the config schema, the
 subcommand flags (`--<key>`, `_` written as `-`) and the values a scenario
-reads, defaults included, all come from it.  A failed run leaves output_dir
-as it found it.
+reads, defaults included, all come from it.  `run_config` resolves the grid,
+the ordering and the params once and hands them to the scenario, which reads
+nothing else of the config; a params key the scenario does not read is a
+config error.  A failed run leaves output_dir as it found it.
 
 Exit codes: 0 ok, 2 config/schema violation, 3 numerical-precondition
 failure, 4 I/O error.
@@ -34,7 +36,8 @@ from .polyalg import PolyH, pstar_S, sigma_S_order
 from .spectra import gauge_spectrum_check, spectrum_via_schrodinger
 from .starprod import (ObservableSpec, apply_smoother, bopp_apply, gauge_transform,
                        involution_dagger, moyal_bracket, star_commutator, star_sigma_S)
-from .states import hermite_function, marginal, purity_check, twisted_tensor, write_state
+from .states import (QuasiDistribution, hermite_function, marginal, purity_check,
+                     twisted_tensor, write_state)
 from .closedforms import (CoherentParams, FreeGaussianParams, OscillatorParams,
                           classical_limit_probe, coherent_state, coherent_wavepacket,
                           free_gaussian, free_wavepacket, ho_ladder, ho_state)
@@ -93,8 +96,7 @@ PARAMS = {
                "hamiltonian": (_STR, None)},
     "oracle": {"state": (_enum("free", "ho", "ho-ladder", "coherent"), "ho"),
                "m": (_INDEX, 0), "n": (_INDEX, 0), "t": (_NUM, 0.0), "omega": (_NUM, 1.0),
-               "x0": (_NUM, 1.0), "p0": (_NUM, None), "delta_p": (_NUM, None),
-               "sigma": (_NUM, 0.5), "alpha": (_NUM, 0.0), "beta": (_NUM, 0.0)},
+               "x0": (_NUM, 1.0), "p0": (_NUM, None), "delta_p": (_NUM, None)},
     "wigner": {"phi_hermite": (_INDEX, 0), "psi_hermite": (_INDEX, 0), "omega": (_NUM, 1.0)},
     "starprod": {"op": (_enum("star", "commutator", "bracket", "dagger", "smooth",
                               "gauge", "bopp"), "star"),
@@ -212,9 +214,13 @@ def _params(cfg):
     """The scenario's params: table defaults under the config's values.
 
     The one coercion point: integer keys go through int() and number keys
-    through float(), so {"levels": 5.0} reads as 5.
+    through float(), so {"levels": 5.0} reads as 5.  A key the scenario does
+    not read raises PSQError.
     """
     table = PARAMS[cfg["scenario"]]
+    unknown = sorted(set(cfg.get("params", {})) - set(table))
+    if unknown:
+        raise PSQError("scenario %r reads no params %s" % (cfg["scenario"], ", ".join(unknown)))
     p = {key: default for key, (_schema, default) in table.items()}
     p.update(cfg.get("params", {}))
     for key, (schema, _default) in table.items():
@@ -302,11 +308,20 @@ def _coherent_packet(p, sigma):
     return CoherentParams(p["x0"], 0.0 if p["p0"] is None else p["p0"], p["omega"], sigma)
 
 
-def _scenario_spectrum(cfg, emit):
+def _oscillator(omega, spec):
+    return OscillatorParams(omega, spec.sigma, spec.smoother.alpha, spec.smoother.beta)
+
+
+def _under(state, spec):
+    """A closed-form state of the identity smoother at spec.sigma, under `spec`."""
+    if state.spec == spec:
+        return state
+    return QuasiDistribution(apply_smoother(spec, state.psi_field), spec,
+                             is_state=state.is_state)
+
+
+def _scenario_spectrum(grid, spec, p, emit):
     """star-genvalue spectrum of `hamiltonian`, optionally with eigenfields"""
-    grid = _grid_from_config(cfg)
-    spec = _spec_from_config(cfg)
-    p = _params(cfg)
     levels = p["levels"]
     result = spectrum_via_schrodinger(ObservableSpec.from_poly(parse_poly(p["hamiltonian"]), "H"),
                                       spec, levels, grid)
@@ -319,14 +334,16 @@ def _scenario_spectrum(cfg, emit):
                        result.eigenfield(n, n).psi_field)
 
 
-def _scenario_gauge_check(cfg, emit):
-    """spectrum invariance across `sigmas` and (JSON only) `smoothers`"""
-    grid = _grid_from_config(cfg)
-    p = _params(cfg)
+def _scenario_gauge_check(grid, _spec, p, emit):
+    """spectrum invariance across `sigmas` and (JSON only) `smoothers`
+
+    Sweeps its own orderings, `sigmas` times the identity smoother plus
+    `smoothers`; the top-level ordering is not read.
+    """
     smoothers = [IdentitySmoother()]
     for entry in p["smoothers"]:
         smoother = spec_from_dict({"smoother": entry}).smoother
-        if smoother.kind != "identity" and smoother not in smoothers:
+        if smoother not in smoothers:
             smoothers.append(smoother)
     report = gauge_spectrum_check(ObservableSpec.from_poly(parse_poly(p["hamiltonian"]), "H"),
                                   p["sigmas"], smoothers, p["levels"], grid)
@@ -339,16 +356,13 @@ def _scenario_gauge_check(cfg, emit):
              [(float(report["max_deviation"]),)])
 
 
-def _scenario_evolve(cfg, emit):
+def _scenario_evolve(grid, spec, p, emit):
     """time evolution
 
     free: a packet at p0 (default 1), width delta_p (default sqrt(hbar/2));
     oscillator, custom (needs hamiltonian): a coherent state at x0, p0
     (default 0).  snapshot_every defaults to steps // 8.
     """
-    grid = _grid_from_config(cfg)
-    spec = _spec_from_config(cfg)
-    p = _params(cfg)
     obs_all = default_observables(p["omega"])
     observables = {}
     for name in [s for s in p["observables"].split(",") if s]:
@@ -370,12 +384,10 @@ def _scenario_evolve(cfg, emit):
     every = p["snapshot_every"]
     cfg_evo = EvolutionConfig(dt=p["dt"], steps=p["steps"], method=p["method"],
                               snapshot_every=max(p["steps"] // 8, 1) if every is None else every)
-    # the coherent state is built on both routes: its grid-span check guards them
-    state0 = None if free else coherent_state(packet, grid)
+    # the closed form is built on both routes: its grid-span check guards them
+    state0 = free_gaussian(packet, 0.0, grid) if free else coherent_state(packet, grid)
     if p["method"] == "phase_space_rk4":
-        if free:
-            state0 = free_gaussian(packet, 0.0, grid)
-        result = evolve_phase_space(state0, hobs, spec, cfg_evo,
+        result = evolve_phase_space(_under(state0, spec), hobs, spec, cfg_evo,
                                     observables=observables)
     else:
         phi0 = free_wavepacket(packet, 0.0, grid) if free else coherent_wavepacket(packet, grid)
@@ -400,34 +412,29 @@ def _scenario_evolve(cfg, emit):
                       field.values.real.ravel(), field.values.imag.ravel()])
 
 
-def _scenario_oracle(cfg, emit):
-    """dump a closed-form state
+def _scenario_oracle(grid, spec, p, emit):
+    """dump a closed-form state under the run's ordering
 
     p0 defaults to 1 for the free packet (delta_p to sqrt(hbar/2)) and to 0
-    for the coherent state.
+    for the coherent state.  ho and ho-ladder need sigma = 1/2 and
+    beta = omega^2 alpha.
     """
-    grid = _grid_from_config(cfg)
-    p = _params(cfg)
     kind = p["state"]
     if kind == "free":
-        state = free_gaussian(_free_packet(p, grid, p["sigma"]), p["t"], grid)
+        state = _under(free_gaussian(_free_packet(p, grid, spec.sigma), p["t"], grid), spec)
         name = "free_gaussian"
     elif kind == "coherent":
-        state = coherent_state(_coherent_packet(p, p["sigma"]), grid)
+        state = _under(coherent_state(_coherent_packet(p, spec.sigma), grid), spec)
         name = "coherent"
     else:
         name, build = {"ho": ("ho_state", ho_state), "ho-ladder": ("ho_ladder", ho_ladder)}[kind]
-        state = build(p["m"], p["n"], OscillatorParams(p["omega"], 0.5, p["alpha"], p["beta"]),
-                      grid)
+        state = build(p["m"], p["n"], _oscillator(p["omega"], spec), grid)
     emit.field(name + ".psqf", state.psi_field)
     emit.state(name + ".state.psqf", state)
 
 
-def _scenario_wigner(cfg, emit):
+def _scenario_wigner(grid, spec, p, emit):
     """twisted tensor of Hermite functions"""
-    grid = _grid_from_config(cfg)
-    spec = _spec_from_config(cfg)
-    p = _params(cfg)
     i, j = p["phi_hermite"], p["psi_hermite"]
     state = twisted_tensor(hermite_function(grid, i, p["omega"]),
                            hermite_function(grid, j, p["omega"]), spec)
@@ -443,39 +450,36 @@ def _scenario_wigner(cfg, emit):
              [(float(a), float(b)) for a, b in zip(xs, px)])
 
 
-def _scenario_starprod(cfg, emit):
-    """star-product operations on states (--symbolic: on polynomials f, g)"""
-    grid = _grid_from_config(cfg)
-    spec = _spec_from_config(cfg)
-    p = _params(cfg)
+_BINARY_OPS = {"star": star_sigma_S, "commutator": star_commutator, "bracket": moyal_bracket}
+
+
+def _scenario_starprod(grid, spec, p, emit):
+    """star-product operations on states (--symbolic: on polynomials f, g)
+
+    bopp reads only the right operand; dagger, smooth and gauge only the left.
+    """
     op = p["op"]
-    i, j = p["left_hermite"], p["right_hermite"]
-    left = twisted_tensor(hermite_function(grid, i, p["omega"]),
-                          hermite_function(grid, i, p["omega"]), spec).psi_field
-    right = twisted_tensor(hermite_function(grid, j, p["omega"]),
-                           hermite_function(grid, j, p["omega"]), spec).psi_field
-    if op == "star":
-        result = star_sigma_S(left, right, spec)
-    elif op == "commutator":
-        result = star_commutator(left, right, spec)
-    elif op == "bracket":
-        result = moyal_bracket(left, right, spec)
-    elif op == "dagger":
-        result = involution_dagger(left, spec)
-    elif op == "smooth":
-        result = apply_smoother(spec, left, p["direction"])
-    elif op == "gauge":
-        result = gauge_transform(left, spec.sigma, p["sigma_to"])
-    else:
+
+    def operand(n):
+        h = hermite_function(grid, n, p["omega"])
+        return twisted_tensor(h, h, spec).psi_field
+
+    if op in _BINARY_OPS:
+        result = _BINARY_OPS[op](operand(p["left_hermite"]), operand(p["right_hermite"]), spec)
+    elif op == "bopp":
         obs = ObservableSpec.from_poly(parse_poly(p["observable"]))
-        result = bopp_apply(obs, right, p["side"], spec)
+        result = bopp_apply(obs, operand(p["right_hermite"]), p["side"], spec)
+    elif op == "dagger":
+        result = involution_dagger(operand(p["left_hermite"]), spec)
+    elif op == "smooth":
+        result = apply_smoother(spec, operand(p["left_hermite"]), p["direction"])
+    else:
+        result = gauge_transform(operand(p["left_hermite"]), spec.sigma, p["sigma_to"])
     emit.field("starprod_%s.psqf" % op, result)
 
 
-def _scenario_symbolic(cfg, emit):
+def _scenario_symbolic(_grid, spec, p, emit):
     """symbolic (sigma, S) star product and ordering of polynomials"""
-    p = _params(cfg)
-    spec = _spec_from_config(cfg)
     word = spec.smoother.to_word()
     f = parse_poly(p["f"])
     g = parse_poly(p["g"])
@@ -491,10 +495,9 @@ def _scenario_symbolic(cfg, emit):
         fh.write("\n".join(lines) + "\n")
 
 
-def _scenario_classical_limit(cfg, emit):
+def _scenario_classical_limit(grid, spec, p, emit):
     """hbar-sweep weak-limit pairings; params.grid (JSON only) overrides nx, np"""
-    p = _params(cfg)
-    base = {**DEFAULT_GRID, **cfg.get("grid", {}), **p["grid"]}
+    shape = (p["grid"].get("nx", grid.nx), p["grid"].get("np", grid.np))
     hbars = p["hbars"]
     family_kind = p["family"]
     x0, p0 = p["x0"], p["p0"]
@@ -503,13 +506,13 @@ def _scenario_classical_limit(cfg, emit):
         scale = sqrt(hb / hbars[0])
         span_x = abs(x0) + 8.0 * scale
         span_p = abs(p0) + 8.0 * scale
-        grid = make_grid(base["nx"], base["np"], -span_x, span_x,
-                         -span_p, span_p, hb)
+        g = make_grid(*shape, -span_x, span_x, -span_p, span_p, hb)
         if family_kind == "coherent":
-            return coherent_state(CoherentParams(x0, p0, 1.0, 0.5), grid)
+            return _under(coherent_state(CoherentParams(x0, p0, 1.0, spec.sigma), g), spec)
         if family_kind == "free":
-            return free_gaussian(FreeGaussianParams(p0, sqrt(hb) * 0.5, 0.5), p["t"], grid)
-        return ho_state(p["n"], p["n"], OscillatorParams(1.0, 0.5, 0.0, 0.0), grid)
+            return _under(free_gaussian(FreeGaussianParams(p0, sqrt(hb) * 0.5, spec.sigma),
+                                        p["t"], g), spec)
+        return ho_state(p["n"], p["n"], _oscillator(1.0, spec), g)
 
     def testfn(X, P):
         return np.exp(-((X - x0) ** 2 + (P - p0) ** 2) / 4.0)
@@ -562,7 +565,8 @@ def run_config(config):
         print("i/o error: %s" % exc, file=sys.stderr)
         return 4, None
     try:
-        _RUNNERS[config["scenario"]](config, emit)
+        _RUNNERS[config["scenario"]](_grid_from_config(config), _spec_from_config(config),
+                                     _params(config), emit)
         manifest = emit.manifest(config)
         emit.commit()
         return 0, manifest
@@ -585,8 +589,6 @@ def _number_list(text):
 def _add_param_flags(parser, scenario):
     """One flag per scalar or number-list params key, absent unless given."""
     for key, (schema, default) in PARAMS[scenario].items():
-        if key in ("sigma", "alpha", "beta"):
-            continue        # the common ordering flags set these keys too
         kwargs = {"default": argparse.SUPPRESS,
                   "help": None if default is None else "default %s" % json.dumps(default)}
         if schema["type"] == "array" and schema["items"]["type"] == "number":

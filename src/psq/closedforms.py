@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import PSQError, SpanError
 from .grids import PhaseField, WaveFunction, integrate, l2_norm, spectral_derivatives
-from .ordering import GaussianSmoother, IdentitySmoother, OrderingSpec
+from .ordering import GaussianSmoother, OrderingSpec
 from .polyalg import PolyH
 from .starprod import ObservableSpec, bopp_apply
 from .states import QuasiDistribution
@@ -58,8 +58,6 @@ class OscillatorParams:
         return 1.0 - self.lam
 
     def spec(self):
-        if self.alpha == 0.0 and self.beta == 0.0:
-            return OrderingSpec(self.sigma, IdentitySmoother())
         return OrderingSpec(self.sigma, GaussianSmoother(self.alpha, self.beta))
 
     def require_laguerre_family(self):
@@ -138,7 +136,7 @@ def free_gaussian(params, t, grid):
     denom = 4.0 * (sb ** 2 + s ** 2) * dx_ ** 2 + 4j * (1.0 - 2.0 * s) * dx_ * dp_ * t
     vals = pref * gaussians * np.exp(-shifted ** 2 / denom)
     field = PhaseField(grid, vals)
-    return QuasiDistribution(field, OrderingSpec(s, IdentitySmoother()))
+    return QuasiDistribution(field, OrderingSpec(s))
 
 
 def free_wavepacket(params, t, grid):
@@ -272,7 +270,7 @@ def coherent_state(params, grid):
         * np.exp(2j * (2.0 * s - 1.0) * omega * (X - params.x_bar)
                  * (P - params.p_bar) / denom)
     field = PhaseField(grid, vals)
-    return QuasiDistribution(field, OrderingSpec(s, IdentitySmoother()))
+    return QuasiDistribution(field, OrderingSpec(s))
 
 
 def momentum_plane_wave_state(p0, sigma, alpha, beta, grid):

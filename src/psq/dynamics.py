@@ -206,6 +206,11 @@ def _estimate_spectral_radius(rhs, grid):
         vec = nxt * (1.0 / nrm)
     return est
 
+def _require_spec(state, spec):
+    if state.spec != spec:
+        raise PSQError("the state is under %r, not the evolution's ordering %r"
+                       % (state.spec, spec))
+
 def evolve_phase_space(state0, H, spec, cfg, observables=None, classical=False):
     """Method-of-lines RK4 on the phase-space evolution equation.
 
@@ -213,10 +218,11 @@ def evolve_phase_space(state0, H, spec, cfg, observables=None, classical=False):
     and records rho snapshots.  With classical=True the same integrator
     solves the Liouville equation instead (the hbar-deformation terms are
     dropped); for quadratic symbols the two flows agree on Gaussians, which
-    the tests exploit.
+    the tests exploit.  The state must be under `spec`.
     """
     if cfg.method != "phase_space_rk4":
         raise PSQError("evolve_phase_space runs phase_space_rk4, not %r" % cfg.method)
+    _require_spec(state0, spec)
     field = state0.rho_field()
     grid = field.grid
     observables = observables if observables is not None else {}
@@ -355,9 +361,10 @@ def heisenberg_trajectory(A, state0, H, spec, cfg):
 
     Evolves the state in the Schrodinger picture, records <A>(t), and checks
     d/dt <A> = <[[A, H]]> at interior snapshot times by centered differences.
-    The state must be phi* (x) phi with known provenance.
+    The state must be phi* (x) phi with known provenance, under `spec`.
     Returns (times, values, residual_max).
     """
+    _require_spec(state0, spec)
     if state0.provenance is None:
         raise PSQError("heisenberg_trajectory needs a pure state with provenance")
     phi, psi = state0.provenance

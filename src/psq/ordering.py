@@ -3,9 +3,10 @@
 A smoother is an invertible map on phase-space functions that fixes x and p
 and commutes with integration.  Supported kinds:
 
-* Identity
 * GaussianAlphaBeta(alpha, beta): Fourier multiplier
-  exp(-(alpha xi^2 + beta eta^2) / 2 hbar) in the forward direction
+  exp(-(alpha xi^2 + beta eta^2) / 2 hbar) in the forward direction.  The
+  identity smoother is its alpha = beta = 0 member, which IdentitySmoother()
+  returns: the identity ordering has one value
 * CohenMultiplier(F): general Fourier-multiplier smoother whose *inverse*
   applies F(xi, eta); admissibility F(0,0)=1 and grad F(0,0)=0 is checked
   numerically at the lattice origin on every use
@@ -21,35 +22,16 @@ from .errors import PSQError, UnsupportedObservableError
 from .polyalg import DiffOpWord
 
 
-class IdentitySmoother:
-    kind = "identity"
-
-    def multiplier(self, XI, ETA, hbar):
-        return np.ones(np.broadcast(XI, ETA).shape)
-
-    def conjugated(self):
-        return self
-
-    def to_word(self):
-        return DiffOpWord.identity()
-
-    def is_identity(self):
-        return True
-
-    def as_dict(self):
-        return {"kind": "identity"}
-
-    def __eq__(self, other):
-        return isinstance(other, IdentitySmoother)
-
-
 @dataclass(frozen=True)
 class GaussianSmoother:
     """S_{alpha,beta} = exp(hbar alpha d_x^2 / 2 + hbar beta d_p^2 / 2)."""
 
     alpha: float
     beta: float
-    kind = "gaussian"
+
+    @property
+    def kind(self):
+        return "identity" if self.is_identity() else "gaussian"
 
     def multiplier(self, XI, ETA, hbar):
         return np.exp(-(self.alpha * XI ** 2 + self.beta * ETA ** 2) / (2.0 * hbar))
@@ -65,7 +47,14 @@ class GaussianSmoother:
         return self.alpha == 0.0 and self.beta == 0.0
 
     def as_dict(self):
+        if self.is_identity():
+            return {"kind": "identity"}
         return {"kind": "gaussian", "alpha": self.alpha, "beta": self.beta}
+
+
+def IdentitySmoother():
+    """The identity smoother: the Gaussian smoother at alpha = beta = 0."""
+    return GaussianSmoother(0.0, 0.0)
 
 
 class CohenSmoother:
@@ -165,10 +154,9 @@ class OrderingSpec:
 def spec_from_dict(d):
     sm = d.get("smoother", {"kind": "identity"})
     kind = sm.get("kind", "identity")
-    if kind == "identity":
-        smoother = IdentitySmoother()
-    elif kind == "gaussian":
-        smoother = GaussianSmoother(float(sm.get("alpha", 0.0)), float(sm.get("beta", 0.0)))
-    else:
+    if kind not in ("identity", "gaussian"):
         raise PSQError("cannot build smoother kind %r from config" % kind)
+    smoother = GaussianSmoother(float(sm.get("alpha", 0.0)), float(sm.get("beta", 0.0)))
+    if kind == "identity" and not smoother.is_identity():
+        raise PSQError("the identity smoother takes no alpha or beta, got %r" % sm)
     return OrderingSpec(float(d.get("sigma", 0.5)), smoother)

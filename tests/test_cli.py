@@ -124,6 +124,19 @@ class TestBundledConfigs:
         names = {entry["path"] for entry in manifest["files"]}
         assert "snapshot_001.psqf" in names
         assert "snapshot_001.dat" in names
+        # both routes start from the same state under a smoothed ordering
+        starts = []
+        for method in ("phase_space_rk4", "split_step_schrodinger"):
+            outdir = tmp_path / method
+            code = main(["evolve", "--system", "oscillator", "--method", method,
+                         "--x0", "1", "--p0", "0.5", "--alpha", "0.2", "--beta", "0.2",
+                         "--nx", "64", "--np", "64", "--steps", "1",
+                         "--observables", "x2,H", "--output-dir", str(outdir)])
+            assert code == 0
+            lines = (outdir / "trajectory.csv").read_text().splitlines()
+            starts.append([float(v) for v in lines[1].split(",")])
+        assert abs(starts[0][1] - starts[1][1]) < 1e-10        # <x^2>
+        assert abs(starts[0][3] - starts[1][3]) < 1e-10        # <H>
 
 
 class TestRunContract:
@@ -171,7 +184,21 @@ class TestRunContract:
                  "params": {"levels": 0}},
                 # omega stays unbounded in the schema; hermite_function refuses 0
                 {"scenario": "wigner", "grid": {"nx": 64, "np": 64},
-                 "params": {"omega": 0}}):
+                 "params": {"omega": 0}},
+                # the identity smoother takes no alpha or beta
+                {"scenario": "wigner", "grid": {"nx": 64, "np": 64},
+                 "ordering": {"smoother": {"kind": "identity", "alpha": 0.3, "beta": 0.3}}},
+                # a params key the scenario does not read: the oracle takes its
+                # ordering from the top-level block, and a misspelled key
+                {"scenario": "oracle", "grid": {"nx": 64, "np": 64},
+                 "params": {"state": "coherent", "sigma": 0.2}},
+                {"scenario": "wigner", "grid": {"nx": 64, "np": 64},
+                 "params": {"phi_hermit": 3}},
+                # the oscillator closed forms need sigma = 1/2
+                {"scenario": "oracle", "grid": {"nx": 64, "np": 64},
+                 "ordering": {"sigma": 0.2}, "params": {"state": "ho"}},
+                # every scenario builds the run's grid, the symbolic one too
+                {"scenario": "symbolic", "grid": {"nx": 63}}):
             (code, manifest), outdir = run_config(payload, tmp_path)
             assert code == 2
             assert manifest is None
@@ -200,6 +227,11 @@ class TestRunContract:
                      "--np", "64", "--system", "oscillator", "--p0", "7", "--steps", "8"])
         assert code == 3
         assert not os.listdir(tmp_path / "evolve")
+        # p0 = 10 aliases across a 64-point p lattice on both routes
+        code = main(["evolve", "--output-dir", str(tmp_path / "free"), "--nx", "256",
+                     "--np", "64", "--system", "free", "--p0", "10", "--steps", "100"])
+        assert code == 3
+        assert not os.listdir(tmp_path / "free")
         # a smoother too strong for the grid: the x-marginal goes negative
         # after the first artifacts are written, and none of them may stay
         payload = {
@@ -341,6 +373,21 @@ class TestSubcommands:
         X, P = field.grid.meshes()
         peak = np.unravel_index(np.abs(field.values).argmax(), X.shape)
         assert abs(X[peak] - 1.0) <= field.grid.dx and abs(P[peak] - 0.5) <= field.grid.dp
+        # the closed forms come under the run's ordering
+        from psq import read_state
+        (code, _manifest), outdir = run_config(
+            {"scenario": "oracle", "formats": ["bin"], "grid": {"nx": 64, "np": 64},
+             "ordering": {"sigma": 0.2}, "params": {"state": "coherent"}}, tmp_path)
+        assert code == 0
+        assert read_state(Path(outdir) / "coherent.state.psqf").spec.sigma == 0.2
+        smoother = {"kind": "gaussian", "alpha": 0.2, "beta": 0.2}
+        (code, _manifest), outdir = run_config(
+            {"scenario": "oracle", "formats": ["bin"], "grid": {"nx": 64, "np": 64},
+             "ordering": {"sigma": 0.5, "smoother": smoother}, "params": {"state": "ho"}},
+            tmp_path)
+        assert code == 0
+        sidecar = json.loads((Path(outdir) / "ho_state.state.psqf.json").read_text())
+        assert sidecar["smoother"] == smoother
 
     def test_starprod_star_subcommand(self, tmp_path):
         outdir = str(tmp_path / "star")
@@ -357,6 +404,13 @@ class TestSubcommands:
                               hermite_function(grid, 0), OrderingSpec(0.5))
         want = base.psi_field * (1 / np.sqrt(2 * np.pi * grid.hbar))
         assert l2_norm(prod - want) / l2_norm(want) < 1e-8
+        # an operand the op does not read is not built: Hermite 40 would not
+        # fit on this grid
+        for argv in (["--op", "bopp", "--left-hermite", "40", "--right-hermite", "0"],
+                     ["--op", "dagger", "--right-hermite", "40"]):
+            code = main(["starprod"] + argv + ["--nx", "64", "--np", "64",
+                                               "--output-dir", str(tmp_path / argv[1])])
+            assert code == 0
 
     def test_oracle_ladder_subcommand(self, tmp_path):
         outdir = str(tmp_path / "lad")
@@ -374,6 +428,14 @@ class TestSubcommands:
         assert code == 0
         report = (Path(outdir) / "gauge_report.csv").read_text().splitlines()
         assert float(report[1]) < 1e-8
+        # a zero Gaussian smoother is the identity ordering, swept once
+        (code, _manifest), outdir = run_config(
+            {"scenario": "gauge-check", "grid": {"nx": 64, "np": 64},
+             "params": {"sigmas": [0.5], "levels": 2,
+                        "smoothers": [{"kind": "gaussian", "alpha": 0, "beta": 0}]}}, tmp_path)
+        assert code == 0
+        rows = (Path(outdir) / "gauge_spectra.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 2)[0] for row in rows] == ["sigma=0.5,identity"] * 2
 
     def test_classical_limit_subcommand(self, tmp_path):
         outdir = str(tmp_path / "clim")
@@ -393,6 +455,16 @@ class TestSubcommands:
         assert code == 0
         assert (small / "classical_limit.csv").read_bytes() \
             == (Path(outdir) / "classical_limit.csv").read_bytes()
+        # the family comes under the run's ordering: S_{a,b} widens the coherent
+        # state by hbar a in x and hbar b in p, so the pairing is
+        # 1 / (1 + hbar (1/4 + a/2)) at a = b
+        smooth = tmp_path / "clim_s"
+        code = main(["classical-limit", "--output-dir", str(smooth), "--nx", "64", "--np", "64",
+                     "--hbars", "0.2,0.1", "--alpha", "0.2", "--beta", "0.2"])
+        assert code == 0
+        for line in (smooth / "classical_limit.csv").read_text().splitlines()[1:]:
+            hbar, pairing = (float(v) for v in line.split(",")[:2])
+            assert abs(pairing - 1.0 / (1.0 + 0.35 * hbar)) < 1e-8
 
     @pytest.mark.parametrize("argv, scenario, params", [
         (["spectrum"], "spectrum", {}),

@@ -230,6 +230,9 @@ class TestPhaseSpace:
         drift = l2_norm(result.snapshots[-1] - result.snapshots[0]) \
             / l2_norm(result.snapshots[0])
         assert drift < 1e-6
+        # the state's ordering is the evolution's ordering
+        with pytest.raises(PSQError, match="not the evolution's ordering"):
+            evolve_phase_space(st, OSC_H, OrderingSpec(0.5), cfg)
 
     def test_stability_bound_enforced(self, grid64):
         cs = coherent_state(CoherentParams(0.5, 0.0, 1.0, 0.5), grid64)
@@ -380,6 +383,10 @@ class TestHeisenberg:
         with pytest.raises(PSQError, match="provenance pair differs"):
             heisenberg_trajectory(ObservableSpec.position(), twisted, FREE_H,
                                   OrderingSpec(0.5), cfg)
+        # and only under the ordering it is evolved with
+        with pytest.raises(PSQError, match="not the evolution's ordering"):
+            heisenberg_trajectory(ObservableSpec.position(), state0, FREE_H,
+                                  OrderingSpec(0.3), cfg)
 
     def test_oscillator_energy_constant(self, grid64):
         # exact eigendecomposition propagator: conservation to rounding

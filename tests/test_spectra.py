@@ -185,6 +185,10 @@ class TestGaugeInvariance:
         report = gauge_spectrum_check(H, [0.0, 0.5, 1.0], [IdentitySmoother()],
                                       5, grid128)
         assert report["max_deviation"] < 1e-8
+        # the Gaussian smoother at alpha = beta = 0 is the identity: one run
+        report = gauge_spectrum_check(H, [0.5], [IdentitySmoother(), GaussianSmoother(0, 0)],
+                                      2, grid128)
+        assert list(report["energies"]) == ["sigma=0.5,identity"]
 
     def test_quartic_across_sigma(self, grid128):
         H = ObservableSpec.from_poly(

@@ -235,6 +235,11 @@ class TestMixedState:
         with pytest.raises(PSQError, match="one ordering"):
             MixedState(((0.5, smoothed),
                         (0.5, twisted_tensor(excited, excited, OrderingSpec(0.5)))))
+        # the Gaussian smoother at alpha = beta = 0 is the identity ordering
+        zero = OrderingSpec(0.5, GaussianSmoother(0.0, 0.0))
+        assert zero == OrderingSpec(0.5)
+        mix = MixedState(((0.5, state), (0.5, twisted_tensor(phi, phi, zero))))
+        assert np.array_equal(mix.psi_field.values, state.psi_field.values)
 
 
 class TestStateIO:
