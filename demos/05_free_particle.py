@@ -43,11 +43,10 @@ rel = l2_norm(result.snapshots[-1] - exact.psi_field) / l2_norm(exact.psi_field)
 print("\nfinal snapshot vs analytic solution: rel L2 = %.2e" % rel)
 
 # the same evolution computed directly on phase space
-rho0 = free_gaussian(params, 0.0, grid)
+state0 = free_gaussian(params, 0.0, grid)
 cfg2 = EvolutionConfig(dt=0.01, steps=100, method="phase_space_rk4")
-result2 = evolve_phase_space(rho0, H, spec, cfg2)
-rel2 = l2_norm(result2.snapshots[-1] - exact.rho_field()) \
-    / l2_norm(exact.rho_field())
+result2 = evolve_phase_space(state0, H, spec, cfg2)
+rel2 = l2_norm(result2.snapshots[-1] - exact.psi_field) / l2_norm(exact.psi_field)
 print("phase-space RK4 vs analytic solution: rel L2 = %.2e" % rel2)
 print("mass drift over the run: %.1e"
       % abs(result2.norms[-1] - result2.norms[0]))

@@ -59,11 +59,10 @@ print("U(t) * U(-t) deviation from 1: %.2e"
 # propagation by conjugation matches the direct integrator
 mid = make_grid(64, 64, -6.0, 6.0, -6.0, 6.0, 1.0)
 cs2 = coherent_state(CoherentParams(0.6, 0.2, 1.0, 0.5), mid)
-rho0 = cs2.rho_field()
-work = bopp_apply(ObservableSpec.from_poly(u_minus, "U-"), rho0, "right", spec)
+work = bopp_apply(ObservableSpec.from_poly(u_minus, "U-"), cs2.psi_field, "right", spec)
 conj = bopp_apply(ObservableSpec.from_poly(u_plus, "U+"), work, "left", spec)
 ref = evolve_phase_space(cs2, H, spec,
                          EvolutionConfig(dt=t / 50, steps=50,
                                          method="phase_space_rk4"))
-print("U rho U(-t) vs integrator: rel L2 = %.2e"
+print("U Psi U(-t) vs integrator: rel L2 = %.2e"
       % (l2_norm(conj - ref.snapshots[-1]) / l2_norm(ref.snapshots[-1])))

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalPreconditionError, PSQError
-from .grids import PhaseField, make_grid, write_field, write_field_csv
+from .grids import make_grid, write_field, write_field_csv
 from .ordering import IdentitySmoother, spec_from_dict
 from .polyalg import PolyH, pstar_S, sigma_S_order
 from .spectra import gauge_spectrum_check, spectrum_via_schrodinger
@@ -46,12 +46,13 @@ from .dynamics import (METHODS, EvolutionConfig, default_observables, evolve_pha
 
 FIELD_FORMAT_VERSION = 1
 
+# boundary_tail_mass counts 2 cells on each side as tail: all of a 4-cell axis
+_SIZE = {"type": "integer", "minimum": 8, "maximum": 4096}
+
 _GRID_SCHEMA = {
     "type": "object",
     "properties": {
-        # boundary_tail_mass counts 2 cells on each side as tail: all of a 4-cell axis
-        "nx": {"type": "integer", "minimum": 8, "maximum": 4096},
-        "np": {"type": "integer", "minimum": 8, "maximum": 4096},
+        "nx": _SIZE, "np": _SIZE,
         "x_min": {"type": "number"}, "x_max": {"type": "number"},
         "p_min": {"type": "number"}, "p_max": {"type": "number"},
         "hbar": {"type": "number", "exclusiveMinimum": 0},
@@ -109,7 +110,8 @@ PARAMS = {
                         "hbars": (dict(_NUMS, items={"type": "number", "exclusiveMinimum": 0}),
                                   [0.2, 0.1, 0.05, 0.025]), "x0": (_NUM, 1.0),
                         "p0": (_NUM, 0.5), "t": (_NUM, 1.0), "n": (_INDEX, 1),
-                        "grid": (_GRID_SCHEMA, {})},
+                        "grid": ({"type": "object", "properties": {"nx": _SIZE, "np": _SIZE},
+                                  "additionalProperties": False}, {})},
 }
 
 CONFIG_SCHEMA = {
@@ -208,6 +210,16 @@ def _grid_from_config(cfg):
 
 def _spec_from_config(cfg):
     return spec_from_dict(cfg.get("ordering", {"sigma": 0.5}))
+
+
+def _require_finite(value, where="config"):
+    """Raise PSQError at a NaN or +-Infinity anywhere in a config value."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        _require_finite(item, "%s.%s" % (where, key))
+    if isinstance(value, float) and not np.isfinite(value):
+        raise PSQError("%s is %r; config numbers must be finite" % (where, value))
 
 
 def _params(cfg):
@@ -394,22 +406,15 @@ def _scenario_evolve(grid, spec, p, emit):
         result = evolve_schrodinger(phi0, hobs, spec, cfg_evo,
                                     observables=observables)
     header = "t," + ",".join("%s_re,%s_im" % (n, n) for n in observables) + ",norm"
-    rows = []
-    for i, t in enumerate(result.times):
-        row = [float(t)]
-        for name in observables:
-            v = result.expectations[name][i]
-            row.extend([float(v.real), float(v.imag)])
-        row.append(float(result.norms[i]))
-        rows.append(tuple(row))
-    emit.csv("trajectory.csv", header, rows)
-    for i, t in enumerate(result.times):
-        field = result.snapshots[i]
-        if isinstance(field, PhaseField):
-            emit.field("snapshot_%03d.psqf" % i, field)
-            emit.dat("snapshot_%03d.dat" % i,
-                     [grid.meshes()[0].ravel(), grid.meshes()[1].ravel(),
-                      field.values.real.ravel(), field.values.imag.ravel()])
+    columns = [result.times]
+    for name in observables:
+        columns += [result.expectations[name].real, result.expectations[name].imag]
+    emit.csv("trajectory.csv", header, zip(*columns, result.norms))
+    X, P = grid.meshes()
+    for i, field in enumerate(result.snapshots):
+        emit.field("snapshot_%03d.psqf" % i, field)
+        emit.dat("snapshot_%03d.dat" % i, [X.ravel(), P.ravel(),
+                                           field.values.real.ravel(), field.values.imag.ravel()])
 
 
 def _scenario_oracle(grid, spec, p, emit):
@@ -565,6 +570,7 @@ def run_config(config):
         print("i/o error: %s" % exc, file=sys.stderr)
         return 4, None
     try:
+        _require_finite(config)
         _RUNNERS[config["scenario"]](_grid_from_config(config), _spec_from_config(config),
                                      _params(config), emit)
         manifest = emit.manifest(config)

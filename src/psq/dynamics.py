@@ -4,24 +4,24 @@
   wavefunction (the cheap, spectrally accurate default), with phase-space
   snapshots re-assembled through the twisted tensor product;
 * method-of-lines RK4 directly on the phase-space evolution equation
-  d rho/dt = (H star rho - rho star H)/(i hbar), kept because the
+  d Psi/dt = (H star Psi - Psi star H)/(i hbar), kept because the
   equivalence of the two pictures is something this package tests, not
   assumes;
 * guarded truncations of the star exponential and of Heisenberg-picture
   observables.
 
-The RK4 path enforces a stability bound estimated by power iteration on the
-actual discrete generator; violations raise with a suggested dt.
+Every method is one step function under one propagation loop, and every
+route records the state's field Psi.  The RK4 path enforces a stability
+bound estimated by power iteration on the actual discrete generator;
+violations raise with a suggested dt.
 """
 
 from dataclasses import dataclass
-from math import pi, sqrt
 
 import numpy as np
 
 from .errors import PSQError, StabilityBoundError, TruncationError, UnsupportedObservableError
-from .grids import (PhaseField, WaveFunction, half_dft, integrate, l2_norm,
-                    spectral_derivatives)
+from .grids import PhaseField, WaveFunction, half_dft, l2_norm, spectral_derivatives
 from .polyalg import PolyH, pstar, pstar_S
 from .spectra import expectation, hermitian_eigh
 from .starprod import ObservableSpec, bopp_apply
@@ -53,20 +53,45 @@ class EvolutionConfig:
 
     def snapshot_steps(self):
         every = self.snapshot_every if self.snapshot_every > 0 else self.steps
-        marks = set(range(0, self.steps + 1, every))
-        marks.add(self.steps)
-        return sorted(marks)
+        return set(range(0, self.steps + 1, every)) | {self.steps}
 
 
 @dataclass
 class EvolutionResult:
-    """Snapshots are Psi fields from evolve_schrodinger (WaveFunctions without
-    phase-space snapshots) and rho = Psi / sqrt(2 pi hbar) from evolve_phase_space."""
+    """Snapshots are the state's field Psi on every route (WaveFunctions when
+    evolve_schrodinger runs without phase-space snapshots)."""
 
     times: np.ndarray
     snapshots: list                 # PhaseField or WaveFunction per snapshot
     expectations: dict              # name -> complex array over snapshot times
     norms: np.ndarray
+
+
+def _propagate(start, step, snapshot, cfg, observables):
+    """Apply `step` cfg.steps times to `start`, recording at the snapshot marks.
+
+    snapshot(values) returns (snapshot, norm, state); the observables'
+    expectations are taken in `state`, which may be None when there are none.
+    """
+    observables = observables or {}
+    marks = cfg.snapshot_steps()
+    times, snapshots, norms = [], [], []
+    exps = {name: [] for name in observables}
+    values = start
+    for k in range(cfg.steps + 1):
+        if k:
+            values = step(values)
+        if k in marks:
+            snap, norm, state = snapshot(values)
+            times.append(k * cfg.dt)
+            snapshots.append(snap)
+            norms.append(norm)
+            for name, obs in observables.items():
+                exps[name].append(expectation(obs, state))
+    return EvolutionResult(np.array(times), snapshots,
+                           {n: np.array(v) for n, v in exps.items()},
+                           np.array(norms))
+
 
 def default_observables(omega=1.0):
     x = PolyH.x()
@@ -113,8 +138,6 @@ def evolve_schrodinger(phi0, H, spec, cfg, observables=None,
     by re-tensoring unless disabled.
     """
     grid = phi0.grid
-    observables = observables if observables is not None else {}
-    marks = cfg.snapshot_steps()
     if cfg.method == "split_step_schrodinger":
         parts = _separable_parts(H, spec, grid)
         if parts is None:
@@ -140,30 +163,15 @@ def evolve_schrodinger(phi0, H, spec, cfg, observables=None,
     else:
         raise PSQError("evolve_schrodinger runs split_step_schrodinger or "
                        "matrix_exponential, not %r" % cfg.method)
-    times, snapshots, norms = [], [], []
-    exps = {name: [] for name in observables}
-    values = phi0.values.copy()
 
-    def record(step_idx):
+    def snapshot(values):
         wf = WaveFunction(grid, values.copy())
-        times.append(step_idx * cfg.dt)
-        norms.append(wf.norm())
-        if phase_space_snapshots or observables:
-            state = twisted_tensor(wf, wf, spec)
-            snapshots.append(state.psi_field if phase_space_snapshots else wf)
-            for name, obs in observables.items():
-                exps[name].append(expectation(obs, state))
-        else:
-            snapshots.append(wf)
+        if not (phase_space_snapshots or observables):
+            return wf, wf.norm(), None
+        state = twisted_tensor(wf, wf, spec)
+        return (state.psi_field if phase_space_snapshots else wf), wf.norm(), state
 
-    record(0)
-    for k in range(1, cfg.steps + 1):
-        values = step(values)
-        if k in marks:
-            record(k)
-    return EvolutionResult(np.array(times), snapshots,
-                           {n: np.array(v) for n, v in exps.items()},
-                           np.array(norms))
+    return _propagate(phi0.values, step, snapshot, cfg, observables)
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +222,18 @@ def _require_spec(state, spec):
 def evolve_phase_space(state0, H, spec, cfg, observables=None, classical=False):
     """Method-of-lines RK4 on the phase-space evolution equation.
 
-    Evolves rho of the state (pure or mixed: the equation is linear in rho)
-    and records rho snapshots.  With classical=True the same integrator
-    solves the Liouville equation instead (the hbar-deformation terms are
-    dropped); for quadratic symbols the two flows agree on Gaussians, which
-    the tests exploit.  The state must be under `spec`.
+    Evolves the state's field Psi (pure or mixed: the equation is linear in
+    the state, so Psi and rho = Psi / sqrt(2 pi hbar) evolve alike) and
+    records Psi snapshots; norms are |normalization_integral()|.  With
+    classical=True the same integrator solves the Liouville equation instead
+    (the hbar-deformation terms are dropped); for quadratic symbols the two
+    flows agree on Gaussians, which the tests exploit.  The state must be
+    under `spec`.
     """
     if cfg.method != "phase_space_rk4":
         raise PSQError("evolve_phase_space runs phase_space_rk4, not %r" % cfg.method)
     _require_spec(state0, spec)
-    field = state0.rho_field()
-    grid = field.grid
-    observables = observables if observables is not None else {}
+    grid = state0.grid
     rhs = _classical_rhs(H, grid) if classical else _quantum_rhs(H, spec, grid.hbar)
     radius = _estimate_spectral_radius(rhs, grid)
     if radius * cfg.dt > RK4_STABILITY_LIMIT:
@@ -233,31 +241,19 @@ def evolve_phase_space(state0, H, spec, cfg, observables=None, classical=False):
             "dt=%.3g violates the RK4 stability bound for this generator "
             "(spectral radius ~ %.3g); suggested dt <= %.3g"
             % (cfg.dt, radius, 0.8 * RK4_STABILITY_LIMIT / radius))
-    marks = cfg.snapshot_steps()
-    times, snapshots, norms = [], [], []
-    exps = {name: [] for name in observables}
 
-    def record(step_idx, fld):
-        times.append(step_idx * cfg.dt)
-        snapshots.append(fld.copy())
-        norms.append(abs(integrate(fld)))
-        state = QuasiDistribution(fld * sqrt(2.0 * pi * grid.hbar), spec)
-        for name, obs in observables.items():
-            exps[name].append(expectation(obs, state))
-
-    record(0, field)
-    cur = field
-    for k in range(1, cfg.steps + 1):
+    def step(cur):
         k1 = rhs(cur)
         k2 = rhs(cur + k1 * (0.5 * cfg.dt))
         k3 = rhs(cur + k2 * (0.5 * cfg.dt))
         k4 = rhs(cur + k3 * cfg.dt)
-        cur = cur + (k1 + (k2 + k3) * 2.0 + k4) * (cfg.dt / 6.0)
-        if k in marks:
-            record(k, cur)
-    return EvolutionResult(np.array(times), snapshots,
-                           {n: np.array(v) for n, v in exps.items()},
-                           np.array(norms))
+        return cur + (k1 + (k2 + k3) * 2.0 + k4) * (cfg.dt / 6.0)
+
+    def snapshot(field):
+        state = QuasiDistribution(field.copy(), spec)
+        return state.psi_field, abs(state.normalization_integral()), state
+
+    return _propagate(state0.psi_field, step, snapshot, cfg, observables)
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +298,14 @@ def star_exponential(H, t, K, spec, grid):
     """
     if K > 20:
         raise PSQError("truncation order capped at 20")
-    total = PhaseField.constant(grid, 1.0)
-    if t == 0:
-        return total
     terms = star_exponential_poly(H.as_poly(), t, K, spec, grid.hbar)
     X, P = grid.meshes()
     vals = np.zeros((grid.nx, grid.np), dtype=complex)
     for term in terms:
-        vals += term.evaluate(X, P, grid.hbar)
+        last = term.evaluate(X, P, grid.hbar)
+        vals += last
     total = PhaseField(grid, vals)
-    last = PhaseField(grid, terms[-1].evaluate(X, P, grid.hbar))
-    ratio = l2_norm(last) / max(l2_norm(total), 1e-300)
+    ratio = l2_norm(PhaseField(grid, last)) / max(l2_norm(total), 1e-300)
     if ratio > STAR_EXP_TAIL_BOUND:
         raise TruncationError(
             "star-exponential tail bound not met at order %d: last-term ratio "

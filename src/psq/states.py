@@ -243,7 +243,7 @@ def coefficient_matrix(state, nmax, omega=1.0):
     return out
 
 
-def pure_factorization(state, nmax=16, omega=1.0):
+def pure_factorization(state, nmax=12, omega=1.0):
     """Recover the wavefunction pair of a pure state from its coefficients.
 
     The coefficient matrix of phi* (x) psi is rank one; its leading singular

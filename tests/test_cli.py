@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psq import PolyH, PSQError
+from psq import PolyH, PSQError, integrate, read_field
 from psq.cli import CONFIG_SCHEMA, PARAMS, main, parse_poly, run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -124,19 +124,23 @@ class TestBundledConfigs:
         names = {entry["path"] for entry in manifest["files"]}
         assert "snapshot_001.psqf" in names
         assert "snapshot_001.dat" in names
-        # both routes start from the same state under a smoothed ordering
-        starts = []
+        # both routes start from the same state under a smoothed ordering,
+        # and both write its field Psi: a snapshot integrates to sqrt(2 pi hbar)
+        starts, integrals = [], []
         for method in ("phase_space_rk4", "split_step_schrodinger"):
             outdir = tmp_path / method
             code = main(["evolve", "--system", "oscillator", "--method", method,
                          "--x0", "1", "--p0", "0.5", "--alpha", "0.2", "--beta", "0.2",
-                         "--nx", "64", "--np", "64", "--steps", "1",
+                         "--nx", "64", "--np", "64", "--steps", "1", "--formats", "csv,bin",
                          "--observables", "x2,H", "--output-dir", str(outdir)])
             assert code == 0
             lines = (outdir / "trajectory.csv").read_text().splitlines()
             starts.append([float(v) for v in lines[1].split(",")])
+            integrals.append(integrate(read_field(str(outdir / "snapshot_000.psqf"))))
         assert abs(starts[0][1] - starts[1][1]) < 1e-10        # <x^2>
         assert abs(starts[0][3] - starts[1][3]) < 1e-10        # <H>
+        assert abs(integrals[0] - integrals[1]) < 1e-10
+        assert abs(integrals[0] - np.sqrt(2 * np.pi)) < 1e-6
 
 
 class TestRunContract:
@@ -198,11 +202,34 @@ class TestRunContract:
                 {"scenario": "oracle", "grid": {"nx": 64, "np": 64},
                  "ordering": {"sigma": 0.2}, "params": {"state": "ho"}},
                 # every scenario builds the run's grid, the symbolic one too
-                {"scenario": "symbolic", "grid": {"nx": 63}}):
+                {"scenario": "symbolic", "grid": {"nx": 63}},
+                # classical-limit's params.grid takes only nx and np
+                {"scenario": "classical-limit",
+                 "params": {"hbars": [0.2], "grid": {"nx": 32, "np": 32, "hbar": 0.5,
+                                                     "x_min": -1}}},
+                # NaN or Infinity anywhere in the config (json.load accepts both)
+                {"scenario": "oracle", "grid": {"nx": 32, "np": 32},
+                 "params": {"state": "coherent", "x0": float("nan")}},
+                {"scenario": "oracle", "grid": {"nx": 32, "np": 32},
+                 "params": {"state": "free", "t": float("nan")}},
+                {"scenario": "symbolic",
+                 "ordering": {"smoother": {"kind": "gaussian", "alpha": float("nan"),
+                                           "beta": 0.1}}},
+                {"scenario": "classical-limit",
+                 "params": {"family": "free", "hbars": [0.2], "t": float("nan"),
+                            "grid": {"nx": 32, "np": 32}}},
+                {"scenario": "evolve", "grid": {"nx": 32, "np": 32},
+                 "params": {"p0": float("inf"), "steps": 2}}):
             (code, manifest), outdir = run_config(payload, tmp_path)
             assert code == 2
             assert manifest is None
             assert not Path(outdir).exists() or not os.listdir(outdir)
+        # flags build a config too: a non-finite flag value exits 2
+        for argv in (["oracle", "--state", "coherent", "--x0", "nan"],
+                     ["oracle", "--state", "free", "--t", "nan"]):
+            outdir = tmp_path / "flags"
+            assert main(argv + ["--nx", "32", "--np", "32", "--output-dir", str(outdir)]) == 2
+            assert not outdir.exists() or not os.listdir(outdir)
 
     def test_unreadable_config_exit_2(self, tmp_path):
         path = tmp_path / "nope.json"

@@ -121,7 +121,7 @@ class TestPhaseSpace:
         rho0 = free_gaussian(params, 0.0, wide_grid)
         cfg = EvolutionConfig(dt=0.01, steps=100, method="phase_space_rk4")
         result = evolve_phase_space(rho0, FREE_H, OrderingSpec(0.5), cfg)
-        want = free_gaussian(params, 1.0, wide_grid).rho_field()
+        want = free_gaussian(params, 1.0, wide_grid).psi_field
         rel = l2_norm(result.snapshots[-1] - want) / l2_norm(want)
         assert rel < 1e-5
 
@@ -250,17 +250,18 @@ class TestPhaseSpace:
         cp = CoherentParams(0.8, 0.4, 1.0, 0.5)
         phi0 = coherent_wavepacket(cp, grid64)
         spec = OrderingSpec(0.5)
+        # 30 does not divide 100: both routes also record the final step
         steps, dt = 100, 0.005
-        cfg = EvolutionConfig(dt=dt, steps=steps, snapshot_every=50)
+        cfg = EvolutionConfig(dt=dt, steps=steps, snapshot_every=30)
         sch = evolve_schrodinger(phi0, OSC_H, spec, cfg)
-        rho0 = coherent_state(cp, grid64)
+        state0 = coherent_state(cp, grid64)
         cfg2 = EvolutionConfig(dt=dt, steps=steps, method="phase_space_rk4",
-                               snapshot_every=50)
-        phs = evolve_phase_space(rho0, OSC_H, spec, cfg2)
-        scale = np.sqrt(2 * np.pi * grid64.hbar)
-        for i in range(len(sch.times)):
-            a = sch.snapshots[i]              # Psi field from re-tensoring
-            b = phs.snapshots[i] * scale      # rho scaled back to Psi
+                               snapshot_every=30)
+        phs = evolve_phase_space(state0, OSC_H, spec, cfg2)
+        assert np.array_equal(sch.times, phs.times)
+        assert np.allclose(sch.times, dt * np.array([0, 30, 60, 90, 100]))
+        for a, b in zip(sch.snapshots, phs.snapshots):
+            # both routes record the state's field Psi
             assert l2_norm(a - b) / l2_norm(a) < 1e-5
 
     def test_rk4_convergence_order(self, grid64):
@@ -333,8 +334,7 @@ class TestStarExponential:
         for term in minus:
             u_minus = u_minus + term
         cs = coherent_state(CoherentParams(0.6, 0.2, 1.0, 0.5), grid)
-        rho0 = cs.rho_field()
-        work = bopp_apply(ObservableSpec.from_poly(u_minus, "U-"), rho0,
+        work = bopp_apply(ObservableSpec.from_poly(u_minus, "U-"), cs.psi_field,
                           "right", spec)
         conjugated = bopp_apply(ObservableSpec.from_poly(u_plus, "U+"), work,
                                 "left", spec)

@@ -212,11 +212,18 @@ class TestBasisIdempotence:
 
 
 class TestFactorization:
-    def test_reconstructs_pure_state(self, grid64, rng):
+    def test_reconstructs_pure_state(self, grid64, grid128, rng):
         spec = OrderingSpec(0.3, GaussianSmoother(0.1, 0.1))
         phi = random_wavefunction(grid64, rng, nmax=4)
         state = twisted_tensor(phi, phi, spec)
         phi_r, psi_r = pure_factorization(state, nmax=10)
+        rebuilt = twisted_tensor(phi_r, psi_r, spec)
+        assert l2_norm(rebuilt.psi_field - state.psi_field) < 1e-5
+        # the defaults on the default CLI grid (128^2 on [-8, 8]): every basis
+        # function up to the default nmax passes the interpolation-tail guard
+        spec = OrderingSpec(0.5)
+        state = twisted_tensor(hermite_function(grid128, 1), hermite_function(grid128, 2), spec)
+        phi_r, psi_r = pure_factorization(state)
         rebuilt = twisted_tensor(phi_r, psi_r, spec)
         assert l2_norm(rebuilt.psi_field - state.psi_field) < 1e-5
 
