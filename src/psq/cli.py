@@ -57,6 +57,7 @@ _GRID_SCHEMA = {
         "p_min": {"type": "number"}, "p_max": {"type": "number"},
         "hbar": {"type": "number", "exclusiveMinimum": 0},
     },
+    "additionalProperties": False,
 }
 
 _SMOOTHER_SCHEMA = {
@@ -66,6 +67,7 @@ _SMOOTHER_SCHEMA = {
         "alpha": {"type": "number", "minimum": -2, "maximum": 2},
         "beta": {"type": "number", "minimum": -2, "maximum": 2},
     },
+    "additionalProperties": False,
 }
 
 _INT = {"type": "integer"}
@@ -130,6 +132,7 @@ CONFIG_SCHEMA = {
                 "sigma": {"type": "number", "minimum": -4, "maximum": 5},
                 "smoother": _SMOOTHER_SCHEMA,
             },
+            "additionalProperties": False,
         },
         # flat: a key read by several scenarios has one fragment in all of them
         "params": {
@@ -138,6 +141,7 @@ CONFIG_SCHEMA = {
                            for key, (schema, _default) in table.items()},
         },
     },
+    "additionalProperties": False,
 }
 
 DEFAULT_GRID = {"nx": 128, "np": 128, "x_min": -8.0, "x_max": 8.0,
@@ -326,8 +330,6 @@ def _oscillator(omega, spec):
 
 def _under(state, spec):
     """A closed-form state of the identity smoother at spec.sigma, under `spec`."""
-    if state.spec == spec:
-        return state
     return QuasiDistribution(apply_smoother(spec, state.psi_field), spec,
                              is_state=state.is_state)
 
@@ -352,11 +354,8 @@ def _scenario_gauge_check(grid, _spec, p, emit):
     Sweeps its own orderings, `sigmas` times the identity smoother plus
     `smoothers`; the top-level ordering is not read.
     """
-    smoothers = [IdentitySmoother()]
-    for entry in p["smoothers"]:
-        smoother = spec_from_dict({"smoother": entry}).smoother
-        if smoother not in smoothers:
-            smoothers.append(smoother)
+    smoothers = [IdentitySmoother()] + [spec_from_dict({"smoother": entry}).smoother
+                                        for entry in p["smoothers"]]
     report = gauge_spectrum_check(ObservableSpec.from_poly(parse_poly(p["hamiltonian"]), "H"),
                                   p["sigmas"], smoothers, p["levels"], grid)
     rows = []

@@ -295,7 +295,7 @@ def fourier_partial(field, axis, direction):
     axis='p': 'inverse' maps p to the shift variable y (kernel e^{+i y p/hbar}),
     'forward' maps y back to p, so that full = (x forward) o (p inverse).
     Returned values live on the mixed-representation lattice but are carried
-    in a PhaseField of the same shape.
+    in a PhaseField of the same shape, with the field's guard flags.
     """
     g = field.grid
     v = field.values
@@ -315,7 +315,7 @@ def fourier_partial(field, axis, direction):
             raise PSQError("direction must be 'forward' or 'inverse'")
     else:
         raise PSQError("axis must be 'x' or 'p'")
-    return PhaseField(g, out)
+    return PhaseField(g, out, field.meta)
 
 
 def multiply_mixed(grid, values, axis, profile):

@@ -10,8 +10,9 @@ Two computational routes, cross-checked in the test suite:
   pair from :meth:`ObservableSpec.factors` through the mixed-representation
   multiply ``grids.multiply_mixed`` (one round trip per non-scalar factor).
 
-Smoothers, gauge maps between sigma values, star commutators and the
-involution are Fourier multipliers on the conjugate lattice.
+Smoothers, gauge maps between sigma values and the involution are Fourier
+multipliers on the conjugate lattice, applied through one guarded multiply
+that keeps its operand's guard flags.
 
 All operations require their operands to share one grid and (for the
 convolution route) to be effectively supported inside it; the tail-mass
@@ -154,43 +155,48 @@ class ObservableSpec:
 def _apply_multiplier(field, mult):
     """Apply a conjugate-lattice multiplier, clamping unstable amplification.
 
-    Lattice points where |mult| exceeds the cutoff are zeroed; if the field
-    carries more than a sliver of relative spectral mass there, the operation
-    is refused as ill-posed.  When clamping happens the result is flagged in
-    its metadata so consumers can widen their tolerances accordingly.
+    The one guarded multiply behind smoothers, gauge maps and the involution.
+    The result keeps the field's guard flags.  Lattice points where |mult|
+    exceeds the cutoff are zeroed; if the field carries more than a sliver of
+    relative spectral mass there, the operation is refused as ill-posed.  A
+    clamp max-merges the clamped mass fraction into the flag
+    ``deconvolution_clamped`` so consumers can widen their tolerances.
     """
     F = fourier_full(field)
     mvals = np.asarray(mult, dtype=complex)
     bad = np.abs(mvals) > AMPLIFICATION_CUTOFF
-    clamped_fraction = 0.0
+    meta = dict(field.meta)
     if np.any(bad):
         total = np.sum(np.abs(F.values) ** 2)
         clamped = np.sum(np.abs(F.values[bad]) ** 2)
         if total > 0 and clamped / total > CLAMPED_MASS_TOLERANCE:
             raise IllPosedSmoothingError("deconvolution ill-posed for this field")
-        clamped_fraction = float(clamped / total) if total > 0 else 0.0
-        mvals = mvals.copy()
-        mvals[bad] = 0.0
+        fraction = float(clamped / total) if total > 0 else 0.0
+        meta["deconvolution_clamped"] = max(meta.get("deconvolution_clamped", 0.0), fraction)
+        mvals = np.where(bad, 0.0, mvals)
     F.values *= mvals
-    out = fourier_full_inverse(F)
-    if np.any(bad):
-        out.meta["deconvolution_clamped"] = clamped_fraction
-    return out.assert_finite()
+    return PhaseField(field.grid, fourier_full_inverse(F).values, meta).assert_finite()
 
 
-def apply_smoother(spec_or_smoother, field, direction="forward"):
-    """Apply the smoother S (or S^-1) of an ordering spec to a field."""
-    smoother = getattr(spec_or_smoother, "smoother", spec_or_smoother)
-    if smoother.is_identity():
+def apply_smoother(spec, field, direction="forward"):
+    """Apply the smoother S (or S^-1) of an ordering spec to a field.
+
+    The identity ordering returns a copy: this is the one place that decides so.
+    """
+    if direction not in ("forward", "inverse"):
+        raise PSQError("direction must be 'forward' or 'inverse'")
+    if spec.is_plain_sigma():
         return field.copy()
     g = field.grid
     XI, ETA = g.conj_meshes()
-    mult = np.asarray(smoother.multiplier(XI, ETA, g.hbar), dtype=complex)
-    if direction == "inverse":
-        mult = 1.0 / mult
-    elif direction != "forward":
-        raise PSQError("direction must be 'forward' or 'inverse'")
-    return _apply_multiplier(field, mult)
+    mult = np.asarray(spec.smoother.multiplier(XI, ETA, g.hbar), dtype=complex)
+    return _apply_multiplier(field, mult if direction == "forward" else 1.0 / mult)
+
+
+def _gauge_phase(grid, delta):
+    """exp(i delta xi eta / hbar), the multiplier taking sigma to sigma + delta."""
+    XI, ETA = grid.conj_meshes()
+    return np.exp(1j * delta * XI * ETA / grid.hbar)
 
 
 def gauge_transform(field, sigma_from, sigma_to):
@@ -201,9 +207,7 @@ def gauge_transform(field, sigma_from, sigma_to):
     delta = sigma_to - sigma_from
     if delta == 0:
         return field.copy()
-    g = field.grid
-    XI, ETA = g.conj_meshes()
-    return _apply_multiplier(field, np.exp(1j * delta * XI * ETA / g.hbar))
+    return _apply_multiplier(field, _gauge_phase(field.grid, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +277,9 @@ def star_sigma(f, g_field, sigma):
 def star_sigma_S(f, g_field, spec):
     """f *_{sigma,S} g = S(S^-1 f *_sigma S^-1 g); identity smoother reduces
     bit-for-bit to star_sigma."""
-    if spec.is_plain_sigma():
-        return star_sigma(f, g_field, spec.sigma)
     fi = apply_smoother(spec, f, "inverse")
     gi = apply_smoother(spec, g_field, "inverse")
-    prod = star_sigma(fi, gi, spec.sigma)
-    out = apply_smoother(spec, prod, "forward")
-    out.meta.update(prod.meta)
-    return out
+    return apply_smoother(spec, star_sigma(fi, gi, spec.sigma), "forward")
 
 
 # ---------------------------------------------------------------------------
@@ -393,20 +392,22 @@ def moyal_bracket(f, g_field, spec):
 def involution_dagger(field, spec):
     """A^dagger = S S_{sigma - sigmabar} Sbar^-1 conj(A).
 
-    All three factors are conjugate-lattice multipliers, fused into a single
-    spectral pass so intermediate amplification cannot overflow the guard.
-    For sigma = 1/2 with the identity smoother this is plain conjugation.
+    One guarded multiply of conj(A) by the gauge phase
+    exp(i (sigma - sigmabar) xi eta / hbar), times S / Sbar only when the
+    smoother differs from its conjugate (Cohen smoothers).  Gaussian smoothers
+    have Sbar = S, so that factor cancels exactly and an underflowing
+    multiplier cannot turn into 0/0.  For sigma = 1/2 with the identity
+    smoother this is plain conjugation, bit-exact.  The result keeps the
+    field's guard flags.
     """
-    g = field.grid
     delta = spec.sigma - spec.sigma_bar
     conj_field = field.conj()
-    if spec.is_plain_sigma():
-        if delta == 0:
-            return conj_field
-        return gauge_transform(conj_field, 0.0, delta)
-    XI, ETA = g.conj_meshes()
-    m_s = np.asarray(spec.smoother.multiplier(XI, ETA, g.hbar), dtype=complex)
-    m_sbar = np.asarray(spec.smoother.conjugated().multiplier(XI, ETA, g.hbar),
-                        dtype=complex)
-    mult = m_s * np.exp(1j * delta * XI * ETA / g.hbar) / m_sbar
+    if delta == 0 and spec.is_plain_sigma():
+        return conj_field
+    g = field.grid
+    mult = _gauge_phase(g, delta)
+    smoother, sbar = spec.smoother, spec.smoother.conjugated()
+    if sbar != smoother:
+        XI, ETA = g.conj_meshes()
+        mult = mult * smoother.multiplier(XI, ETA, g.hbar) / sbar.multiplier(XI, ETA, g.hbar)
     return _apply_multiplier(conj_field, mult)

@@ -160,9 +160,7 @@ def twisted_tensor(phi, psi, spec):
     chi = np.conj(_sheared_samples(grid, cp, -sb)) * _sheared_samples(grid, cs, sigma)
     chi *= mask
     # one partial transform on the shift axis: y -> p with kernel e^{-i p y/hbar}
-    out = fourier_partial(PhaseField(grid, chi), "p", "forward")
-    if not spec.is_plain_sigma():
-        out = apply_smoother(spec, out, "forward")
+    out = apply_smoother(spec, fourier_partial(PhaseField(grid, chi), "p", "forward"))
     return QuasiDistribution(out.assert_finite(), spec, provenance=(phi, psi))
 
 

@@ -219,7 +219,16 @@ class TestRunContract:
                  "params": {"family": "free", "hbars": [0.2], "t": float("nan"),
                             "grid": {"nx": 32, "np": 32}}},
                 {"scenario": "evolve", "grid": {"nx": 32, "np": 32},
-                 "params": {"p0": float("inf"), "steps": 2}}):
+                 "params": {"p0": float("inf"), "steps": 2}},
+                # unknown keys at any level: grid, ordering, smoother, top level
+                {"scenario": "wigner", "grid": {"nx": 64, "xmin": -4}},
+                {"scenario": "wigner", "grid": {"nx": 64, "np": 64},
+                 "ordering": {"sigma": 0.3,
+                              "smoothr": {"kind": "gaussian", "alpha": 0.1, "beta": 0.1}}},
+                {"scenario": "wigner", "grid": {"nx": 64, "np": 64},
+                 "ordering": {"smoother": {"kind": "gaussian", "alpha": 0.1, "gama": 1}}},
+                {"scenario": "wigner", "grid": {"nx": 64, "np": 64},
+                 "paramz": {"phi_hermite": 1, "psi_hermite": 1}}):
             (code, manifest), outdir = run_config(payload, tmp_path)
             assert code == 2
             assert manifest is None

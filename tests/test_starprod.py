@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from psq import (CohenSmoother, GaussianSmoother, IdentitySmoother,
-                 IllPosedSmoothingError, ObservableSpec, OrderingSpec,
+                 IllPosedSmoothingError, ObservableSpec, OrderingSpec, PSQError,
                  PhaseField, PolyH, UnsupportedObservableError, WordSmoother,
-                 apply_smoother, bopp_apply, gauge_transform, integrate,
+                 apply_smoother, bopp_apply, fourier_partial, gauge_transform, integrate,
                  involution_dagger, l2_norm, make_grid, moyal_bracket,
                  operator_matrix, pstar, star_commutator, star_sigma,
                  star_sigma_S, twisted_tensor)
@@ -108,6 +108,16 @@ class TestStarSigma:
         for bopp_spec in (OrderingSpec(0.5), spec):
             acted = bopp_apply(ObservableSpec.harmonic(1.0), pulled, "right", bopp_spec)
             assert acted.meta["deconvolution_clamped"] == clamped
+        # smoothers, gauge maps, the involution, the smoothed product and
+        # partial transforms keep the flags of a localized operand
+        flagged = PhaseField(grid64, state.values, out.meta)
+        for kept in (apply_smoother(spec, flagged, "forward"),
+                     gauge_transform(flagged, 0.2, 0.7),
+                     involution_dagger(flagged, OrderingSpec(0.3)),
+                     involution_dagger(flagged, spec),
+                     star_sigma_S(flagged, flagged, spec),
+                     fourier_partial(flagged, "p", "inverse")):
+            assert kept.meta["tail_mass_warning"] == out.meta["tail_mass_warning"]
 
 
 class TestBoppApply:
@@ -326,6 +336,10 @@ class TestSmoothers:
         f = PhaseField.constant(grid64)
         with pytest.raises(UnsupportedObservableError):
             apply_smoother(OrderingSpec(0.5, word), f, "forward")
+        # the direction is checked first, under every ordering
+        for spec in (OrderingSpec(0.5), OrderingSpec(0.5, GaussianSmoother(0.1, 0.1))):
+            with pytest.raises(PSQError, match="direction"):
+                apply_smoother(spec, f, "sideways")
 
     def test_cohen_equivalent_to_gaussian(self, grid64, rng):
         hbar = grid64.hbar
@@ -488,6 +502,19 @@ class TestInvolution:
         f = gaussian_mixture(grid64, rng)
         out = involution_dagger(f, OrderingSpec(0.5))
         assert np.array_equal(out.values, np.conj(f.values))
+
+    def test_strong_gaussian_smoother(self):
+        # S = Sbar cancels exactly: the multiplier underflows to 0 on this
+        # lattice, and S / Sbar would be 0/0
+        grid = make_grid(64, 64, -4.0, 4.0, -4.0, 4.0, 1.0)
+        X, P = grid.meshes()
+        f = PhaseField(grid, np.exp(-(X ** 2 + P ** 2)))
+        smoother = GaussianSmoother(2.0, 2.0)
+        out = involution_dagger(f, OrderingSpec(0.5, smoother))
+        assert np.abs(out.values - np.conj(f.values)).max() < 1e-12
+        spec = OrderingSpec(0.3, smoother)
+        back = involution_dagger(involution_dagger(f, spec), spec)
+        assert l2_norm(back - f) / l2_norm(f) < 1e-8
 
     def test_involutive(self, grid64, rng):
         for spec in (OrderingSpec(0.3),
