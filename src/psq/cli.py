@@ -447,11 +447,9 @@ def _scenario_wigner(grid, spec, p, emit):
     if i == j:
         is_pure, residuals = purity_check(state)
         emit.csv("purity.csv", "is_pure,herm,idem,norm",
-                 [(int(is_pure), float(residuals[0]), float(residuals[1]),
-                   float(residuals[2]))])
-    xs, px = marginal(state, "x") if i == j else (grid.x, np.zeros(grid.nx))
-    emit.csv("marginal_x.csv", "x,density",
-             [(float(a), float(b)) for a, b in zip(xs, px)])
+                 [(int(is_pure),) + tuple(float(r) for r in residuals)])
+        xs, px = marginal(state, "x")
+        emit.csv("marginal_x.csv", "x,density", [(float(a), float(b)) for a, b in zip(xs, px)])
 
 
 _BINARY_OPS = {"star": star_sigma_S, "commutator": star_commutator, "bracket": moyal_bracket}

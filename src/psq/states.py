@@ -1,4 +1,4 @@
-"""Quasi-distributions from wavefunctions: the twisted tensor product.
+"""Quasi-distributions from wavefunctions: the twisted tensor product and its inverse.
 
 A pair of configuration-space wavefunctions (phi, psi) maps to the
 phase-space function
@@ -6,11 +6,11 @@ phase-space function
     Psi(x, p) = S (2 pi hbar)^{-1/2} int dy e^{-i p y/hbar}
                 conj(phi)(x - sigmabar y) psi(x + sigma y),
 
-computed column-by-column with band-limited (trigonometric) interpolation at
-the sheared sample points, one partial transform on the shift axis, and the
-smoother.  Sheared arguments that leave the x domain are masked to zero:
-the interpolant is periodic but the wavefunctions are not, and their true
-values beyond the span are below the tail threshold by precondition.
+by band-limited interpolation at the sheared points (masked to zero outside
+the x domain, where the wavefunctions are below the tail threshold), one
+partial transform on the shift axis, and the smoother.  The map is linear in
+the kernel K = conj(phi) (x) psi; its inverse (S^-1, p -> y, a sigmabar y
+shift) reads K off any state, and K's leading singular pair factors a pure one.
 """
 
 import json
@@ -128,12 +128,14 @@ def _interpolation_tail(coeffs):
     return float(edge / peak)
 
 
-def _sheared_samples(grid, coeffs, scale):
-    """Samples f(x_j + scale * y_l) on the (x, y) lattice, by shift theorem."""
-    phases = np.exp(1j * scale * np.outer(grid.eta, grid.xi) / grid.hbar)
-    rows = half_dft(coeffs[None, :] * phases, 1, grid.xi[0], grid.dxi,
+def _sheared_samples(grid, coeffs, scale, y):
+    """Samples f(x_j + scale * y_l) on the (x, y) lattice, by shift theorem.
+
+    coeffs: interpolation coefficients of f (nx,), or of one f per y (nx, len(y)).
+    """
+    phases = np.exp(1j * scale * np.outer(grid.xi, y) / grid.hbar)
+    return half_dft(coeffs.reshape(grid.nx, -1) * phases, 0, grid.xi[0], grid.dxi,
                     grid.x[0], grid.dx, +1, grid.hbar)
-    return rows.T  # (x index, y index)
 
 
 def _shear_mask(grid, scale):
@@ -157,11 +159,28 @@ def twisted_tensor(phi, psi, spec):
             "refine the axis or widen the span"
             % (tail, INTERPOLATION_TAIL_THRESHOLD))
     mask = _shear_mask(grid, sigma) & _shear_mask(grid, -sb)
-    chi = np.conj(_sheared_samples(grid, cp, -sb)) * _sheared_samples(grid, cs, sigma)
+    chi = (np.conj(_sheared_samples(grid, cp, -sb, grid.eta))
+           * _sheared_samples(grid, cs, sigma, grid.eta))
     chi *= mask
     # one partial transform on the shift axis: y -> p with kernel e^{-i p y/hbar}
     out = apply_smoother(spec, fourier_partial(PhaseField(grid, chi), "p", "forward"))
     return QuasiDistribution(out.assert_finite(), spec, provenance=(phi, psi))
+
+
+def _kernel(state):
+    """Kernel K[i, k] = conj(phi)(x_i) psi(x_k) of a state: twisted_tensor inverted.
+
+    S^-1 pullback, p -> y sum at y_d = d dx (zero past the shift lattice's half
+    period, never sampled), sigmabar y_d shift along x; K[i, k] is column k - i.
+    """
+    grid, n = state.grid, state.grid.nx
+    pulled = apply_smoother(state.spec, state.psi_field, "inverse").values
+    y = grid.dx * np.arange(1 - n, n)
+    chi = pulled @ np.exp(1j * np.outer(grid.p, y) / grid.hbar)
+    chi *= (np.abs(y) <= -grid.eta[0]) * (grid.dp / sqrt(2.0 * pi * grid.hbar))
+    shifted = _sheared_samples(grid, _fwd_x(grid, chi) / n, state.spec.sigma_bar, y)
+    i = np.arange(n)
+    return shifted[i[:, None], i[None, :] - i[:, None] + n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -228,35 +247,18 @@ def basis_idempotence_check(i, j, k, l, spec, grid, omega=1.0):
     return l2_norm(prod)
 
 
-def coefficient_matrix(state, nmax, omega=1.0):
-    """Expansion coefficients c_ij = <Psi_ij | Psi>_H in the Hermite tensor basis."""
-    grid = state.grid
-    basis = hermite_basis(grid, nmax, omega)
-    pulled = apply_smoother(state.spec, state.psi_field, "inverse")
-    out = np.zeros((nmax + 1, nmax + 1), dtype=complex)
-    for i in range(nmax + 1):
-        for j in range(nmax + 1):
-            t_ij = twisted_tensor(basis[i], basis[j], OrderingSpec(state.spec.sigma))
-            out[i, j] = l2_inner(t_ij.psi_field, pulled)
-    return out
+def pure_factorization(state):
+    """Recover the wavefunction pair of a pure state from its kernel.
 
-
-def pure_factorization(state, nmax=12, omega=1.0):
-    """Recover the wavefunction pair of a pure state from its coefficients.
-
-    The coefficient matrix of phi* (x) psi is rank one; its leading singular
-    pair gives the wavefunctions up to a global phase, which is fixed by
-    making the largest-magnitude sample real-positive.
+    The kernel phi* (x) psi is rank one; its leading singular pair gives the
+    pair up to a global phase, fixed by making phi's largest sample real positive.
     """
     grid = state.grid
-    c = coefficient_matrix(state, nmax, omega)
-    u_mat, s, vh = np.linalg.svd(c)
+    u_mat, s, vh = np.linalg.svd(_kernel(state))
     if s[0] <= 0:
         raise PSQError("state has no rank-one component")
-    basis = hermite_basis(grid, nmax, omega)
-    stack = np.array([b.values for b in basis])
-    phi_vals = np.conj(u_mat[:, 0]) @ stack
-    psi_vals = (vh[0, :] * s[0]) @ stack
+    phi_vals = np.conj(u_mat[:, 0]) / sqrt(grid.dx)
+    psi_vals = vh[0, :] * (s[0] * sqrt(grid.dx))
     # the pair is defined up to one common phase: anchor it on phi's peak
     peak = phi_vals[np.argmax(np.abs(phi_vals))]
     rot = np.conj(peak) / abs(peak)

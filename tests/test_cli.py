@@ -374,6 +374,15 @@ class TestSubcommands:
         assert (csv_only / "purity.csv").exists()
         assert not list(csv_only.glob("*.psqf"))
 
+    def test_wigner_marginal_only_for_a_density(self, tmp_path):
+        # conj(h_0) h_1 is no density: an off-diagonal pair writes no x-marginal
+        for (i, j), written in (((0, 1), False), ((1, 1), True)):
+            outdir = tmp_path / ("w%d%d" % (i, j))
+            code = main(["wigner", "--output-dir", str(outdir), "--nx", "64",
+                         "--np", "64", "--phi-hermite", str(i), "--psi-hermite", str(j)])
+            assert code == 0
+            assert (outdir / "marginal_x.csv").exists() == written
+
     def test_starprod_symbolic_subcommand(self, tmp_path):
         outdir = str(tmp_path / "sym")
         code = main(["starprod", "--symbolic", "--f", "x", "--g", "p",

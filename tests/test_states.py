@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from psq import (GaussianSmoother, MixedState, NumericalPreconditionError,
-                 OrderingSpec, PSQError, WaveFunction, apply_smoother,
-                 basis_idempotence_check, hermite_basis, hermite_function,
-                 l2_norm, marginal, pure_factorization, purity_check,
-                 read_state, star_sigma_S, twisted_tensor, write_state)
+from psq import (CoherentParams, GaussianSmoother, MixedState,
+                 NumericalPreconditionError, OrderingSpec, PSQError, WaveFunction,
+                 apply_smoother, basis_idempotence_check, coherent_wavepacket,
+                 hermite_basis, hermite_function, l2_norm, marginal,
+                 pure_factorization, purity_check, read_state, star_sigma_S,
+                 twisted_tensor, write_state)
+from psq.states import _kernel
 
 TWO_PI = 2 * np.pi
 
@@ -216,16 +218,41 @@ class TestFactorization:
         spec = OrderingSpec(0.3, GaussianSmoother(0.1, 0.1))
         phi = random_wavefunction(grid64, rng, nmax=4)
         state = twisted_tensor(phi, phi, spec)
-        phi_r, psi_r = pure_factorization(state, nmax=10)
+        phi_r, psi_r = pure_factorization(state)
         rebuilt = twisted_tensor(phi_r, psi_r, spec)
         assert l2_norm(rebuilt.psi_field - state.psi_field) < 1e-5
-        # the defaults on the default CLI grid (128^2 on [-8, 8]): every basis
-        # function up to the default nmax passes the interpolation-tail guard
+        # the default CLI grid (128^2 on [-8, 8])
         spec = OrderingSpec(0.5)
         state = twisted_tensor(hermite_function(grid128, 1), hermite_function(grid128, 2), spec)
         phi_r, psi_r = pure_factorization(state)
         rebuilt = twisted_tensor(phi_r, psi_r, spec)
         assert l2_norm(rebuilt.psi_field - state.psi_field) < 1e-5
+        # a displaced packet lies outside any low Hermite span; the kernel
+        # holds it all the same
+        packet = coherent_wavepacket(CoherentParams(3.0, 1.0), grid128)
+        state = twisted_tensor(packet, packet, spec)
+        phi_r, psi_r = pure_factorization(state)
+        rebuilt = twisted_tensor(phi_r, psi_r, spec)
+        assert l2_norm(rebuilt.psi_field - state.psi_field) < 1e-5
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 0.5, 1.0])
+    def test_kernel_inverts_twisted_tensor(self, grid128, sigma):
+        h1, h2 = hermite_function(grid128, 1), hermite_function(grid128, 2)
+        want = np.outer(np.conj(h1.values), h2.values)
+        for spec in (OrderingSpec(sigma), OrderingSpec(sigma, GaussianSmoother(0.1, 0.1))):
+            got = _kernel(twisted_tensor(h1, h2, spec))
+            assert np.abs(got - want).max() < 1e-8 * np.abs(want).max()
+
+    def test_kernel_past_the_shift_half_period(self, grid64):
+        # on 64^2 [-8, 8] the shift lattice's half period (4 pi) is shorter than
+        # the span: wider separations were never sampled and read zero, not the
+        # periodic image of the cat's coherence at separation 8
+        lobes = [coherent_wavepacket(CoherentParams(c, 0.0, 4.0), grid64).values
+                 for c in (-4.0, 4.0)]
+        cat = WaveFunction(grid64, sum(lobes)).normalized()
+        got = _kernel(twisted_tensor(cat, cat, OrderingSpec(0.5)))
+        want = np.outer(np.conj(cat.values), cat.values)
+        assert np.abs(got - want).max() < 1e-4 * np.abs(want).max()
 
 
 class TestMixedState:
