@@ -24,6 +24,7 @@ import re
 import shutil
 import sys
 import tempfile
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -548,16 +549,24 @@ def run(config_path):
     return run_config(config)
 
 
+@lru_cache(maxsize=None)
+def _schema_validator():
+    """The config validator, built and checked against its metaschema once."""
+    import jsonschema
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
 def run_config(config):
     """Execute a scenario config dict; returns (exit_code, manifest or None).
 
     On a non-zero exit output_dir is left as the run found it.
     """
-    import jsonschema
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        print("schema violation: %s" % exc.message, file=sys.stderr)
+    from jsonschema.exceptions import best_match
+    error = best_match(_schema_validator().iter_errors(config))
+    if error is not None:
+        print("schema violation: %s" % error.message, file=sys.stderr)
         return 2, None
     outdir = config["output_dir"]
     try:

@@ -25,7 +25,7 @@ implicit resample.
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft as sp_fft
@@ -228,6 +228,16 @@ class WaveFunction:
 # hbar-scaled discrete transforms
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _dft_phases(n, in0, din, out0, dout, sign, hbar):
+    """The pre and post phase vectors of :func:`half_dft`, cached and read-only."""
+    idx = np.arange(n)
+    pre = np.exp(sign * 1j * out0 * (in0 + din * idx) / hbar)
+    post = np.exp(sign * 1j * idx * dout * in0 / hbar)
+    pre.flags.writeable = post.flags.writeable = False
+    return pre, post
+
+
 def half_dft(values, axis, in0, din, out0, dout, sign, hbar):
     """sum_j f_j exp(sign * i * out_m * in_j / hbar) along one axis.
 
@@ -237,9 +247,7 @@ def half_dft(values, axis, in0, din, out0, dout, sign, hbar):
     """
     values = np.asarray(values, dtype=complex)
     n = values.shape[axis]
-    idx = np.arange(n)
-    pre = np.exp(sign * 1j * out0 * (in0 + din * idx) / hbar)
-    post = np.exp(sign * 1j * idx * dout * in0 / hbar)
+    pre, post = _dft_phases(n, in0, din, out0, dout, sign, hbar)
     shape = [1] * values.ndim
     shape[axis] = n
     a = values * pre.reshape(shape)
@@ -436,10 +444,9 @@ def read_field(path):
 def write_field_csv(field, path):
     """CSV export: columns x,p,re,im with a comment header."""
     g = field.grid
-    X, P = g.meshes()
     v = field.values
-    rows = zip(X.ravel().tolist(), P.ravel().tolist(),
-               v.real.ravel().tolist(), v.imag.ravel().tolist())
+    xs, ps = (["%.17g," % a for a in axis.tolist()] for axis in (g.x, g.p))
+    vals = map("%.17g,%.17g\n".__mod__, zip(v.real.ravel().tolist(), v.imag.ravel().tolist()))
     with open(path, "w") as fh:
         fh.write("# hbar=%.17g nx=%d np=%d\nx,p,re,im\n" % (g.hbar, g.nx, g.np))
-        fh.writelines(map("%.17g,%.17g,%.17g,%.17g\n".__mod__, rows))
+        fh.writelines(x + p + next(vals) for x in xs for p in ps)

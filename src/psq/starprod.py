@@ -3,8 +3,8 @@
 Two computational routes, cross-checked in the test suite:
 
 * ``star_sigma`` - the exact-on-lattice twisted convolution in the conjugate
-  domain (the reference path, cost O(nx^2 np log np): a Python loop over the nx
-  conjugate rows, each a batch of length-3np FFTs);
+  domain (the reference path, cost O(nx^2 np log np): the g rows transformed
+  once, then a loop over the nx rows of f, each FFTing the in-lattice rows);
 * ``bopp_apply`` - the fast route for observable-on-state action: the
   ordered operator with q and p replaced by Bopp shifts, applied pair by
   pair from :meth:`ObservableSpec.factors` through the mixed-representation
@@ -221,30 +221,28 @@ def _twisted_convolution(Ff, Fg, xi, eta, sigma, hbar):
         sum_{m', l'} Ff[m', l'] Fg[m-m'+nx/2, l-l'+np/2]
             exp(i/hbar [sigma xi' (eta-eta') - sigmabar (xi-xi') eta'])
 
-    Out-of-lattice differences contribute zero (no folding); accuracy is
-    governed by the operands' spectral tails, not by aliasing.
+    Out-of-lattice differences contribute zero (no folding), so the Fg rows
+    are transformed once and each m' forms only the rows m whose partner row
+    m-m'+nx/2 is on the lattice; accuracy is governed by the operands'
+    spectral tails, not by aliasing.
     """
     nx, npn = Ff.shape
     sb = 1.0 - sigma
-    dxi = xi[1] - xi[0]
-    deta = eta[1] - eta[0]
-    # rows padded so that the xi-shifted block lookup never leaves bounds,
-    # eta-padded so the linear convolution index stays in range
-    rows = np.zeros((3 * nx, 2 * npn), dtype=complex)
-    rows[nx:2 * nx, npn // 2: npn // 2 + npn] = Fg
-    B = np.exp(-1j * sb * np.outer(xi, eta) / hbar)          # (m, l')
-    out = np.zeros((nx, npn), dtype=complex)
     L = sp_fft.next_fast_len(3 * npn - 1)
     w = _workers()
+    # eta-padded so the linear convolution index stays in range
+    G = sp_fft.fft(np.pad(Fg, ((0, 0), (npn // 2, 0))), L, axis=1, workers=w)
+    B = np.exp(-1j * sb * np.outer(xi, eta) / hbar)          # (m, l')
+    out = np.zeros((nx, npn), dtype=complex)
+    h = nx // 2
     for mp in range(nx):
+        lo, hi = max(0, mp - h), min(nx, mp - h + nx)         # partner rows on the lattice
         A = Ff[mp, :] * np.exp(1j * (sb - sigma) * xi[mp] * eta / hbar)
-        D = A[None, :] * B                                    # (m, l')
-        blk = rows[nx + nx // 2 - mp: 2 * nx + nx // 2 - mp]  # (m, 2 npn)
-        conv = sp_fft.ifft(sp_fft.fft(D, L, axis=1, workers=w)
-                           * sp_fft.fft(blk, L, axis=1, workers=w),
+        D = A[None, :] * B[lo:hi]                             # (m, l')
+        conv = sp_fft.ifft(sp_fft.fft(D, L, axis=1, workers=w) * G[lo - mp + h: hi - mp + h],
                            axis=1, workers=w)[:, npn:2 * npn]
-        out += np.exp(1j * sigma * xi[mp] * eta / hbar)[None, :] * conv
-    out *= dxi * deta / (2.0 * np.pi * hbar)
+        out[lo:hi] += np.exp(1j * sigma * xi[mp] * eta / hbar)[None, :] * conv
+    out *= (xi[1] - xi[0]) * (eta[1] - eta[0]) / (2.0 * np.pi * hbar)
     return out
 
 

@@ -240,6 +240,23 @@ class TestRunContract:
             assert main(argv + ["--nx", "32", "--np", "32", "--output-dir", str(outdir)]) == 2
             assert not outdir.exists() or not os.listdir(outdir)
 
+    @pytest.mark.parametrize("payload", [
+        {"scenario": "spectrum", "grid": {"nx": "64"}},
+        {"scenario": "spectrum", "unexpected": 1},
+        {"scenario": "spectrum", "formats": ["csv", "xlsx"]},
+        # all three at once: the reported error is jsonschema's best match,
+        # not the first one found
+        {"scenario": "spectrum", "formats": ["xlsx"], "grid": {"nx": "64"}, "unexpected": 1},
+    ])
+    def test_schema_message_matches_jsonschema(self, tmp_path, capsys, payload):
+        import jsonschema
+        payload = dict(payload, output_dir=str(tmp_path / "out"))
+        with pytest.raises(jsonschema.ValidationError) as caught:
+            jsonschema.validate(payload, CONFIG_SCHEMA)
+        (code, _manifest), _out = run_config(payload, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "schema violation: %s\n" % caught.value.message
+
     def test_unreadable_config_exit_2(self, tmp_path):
         path = tmp_path / "nope.json"
         path.write_text("{not json")

@@ -5,7 +5,7 @@ from psq import (GridMismatchError, PhaseField, PSQError, SpectralField,
                  WaveFunction, fourier_full, fourier_full_inverse,
                  fourier_partial, integrate, l2_inner, l2_norm, make_grid,
                  read_field, write_field, write_field_csv)
-from psq.grids import spectral_derivatives
+from psq.grids import _dft_phases, half_dft, spectral_derivatives
 from psq.ordering import OrderingSpec
 from psq.states import hermite_function, twisted_tensor
 
@@ -106,6 +106,38 @@ class TestFourierPartial:
         assert np.abs(out.values - exact).max() < 1e-10
 
 
+class TestPhaseCache:
+    def test_cached_phases_read_only(self, grid64):
+        g = grid64
+        for phase in _dft_phases(g.nx, g.x[0], g.dx, g.xi[0], g.dxi, -1, g.hbar):
+            with pytest.raises(ValueError):
+                phase[0] = 0.0
+
+    def test_cache_changes_no_bit(self, rng):
+        # two spans on one shape share n but no phase; used in turn, each must
+        # read its own entries
+        grids = (make_grid(32, 16, -4, 4, -3, 3, 1.0), make_grid(32, 16, -6, 5, -2, 2, 0.7))
+        vals = rng.normal(size=(32, 16)) + 1j * rng.normal(size=(32, 16))
+
+        def transforms(g):
+            return [half_dft(vals, 0, g.x[0], g.dx, g.xi[0], g.dxi, -1, g.hbar),
+                    half_dft(vals, 0, g.xi[0], g.dxi, g.x[0], g.dx, +1, g.hbar),
+                    half_dft(vals, 1, g.p[0], g.dp, g.eta[0], g.deta, +1, g.hbar),
+                    half_dft(vals, 1, g.eta[0], g.deta, g.p[0], g.dp, -1, g.hbar)]
+
+        _dft_phases.cache_clear()
+        warm = [transforms(g) for g in grids + grids]
+        assert _dft_phases.cache_info().hits == 8
+        for g, got in zip(grids + grids, warm):
+            _dft_phases.cache_clear()
+            for a, b in zip(got, transforms(g)):
+                assert np.array_equal(a, b)
+        # and each grid's phases are its own: x -> xi against the dense sum
+        for g, got in zip(grids, warm[2:]):
+            dense = np.exp(-1j * np.outer(g.xi, g.x) / g.hbar) @ vals
+            assert np.abs(got[0] - dense).max() < 1e-12 * np.abs(dense).max()
+
+
 class TestDerivativeRule:
     @pytest.mark.parametrize("n,m", [(1, 0), (0, 1), (2, 0), (1, 1), (2, 2)])
     def test_multiplier(self, grid64, n, m):
@@ -193,6 +225,22 @@ class TestSerialization:
         assert lines[0] == "# hbar=2 nx=4 np=4"
         assert lines[1] == "x,p,re,im"
         assert len(lines) == 2 + 16
+
+    def test_csv_bytes_match_per_row_format(self, tmp_path):
+        # axis values that need all 17 digits
+        g = make_grid(8, 4, -1.1, 0.7, -3.3, 2.9, 0.5)
+        vals = np.arange(32.0).reshape(8, 4) * (1.5 - 0.25j)
+        vals[0, 0] = complex(-0.0, 5e-324)
+        vals[3, 1] = complex(1.7e308, -0.0)
+        vals[7, 3] = complex(-2.2250738585072014e-308 / 3, -1.2345678901234567e-300)
+        path = tmp_path / "field.csv"
+        write_field_csv(PhaseField(g, vals), path)
+        X, P = g.meshes()
+        want = "# hbar=0.5 nx=8 np=4\nx,p,re,im\n" + "".join(
+            "%.17g,%.17g,%.17g,%.17g\n" % row
+            for row in zip(X.ravel().tolist(), P.ravel().tolist(),
+                           vals.real.ravel().tolist(), vals.imag.ravel().tolist()))
+        assert path.read_bytes() == want.encode()
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.psqf"

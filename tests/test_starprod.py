@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft as sp_fft
 
 from psq import (CohenSmoother, GaussianSmoother, IdentitySmoother,
                  IllPosedSmoothingError, ObservableSpec, OrderingSpec, PSQError,
@@ -8,7 +9,9 @@ from psq import (CohenSmoother, GaussianSmoother, IdentitySmoother,
                  involution_dagger, l2_norm, make_grid, moyal_bracket,
                  operator_matrix, pstar, star_commutator, star_sigma,
                  star_sigma_S, twisted_tensor)
+from psq.grids import _workers
 from psq.polyalg import DiffOpWord
+from psq.starprod import _twisted_convolution
 from psq.states import hermite_function
 
 from conftest import dense_star_oracle, gaussian_mixture, plateau_window
@@ -118,6 +121,45 @@ class TestStarSigma:
                      star_sigma_S(flagged, flagged, spec),
                      fourier_partial(flagged, "p", "inverse")):
             assert kept.meta["tail_mass_warning"] == out.meta["tail_mass_warning"]
+
+
+def full_band_convolution(Ff, Fg, xi, eta, sigma, hbar):
+    """The twisted convolution with every row of every block formed: the
+    oracle for the banded loop, zero rows included."""
+    nx, npn = Ff.shape
+    sb = 1.0 - sigma
+    dxi = xi[1] - xi[0]
+    deta = eta[1] - eta[0]
+    # rows padded so that the xi-shifted block lookup never leaves bounds,
+    # eta-padded so the linear convolution index stays in range
+    rows = np.zeros((3 * nx, 2 * npn), dtype=complex)
+    rows[nx:2 * nx, npn // 2: npn // 2 + npn] = Fg
+    B = np.exp(-1j * sb * np.outer(xi, eta) / hbar)          # (m, l')
+    out = np.zeros((nx, npn), dtype=complex)
+    L = sp_fft.next_fast_len(3 * npn - 1)
+    w = _workers()
+    for mp in range(nx):
+        A = Ff[mp, :] * np.exp(1j * (sb - sigma) * xi[mp] * eta / hbar)
+        D = A[None, :] * B                                    # (m, l')
+        blk = rows[nx + nx // 2 - mp: 2 * nx + nx // 2 - mp]  # (m, 2 npn)
+        conv = sp_fft.ifft(sp_fft.fft(D, L, axis=1, workers=w)
+                           * sp_fft.fft(blk, L, axis=1, workers=w),
+                           axis=1, workers=w)[:, npn:2 * npn]
+        out += np.exp(1j * sigma * xi[mp] * eta / hbar)[None, :] * conv
+    out *= dxi * deta / (2.0 * np.pi * hbar)
+    return out
+
+
+class TestTwistedConvolutionBand:
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 32), (16, 32)])
+    @pytest.mark.parametrize("sigma", [0.0, 0.37, 1.0])
+    def test_bit_identical_to_full_band(self, rng, shape, sigma):
+        # full-lattice operands: every skipped row would pair a nonzero Ff row
+        # with an off-lattice Fg row
+        g = make_grid(*shape, -4, 4, -3, 3, 0.8)
+        Ff, Fg = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+        got = _twisted_convolution(Ff, Fg, g.xi, g.eta, sigma, g.hbar)
+        assert np.array_equal(got, full_band_convolution(Ff, Fg, g.xi, g.eta, sigma, g.hbar))
 
 
 class TestBoppApply:

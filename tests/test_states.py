@@ -254,6 +254,17 @@ class TestFactorization:
         want = np.outer(np.conj(cat.values), cat.values)
         assert np.abs(got - want).max() < 1e-4 * np.abs(want).max()
 
+    def test_kernel_is_ordering_free(self, grid64):
+        # the tensor-product theorem: one pair is one kernel, whatever (sigma, S)
+        # builds its quasi-distribution
+        phi = hermite_function(grid64, 2)
+        psi = coherent_wavepacket(CoherentParams(1.0, 0.5), grid64)
+        specs = [OrderingSpec(s) for s in (0.0, 0.37, 1.0)]
+        specs.append(OrderingSpec(0.5, GaussianSmoother(0.1, 0.1)))
+        first, *rest = (_kernel(twisted_tensor(phi, psi, spec)) for spec in specs)
+        for got in rest:
+            assert np.abs(got - first).max() < 1e-8 * np.abs(first).max()
+
 
 class TestMixedState:
     def test_weight_validation(self, grid64):
