@@ -331,8 +331,7 @@ def _oscillator(omega, spec):
 
 def _under(state, spec):
     """A closed-form state of the identity smoother at spec.sigma, under `spec`."""
-    return QuasiDistribution(apply_smoother(spec, state.psi_field), spec,
-                             is_state=state.is_state)
+    return QuasiDistribution(apply_smoother(spec, state.psi_field), spec)
 
 
 def _scenario_spectrum(grid, spec, p, emit):

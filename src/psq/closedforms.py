@@ -184,8 +184,7 @@ def ho_state(m, n, params, grid):
                   5.0 * sqrt(hbar * omega * (max(m, n) + 1) * max(lam, 0.5)))
     if m < n:
         swapped = ho_state(n, m, params, grid)
-        return QuasiDistribution(swapped.psi_field.conj(), swapped.spec,
-                                 is_state=(m == n))
+        return QuasiDistribution(swapped.psi_field.conj(), swapped.spec)
     X, P = grid.meshes()
     r2 = P ** 2 + omega ** 2 * X ** 2
     theta = np.arctan2(P, omega * X)
@@ -200,9 +199,8 @@ def ho_state(m, n, params, grid):
     vals = pref * radial * _laguerre_recurrence(n, m - n, z) \
         * np.exp(-1j * (m - n) * theta) * np.exp(-r2 / (2.0 * hbar * omega * lam))
     field = PhaseField(grid, vals)
-    state = QuasiDistribution(field, params.spec(), is_state=(m == n))
-    nrm = state.norm_h()
-    state = QuasiDistribution(field * (1.0 / nrm), params.spec(), is_state=(m == n))
+    nrm = QuasiDistribution(field, params.spec()).norm_h()
+    state = QuasiDistribution(field * (1.0 / nrm), params.spec())
     state.psi_field.meta["prefactor_rescale"] = nrm
     return state
 
@@ -242,7 +240,7 @@ def ho_ladder(m, n, params, grid):
     for k in range(1, n + 1):
         norm *= k
     field = field * (1.0 / sqrt(norm))
-    return QuasiDistribution(field, spec, is_state=(m == n))
+    return QuasiDistribution(field, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +289,7 @@ def momentum_plane_wave_state(p0, sigma, alpha, beta, grid):
         / (2.0 * pi * hbar * sqrt(beta))
     field = PhaseField(grid, vals + 0j)
     field.meta["not_a_proper_state"] = True
-    state = QuasiDistribution(field, OrderingSpec(sigma, GaussianSmoother(alpha, beta)),
-                              is_state=False)
-    return state
+    return QuasiDistribution(field, OrderingSpec(sigma, GaussianSmoother(alpha, beta)))
 
 
 def coherent_wavepacket(params, grid):

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PSQError, StabilityBoundError, TruncationError, UnsupportedObservableError
+from .errors import (NumericalPreconditionError, PSQError, StabilityBoundError,
+                     TruncationError, UnsupportedObservableError)
 from .grids import PhaseField, WaveFunction, half_dft, l2_norm, spectral_derivatives
 from .polyalg import PolyH, pstar, pstar_S
 from .spectra import expectation, hermitian_eigh
@@ -32,6 +33,7 @@ METHODS = ("split_step_schrodinger", "phase_space_rk4", "matrix_exponential")
 RK4_STABILITY_LIMIT = 2.6          # conservative |lambda dt| cap (imaginary axis)
 POWER_ITERATIONS = 8               # of the seeded RK4 stability estimate
 POWER_SEED = 7
+HILBERT_NORM_DRIFT = 1e-6          # relative drift of ||S^-1 Psi||_2 under quantum RK4
 STAR_EXP_TAIL_BOUND = 1e-8
 HEISENBERG_ORDER = 18              # Heisenberg bracket-series cap and tail bound
 HEISENBERG_TAIL = 1e-12
@@ -224,11 +226,15 @@ def evolve_phase_space(state0, H, spec, cfg, observables=None, classical=False):
 
     Evolves the state's field Psi (pure or mixed: the equation is linear in
     the state, so Psi and rho = Psi / sqrt(2 pi hbar) evolve alike) and
-    records Psi snapshots; norms are |normalization_integral()|.  With
+    records Psi snapshots; norms are |normalization_integral()|.  The
+    quantum flow is unitary, so the Hilbert-algebra norm ||S^-1 Psi||_2 is
+    checked at every snapshot against t = 0: a relative drift past
+    HILBERT_NORM_DRIFT raises NumericalPreconditionError, and so does a
+    pullback the deconvolution guard refuses (IllPosedSmoothingError).  With
     classical=True the same integrator solves the Liouville equation instead
-    (the hbar-deformation terms are dropped); for quadratic symbols the two
-    flows agree on Gaussians, which the tests exploit.  The state must be
-    under `spec`.
+    (the hbar-deformation terms are dropped, and so is the norm check); for
+    quadratic symbols the two flows agree on Gaussians, which the tests
+    exploit.  The state must be under `spec`.
     """
     if cfg.method != "phase_space_rk4":
         raise PSQError("evolve_phase_space runs phase_space_rk4, not %r" % cfg.method)
@@ -249,8 +255,16 @@ def evolve_phase_space(state0, H, spec, cfg, observables=None, classical=False):
         k4 = rhs(cur + k3 * cfg.dt)
         return cur + (k1 + (k2 + k3) * 2.0 + k4) * (cfg.dt / 6.0)
 
+    norm0 = None if classical else state0.norm_h()
+
     def snapshot(field):
         state = QuasiDistribution(field.copy(), spec)
+        if norm0 is not None:
+            drift = abs(state.norm_h() / norm0 - 1.0)
+            if drift > HILBERT_NORM_DRIFT:
+                raise NumericalPreconditionError(
+                    "RK4 flow is not unitary here: ||S^-1 Psi||_2 drifted by %.3g "
+                    "(bound %.1g) from t = 0" % (drift, HILBERT_NORM_DRIFT))
         return state.psi_field, abs(state.normalization_integral()), state
 
     return _propagate(state0.psi_field, step, snapshot, cfg, observables)

@@ -29,7 +29,6 @@ from .starprod import ObservableSpec, bopp_apply
 from .states import twisted_tensor
 
 HERMITICITY_TOL = 1e-10
-DEGENERACY_WINDOW = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +157,6 @@ class SpectralResult:
         return twisted_tensor(self.wavefunctions[m], self.wavefunctions[n], self.ordering)
 
 
-def _reorthonormalize_windows(energies, vectors, dx):
-    """Gram-Schmidt inside near-degenerate energy windows."""
-    start = 0
-    n = len(energies)
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(energies[stop] - energies[start]) < DEGENERACY_WINDOW:
-            stop += 1
-        if stop - start > 1:
-            block = vectors[:, start:stop]
-            q, _ = np.linalg.qr(block)
-            vectors[:, start:stop] = q
-        start = stop
-    vectors /= np.sqrt(dx)
-    return vectors
-
-
 def spectrum_via_schrodinger(H, spec, n_levels, grid, residual_fields=True):
     """Lowest levels of the (sigma, S)-ordered operator of the ObservableSpec H.
 
@@ -190,7 +172,7 @@ def spectrum_via_schrodinger(H, spec, n_levels, grid, residual_fields=True):
             "n_levels=%d exceeds the reliable resolution bound nx/4=%d"
             % (n_levels, grid.nx // 4))
     energies, vectors = hermitian_eigh(H, spec, grid)
-    vectors = _reorthonormalize_windows(energies, vectors, grid.dx)
+    vectors /= np.sqrt(grid.dx)     # eigh's orthonormal columns, dx-weighted
     kept_e = energies[:n_levels]
     waves = [WaveFunction(grid, vectors[:, n]) for n in range(n_levels)]
     # boundary-resolution sanity: levels must decay inside the span

@@ -6,9 +6,13 @@ Two computational routes, cross-checked in the test suite:
   domain (the reference path, cost O(nx^2 np log np): the g rows transformed
   once, then a loop over the nx rows of f, each FFTing the in-lattice rows);
 * ``bopp_apply`` - the fast route for observable-on-state action: the
-  ordered operator with q and p replaced by Bopp shifts, applied pair by
-  pair from :meth:`ObservableSpec.factors` through the mixed-representation
-  multiply ``grids.multiply_mixed`` (one round trip per non-scalar factor).
+  ordered operator with x and p replaced by the (sigma, S) Bopp shifts
+  (m_x, m_p), defined once on the conjugate lattice.  With the identity
+  smoother they are real and the operator is applied pair by pair from
+  :meth:`ObservableSpec.factors` through the mixed-representation multiply
+  ``grids.multiply_mixed`` (one round trip per non-scalar factor); a
+  Gaussian smoother makes them complex, and the action is the two-index
+  series sum_{j,k} (d_x^j d_p^k A)/(j! k!) F^-1[m_x^j m_p^k F psi].
 
 Smoothers, gauge maps between sigma values and the involution are Fourier
 multipliers on the conjugate lattice, applied through one guarded multiply
@@ -23,6 +27,7 @@ exactly.
 """
 
 import warnings
+from math import factorial
 
 import numpy as np
 import scipy.fft as sp_fft
@@ -31,7 +36,7 @@ from .errors import (IllPosedSmoothingError, PSQError,
                      UnsupportedObservableError)
 from .grids import (PhaseField, SpectralField, _workers,
                     boundary_tail_mass, fourier_full, fourier_full_inverse,
-                    multiply_mixed, spectral_derivatives)
+                    multiply_mixed)
 from .ordering import GaussianSmoother, OrderingSpec
 from .polyalg import PolyH, sigma_order, sigma_order_right, word_profiles
 
@@ -284,87 +289,83 @@ def star_sigma_S(f, g_field, spec):
 # Bopp-shift route: observable acting on a state
 # ---------------------------------------------------------------------------
 
-def _gaussian_direct_product(poly, field, side, sigma, alpha, beta, hbar):
-    """Polynomial symbol times field under the Gaussian-smoothed product.
+def _bopp_shifts(spec, side, grid):
+    """The Bopp shifts (m_x, m_p) of x and p on the conjugate lattice.
 
-    The smoothed product of a polynomial with anything is the finite
-    bidirectional series
-
-        A * g = sum (i hbar s)^a (-i hbar sb)^b (hbar alpha)^c (hbar beta)^d
-                / (a! b! c! d!)
-                (dx^{a+c} dp^{b+d} A) (dx^{b+c} dp^{a+d} g),
-
-    with the symbol derivatives exact and the field derivatives spectral;
-    no deconvolution appears, unlike the pull-back/push-forward sandwich.
-    The right action swaps which factor the arrows hit.
+    The identity smoother gives the real shifts (sigma eta, sigmabar xi) on
+    the left and (-sigmabar eta, -sigma xi) on the right; a Gaussian smoother
+    adds (i alpha xi, -i beta eta) on either side.  With the transforms of
+    ``grids``, xi acts on a field as -i hbar d_x and eta as i hbar d_p.
     """
-    from math import factorial
+    xi, eta = grid.xi[:, None], grid.eta[None, :]
+    if side == "left":
+        m_x, m_p = spec.sigma * eta, spec.sigma_bar * xi
+    else:
+        m_x, m_p = -spec.sigma_bar * eta, -spec.sigma * xi
+    if not spec.is_plain_sigma():
+        m_x = m_x + 1j * spec.smoother.alpha * xi
+        m_p = m_p - 1j * spec.smoother.beta * eta
+    return m_x, m_p
+
+
+def _bopp_series(poly, field, m_x, m_p):
+    """Polynomial symbol times field as a finite series in the Bopp shifts:
+
+        A * g = sum_{j,k} (d_x^j d_p^k A) / (j! k!) F^-1[m_x^j m_p^k F g],
+
+    with the symbol derivatives exact, one full transform of the field and
+    one inverse per nonzero (j, k); the (0, 0) term uses the samples.  No
+    deconvolution appears, unlike the pull-back/push-forward sandwich.
+    """
     g = field.grid
     X, P = g.meshes()
     degx = max((n for (n, _m, _k) in poly.terms), default=0)
     degp = max((m for (_n, m, _k) in poly.terms), default=0)
-    # coefficient factors: left multiplication carries (+i hbar sigma) on the
-    # (symbol d_x, field d_p) pairing; the right action is the mirror image
-    ca = 1j * hbar * sigma if side == "left" else -1j * hbar * (1.0 - sigma)
-    cb = -1j * hbar * (1.0 - sigma) if side == "left" else 1j * hbar * sigma
-    terms = []
-    for a in range(degx + 1):
-        for c in range(degx + 1 - a):
-            d_sym_x = poly.diff_x(a + c)
-            if d_sym_x.is_zero():
-                continue
-            for b in range(degp + 1):
-                for d in range(degp + 1 - b):
-                    d_sym = d_sym_x.diff_p(b + d)
-                    if d_sym.is_zero():
-                        continue
-                    coeff = (ca ** a) * (cb ** b) \
-                        * ((hbar * alpha) ** c) * ((hbar * beta) ** d) \
-                        / (factorial(a) * factorial(b)
-                           * factorial(c) * factorial(d))
-                    if coeff != 0:
-                        terms.append((coeff, d_sym, (b + c, a + d)))
-    derivs = spectral_derivatives(field, [order for _c, _d, order in terms])
+    spectrum = fourier_full(field).values if degx + degp else None
     out = np.zeros((g.nx, g.np), dtype=complex)
-    for coeff, d_sym, order in terms:
-        out += coeff * d_sym.evaluate(X, P, hbar) * derivs[order]
+    for j in range(degx + 1):
+        for k in range(degp + 1):
+            d_sym = poly.diff_x(j).diff_p(k)
+            if d_sym.is_zero():
+                continue
+            if j or k:
+                shifted = SpectralField(g, spectrum * m_x ** j * m_p ** k)
+                work = fourier_full_inverse(shifted).values
+            else:
+                work = field.values
+            out += d_sym.evaluate(X, P, g.hbar) / (factorial(j) * factorial(k)) * work
     return PhaseField(g, out, field.meta)
 
 
 def bopp_apply(A, psi, side="left", spec=None):
     """A *_{sigma,S} psi (side='left') or psi *_{sigma,S} A (side='right').
 
-    With the identity smoother the ordered operator acts with q and p
-    replaced by Bopp shifts: left q = x + sigma y on the (x, y) lattice and
-    p = p + sigmabar u on the (u, p) lattice; the right action uses
-    x - sigmabar y and p - sigma u.  Each factor pair of
-    :meth:`ObservableSpec.factors` costs one mixed multiply per non-scalar
-    factor.  Gaussian smoothers use the finite bidirectional series directly
-    (no deconvolution); every other smoother, and function terms under a
-    Gaussian one, raise UnsupportedObservableError.  The result keeps
-    psi's guard flags.
+    The ordered operator acts with x and p replaced by the Bopp shifts of
+    :func:`_bopp_shifts`.  With the identity smoother they are real: left
+    q = x + sigma y on the (x, y) lattice and p = p + sigmabar u on the
+    (u, p) lattice, right x - sigmabar y and p - sigma u, and each factor
+    pair of :meth:`ObservableSpec.factors` costs one mixed multiply per
+    non-scalar factor.  A Gaussian smoother adds (i alpha u, -i beta y) to
+    the shifts, and the action becomes the finite two-index series of
+    :func:`_bopp_series` (no deconvolution); every other smoother, and
+    function terms under a Gaussian one, raise UnsupportedObservableError.
+    The result keeps psi's guard flags.
     """
     if spec is None:
         spec = OrderingSpec(0.5)
     if side not in ("left", "right"):
         raise PSQError("side must be 'left' or 'right'")
+    smoothed = not spec.is_plain_sigma()
+    if smoothed and (A.fn_terms() or not isinstance(spec.smoother, GaussianSmoother)):
+        raise UnsupportedObservableError(
+            "smoothed Bopp actions need a Gaussian smoother and polynomial "
+            "terms; got %s with %s" % (spec.smoother.kind, A.label))
     g = psi.grid
-    sigma, sb = spec.sigma, spec.sigma_bar
-    if not spec.is_plain_sigma():
-        if A.fn_terms() or not isinstance(spec.smoother, GaussianSmoother):
-            raise UnsupportedObservableError(
-                "smoothed Bopp actions need a Gaussian smoother and polynomial "
-                "terms; got %s with %s" % (spec.smoother.kind, A.label))
-        # the whole smoothed product of a polynomial is a finite series
-        return _gaussian_direct_product(A.poly_part(), psi, side, sigma,
-                                        spec.smoother.alpha, spec.smoother.beta,
-                                        g.hbar).assert_finite()
-    if side == "left":
-        xq = g.x[:, None] + sigma * g.eta[None, :]
-        pq = g.p[None, :] + sb * g.xi[:, None]
-    else:
-        xq = g.x[:, None] - sb * g.eta[None, :]
-        pq = g.p[None, :] - sigma * g.xi[:, None]
+    m_x, m_p = _bopp_shifts(spec, side, g)
+    if smoothed:
+        return _bopp_series(A.poly_part(), psi, m_x, m_p).assert_finite()
+    xq = g.x[:, None] + m_x
+    pq = g.p[None, :] + m_p
     out = np.zeros((g.nx, g.np), dtype=complex)
     for b, a in A.factors(spec, side, xq, pq, g.hbar):
         work = psi.values if b is None else multiply_mixed(g, psi.values, "x", b)

@@ -65,7 +65,6 @@ class QuasiDistribution:
     psi_field: PhaseField
     spec: OrderingSpec
     provenance: tuple = None            # (phi, psi) WaveFunctions when known
-    is_state: bool = True
 
     @property
     def grid(self):

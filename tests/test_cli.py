@@ -312,6 +312,22 @@ class TestRunContract:
         assert {name: (Path(outdir) / name).read_bytes() for name in os.listdir(outdir)} \
             == before
 
+    def test_rk4_norm_drift_exit_3(self, tmp_path):
+        # RK4 under an asymmetric Gaussian smoother leaves the unitary flow;
+        # the Hilbert-norm guard stops the run instead of writing <x> ~ 1e2
+        payload = {
+            "scenario": "evolve",
+            "grid": {"nx": 64, "np": 64},
+            "ordering": {"sigma": 0.5,
+                         "smoother": {"kind": "gaussian", "alpha": 0.3, "beta": 0.0}},
+            "params": {"system": "oscillator", "method": "phase_space_rk4",
+                       "dt": 0.01, "steps": 80, "x0": 1.0, "p0": 0.5},
+        }
+        (code, manifest), outdir = run_config(payload, tmp_path)
+        assert code == 3
+        assert manifest is None
+        assert not os.listdir(outdir)
+
     def test_params_keys_share_one_schema(self):
         # the config schema's params map is flat over all scenarios
         seen = {}

@@ -222,7 +222,6 @@ class TestMomentumPlaneWave:
     def test_flagged_and_shaped(self, grid64):
         from psq.closedforms import momentum_plane_wave_state
         st = momentum_plane_wave_state(1.0, 0.5, 0.0, 0.5, grid64)
-        assert st.is_state is False
         assert st.psi_field.meta["not_a_proper_state"]
         # constant along x, Gaussian along p with the stated prefactor
         v = st.psi_field.values

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from psq import (EvolutionConfig, MixedState, ObservableSpec, OrderingSpec, PhaseField,
-                 PolyH, PSQError, StabilityBoundError, TruncationError, WaveFunction,
+from psq import (EvolutionConfig, GaussianSmoother, MixedState, NumericalPreconditionError,
+                 ObservableSpec, OrderingSpec, PhaseField, PolyH, PSQError, StabilityBoundError, TruncationError, WaveFunction,
                  bopp_apply, default_observables, evolve_phase_space,
                  evolve_schrodinger, expectation, formal_star_bracket,
                  heisenberg_observable, heisenberg_trajectory, l2_norm,
@@ -14,6 +14,8 @@ from psq.closedforms import (CoherentParams, FreeGaussianParams,
                              free_wavepacket, ho_state)
 from psq.dynamics import _fold_numeric_hbar
 from psq.polyalg import pstar
+from psq.starprod import apply_smoother
+from psq.states import QuasiDistribution
 
 FREE_H = ObservableSpec.from_poly(PolyH.monomial(0, 2, c=0.5), "H_free")
 OSC_H = ObservableSpec.harmonic(1.0)
@@ -244,6 +246,22 @@ class TestPhaseSpace:
         with pytest.raises(PSQError, match="split_step_schrodinger"):
             evolve_phase_space(cs, OSC_H, OrderingSpec(0.5),
                                EvolutionConfig(dt=0.5, steps=5))
+
+    def test_hilbert_norm_drift_raises(self, grid64):
+        # an asymmetric Gaussian smoother makes the RK4 flow non-unitary:
+        # ||S^-1 Psi|| drifts by ~1e-4 within 80 steps while the recorded
+        # normalization integral stays at 1; a symmetric one drifts ~1e-11
+        cs = coherent_state(CoherentParams(1.0, 0.5, 1.0, 0.5), grid64)
+        cfg = EvolutionConfig(dt=0.01, steps=80, method="phase_space_rk4")
+        for alpha, beta in ((0.3, 0.0), (0.0, 0.3)):
+            spec = OrderingSpec(0.5, GaussianSmoother(alpha, beta))
+            st = QuasiDistribution(apply_smoother(spec, cs.psi_field), spec)
+            with pytest.raises(NumericalPreconditionError, match="drifted"):
+                evolve_phase_space(st, OSC_H, spec, cfg)
+        spec = OrderingSpec(0.5, GaussianSmoother(0.3, 0.3))
+        st = QuasiDistribution(apply_smoother(spec, cs.psi_field), spec)
+        result = evolve_phase_space(st, OSC_H, spec, cfg)
+        assert abs(result.norms[-1] - 1.0) < 1e-9
 
     def test_picture_equivalence(self, grid64):
         # Schrodinger evolve + tensor vs direct phase-space evolve

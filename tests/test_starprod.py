@@ -9,9 +9,9 @@ from psq import (CohenSmoother, GaussianSmoother, IdentitySmoother,
                  involution_dagger, l2_norm, make_grid, moyal_bracket,
                  operator_matrix, pstar, star_commutator, star_sigma,
                  star_sigma_S, twisted_tensor)
-from psq.grids import _workers
+from psq.grids import _workers, spectral_derivatives
 from psq.polyalg import DiffOpWord
-from psq.starprod import _twisted_convolution
+from psq.starprod import _bopp_series, _bopp_shifts, _twisted_convolution
 from psq.states import hermite_function
 
 from conftest import dense_star_oracle, gaussian_mixture, plateau_window
@@ -160,6 +160,82 @@ class TestTwistedConvolutionBand:
         Ff, Fg = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
         got = _twisted_convolution(Ff, Fg, g.xi, g.eta, sigma, g.hbar)
         assert np.array_equal(got, full_band_convolution(Ff, Fg, g.xi, g.eta, sigma, g.hbar))
+
+
+def _gaussian_direct_product(poly, field, side, sigma, alpha, beta, hbar):
+    """Polynomial symbol times field under the Gaussian-smoothed product.
+
+    The smoothed product of a polynomial with anything is the finite
+    bidirectional series
+
+        A * g = sum (i hbar s)^a (-i hbar sb)^b (hbar alpha)^c (hbar beta)^d
+                / (a! b! c! d!)
+                (dx^{a+c} dp^{b+d} A) (dx^{b+c} dp^{a+d} g),
+
+    with the symbol derivatives exact and the field derivatives spectral;
+    no deconvolution appears, unlike the pull-back/push-forward sandwich.
+    The right action swaps which factor the arrows hit.
+    """
+    from math import factorial
+    g = field.grid
+    X, P = g.meshes()
+    degx = max((n for (n, _m, _k) in poly.terms), default=0)
+    degp = max((m for (_n, m, _k) in poly.terms), default=0)
+    # coefficient factors: left multiplication carries (+i hbar sigma) on the
+    # (symbol d_x, field d_p) pairing; the right action is the mirror image
+    ca = 1j * hbar * sigma if side == "left" else -1j * hbar * (1.0 - sigma)
+    cb = -1j * hbar * (1.0 - sigma) if side == "left" else 1j * hbar * sigma
+    terms = []
+    for a in range(degx + 1):
+        for c in range(degx + 1 - a):
+            d_sym_x = poly.diff_x(a + c)
+            if d_sym_x.is_zero():
+                continue
+            for b in range(degp + 1):
+                for d in range(degp + 1 - b):
+                    d_sym = d_sym_x.diff_p(b + d)
+                    if d_sym.is_zero():
+                        continue
+                    coeff = (ca ** a) * (cb ** b) \
+                        * ((hbar * alpha) ** c) * ((hbar * beta) ** d) \
+                        / (factorial(a) * factorial(b)
+                           * factorial(c) * factorial(d))
+                    if coeff != 0:
+                        terms.append((coeff, d_sym, (b + c, a + d)))
+    derivs = spectral_derivatives(field, [order for _c, _d, order in terms])
+    out = np.zeros((g.nx, g.np), dtype=complex)
+    for coeff, d_sym, order in terms:
+        out += coeff * d_sym.evaluate(X, P, hbar) * derivs[order]
+    return PhaseField(g, out, field.meta)
+
+
+SERIES_SYMBOLS = (
+    PolyH.monomial(4, 0),
+    PolyH.monomial(3, 2),
+    PolyH.monomial(1, 1),
+    PolyH.monomial(0, 2, c=0.5) + PolyH.monomial(4, 0, c=0.25)
+    - PolyH.monomial(3, 2, c=0.3) + PolyH.monomial(1, 1, c=2.0 - 0.5j),
+)
+
+
+class TestBoppSeries:
+    """The two-index series in the Bopp shifts against the four-index
+    expansion it replaced, kept above verbatim as the reference."""
+
+    @pytest.mark.parametrize("alpha, beta", [(0.1, 0.1), (0.3, 0.0), (0.0, 0.3)])
+    @pytest.mark.parametrize("sigma", [0.0, 0.37, 0.5, 1.0])
+    def test_matches_four_index_series(self, rng, sigma, alpha, beta):
+        spec = OrderingSpec(sigma, GaussianSmoother(alpha, beta))
+        for n in (32, 64):
+            g = make_grid(n, n, -8.0, 8.0, -8.0, 8.0, 1.0)
+            field = gaussian_mixture(g, rng)
+            for side in ("left", "right"):
+                m_x, m_p = _bopp_shifts(spec, side, g)
+                for poly in SERIES_SYMBOLS:
+                    want = _gaussian_direct_product(poly, field, side, sigma,
+                                                    alpha, beta, g.hbar).values
+                    got = _bopp_series(poly, field, m_x, m_p).values
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestBoppApply:
