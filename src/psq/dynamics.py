@@ -228,7 +228,7 @@ def evolve_phase_space(state0, H, spec, cfg, observables=None, classical=False):
     the state, so Psi and rho = Psi / sqrt(2 pi hbar) evolve alike) and
     records Psi snapshots; norms are |normalization_integral()|.  The
     quantum flow is unitary, so the Hilbert-algebra norm ||S^-1 Psi||_2 is
-    checked at every snapshot against t = 0: a relative drift past
+    checked after every step against t = 0: a relative drift past
     HILBERT_NORM_DRIFT raises NumericalPreconditionError, and so does a
     pullback the deconvolution guard refuses (IllPosedSmoothingError).  With
     classical=True the same integrator solves the Liouville equation instead
@@ -248,23 +248,24 @@ def evolve_phase_space(state0, H, spec, cfg, observables=None, classical=False):
             "(spectral radius ~ %.3g); suggested dt <= %.3g"
             % (cfg.dt, radius, 0.8 * RK4_STABILITY_LIMIT / radius))
 
+    norm0 = None if classical else state0.norm_h()
+
     def step(cur):
         k1 = rhs(cur)
         k2 = rhs(cur + k1 * (0.5 * cfg.dt))
         k3 = rhs(cur + k2 * (0.5 * cfg.dt))
         k4 = rhs(cur + k3 * cfg.dt)
-        return cur + (k1 + (k2 + k3) * 2.0 + k4) * (cfg.dt / 6.0)
-
-    norm0 = None if classical else state0.norm_h()
-
-    def snapshot(field):
-        state = QuasiDistribution(field.copy(), spec)
+        nxt = cur + (k1 + (k2 + k3) * 2.0 + k4) * (cfg.dt / 6.0)
         if norm0 is not None:
-            drift = abs(state.norm_h() / norm0 - 1.0)
+            drift = abs(QuasiDistribution(nxt, spec).norm_h() / norm0 - 1.0)
             if drift > HILBERT_NORM_DRIFT:
                 raise NumericalPreconditionError(
                     "RK4 flow is not unitary here: ||S^-1 Psi||_2 drifted by %.3g "
                     "(bound %.1g) from t = 0" % (drift, HILBERT_NORM_DRIFT))
+        return nxt
+
+    def snapshot(field):
+        state = QuasiDistribution(field.copy(), spec)
         return state.psi_field, abs(state.normalization_integral()), state
 
     return _propagate(state0.psi_field, step, snapshot, cfg, observables)

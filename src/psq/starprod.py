@@ -1,10 +1,13 @@
 """Numerical star products on sampled fields.
 
-Two computational routes, cross-checked in the test suite:
+Three computational routes, cross-checked in the test suite:
 
-* ``star_sigma`` - the exact-on-lattice twisted convolution in the conjugate
-  domain (the reference path, cost O(nx^2 np log np): the g rows transformed
-  once, then a loop over the nx rows of f, each FFTing the in-lattice rows);
+* ``star_sigma`` composes configuration-space kernels, K_g @ K_f (cost
+  O(nx^2 (nx + np))), when kernels hold both operands: dx <= deta, and the
+  share of each operand's |chi|^2 whose kernel arguments leave the span (its
+  out-of-span mass) is at most 1e-16.  Every other pair goes through the
+  exact-on-lattice twisted convolution (the reference path, O(nx^2 np log np):
+  the g rows transformed once, then a loop over the nx rows of f);
 * ``bopp_apply`` - the fast route for observable-on-state action: the
   ordered operator with x and p replaced by the (sigma, S) Bopp shifts
   (m_x, m_p), defined once on the conjugate lattice.  With the identity
@@ -19,7 +22,7 @@ multipliers on the conjugate lattice, applied through one guarded multiply
 that keeps its operand's guard flags.
 
 All operations require their operands to share one grid and (for the
-convolution route) to be effectively supported inside it; the tail-mass
+star product) to be effectively supported inside it; the tail-mass
 precondition is checked and flagged, not silently ignored.  Coordinate-like
 fields that fill the whole lattice violate that precondition - polynomial
 observables belong in an ObservableSpec, which the Bopp route handles
@@ -27,16 +30,16 @@ exactly.
 """
 
 import warnings
-from math import factorial
+from math import factorial, pi, sqrt
 
 import numpy as np
 import scipy.fft as sp_fft
 
 from .errors import (IllPosedSmoothingError, PSQError,
                      UnsupportedObservableError)
-from .grids import (PhaseField, SpectralField, _workers,
+from .grids import (PhaseField, SpectralField, _fwd_x, _workers,
                     boundary_tail_mass, fourier_full, fourier_full_inverse,
-                    multiply_mixed)
+                    fourier_partial, half_dft, multiply_mixed)
 from .ordering import GaussianSmoother, OrderingSpec
 from .polyalg import PolyH, sigma_order, sigma_order_right, word_profiles
 
@@ -216,7 +219,7 @@ def gauge_transform(field, sigma_from, sigma_to):
 
 
 # ---------------------------------------------------------------------------
-# the twisted-convolution reference product
+# the star product: twisted convolution and kernel pair
 # ---------------------------------------------------------------------------
 
 def _twisted_convolution(Ff, Fg, xi, eta, sigma, hbar):
@@ -251,6 +254,61 @@ def _twisted_convolution(Ff, Fg, xi, eta, sigma, hbar):
     return out
 
 
+# Kernels drop the share sqrt(m) of an operand of out-of-span mass m, so their
+# product is off by about sqrt(m_f) + sqrt(m_g) of the norm bound: 1e-8 here,
+# 100x under the 1e-6 idempotence and purity tolerances.  Hermite-pair states
+# n <= 4 on 64^2 to 256^2 [-8, 8] measure 4e-30 to 8e-19.
+_KERNEL_SPAN_MASS = 1e-16
+
+
+def _sheared_samples(grid, coeffs, scale, y):
+    """Samples f(x_j + scale * y_l) on the (x, y) lattice, by shift theorem.
+
+    coeffs: interpolation coefficients of f (nx,), or of one f per y (nx, len(y)).
+    """
+    phases = np.exp(1j * scale * np.outer(grid.xi, y) / grid.hbar)
+    return half_dft(coeffs.reshape(grid.nx, -1) * phases, 0, grid.xi[0], grid.dxi,
+                    grid.x[0], grid.dx, +1, grid.hbar)
+
+
+def _shear_mask(grid, sigma, y):
+    """Points (x_j, y_l) whose kernel arguments x - sigmabar y and x + sigma y
+    lie in the span, with |y| within the shift lattice's half period."""
+    mask = np.abs(y)[None, :] <= -grid.eta[0]
+    for scale in (sigma, sigma - 1.0):
+        arg = grid.x[:, None] + scale * y[None, :]
+        mask = mask & (arg >= grid.x_min) & (arg < grid.x_min + grid.nx * grid.dx)
+    return mask
+
+
+def _to_kernel(values, sigma, grid):
+    """Kernel K[i, k] of a sigma-field's values, and its out-of-span mass: chi at
+    the lags y_d = d dx by one dense p -> y sum (a periodic image, zeroed, past
+    the half period), the share of |chi|^2 outside :func:`_shear_mask`, and a
+    sigmabar y_d shift along x that puts K[i, i + d] in column d."""
+    n = grid.nx
+    y = grid.dx * np.arange(1 - n, n)
+    chi = values @ np.exp(1j * np.outer(grid.p, y) / grid.hbar)
+    chi *= (np.abs(y) <= -grid.eta[0]) * (grid.dp / sqrt(2.0 * pi * grid.hbar))
+    weight = np.abs(chi) ** 2
+    lost = float(weight[~_shear_mask(grid, sigma, y)].sum() / max(weight.sum(), 1e-300))
+    shifted = _sheared_samples(grid, _fwd_x(grid, chi) / n, 1.0 - sigma, y)
+    i = np.arange(n)
+    return shifted[i[:, None], i[None, :] - i[:, None] + n - 1], lost
+
+
+def _from_kernel(K, sigma, grid):
+    """The sigma-field values of a kernel, :func:`_to_kernel` inverted: its rows
+    read at the lags, H[i, l] = K(x_i, x_i + eta_l) (zero past the span), and a
+    -sigmabar eta_l shift along x give chi on the (x, eta) lattice, whose
+    p-sum is exactly tr K."""
+    n, eta = grid.nx, grid.eta
+    rows = _fwd_x(grid, K.T).T / n * np.exp(1j * np.outer(grid.x, grid.xi) / grid.hbar)
+    H = rows @ np.exp(1j * np.outer(grid.xi, eta) / grid.hbar) * _shear_mask(grid, 1.0, eta)
+    chi = _sheared_samples(grid, _fwd_x(grid, H) / n, sigma - 1.0, eta) * _shear_mask(grid, sigma, eta)
+    return fourier_partial(PhaseField(grid, chi), "p", "forward").values
+
+
 def _check_tail_mass(field, meta):
     tail = boundary_tail_mass(field)
     if tail > TAIL_MASS_THRESHOLD:
@@ -261,20 +319,25 @@ def _check_tail_mass(field, meta):
 
 
 def star_sigma(f, g_field, sigma):
-    """Discrete f *_sigma g through the Fourier-domain twisted convolution.
+    """Discrete f *_sigma g, keeping its operands' guard flags (maximum per key).
 
-    The result keeps its operands' guard flags (maximum per key).
+    K[f * g] = (2 pi hbar)^{-1/2} dx K_g @ K_f where kernels hold both operands
+    (dx <= deta: the x lattice's Nyquist momentum is outside the p span; each
+    out-of-span mass <= _KERNEL_SPAN_MASS), else the twisted convolution.
     """
     meta = f._merged_meta(g_field)
     grid = f.grid
     _check_tail_mass(f, meta)
     _check_tail_mass(g_field, meta)
-    Ff = fourier_full(f).values
-    Fg = fourier_full(g_field).values
-    spect = _twisted_convolution(Ff, Fg, grid.xi, grid.eta, sigma, grid.hbar)
-    out = fourier_full_inverse(SpectralField(grid, spect))
-    out.meta.update(meta)
-    return out.assert_finite()
+    kernels = [_to_kernel(h.values, sigma, grid) for h in (f, g_field)] if grid.dx <= grid.deta else []
+    if kernels and max(lost for _K, lost in kernels) <= _KERNEL_SPAN_MASS:
+        (Kf, _), (Kg, _) = kernels
+        values = _from_kernel((Kg @ Kf) * (grid.dx / sqrt(2.0 * pi * grid.hbar)), sigma, grid)
+    else:
+        spect = _twisted_convolution(fourier_full(f).values, fourier_full(g_field).values,
+                                     grid.xi, grid.eta, sigma, grid.hbar)
+        values = fourier_full_inverse(SpectralField(grid, spect)).values
+    return PhaseField(grid, values, meta).assert_finite()
 
 
 def star_sigma_S(f, g_field, spec):

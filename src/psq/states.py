@@ -20,10 +20,12 @@ from math import pi, sqrt
 import numpy as np
 
 from .errors import NumericalPreconditionError, PSQError
-from .grids import (PhaseField, WaveFunction, _fwd_x, fourier_partial, half_dft,
+# half_dft stays bound here for perfbench's tracer, which patches it per module
+from .grids import (PhaseField, WaveFunction, _fwd_x, fourier_partial, half_dft,  # noqa: F401
                     integrate, l2_inner, l2_norm, read_field, write_field)
 from .ordering import OrderingSpec, spec_from_dict
-from .starprod import apply_smoother, involution_dagger, star_sigma_S
+from .starprod import (_shear_mask, _sheared_samples, _to_kernel, apply_smoother,
+                       involution_dagger, star_sigma_S)
 
 INTERPOLATION_TAIL_THRESHOLD = 1e-6
 PURITY_TOL = 1e-5
@@ -127,21 +129,6 @@ def _interpolation_tail(coeffs):
     return float(edge / peak)
 
 
-def _sheared_samples(grid, coeffs, scale, y):
-    """Samples f(x_j + scale * y_l) on the (x, y) lattice, by shift theorem.
-
-    coeffs: interpolation coefficients of f (nx,), or of one f per y (nx, len(y)).
-    """
-    phases = np.exp(1j * scale * np.outer(grid.xi, y) / grid.hbar)
-    return half_dft(coeffs.reshape(grid.nx, -1) * phases, 0, grid.xi[0], grid.dxi,
-                    grid.x[0], grid.dx, +1, grid.hbar)
-
-
-def _shear_mask(grid, scale):
-    arg = grid.x[:, None] + scale * grid.eta[None, :]
-    return (arg >= grid.x_min) & (arg < grid.x_min + grid.nx * grid.dx)
-
-
 def twisted_tensor(phi, psi, spec):
     """Build the quasi-distribution of the pair (phi, psi) under the spec."""
     if phi.grid != psi.grid:
@@ -157,29 +144,31 @@ def twisted_tensor(phi, psi, spec):
             "band-limited interpolation error estimate %.3g exceeds %.1g; "
             "refine the axis or widen the span"
             % (tail, INTERPOLATION_TAIL_THRESHOLD))
-    mask = _shear_mask(grid, sigma) & _shear_mask(grid, -sb)
     chi = (np.conj(_sheared_samples(grid, cp, -sb, grid.eta))
            * _sheared_samples(grid, cs, sigma, grid.eta))
-    chi *= mask
+    chi *= _shear_mask(grid, sigma, grid.eta)
     # one partial transform on the shift axis: y -> p with kernel e^{-i p y/hbar}
     out = apply_smoother(spec, fourier_partial(PhaseField(grid, chi), "p", "forward"))
     return QuasiDistribution(out.assert_finite(), spec, provenance=(phi, psi))
 
 
+class _Kernel(np.ndarray):
+    """A kernel array that keeps the guard flags of the field it was read from."""
+
+    def __array_finalize__(self, obj):
+        self.meta = getattr(obj, "meta", {})
+
+
 def _kernel(state):
     """Kernel K[i, k] = conj(phi)(x_i) psi(x_k) of a state: twisted_tensor inverted.
 
-    S^-1 pullback, p -> y sum at y_d = d dx (zero past the shift lattice's half
-    period, never sampled), sigmabar y_d shift along x; K[i, k] is column k - i.
+    The S^-1 pullback, then :func:`starprod._to_kernel`; K.meta holds the
+    pullback's guard flags.
     """
-    grid, n = state.grid, state.grid.nx
-    pulled = apply_smoother(state.spec, state.psi_field, "inverse").values
-    y = grid.dx * np.arange(1 - n, n)
-    chi = pulled @ np.exp(1j * np.outer(grid.p, y) / grid.hbar)
-    chi *= (np.abs(y) <= -grid.eta[0]) * (grid.dp / sqrt(2.0 * pi * grid.hbar))
-    shifted = _sheared_samples(grid, _fwd_x(grid, chi) / n, state.spec.sigma_bar, y)
-    i = np.arange(n)
-    return shifted[i[:, None], i[None, :] - i[:, None] + n - 1]
+    pulled = apply_smoother(state.spec, state.psi_field, "inverse")
+    K = _to_kernel(pulled.values, state.spec.sigma, state.grid)[0].view(_Kernel)
+    K.meta = pulled.meta
+    return K
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,22 @@ class TestRunContract:
         assert manifest is None
         assert not os.listdir(outdir)
 
+    def test_rk4_drift_checked_between_snapshots(self, tmp_path, capsys):
+        # snapshots only at steps 157 and 314: the drift is caught at the
+        # step it passes the bound, before the pullback itself is refused
+        payload = {
+            "scenario": "evolve",
+            "grid": {"nx": 64, "np": 64},
+            "ordering": {"sigma": 0.5,
+                         "smoother": {"kind": "gaussian", "alpha": 0.3, "beta": 0.0}},
+            "params": {"system": "oscillator", "method": "phase_space_rk4",
+                       "dt": 0.01, "steps": 314, "snapshot_every": 157,
+                       "x0": 1.0, "p0": 0.5},
+        }
+        (code, _manifest), _outdir = run_config(payload, tmp_path)
+        assert code == 3
+        assert "||S^-1 Psi||_2 drifted" in capsys.readouterr().err
+
     def test_params_keys_share_one_schema(self):
         # the config schema's params map is flat over all scenarios
         seen = {}

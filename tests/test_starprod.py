@@ -9,9 +9,11 @@ from psq import (CohenSmoother, GaussianSmoother, IdentitySmoother,
                  involution_dagger, l2_norm, make_grid, moyal_bracket,
                  operator_matrix, pstar, star_commutator, star_sigma,
                  star_sigma_S, twisted_tensor)
-from psq.grids import _workers, spectral_derivatives
+from psq.grids import (SpectralField, _workers, fourier_full, fourier_full_inverse,
+                       spectral_derivatives)
 from psq.polyalg import DiffOpWord
-from psq.starprod import _bopp_series, _bopp_shifts, _twisted_convolution
+from psq.starprod import (_KERNEL_SPAN_MASS, _bopp_series, _bopp_shifts, _to_kernel,
+                          _twisted_convolution)
 from psq.states import hermite_function
 
 from conftest import dense_star_oracle, gaussian_mixture, plateau_window
@@ -160,6 +162,52 @@ class TestTwistedConvolutionBand:
         Ff, Fg = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
         got = _twisted_convolution(Ff, Fg, g.xi, g.eta, sigma, g.hbar)
         assert np.array_equal(got, full_band_convolution(Ff, Fg, g.xi, g.eta, sigma, g.hbar))
+
+
+
+def convolution_route(f, g2, sigma):
+    """star_sigma through the twisted convolution alone."""
+    grid = f.grid
+    spect = _twisted_convolution(fourier_full(f).values, fourier_full(g2).values,
+                                 grid.xi, grid.eta, sigma, grid.hbar)
+    return fourier_full_inverse(SpectralField(grid, spect))
+
+
+class TestKernelRoute:
+    """star_sigma composes kernels where they hold both operands."""
+
+    @pytest.mark.parametrize("smoothed", [False, True], ids=["identity", "gaussian"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.37, 0.5, 1.0])
+    def test_agrees_with_convolution(self, grid128, sigma, smoothed):
+        # the kernels drop a share sqrt(m) of each operand (m its out-of-span
+        # mass), on top of the convolution's own rounding
+        spec = OrderingSpec(sigma, GaussianSmoother(0.1, 0.1) if smoothed else IdentitySmoother())
+        h = [hermite_function(grid128, n) for n in range(4)]
+        bound_const = 1 / np.sqrt(TWO_PI * grid128.hbar)
+        for (i, j), (k, l) in (((2, 2), (2, 2)), ((1, 3), (3, 1)), ((0, 1), (2, 3))):
+            f, g2 = (apply_smoother(spec, twisted_tensor(h[a], h[b], spec).psi_field, "inverse")
+                     for a, b in ((i, j), (k, l)))
+            masses = [_to_kernel(op.values, sigma, grid128)[1] for op in (f, g2)]
+            assert max(masses) <= _KERNEL_SPAN_MASS
+            diff = l2_norm(star_sigma(f, g2, sigma) - convolution_route(f, g2, sigma))
+            bound = (np.sqrt(masses).sum() + 1e-12) * bound_const * l2_norm(f) * l2_norm(g2)
+            assert diff <= bound
+
+    def test_refused_operands_take_the_convolution(self, grid64, rng):
+        # a Gaussian mixture spills past the span at sigma = 0
+        f, g2 = gaussian_mixture(grid64, rng), gaussian_mixture(grid64, rng)
+        assert _to_kernel(f.values, 0.0, grid64)[1] > _KERNEL_SPAN_MASS
+        want = convolution_route(f, g2, 0.0)
+        assert np.array_equal(star_sigma(f, g2, 0.0).values, want.values)
+        # on 32^2 [-8, 8] the x lattice's Nyquist momentum pi hbar / dx lies
+        # inside the p span (dx > deta), so no kernel holds a field's outer
+        # momenta, whatever its out-of-span mass
+        coarse = make_grid(32, 32, -8.0, 8.0, -8.0, 8.0, 1.0)
+        psi = moyal_ground(coarse)
+        assert coarse.dx > coarse.deta
+        assert _to_kernel(psi.values, 0.5, coarse)[1] <= _KERNEL_SPAN_MASS
+        want = convolution_route(psi, psi, 0.5)
+        assert np.array_equal(star_sigma(psi, psi, 0.5).values, want.values)
 
 
 def _gaussian_direct_product(poly, field, side, sigma, alpha, beta, hbar):

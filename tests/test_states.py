@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from psq import (CoherentParams, GaussianSmoother, MixedState,
-                 NumericalPreconditionError, OrderingSpec, PSQError, WaveFunction,
+                 NumericalPreconditionError, OrderingSpec, PhaseField, PSQError,
+                 QuasiDistribution, WaveFunction,
                  apply_smoother, basis_idempotence_check, coherent_wavepacket,
-                 hermite_basis, hermite_function, l2_norm, marginal,
+                 hermite_basis, hermite_function, l2_norm, make_grid, marginal,
                  pure_factorization, purity_check, read_state, star_sigma_S,
                  twisted_tensor, write_state)
+from psq.starprod import _KERNEL_SPAN_MASS, _from_kernel, _to_kernel
 from psq.states import _kernel
 
 TWO_PI = 2 * np.pi
@@ -264,6 +266,58 @@ class TestFactorization:
         first, *rest = (_kernel(twisted_tensor(phi, psi, spec)) for spec in specs)
         for got in rest:
             assert np.abs(got - first).max() < 1e-8 * np.abs(first).max()
+
+
+class TestKernelMap:
+    """_from_kernel inverts _kernel, on rank-one and full-rank kernels."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_round_trip(self, n):
+        grid = make_grid(n, n, -8.0, 8.0, -8.0, 8.0, 1.0)
+        h1, h2 = hermite_function(grid, 1), hermite_function(grid, 2)
+        for sigma in (0.0, 0.3, 0.5, 1.0):
+            state = twisted_tensor(h1, h2, OrderingSpec(sigma))
+            got = _from_kernel(_kernel(state), sigma, grid)
+            psi = state.psi_field.values
+            assert np.linalg.norm(got - psi) <= 1e-12 * np.linalg.norm(psi)
+
+    def test_round_trip_reads_zero_past_the_span(self, grid128):
+        # the cat's coherence K(4, -4) sits one span from K(4, 12); a kernel
+        # row read past the span must give zero, not that periodic image
+        lobes = [coherent_wavepacket(CoherentParams(c, 0.0, 4.0), grid128).values
+                 for c in (-4.0, 4.0)]
+        cat = WaveFunction(grid128, sum(lobes)).normalized()
+        state = twisted_tensor(cat, cat, OrderingSpec(0.0))
+        got = _from_kernel(_kernel(state), 0.0, grid128)
+        psi = state.psi_field.values
+        assert np.linalg.norm(got - psi) <= 1e-8 * np.linalg.norm(psi)
+
+    def test_thermal_kernel_closed_form(self, grid128):
+        # rho = (1 - e^-beta) sum_n e^{-n beta} |n><n| over 40 levels maps to
+        # (1/pi hbar) tanh(beta hbar omega/2) exp(-tanh(beta hbar omega/2)(x^2 + p^2)/hbar)
+        beta, hbar = 2.0, grid128.hbar
+        phis = np.array([h.values for h in hermite_basis(grid128, 39)])
+        weights = (1 - np.exp(-beta)) * np.exp(-beta * np.arange(40))
+        K = (np.conj(phis).T * weights) @ phis
+        wigner = _from_kernel(K, 0.5, grid128) / np.sqrt(TWO_PI * hbar)
+        X, P = grid128.meshes()
+        t = np.tanh(beta * hbar / 2)
+        want = t / (np.pi * hbar) * np.exp(-t * (X ** 2 + P ** 2) / hbar)
+        assert np.abs(wigner - want).max() <= 1e-12 * want.max()
+
+    def test_kernel_keeps_guard_flags(self, grid64):
+        # the S^-1 pullback clamps; the operand carries a tail-mass flag
+        spec = OrderingSpec(0.5, GaussianSmoother(0.1, 0.1))
+        h1 = hermite_function(grid64, 1)
+        field = twisted_tensor(h1, h1, spec).psi_field
+        state = QuasiDistribution(PhaseField(grid64, field.values, {"tail_mass_warning": 2e-9}),
+                                  spec)
+        pulled = apply_smoother(spec, state.psi_field, "inverse")
+        assert pulled.meta["deconvolution_clamped"] > 0
+        assert _kernel(state).meta == pulled.meta
+        # the kernel product keeps them too
+        assert _to_kernel(pulled.values, 0.5, grid64)[1] <= _KERNEL_SPAN_MASS
+        assert star_sigma_S(state.psi_field, state.psi_field, spec).meta == pulled.meta
 
 
 class TestMixedState:
