@@ -3,11 +3,11 @@
 Three computational routes, cross-checked in the test suite:
 
 * ``star_sigma`` composes configuration-space kernels, K_g @ K_f (cost
-  O(nx^2 (nx + np))), when kernels hold both operands: dx <= deta, and the
-  share of each operand's |chi|^2 whose kernel arguments leave the span (its
-  out-of-span mass) is at most 1e-16.  Every other pair goes through the
-  exact-on-lattice twisted convolution (the reference path, O(nx^2 np log np):
-  the g rows transformed once, then a loop over the nx rows of f);
+  O(nx^2 (nx + np))), when kernels hold both operands: dx <= deta, and at most
+  1e-16 of each operand's weight lies out of span or aliased (see
+  ``_to_kernel``).  Other pairs take the exact-on-lattice twisted convolution
+  (the reference path, O(nx^2 np log np): the g rows transformed once, then a
+  loop over the nx rows of f);
 * ``bopp_apply`` - the fast route for observable-on-state action: the
   ordered operator with x and p replaced by the (sigma, S) Bopp shifts
   (m_x, m_p), defined once on the conjugate lattice.  With the identity
@@ -254,10 +254,10 @@ def _twisted_convolution(Ff, Fg, xi, eta, sigma, hbar):
     return out
 
 
-# Kernels drop the share sqrt(m) of an operand of out-of-span mass m, so their
-# product is off by about sqrt(m_f) + sqrt(m_g) of the norm bound: 1e-8 here,
-# 100x under the 1e-6 idempotence and purity tolerances.  Hermite-pair states
-# n <= 4 on 64^2 to 256^2 [-8, 8] measure 4e-30 to 8e-19.
+# A kernel drops the share sqrt(m) of an operand that loses the mass m (out of
+# span or aliased), so the product is off by about sqrt(m_f) + sqrt(m_g) of the
+# norm bound: 1e-8 here, 100x under the 1e-6 idempotence tolerance (purity:
+# 1e-5).  Hermite-pair states n <= 4 on 64^2 to 256^2 [-8, 8] measure 4e-30 to 8e-19.
 _KERNEL_SPAN_MASS = 1e-16
 
 
@@ -281,17 +281,26 @@ def _shear_mask(grid, sigma, y):
     return mask
 
 
+def _share(weight, mask):
+    return float(weight[mask].sum() / max(weight.sum(), 1e-300))
+
+
 def _to_kernel(values, sigma, grid):
-    """Kernel K[i, k] of a sigma-field's values, and its out-of-span mass: chi at
-    the lags y_d = d dx by one dense p -> y sum (a periodic image, zeroed, past
-    the half period), the share of |chi|^2 outside :func:`_shear_mask`, and a
-    sigmabar y_d shift along x that puts K[i, i + d] in column d."""
-    n = grid.nx
+    """Kernel K[i, k] of a sigma-field's values, and its lost mass: chi at the
+    lags y_d = d dx by one dense p -> y sum (a periodic image, zeroed, past the
+    half period) and a sigmabar y_d shift along x that puts K[i, i + d] in
+    column d.  The lost mass is the out-of-span mass (|chi|^2 outside
+    :func:`_shear_mask`) plus the aliased mass (the values' |x-transform|^2 at
+    the (xi, p) whose kernel momenta p + sigmabar xi or p - sigma xi pass the
+    x lattice's Nyquist pi hbar / dx)."""
+    n, nyquist = grid.nx, -grid.xi[0]
     y = grid.dx * np.arange(1 - n, n)
     chi = values @ np.exp(1j * np.outer(grid.p, y) / grid.hbar)
     chi *= (np.abs(y) <= -grid.eta[0]) * (grid.dp / sqrt(2.0 * pi * grid.hbar))
-    weight = np.abs(chi) ** 2
-    lost = float(weight[~_shear_mask(grid, sigma, y)].sum() / max(weight.sum(), 1e-300))
+    xi, p = grid.xi[:, None], grid.p[None, :]
+    aliased = (np.abs(p + (1.0 - sigma) * xi) > nyquist) | (np.abs(p - sigma * xi) > nyquist)
+    lost = (_share(np.abs(chi) ** 2, ~_shear_mask(grid, sigma, y))
+            + _share(np.abs(_fwd_x(grid, values)) ** 2, aliased))
     shifted = _sheared_samples(grid, _fwd_x(grid, chi) / n, 1.0 - sigma, y)
     i = np.arange(n)
     return shifted[i[:, None], i[None, :] - i[:, None] + n - 1], lost
@@ -323,7 +332,8 @@ def star_sigma(f, g_field, sigma):
 
     K[f * g] = (2 pi hbar)^{-1/2} dx K_g @ K_f where kernels hold both operands
     (dx <= deta: the x lattice's Nyquist momentum is outside the p span; each
-    out-of-span mass <= _KERNEL_SPAN_MASS), else the twisted convolution.
+    operand's lost mass from :func:`_to_kernel` <= _KERNEL_SPAN_MASS), else the
+    twisted convolution.
     """
     meta = f._merged_meta(g_field)
     grid = f.grid

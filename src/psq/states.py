@@ -152,23 +152,11 @@ def twisted_tensor(phi, psi, spec):
     return QuasiDistribution(out.assert_finite(), spec, provenance=(phi, psi))
 
 
-class _Kernel(np.ndarray):
-    """A kernel array that keeps the guard flags of the field it was read from."""
-
-    def __array_finalize__(self, obj):
-        self.meta = getattr(obj, "meta", {})
-
-
 def _kernel(state):
-    """Kernel K[i, k] = conj(phi)(x_i) psi(x_k) of a state: twisted_tensor inverted.
-
-    The S^-1 pullback, then :func:`starprod._to_kernel`; K.meta holds the
-    pullback's guard flags.
-    """
+    """Kernel K[i, k] = conj(phi)(x_i) psi(x_k) of a state: twisted_tensor inverted,
+    as the S^-1 pullback and :func:`starprod._to_kernel`."""
     pulled = apply_smoother(state.spec, state.psi_field, "inverse")
-    K = _to_kernel(pulled.values, state.spec.sigma, state.grid)[0].view(_Kernel)
-    K.meta = pulled.meta
-    return K
+    return _to_kernel(pulled.values, state.spec.sigma, state.grid)[0]
 
 
 # ---------------------------------------------------------------------------

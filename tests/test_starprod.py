@@ -209,6 +209,21 @@ class TestKernelRoute:
         want = convolution_route(psi, psi, 0.5)
         assert np.array_equal(star_sigma(psi, psi, 0.5).values, want.values)
 
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_aliased_kernels_take_the_convolution(self, sigma):
+        # f sits well inside both lattices, and its out-of-span mass is ~1e-18,
+        # but its kernel momentum (p + sigmabar xi at sigma = 0, p - sigma xi at
+        # sigma = 1) is about 14, past the x lattice's Nyquist 4 pi
+        grid = make_grid(128, 64, -16.0, 16.0, -8.0, 8.0, 1.0)
+        X, P = grid.meshes()
+        g2 = PhaseField(grid, np.exp(-(0.2 * X ** 2 + 2.0 * (P - 4.5) ** 2)))
+        f = PhaseField(grid, g2.values * np.exp(1j * (1 - 2 * sigma) * 9.5 * X))
+        assert grid.dx <= grid.deta
+        assert _to_kernel(g2.values, sigma, grid)[1] <= _KERNEL_SPAN_MASS
+        assert _to_kernel(f.values, sigma, grid)[1] > 0.9
+        want = convolution_route(f, g2, sigma)
+        assert np.array_equal(star_sigma(f, g2, sigma).values, want.values)
+
 
 def _gaussian_direct_product(poly, field, side, sigma, alpha, beta, hbar):
     """Polynomial symbol times field under the Gaussian-smoothed product.

@@ -3,7 +3,7 @@ import pytest
 
 from psq import (CoherentParams, GaussianSmoother, MixedState,
                  NumericalPreconditionError, OrderingSpec, PhaseField, PSQError,
-                 QuasiDistribution, WaveFunction,
+                 WaveFunction,
                  apply_smoother, basis_idempotence_check, coherent_wavepacket,
                  hermite_basis, hermite_function, l2_norm, make_grid, marginal,
                  pure_factorization, purity_check, read_state, star_sigma_S,
@@ -305,19 +305,17 @@ class TestKernelMap:
         want = t / (np.pi * hbar) * np.exp(-t * (X ** 2 + P ** 2) / hbar)
         assert np.abs(wigner - want).max() <= 1e-12 * want.max()
 
-    def test_kernel_keeps_guard_flags(self, grid64):
+    def test_kernel_product_keeps_guard_flags(self, grid64):
         # the S^-1 pullback clamps; the operand carries a tail-mass flag
         spec = OrderingSpec(0.5, GaussianSmoother(0.1, 0.1))
         h1 = hermite_function(grid64, 1)
         field = twisted_tensor(h1, h1, spec).psi_field
-        state = QuasiDistribution(PhaseField(grid64, field.values, {"tail_mass_warning": 2e-9}),
-                                  spec)
-        pulled = apply_smoother(spec, state.psi_field, "inverse")
+        flagged = PhaseField(grid64, field.values, {"tail_mass_warning": 2e-9})
+        pulled = apply_smoother(spec, flagged, "inverse")
         assert pulled.meta["deconvolution_clamped"] > 0
-        assert _kernel(state).meta == pulled.meta
-        # the kernel product keeps them too
+        # the product takes the kernel route and keeps both flags
         assert _to_kernel(pulled.values, 0.5, grid64)[1] <= _KERNEL_SPAN_MASS
-        assert star_sigma_S(state.psi_field, state.psi_field, spec).meta == pulled.meta
+        assert star_sigma_S(flagged, flagged, spec).meta == pulled.meta
 
 
 class TestMixedState:
