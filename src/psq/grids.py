@@ -14,8 +14,12 @@ e^{-(x^2+p^2)/2 hbar} is a fixed point of F, the map is unitary
 multipliers (i xi/hbar)^n (-i eta/hbar)^m, which live in
 :func:`spectral_derivatives` and nowhere else.
 
-This is the only module that builds hbar-scaled DFT phases: everything
-else transforms through :func:`half_dft` and the axis helpers below.
+Every transform decision lives here: the phases of :func:`half_dft` and its
+axis helpers, the weights of the full and partial transforms, the powers of
+conjugate-lattice multipliers (``_fourier_powers``) and the shift-theorem
+samples f(x + s y) (``_sheared_samples``); other modules transform through
+these.  The one exception is the dense lag sums of the kernel maps in
+``starprod``, which stay next to their shear geometry.
 
 Fields are immutable values: every operation returns a new field.  Two
 fields interoperate only if their grids compare equal; there is never an
@@ -296,6 +300,14 @@ def fourier_full_inverse(sfield):
     return PhaseField(g, out)
 
 
+# (axis, direction) -> (half transform, spacing of its input lattice): one
+# weighted fourier_partial step; multiply_mixed runs an axis's pair out of the
+# sample lattice and back
+_HALF = {("x", "forward"): (_fwd_x, "dx"), ("x", "inverse"): (_inv_x, "dxi"),
+         ("p", "inverse"): (_p_to_eta, "dp"), ("p", "forward"): (_eta_to_p, "deta")}
+_OUT_AND_BACK = {"x": ("forward", "inverse"), "p": ("inverse", "forward")}
+
+
 def fourier_partial(field, axis, direction):
     """Single-axis hbar-scaled transform (mixed representations).
 
@@ -305,24 +317,13 @@ def fourier_partial(field, axis, direction):
     Returned values live on the mixed-representation lattice but are carried
     in a PhaseField of the same shape, with the field's guard flags.
     """
-    g = field.grid
-    v = field.values
-    if axis == "x":
-        if direction == "forward":
-            out = _fwd_x(g, v) * (g.dx / np.sqrt(2.0 * np.pi * g.hbar))
-        elif direction == "inverse":
-            out = _inv_x(g, v) * (g.dxi / np.sqrt(2.0 * np.pi * g.hbar))
-        else:
-            raise PSQError("direction must be 'forward' or 'inverse'")
-    elif axis == "p":
-        if direction == "forward":
-            out = _eta_to_p(g, v) * (g.deta / np.sqrt(2.0 * np.pi * g.hbar))
-        elif direction == "inverse":
-            out = _p_to_eta(g, v) * (g.dp / np.sqrt(2.0 * np.pi * g.hbar))
-        else:
-            raise PSQError("direction must be 'forward' or 'inverse'")
-    else:
+    if axis not in ("x", "p"):
         raise PSQError("axis must be 'x' or 'p'")
+    if direction not in ("forward", "inverse"):
+        raise PSQError("direction must be 'forward' or 'inverse'")
+    g = field.grid
+    transform, spacing = _HALF[axis, direction]
+    out = transform(g, field.values) * (getattr(g, spacing) / np.sqrt(2.0 * np.pi * g.hbar))
     return PhaseField(g, out, field.meta)
 
 
@@ -335,36 +336,47 @@ def multiply_mixed(grid, values, axis, profile):
     round trip, leaving 1/n.  Only axis 0 (x) or axis 1 (p) is transformed,
     so any array whose x or p axis sits there may be passed.
     """
-    if axis == "x":
-        out = _inv_x(grid, _fwd_x(grid, values) * profile)
-        out /= grid.nx
-    elif axis == "p":
-        out = _eta_to_p(grid, _p_to_eta(grid, values) * profile)
-        out /= grid.np
-    else:
+    if axis not in ("x", "p"):
         raise PSQError("axis must be 'x' or 'p'")
+    (there, _), (back, _) = (_HALF[axis, d] for d in _OUT_AND_BACK[axis])
+    out = back(grid, there(grid, values) * profile)
+    out /= grid.nx if axis == "x" else grid.np
     return out
 
 
-def spectral_derivatives(field, orders):
-    """{(r, s): d_x^r d_p^s field values} for each requested order.
+def _fourier_powers(field, m_x, m_p, orders):
+    """{(r, s): F^-1[m_x^r m_p^s F f]} for each requested order.
 
-    One full transform of the field, then one inverse transform per distinct
-    nonzero order with the multiplier (i xi/hbar)^r (-i eta/hbar)^s; the
-    order (0, 0) returns the samples themselves.
+    m_x and m_p are multipliers on the conjugate lattice (any shapes that
+    broadcast to it).  One full transform of the field, then one inverse per
+    distinct nonzero order; the order (0, 0) returns the samples themselves.
     """
-    g = field.grid
     wanted = set(orders)
     out = {(0, 0): field.values} if (0, 0) in wanted else {}
     wanted.discard((0, 0))
     if wanted:
         spectrum = fourier_full(field).values
-        XI, ETA = g.conj_meshes()
-        mx, mp = 1j * XI / g.hbar, -1j * ETA / g.hbar
         for r, s in sorted(wanted):
-            mult = spectrum * (mx ** r) * (mp ** s)
-            out[(r, s)] = fourier_full_inverse(SpectralField(g, mult)).values
+            mult = SpectralField(field.grid, spectrum * m_x ** r * m_p ** s)
+            out[(r, s)] = fourier_full_inverse(mult).values
     return out
+
+
+def spectral_derivatives(field, orders):
+    """{(r, s): d_x^r d_p^s field values} for each requested order: the
+    multipliers (i xi/hbar)^r (-i eta/hbar)^s through :func:`_fourier_powers`."""
+    g = field.grid
+    return _fourier_powers(field, 1j * g.xi[:, None] / g.hbar, -1j * g.eta[None, :] / g.hbar,
+                           orders)
+
+
+def _sheared_samples(grid, coeffs, scale, y):
+    """Samples f(x_j + scale * y_l) on the (x, y) lattice, by shift theorem.
+
+    coeffs: interpolation coefficients of f (nx,), or of one f per y (nx, len(y)).
+    """
+    phases = np.exp(1j * scale * np.outer(grid.xi, y) / grid.hbar)
+    return _inv_x(grid, coeffs.reshape(grid.nx, -1) * phases)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,11 @@ Three computational routes, cross-checked in the test suite:
   :meth:`ObservableSpec.factors` through the mixed-representation multiply
   ``grids.multiply_mixed`` (one round trip per non-scalar factor); a
   Gaussian smoother makes them complex, and the action is the two-index
-  series sum_{j,k} (d_x^j d_p^k A)/(j! k!) F^-1[m_x^j m_p^k F psi].
+  series sum_{j,k} (d_x^j d_p^k A)/(j! k!) F^-1[m_x^j m_p^k F psi] through
+  ``grids._fourier_powers``.
+
+Every transform runs through ``grids``; the kernel maps keep here only their
+dense lag sums and shear geometry.
 
 Smoothers, gauge maps between sigma values and the involution are Fourier
 multipliers on the conjugate lattice, applied through one guarded multiply
@@ -37,9 +41,9 @@ import scipy.fft as sp_fft
 
 from .errors import (IllPosedSmoothingError, PSQError,
                      UnsupportedObservableError)
-from .grids import (PhaseField, SpectralField, _fwd_x, _workers,
-                    boundary_tail_mass, fourier_full, fourier_full_inverse,
-                    fourier_partial, half_dft, multiply_mixed)
+from .grids import (PhaseField, SpectralField, _fourier_powers, _fwd_x,
+                    _sheared_samples, _workers, boundary_tail_mass, fourier_full,
+                    fourier_full_inverse, fourier_partial, multiply_mixed)
 from .ordering import GaussianSmoother, OrderingSpec
 from .polyalg import PolyH, sigma_order, sigma_order_right, word_profiles
 
@@ -261,16 +265,6 @@ def _twisted_convolution(Ff, Fg, xi, eta, sigma, hbar):
 _KERNEL_SPAN_MASS = 1e-16
 
 
-def _sheared_samples(grid, coeffs, scale, y):
-    """Samples f(x_j + scale * y_l) on the (x, y) lattice, by shift theorem.
-
-    coeffs: interpolation coefficients of f (nx,), or of one f per y (nx, len(y)).
-    """
-    phases = np.exp(1j * scale * np.outer(grid.xi, y) / grid.hbar)
-    return half_dft(coeffs.reshape(grid.nx, -1) * phases, 0, grid.xi[0], grid.dxi,
-                    grid.x[0], grid.dx, +1, grid.hbar)
-
-
 def _shear_mask(grid, sigma, y):
     """Points (x_j, y_l) whose kernel arguments x - sigmabar y and x + sigma y
     lie in the span, with |y| within the shift lattice's half period."""
@@ -386,27 +380,20 @@ def _bopp_series(poly, field, m_x, m_p):
 
         A * g = sum_{j,k} (d_x^j d_p^k A) / (j! k!) F^-1[m_x^j m_p^k F g],
 
-    with the symbol derivatives exact, one full transform of the field and
-    one inverse per nonzero (j, k); the (0, 0) term uses the samples.  No
-    deconvolution appears, unlike the pull-back/push-forward sandwich.
+    with the symbol derivatives exact and the transforms of
+    ``grids._fourier_powers``.  No deconvolution appears, unlike the
+    pull-back/push-forward sandwich.
     """
     g = field.grid
     X, P = g.meshes()
     degx = max((n for (n, _m, _k) in poly.terms), default=0)
     degp = max((m for (_n, m, _k) in poly.terms), default=0)
-    spectrum = fourier_full(field).values if degx + degp else None
+    terms = {(j, k): poly.diff_x(j).diff_p(k) for j in range(degx + 1) for k in range(degp + 1)}
+    terms = {jk: d_sym for jk, d_sym in terms.items() if not d_sym.is_zero()}
+    works = _fourier_powers(field, m_x, m_p, terms)
     out = np.zeros((g.nx, g.np), dtype=complex)
-    for j in range(degx + 1):
-        for k in range(degp + 1):
-            d_sym = poly.diff_x(j).diff_p(k)
-            if d_sym.is_zero():
-                continue
-            if j or k:
-                shifted = SpectralField(g, spectrum * m_x ** j * m_p ** k)
-                work = fourier_full_inverse(shifted).values
-            else:
-                work = field.values
-            out += d_sym.evaluate(X, P, g.hbar) / (factorial(j) * factorial(k)) * work
+    for (j, k), d_sym in terms.items():
+        out += d_sym.evaluate(X, P, g.hbar) / (factorial(j) * factorial(k)) * works[j, k]
     return PhaseField(g, out, field.meta)
 
 

@@ -21,11 +21,12 @@ import numpy as np
 
 from .errors import NumericalPreconditionError, PSQError
 # half_dft stays bound here for perfbench's tracer, which patches it per module
-from .grids import (PhaseField, WaveFunction, _fwd_x, fourier_partial, half_dft,  # noqa: F401
-                    integrate, l2_inner, l2_norm, read_field, write_field)
+from .grids import (PhaseField, WaveFunction, _fwd_x, _sheared_samples,
+                    fourier_partial, half_dft, integrate, l2_inner,  # noqa: F401
+                    l2_norm, read_field, write_field)
 from .ordering import OrderingSpec, spec_from_dict
-from .starprod import (_shear_mask, _sheared_samples, _to_kernel, apply_smoother,
-                       involution_dagger, star_sigma_S)
+from .starprod import (_shear_mask, _to_kernel, apply_smoother, involution_dagger,
+                       star_sigma_S)
 
 INTERPOLATION_TAIL_THRESHOLD = 1e-6
 PURITY_TOL = 1e-5

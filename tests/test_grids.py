@@ -5,7 +5,8 @@ from psq import (GridMismatchError, PhaseField, PSQError, SpectralField,
                  WaveFunction, fourier_full, fourier_full_inverse,
                  fourier_partial, integrate, l2_inner, l2_norm, make_grid,
                  read_field, write_field, write_field_csv)
-from psq.grids import _dft_phases, half_dft, spectral_derivatives
+from psq.grids import (_dft_phases, _fwd_x, _sheared_samples, half_dft, multiply_mixed,
+                       spectral_derivatives)
 from psq.ordering import OrderingSpec
 from psq.states import hermite_function, twisted_tensor
 
@@ -104,6 +105,55 @@ class TestFourierPartial:
         out = fourier_partial(PhaseField(grid64, vals), "p", "forward")
         exact = np.outer(xprof, np.exp(-grid64.p ** 2 / (2 * hbar)))
         assert np.abs(out.values - exact).max() < 1e-10
+
+
+class TestMixedDispatch:
+    @pytest.mark.parametrize("axis,there,back", [("x", "forward", "inverse"),
+                                                 ("p", "inverse", "forward")])
+    def test_multiply_mixed_is_the_partial_pair(self, rng, axis, there, back):
+        g = make_grid(64, 32, -8.0, 8.0, -6.0, 6.0, 0.7)   # no two weights alike
+        f = gaussian_mixture(g, rng)
+        profile = rng.normal(size=(64, 32)) + 1j * rng.normal(size=(64, 32))
+        mixed = fourier_partial(f, axis, there)
+        pair = fourier_partial(PhaseField(g, mixed.values * profile), axis, back)
+        got = multiply_mixed(g, f.values, axis, profile)
+        assert np.abs(got - pair.values).max() < 1e-13 * np.abs(pair.values).max()
+
+    @pytest.mark.parametrize("axis,direction,message", [
+        ("z", "forward", "axis must be 'x' or 'p'"),
+        ("z", "sideways", "axis must be 'x' or 'p'"),
+        ("x", "sideways", "direction must be 'forward' or 'inverse'"),
+        ("p", "sideways", "direction must be 'forward' or 'inverse'")])
+    def test_fourier_partial_rejects(self, grid64, axis, direction, message):
+        with pytest.raises(PSQError, match=message):
+            fourier_partial(PhaseField.constant(grid64), axis, direction)
+
+    def test_multiply_mixed_rejects_axis(self, grid64):
+        with pytest.raises(PSQError, match="axis must be 'x' or 'p'"):
+            multiply_mixed(grid64, np.ones((64, 64)), "z", 1.0)
+
+
+class TestShearedSamples:
+    # a band-limited trig polynomial: modes well inside the xi lattice
+    MODES = {-3: 0.7 - 0.2j, -1: 1.0, 2: 0.4j, 5: -0.3 + 0.1j}
+
+    def _f(self, g, x):
+        return sum(c * np.exp(1j * g.xi[g.nx // 2 + m] * x / g.hbar)
+                   for m, c in self.MODES.items())
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.37, 1.0])
+    def test_shifted_samples_closed_form(self, grid64, rng, sigma):
+        g = grid64
+        coeffs = _fwd_x(g, self._f(g, g.x)) / g.nx
+        y = rng.uniform(-5.0, 5.0, size=9)              # off the lattice
+        weights = rng.normal(size=9) + 1j * rng.normal(size=9)
+        for scale in (sigma, sigma - 1.0):
+            exact = self._f(g, g.x[:, None] + scale * y[None, :])
+            got = _sheared_samples(g, coeffs, scale, y)
+            assert np.abs(got - exact).max() < 1e-12
+            # one f per y: column l holds weights[l] f
+            got = _sheared_samples(g, coeffs[:, None] * weights[None, :], scale, y)
+            assert np.abs(got - exact * weights[None, :]).max() < 1e-12
 
 
 class TestPhaseCache:

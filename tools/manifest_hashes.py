@@ -4,6 +4,8 @@ of cycle 0 (seed 1) of each perfbench workload, run through psq.cli.run_config.
     python3 tools/manifest_hashes.py > hashes.txt
 
 Run it on two source trees and diff the outputs to see which artifacts moved.
+Threads are pinned to one (PSQ_THREADS, OPENBLAS_NUM_THREADS, OMP_NUM_THREADS),
+as in perfbench/run.py, because some spectra hash differently under threaded BLAS.
 """
 
 import glob
@@ -11,6 +13,9 @@ import json
 import os
 import sys
 import tempfile
+
+# before numpy is imported, so that BLAS starts with one thread
+os.environ.update({"PSQ_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
