@@ -250,15 +250,27 @@ def _params(cfg):
 class _Emitter:
     """Writes a run's artifacts into a staging directory inside outdir.
 
-    `commit` moves them into outdir; `discard` removes the staging directory,
-    so a failed run leaves outdir as it found it.
+    `commit` moves them into outdir; `discard` removes the staging directory
+    and, unless the run committed, the directories it created for outdir, so
+    a failed run leaves outdir as it found it, absent included.
     """
 
     def __init__(self, outdir, formats):
         self.outdir = outdir
         self.formats = formats
         self.files = []
-        self.staging = tempfile.mkdtemp(prefix=".psq-staging-", dir=outdir)
+        self.staging = None
+        self.created = []           # outdir and its missing parents, deepest first
+        path = os.path.abspath(outdir)
+        while not os.path.lexists(path):
+            self.created.append(path)
+            path = os.path.dirname(path)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+            self.staging = tempfile.mkdtemp(prefix=".psq-staging-", dir=outdir)
+        except OSError:
+            self.discard()
+            raise
 
     def path(self, name):
         self.files.append(name)
@@ -306,9 +318,16 @@ class _Emitter:
         for name in self.files:
             os.replace(os.path.join(self.staging, name), os.path.join(self.outdir, name))
         os.rmdir(self.staging)
+        self.created = []
 
     def discard(self):
-        shutil.rmtree(self.staging, ignore_errors=True)
+        if self.staging is not None:
+            shutil.rmtree(self.staging, ignore_errors=True)
+        for path in self.created:
+            try:
+                os.rmdir(path)
+            except OSError:         # not empty or already gone: leave the rest
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +586,8 @@ def run_config(config):
     if error is not None:
         print("schema violation: %s" % error.message, file=sys.stderr)
         return 2, None
-    outdir = config["output_dir"]
     try:
-        os.makedirs(outdir, exist_ok=True)
-        emit = _Emitter(outdir, config.get("formats", ["csv"]))
+        emit = _Emitter(config["output_dir"], config.get("formats", ["csv"]))
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 4, None

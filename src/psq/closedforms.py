@@ -16,11 +16,11 @@ sampled field can carry.
 """
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import hypot, pi, sqrt
 
 import numpy as np
 
-from .errors import PSQError, SpanError
+from .errors import NumericalPreconditionError, PSQError, SpanError
 from .grids import PhaseField, WaveFunction, integrate, l2_norm, spectral_derivatives
 from .ordering import GaussianSmoother, OrderingSpec
 from .polyalg import PolyH
@@ -48,6 +48,10 @@ class OscillatorParams:
     def __post_init__(self):
         if not self.omega > 0:
             raise PSQError("omega must be positive")
+        # omega^2 and lam enter every closed form; past double range they overflow
+        if not np.isfinite([self.omega * self.omega, self.lam]).all():
+            raise NumericalPreconditionError(
+                "omega=%r overflows the oscillator closed forms" % self.omega)
 
     @property
     def lam(self):
@@ -127,7 +131,7 @@ def free_gaussian(params, t, grid):
     dp_ = params.delta_p
     dx_ = params.delta_x(hbar)
     X, P = grid.meshes()
-    width_t = sqrt(dx_ ** 2 + (dp_ * t) ** 2)
+    width_t = hypot(dx_, dp_ * t)           # no overflow at huge t: the span check refuses it
     _require_span(grid, abs(params.p0 * t) + 5.0 * width_t, abs(params.p0) + 5.0 * dp_)
     pref = 1.0 / np.sqrt(2.0 * pi * ((sb ** 2 + s ** 2) * dx_ * dp_
                                      + 1j * (1.0 - 2.0 * s) * dp_ ** 2 * t))
@@ -173,7 +177,8 @@ def ho_state(m, n, params, grid):
     Valid on the Laguerre line (sigma=1/2, beta=omega^2 alpha); for m < n the
     conjugate-transposed form of the (n, m) state is used.  The prefactor is
     re-measured against the analytic one and the state renormalized in the
-    Hilbert-algebra norm (the factor is kept as meta 'prefactor_rescale').
+    Hilbert-algebra norm (the factor is kept as meta 'prefactor_rescale'); a
+    state that underflows to zero on the grid raises NumericalPreconditionError.
     """
     params.require_laguerre_family()
     if max(m, n) > HO_STATE_INDEX_CAP or min(m, n) < 0:
@@ -200,6 +205,9 @@ def ho_state(m, n, params, grid):
         * np.exp(-1j * (m - n) * theta) * np.exp(-r2 / (2.0 * hbar * omega * lam))
     field = PhaseField(grid, vals)
     nrm = QuasiDistribution(field, params.spec()).norm_h()
+    if not nrm > 0:
+        raise NumericalPreconditionError(
+            "oscillator state (%d, %d) is zero on this grid; refine it or raise hbar" % (m, n))
     state = QuasiDistribution(field * (1.0 / nrm), params.spec())
     state.psi_field.meta["prefactor_rescale"] = nrm
     return state

@@ -225,8 +225,9 @@ def evolve_phase_space(state0, H, spec, cfg, observables=None, classical=False):
     records Psi snapshots; norms are |normalization_integral()|.  The
     quantum flow is unitary, so the Hilbert-algebra norm ||S^-1 Psi||_2 is
     checked after every step against t = 0: a relative drift past
-    HILBERT_NORM_DRIFT raises NumericalPreconditionError, and so does a
-    pullback the deconvolution guard refuses (IllPosedSmoothingError).  With
+    HILBERT_NORM_DRIFT raises NumericalPreconditionError, and so do a start
+    state that is zero on the grid and a pullback the deconvolution guard
+    refuses (IllPosedSmoothingError).  With
     classical=True the same integrator solves the Liouville equation instead
     (the hbar-deformation terms are dropped, and so is the norm check); for
     quadratic symbols the two flows agree on Gaussians, which the tests
@@ -245,6 +246,9 @@ def evolve_phase_space(state0, H, spec, cfg, observables=None, classical=False):
             % (cfg.dt, radius, 0.8 * RK4_STABILITY_LIMIT / radius))
 
     norm0 = None if classical else state0.norm_h()
+    if norm0 == 0.0:
+        raise NumericalPreconditionError("RK4 start state is zero on this grid; "
+                                         "its norm drift is undefined")
 
     def step(cur):
         k1 = rhs(cur)

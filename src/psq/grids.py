@@ -17,16 +17,16 @@ multipliers (i xi/hbar)^n (-i eta/hbar)^m, which live in
 Every transform decision lives here: the phases of :func:`half_dft` and its
 axis helpers, the weights of the full and partial transforms, the powers of
 conjugate-lattice multipliers (``_fourier_powers``) and the shift-theorem
-samples f(x + s y) (``_sheared_samples``); other modules transform through
-these.  The one exception is the dense lag sums of the kernel maps in
-``starprod``, which stay next to their shear geometry.
+samples f(x + s y) (``_sheared_samples``), and the maps between a sigma-field
+and its configuration-space kernel (``_to_kernel``, ``_from_kernel``) with
+their dense lag sums and shear geometry; other modules transform through
+these.
 
 Fields are immutable values: every operation returns a new field.  Two
 fields interoperate only if their grids compare equal; there is never an
 implicit resample.
 """
 
-import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -39,14 +39,6 @@ from .errors import GridMismatchError, PSQError
 _MAGIC = b"PSQF"
 _VERSION = 1
 TAIL_MARGIN = 2                 # outer lattice cells counted as boundary tail
-
-
-def _workers():
-    """Worker-thread cap for batched FFTs (PSQ_THREADS, default 1)."""
-    try:
-        return max(1, int(os.environ.get("PSQ_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _is_pow2(n):
@@ -132,8 +124,6 @@ def _check_same_grid(a, b):
 
 def _as_complex_2d(grid, values):
     arr = np.asarray(values, dtype=complex)
-    if arr.shape == (grid.nx * grid.np,):
-        arr = arr.reshape(grid.nx, grid.np)
     if arr.shape != (grid.nx, grid.np):
         raise PSQError("field shape %r does not match grid (%d, %d)"
                        % (arr.shape, grid.nx, grid.np))
@@ -247,7 +237,7 @@ def half_dft(values, axis, in0, din, out0, dout, sign, hbar):
 
     in_j = in0 + j*din and out_m = out0 + m*dout with n*din*dout = 2 pi hbar,
     which reduces the kernel to a plain FFT between pre/post phase factors.
-    No quadrature weight is applied here.
+    No weight is applied here, and the FFT uses scipy.fft's worker setting.
     """
     values = np.asarray(values, dtype=complex)
     n = values.shape[axis]
@@ -256,9 +246,9 @@ def half_dft(values, axis, in0, din, out0, dout, sign, hbar):
     shape[axis] = n
     a = values * pre.reshape(shape)
     if sign < 0:
-        A = sp_fft.fft(a, axis=axis, workers=_workers())
+        A = sp_fft.fft(a, axis=axis)
     else:
-        A = sp_fft.ifft(a, axis=axis, workers=_workers()) * n
+        A = sp_fft.ifft(a, axis=axis) * n
     return A * post.reshape(shape)
 
 
@@ -377,6 +367,53 @@ def _sheared_samples(grid, coeffs, scale, y):
     """
     phases = np.exp(1j * scale * np.outer(grid.xi, y) / grid.hbar)
     return _inv_x(grid, coeffs.reshape(grid.nx, -1) * phases)
+
+
+def _shear_mask(grid, sigma, y):
+    """Points (x_j, y_l) whose kernel arguments x - sigmabar y and x + sigma y
+    lie in the span, with |y| within the shift lattice's half period."""
+    mask = np.abs(y)[None, :] <= -grid.eta[0]
+    for scale in (sigma, sigma - 1.0):
+        arg = grid.x[:, None] + scale * y[None, :]
+        mask = mask & (arg >= grid.x_min) & (arg < grid.x_min + grid.nx * grid.dx)
+    return mask
+
+
+def _share(weight, mask):
+    return float(weight[mask].sum() / max(weight.sum(), 1e-300))
+
+
+def _to_kernel(values, sigma, grid):
+    """Kernel K[i, k] of a sigma-field's values, and its lost mass: chi at the
+    lags y_d = d dx by one dense p -> y sum (a periodic image, zeroed, past the
+    half period) and a sigmabar y_d shift along x that puts K[i, i + d] in
+    column d.  The lost mass is the out-of-span mass (|chi|^2 outside
+    :func:`_shear_mask`) plus the aliased mass (the values' |x-transform|^2 at
+    the (xi, p) whose kernel momenta p + sigmabar xi or p - sigma xi pass the
+    x lattice's Nyquist pi hbar / dx)."""
+    n, nyquist = grid.nx, -grid.xi[0]
+    y = grid.dx * np.arange(1 - n, n)
+    chi = values @ np.exp(1j * np.outer(grid.p, y) / grid.hbar)
+    chi *= (np.abs(y) <= -grid.eta[0]) * (grid.dp / np.sqrt(2.0 * np.pi * grid.hbar))
+    xi, p = grid.xi[:, None], grid.p[None, :]
+    aliased = (np.abs(p + (1.0 - sigma) * xi) > nyquist) | (np.abs(p - sigma * xi) > nyquist)
+    lost = (_share(np.abs(chi) ** 2, ~_shear_mask(grid, sigma, y))
+            + _share(np.abs(_fwd_x(grid, values)) ** 2, aliased))
+    shifted = _sheared_samples(grid, _fwd_x(grid, chi) / n, 1.0 - sigma, y)
+    i = np.arange(n)
+    return shifted[i[:, None], i[None, :] - i[:, None] + n - 1], lost
+
+
+def _from_kernel(K, sigma, grid):
+    """The sigma-field values of a kernel, :func:`_to_kernel` inverted: its rows
+    read at the lags, H[i, l] = K(x_i, x_i + eta_l) (zero past the span), and a
+    -sigmabar eta_l shift along x give chi on the (x, eta) lattice, whose
+    p-sum is exactly tr K."""
+    n, eta = grid.nx, grid.eta
+    rows = _fwd_x(grid, K.T).T / n * np.exp(1j * np.outer(grid.x, grid.xi) / grid.hbar)
+    H = rows @ np.exp(1j * np.outer(grid.xi, eta) / grid.hbar) * _shear_mask(grid, 1.0, eta)
+    chi = _sheared_samples(grid, _fwd_x(grid, H) / n, sigma - 1.0, eta) * _shear_mask(grid, sigma, eta)
+    return fourier_partial(PhaseField(grid, chi), "p", "forward").values
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,15 @@
 A smoother is an invertible map on phase-space functions that fixes x and p
 and commutes with integration.  Supported kinds:
 
-* GaussianAlphaBeta(alpha, beta): Fourier multiplier
+* GaussianSmoother(alpha, beta): Fourier multiplier
   exp(-(alpha xi^2 + beta eta^2) / 2 hbar) in the forward direction.  The
   identity smoother is its alpha = beta = 0 member, which IdentitySmoother()
   returns: the identity ordering has one value
-* CohenMultiplier(F): general Fourier-multiplier smoother whose *inverse*
+* CohenSmoother(F): general Fourier-multiplier smoother whose *inverse*
   applies F(xi, eta); admissibility F(0,0)=1 and grad F(0,0)=0 is checked
   numerically at the lattice origin on every use
-* DiffOpWord: a grading-decreasing differential-operator word; exact on
-  polynomials, not applicable to sampled fields.
+* WordSmoother(word): a grading-decreasing differential-operator word (a
+  polyalg.DiffOpWord); exact on polynomials, not applicable to sampled fields.
 """
 
 from dataclasses import dataclass, field

@@ -132,13 +132,17 @@ def hermiticity_defect(A, spec, grid):
 def hermitian_eigh(A, spec, grid):
     """Eigensystem (np.linalg.eigh) of the ordered operator's dense matrix.
 
-    Checks Hermiticity symbolically (PSQError names the offending term), then
-    symmetrizes away the band-edge defect; the eigensolver and the dense
-    propagator both start here.
+    Refuses a matrix that is not finite (NumericalPreconditionError), checks
+    Hermiticity symbolically (PSQError names the offending term; a NaN defect
+    fails too), then symmetrizes away the band-edge defect; the eigensolver
+    and the dense propagator both start here.
     """
     defect, term = hermiticity_defect(A, spec, grid)
     M = operator_matrix(A, spec, grid)
-    if defect > HERMITICITY_TOL * max(np.abs(M).max(), 1.0):
+    if not np.all(np.isfinite(M)):
+        raise NumericalPreconditionError(
+            "ordered operator matrix of %s is not finite at sigma=%r" % (A.label, spec.sigma))
+    if not defect <= HERMITICITY_TOL * max(np.abs(M).max(), 1.0):
         raise PSQError(
             "ordered operator is not Hermitian (defect %.3g); offending term: %s"
             % (defect, term))
@@ -178,7 +182,7 @@ def spectrum_via_schrodinger(H, spec, n_levels, grid, residual_fields=True):
     # boundary-resolution sanity: levels must decay inside the span
     for n, w in enumerate(waves):
         edge = max(abs(w.values[0]), abs(w.values[-1]))
-        if edge > 1e-6 * np.abs(w.values).max():
+        if not edge <= 1e-6 * np.abs(w.values).max():      # NaN fails too
             raise NumericalPreconditionError(
                 "level %d is not resolved on this span (edge amplitude %.3g); "
                 "resolution supports only the lowest %d levels" % (n, edge, n))

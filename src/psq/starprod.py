@@ -5,7 +5,7 @@ Three computational routes, cross-checked in the test suite:
 * ``star_sigma`` composes configuration-space kernels, K_g @ K_f (cost
   O(nx^2 (nx + np))), when kernels hold both operands: dx <= deta, and at most
   1e-16 of each operand's weight lies out of span or aliased (see
-  ``_to_kernel``).  Other pairs take the exact-on-lattice twisted convolution
+  ``grids._to_kernel``).  Other pairs take the exact-on-lattice twisted convolution
   (the reference path, O(nx^2 np log np): the g rows transformed once, then a
   loop over the nx rows of f);
 * ``bopp_apply`` - the fast route for observable-on-state action: the
@@ -18,8 +18,8 @@ Three computational routes, cross-checked in the test suite:
   series sum_{j,k} (d_x^j d_p^k A)/(j! k!) F^-1[m_x^j m_p^k F psi] through
   ``grids._fourier_powers``.
 
-Every transform runs through ``grids``; the kernel maps keep here only their
-dense lag sums and shear geometry.
+Every transform runs through ``grids``, the sigma-field <-> kernel maps
+included.
 
 Smoothers, gauge maps between sigma values and the involution are Fourier
 multipliers on the conjugate lattice, applied through one guarded multiply
@@ -39,12 +39,11 @@ from math import factorial, pi, sqrt
 import numpy as np
 import scipy.fft as sp_fft
 
-from .errors import (IllPosedSmoothingError, PSQError,
+from .errors import (IllPosedSmoothingError, NumericalPreconditionError, PSQError,
                      UnsupportedObservableError)
-from .grids import (PhaseField, SpectralField, _fourier_powers, _fwd_x,
-                    _sheared_samples, _workers, boundary_tail_mass, fourier_full,
-                    fourier_full_inverse, fourier_partial, multiply_mixed)
-from .ordering import GaussianSmoother, OrderingSpec
+from .grids import (PhaseField, SpectralField, _fourier_powers, _from_kernel, _to_kernel,
+                    boundary_tail_mass, fourier_full, fourier_full_inverse, multiply_mixed)
+from .ordering import GaussianSmoother
 from .polyalg import PolyH, sigma_order, sigma_order_right, word_profiles
 
 TAIL_MASS_THRESHOLD = 1e-10
@@ -94,6 +93,8 @@ class ObservableSpec:
 
     @classmethod
     def harmonic(cls, omega=1.0):
+        if not np.isfinite(omega * omega):
+            raise NumericalPreconditionError("omega=%r overflows the harmonic potential" % omega)
         h = PolyH.monomial(0, 2, c=0.5) + PolyH.monomial(2, 0, c=0.5 * omega ** 2)
         return cls.from_poly(h, "H_osc")
 
@@ -241,9 +242,8 @@ def _twisted_convolution(Ff, Fg, xi, eta, sigma, hbar):
     nx, npn = Ff.shape
     sb = 1.0 - sigma
     L = sp_fft.next_fast_len(3 * npn - 1)
-    w = _workers()
     # eta-padded so the linear convolution index stays in range
-    G = sp_fft.fft(np.pad(Fg, ((0, 0), (npn // 2, 0))), L, axis=1, workers=w)
+    G = sp_fft.fft(np.pad(Fg, ((0, 0), (npn // 2, 0))), L, axis=1)
     B = np.exp(-1j * sb * np.outer(xi, eta) / hbar)          # (m, l')
     out = np.zeros((nx, npn), dtype=complex)
     h = nx // 2
@@ -251,8 +251,8 @@ def _twisted_convolution(Ff, Fg, xi, eta, sigma, hbar):
         lo, hi = max(0, mp - h), min(nx, mp - h + nx)         # partner rows on the lattice
         A = Ff[mp, :] * np.exp(1j * (sb - sigma) * xi[mp] * eta / hbar)
         D = A[None, :] * B[lo:hi]                             # (m, l')
-        conv = sp_fft.ifft(sp_fft.fft(D, L, axis=1, workers=w) * G[lo - mp + h: hi - mp + h],
-                           axis=1, workers=w)[:, npn:2 * npn]
+        conv = sp_fft.ifft(sp_fft.fft(D, L, axis=1) * G[lo - mp + h: hi - mp + h],
+                           axis=1)[:, npn:2 * npn]
         out[lo:hi] += np.exp(1j * sigma * xi[mp] * eta / hbar)[None, :] * conv
     out *= (xi[1] - xi[0]) * (eta[1] - eta[0]) / (2.0 * np.pi * hbar)
     return out
@@ -263,53 +263,6 @@ def _twisted_convolution(Ff, Fg, xi, eta, sigma, hbar):
 # norm bound: 1e-8 here, 100x under the 1e-6 idempotence tolerance (purity:
 # 1e-5).  Hermite-pair states n <= 4 on 64^2 to 256^2 [-8, 8] measure 4e-30 to 8e-19.
 _KERNEL_SPAN_MASS = 1e-16
-
-
-def _shear_mask(grid, sigma, y):
-    """Points (x_j, y_l) whose kernel arguments x - sigmabar y and x + sigma y
-    lie in the span, with |y| within the shift lattice's half period."""
-    mask = np.abs(y)[None, :] <= -grid.eta[0]
-    for scale in (sigma, sigma - 1.0):
-        arg = grid.x[:, None] + scale * y[None, :]
-        mask = mask & (arg >= grid.x_min) & (arg < grid.x_min + grid.nx * grid.dx)
-    return mask
-
-
-def _share(weight, mask):
-    return float(weight[mask].sum() / max(weight.sum(), 1e-300))
-
-
-def _to_kernel(values, sigma, grid):
-    """Kernel K[i, k] of a sigma-field's values, and its lost mass: chi at the
-    lags y_d = d dx by one dense p -> y sum (a periodic image, zeroed, past the
-    half period) and a sigmabar y_d shift along x that puts K[i, i + d] in
-    column d.  The lost mass is the out-of-span mass (|chi|^2 outside
-    :func:`_shear_mask`) plus the aliased mass (the values' |x-transform|^2 at
-    the (xi, p) whose kernel momenta p + sigmabar xi or p - sigma xi pass the
-    x lattice's Nyquist pi hbar / dx)."""
-    n, nyquist = grid.nx, -grid.xi[0]
-    y = grid.dx * np.arange(1 - n, n)
-    chi = values @ np.exp(1j * np.outer(grid.p, y) / grid.hbar)
-    chi *= (np.abs(y) <= -grid.eta[0]) * (grid.dp / sqrt(2.0 * pi * grid.hbar))
-    xi, p = grid.xi[:, None], grid.p[None, :]
-    aliased = (np.abs(p + (1.0 - sigma) * xi) > nyquist) | (np.abs(p - sigma * xi) > nyquist)
-    lost = (_share(np.abs(chi) ** 2, ~_shear_mask(grid, sigma, y))
-            + _share(np.abs(_fwd_x(grid, values)) ** 2, aliased))
-    shifted = _sheared_samples(grid, _fwd_x(grid, chi) / n, 1.0 - sigma, y)
-    i = np.arange(n)
-    return shifted[i[:, None], i[None, :] - i[:, None] + n - 1], lost
-
-
-def _from_kernel(K, sigma, grid):
-    """The sigma-field values of a kernel, :func:`_to_kernel` inverted: its rows
-    read at the lags, H[i, l] = K(x_i, x_i + eta_l) (zero past the span), and a
-    -sigmabar eta_l shift along x give chi on the (x, eta) lattice, whose
-    p-sum is exactly tr K."""
-    n, eta = grid.nx, grid.eta
-    rows = _fwd_x(grid, K.T).T / n * np.exp(1j * np.outer(grid.x, grid.xi) / grid.hbar)
-    H = rows @ np.exp(1j * np.outer(grid.xi, eta) / grid.hbar) * _shear_mask(grid, 1.0, eta)
-    chi = _sheared_samples(grid, _fwd_x(grid, H) / n, sigma - 1.0, eta) * _shear_mask(grid, sigma, eta)
-    return fourier_partial(PhaseField(grid, chi), "p", "forward").values
 
 
 def _check_tail_mass(field, meta):
@@ -326,7 +279,7 @@ def star_sigma(f, g_field, sigma):
 
     K[f * g] = (2 pi hbar)^{-1/2} dx K_g @ K_f where kernels hold both operands
     (dx <= deta: the x lattice's Nyquist momentum is outside the p span; each
-    operand's lost mass from :func:`_to_kernel` <= _KERNEL_SPAN_MASS), else the
+    operand's lost mass from ``grids._to_kernel`` <= _KERNEL_SPAN_MASS), else the
     twisted convolution.
     """
     meta = f._merged_meta(g_field)
@@ -397,7 +350,7 @@ def _bopp_series(poly, field, m_x, m_p):
     return PhaseField(g, out, field.meta)
 
 
-def bopp_apply(A, psi, side="left", spec=None):
+def bopp_apply(A, psi, side, spec):
     """A *_{sigma,S} psi (side='left') or psi *_{sigma,S} A (side='right').
 
     The ordered operator acts with x and p replaced by the Bopp shifts of
@@ -411,8 +364,6 @@ def bopp_apply(A, psi, side="left", spec=None):
     function terms under a Gaussian one, raise UnsupportedObservableError.
     The result keeps psi's guard flags.
     """
-    if spec is None:
-        spec = OrderingSpec(0.5)
     if side not in ("left", "right"):
         raise PSQError("side must be 'left' or 'right'")
     smoothed = not spec.is_plain_sigma()

@@ -21,12 +21,11 @@ import numpy as np
 
 from .errors import NumericalPreconditionError, PSQError
 # half_dft stays bound here for perfbench's tracer, which patches it per module
-from .grids import (PhaseField, WaveFunction, _fwd_x, _sheared_samples,
-                    fourier_partial, half_dft, integrate, l2_inner,  # noqa: F401
-                    l2_norm, read_field, write_field)
+from .grids import (PhaseField, WaveFunction, _fwd_x, _shear_mask, _sheared_samples,
+                    _to_kernel, fourier_partial, half_dft, integrate,  # noqa: F401
+                    l2_inner, l2_norm, read_field, write_field)
 from .ordering import OrderingSpec, spec_from_dict
-from .starprod import (_shear_mask, _to_kernel, apply_smoother, involution_dagger,
-                       star_sigma_S)
+from .starprod import apply_smoother, involution_dagger, star_sigma_S
 
 INTERPOLATION_TAIL_THRESHOLD = 1e-6
 PURITY_TOL = 1e-5
@@ -155,7 +154,7 @@ def twisted_tensor(phi, psi, spec):
 
 def _kernel(state):
     """Kernel K[i, k] = conj(phi)(x_i) psi(x_k) of a state: twisted_tensor inverted,
-    as the S^-1 pullback and :func:`starprod._to_kernel`."""
+    as the S^-1 pullback and :func:`grids._to_kernel`."""
     pulled = apply_smoother(state.spec, state.psi_field, "inverse")
     return _to_kernel(pulled.values, state.spec.sigma, state.grid)[0]
 
@@ -197,11 +196,14 @@ def purity_check(state):
     """Hermiticity, idempotence and normalization residuals of a state.
 
     Returns (is_pure, (r_herm, r_idem, r_norm)); is_pure iff all three < PURITY_TOL.
+    A field that underflows to zero on the grid raises NumericalPreconditionError.
     """
     psi = state.psi_field
     spec = state.spec
     grid = psi.grid
     nrm = l2_norm(psi)
+    if not nrm > 0:
+        raise NumericalPreconditionError("state field is zero on this grid; no residual to scale")
     dag = involution_dagger(psi, spec)
     r_herm = l2_norm(psi - dag) / nrm
     prod = star_sigma_S(psi, psi, spec)

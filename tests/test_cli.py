@@ -8,6 +8,7 @@ import pytest
 
 from psq import PolyH, PSQError, integrate, read_field
 from psq.cli import CONFIG_SCHEMA, PARAMS, main, parse_poly, run
+from psq.cli import run_config as cli_run_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -232,13 +233,13 @@ class TestRunContract:
             (code, manifest), outdir = run_config(payload, tmp_path)
             assert code == 2
             assert manifest is None
-            assert not Path(outdir).exists() or not os.listdir(outdir)
+            assert not Path(outdir).exists()
         # flags build a config too: a non-finite flag value exits 2
         for argv in (["oracle", "--state", "coherent", "--x0", "nan"],
                      ["oracle", "--state", "free", "--t", "nan"]):
             outdir = tmp_path / "flags"
             assert main(argv + ["--nx", "32", "--np", "32", "--output-dir", str(outdir)]) == 2
-            assert not outdir.exists() or not os.listdir(outdir)
+            assert not outdir.exists()
 
     @pytest.mark.parametrize("payload", [
         {"scenario": "spectrum", "grid": {"nx": "64"}},
@@ -279,12 +280,12 @@ class TestRunContract:
         code = main(["evolve", "--output-dir", str(tmp_path / "evolve"), "--nx", "128",
                      "--np", "64", "--system", "oscillator", "--p0", "7", "--steps", "8"])
         assert code == 3
-        assert not os.listdir(tmp_path / "evolve")
+        assert not (tmp_path / "evolve").exists()
         # p0 = 10 aliases across a 64-point p lattice on both routes
         code = main(["evolve", "--output-dir", str(tmp_path / "free"), "--nx", "256",
                      "--np", "64", "--system", "free", "--p0", "10", "--steps", "100"])
         assert code == 3
-        assert not os.listdir(tmp_path / "free")
+        assert not (tmp_path / "free").exists()
         # a smoother too strong for the grid: the x-marginal goes negative
         # after the first artifacts are written, and none of them may stay
         payload = {
@@ -299,7 +300,7 @@ class TestRunContract:
             (code, manifest), outdir = run_config(payload, tmp_path)
         assert code == 3
         assert manifest is None
-        assert not os.listdir(outdir)
+        assert not Path(outdir).exists()
         # a failed rerun leaves an earlier run's files and manifest as they were
         good = dict(payload, ordering={"sigma": 0.5, "smoother": {"kind": "identity"}})
         (code, manifest), _ = run_config(good, tmp_path)
@@ -326,7 +327,46 @@ class TestRunContract:
         (code, manifest), outdir = run_config(payload, tmp_path)
         assert code == 3
         assert manifest is None
-        assert not os.listdir(outdir)
+        assert not Path(outdir).exists()
+
+    @pytest.mark.parametrize("payload", [
+        # the Hermite-1 field underflows to zero on this coarse grid (purity_check)
+        {"scenario": "wigner", "ordering": {"sigma": 1.0},
+         "grid": {"nx": 8, "np": 64, "x_min": -6, "x_max": 6, "p_min": -6, "p_max": 6,
+                  "hbar": 1e-3},
+         "params": {"phi_hermite": 1, "psi_hermite": 1}},
+        # ... and the closed-form oscillator state (ho_state) and RK4's start state
+        {"scenario": "oracle", "grid": {"nx": 8, "np": 8, "hbar": 1e-6},
+         "params": {"state": "ho", "m": 1, "n": 0}},
+        {"scenario": "evolve", "grid": {"nx": 8, "np": 8, "hbar": 1e-6},
+         "params": {"system": "oscillator", "method": "phase_space_rk4", "steps": 2,
+                    "dt": 1e-9}},
+        # finite params whose derived values overflow
+        {"scenario": "oracle", "params": {"state": "ho", "omega": 1e300}},
+        {"scenario": "evolve", "grid": {"nx": 32, "np": 32},
+         "params": {"system": "oscillator", "omega": 1e300, "steps": 2}},
+        {"scenario": "classical-limit", "params": {"family": "free", "t": 1e300}},
+        # the ordered matrix is NaN: it used to exit 0 with nan energies
+        {"scenario": "gauge-check", "grid": {"nx": 64, "np": 64},
+         "params": {"sigmas": [1e300], "hamiltonian": "0.5*p^2 + 0.5*x^2 + 0.1*x^2*p^2"}},
+        # interpolation tail: the run creates output_dir and must remove it
+        {"scenario": "wigner",
+         "grid": {"nx": 8, "np": 8, "x_min": -1, "x_max": 1, "p_min": -1, "p_max": 1},
+         "params": {"phi_hermite": 3, "psi_hermite": 3}},
+    ], ids=["purity-zero-field", "ho-zero-field", "rk4-zero-start", "omega-overflow",
+            "harmonic-omega-overflow", "free-t-overflow", "gauge-nan-matrix", "interpolation-tail"])
+    def test_runtime_failure_exit_3_leaves_no_directory(self, tmp_path, capsys, payload):
+        nested = tmp_path / "new" / "out"
+        with np.errstate(all="ignore"):
+            code, manifest = cli_run_config(dict(payload, output_dir=str(nested)))
+        assert (code, manifest) == (3, None)
+        assert capsys.readouterr().err.startswith("numerical precondition violated")
+        assert not (tmp_path / "new").exists()
+        # an existing output_dir stays, as empty as it was
+        nested.mkdir(parents=True)
+        with np.errstate(all="ignore"):
+            assert cli_run_config(dict(payload, output_dir=str(nested)))[0] == 3
+        assert nested.is_dir() and not os.listdir(nested)
 
     def test_rk4_drift_checked_between_snapshots(self, tmp_path, capsys):
         # snapshots only at steps 157 and 314: the drift is caught at the
@@ -559,6 +599,108 @@ class TestSubcommands:
         for line in (smooth / "classical_limit.csv").read_text().splitlines()[1:]:
             hbar, pairing = (float(v) for v in line.split(",")[:2])
             assert abs(pairing - 1.0 / (1.0 + 0.35 * hbar)) < 1e-8
+
+    def test_classical_limit_free_and_ho_families(self, tmp_path):
+        # Gaussian pairings against iint rho exp(-|z - c|^2 / 4), c = (x0, p0) = (1, 0.5):
+        # the free packet at t = 1 is a Gaussian Wigner function, and the
+        # oscillator's n = 1 Wigner function is (2 |z|^2 / hbar - 1) N(0, hbar/2)
+        x0, p0, t = 1.0, 0.5, 1.0
+        c = np.array([x0, p0])
+
+        def pairings(family):
+            outdir = tmp_path / family
+            assert main(["classical-limit", "--family", family, "--hbars", "0.2,0.1",
+                         "--nx", "128", "--np", "128", "--output-dir", str(outdir)]) == 0
+            rows = (outdir / "classical_limit.csv").read_text().splitlines()[1:]
+            return [[float(v) for v in row.split(",")] for row in rows]
+
+        for hbar, re, im in pairings("free"):
+            dp = 0.5 * np.sqrt(hbar)
+            dx = hbar / (2.0 * dp)
+            cov = np.array([[dx ** 2 + (dp * t) ** 2, dp ** 2 * t], [dp ** 2 * t, dp ** 2]])
+            d = np.array([p0 * t, p0]) - c
+            want = np.exp(-0.5 * d @ np.linalg.solve(cov + 2.0 * np.eye(2), d)) \
+                / np.sqrt(np.linalg.det(cov / 2.0 + np.eye(2)))
+            assert abs(re - want) < 1e-12 and im == 0.0
+        for hbar, re, im in pairings("ho"):
+            s = hbar / 2.0
+            mean_sq = (s / (s + 2.0)) ** 2 * (c @ c) + 4.0 * s / (s + 2.0)
+            want = 2.0 / (s + 2.0) * np.exp(-(c @ c) / (2.0 * (s + 2.0))) \
+                * (2.0 / hbar * mean_sq - 1.0)
+            assert abs(re - want) < 1e-12 and im == 0.0
+
+    def test_oracle_free_state(self, tmp_path):
+        from psq import make_grid
+        from psq.closedforms import FreeGaussianParams, free_gaussian
+        outdir = tmp_path / "free"
+        assert main(["oracle", "--state", "free", "--t", "0.5", "--nx", "64", "--np", "64",
+                     "--formats", "bin", "--output-dir", str(outdir)]) == 0
+        field = read_field(outdir / "free_gaussian.psqf")
+        grid = make_grid(64, 64, -8.0, 8.0, -8.0, 8.0, 1.0)
+        want = free_gaussian(FreeGaussianParams(1.0, np.sqrt(0.5)), 0.5, grid)
+        assert np.array_equal(field.values, want.psi_field.values)
+        assert abs(integrate(field) / np.sqrt(2 * np.pi) - 1.0) < 1e-10
+
+    def test_evolve_custom_system(self, tmp_path):
+        # the harmonic polynomial as a custom Hamiltonian is the oscillator system
+        common = ["--nx", "32", "--np", "32", "--steps", "16", "--dt", "0.01",
+                  "--formats", "csv,bin"]
+        assert main(["evolve", "--system", "oscillator", "--output-dir",
+                     str(tmp_path / "osc")] + common) == 0
+        assert main(["evolve", "--system", "custom", "--hamiltonian", "0.5*p^2 + 0.5*x^2",
+                     "--output-dir", str(tmp_path / "custom")] + common) == 0
+        names = json.loads((tmp_path / "osc" / "manifest.json").read_text())["files"]
+        for entry in names:
+            path = entry["path"]
+            assert (tmp_path / "osc" / path).read_bytes() \
+                == (tmp_path / "custom" / path).read_bytes()
+        assert main(["evolve", "--system", "custom", "--output-dir",
+                     str(tmp_path / "none")] + common) == 2
+
+    def test_starprod_smooth_and_gauge(self, tmp_path):
+        from psq import (GaussianSmoother, OrderingSpec, hermite_function, l2_norm,
+                         make_grid, twisted_tensor)
+        grid = make_grid(64, 64, -8.0, 8.0, -8.0, 8.0, 1.0)
+        h = hermite_function(grid, 1)
+        # S^-1 takes the smoothed state to the identity-smoother one
+        outdir = tmp_path / "smooth"
+        assert main(["starprod", "--op", "smooth", "--direction", "inverse", "--left-hermite", "1",
+                     "--alpha", "0.1", "--beta", "0.1", "--nx", "64", "--np", "64",
+                     "--formats", "bin", "--output-dir", str(outdir)]) == 0
+        got = read_field(outdir / "starprod_smooth.psqf")
+        want = twisted_tensor(h, h, OrderingSpec(0.5)).psi_field
+        assert l2_norm(got - want) / l2_norm(want) < 1e-10
+        # and S forward applies the smoother once more
+        outdir = tmp_path / "forward"
+        assert main(["starprod", "--op", "smooth", "--left-hermite", "1",
+                     "--alpha", "0.1", "--beta", "0.1", "--nx", "64", "--np", "64",
+                     "--formats", "bin", "--output-dir", str(outdir)]) == 0
+        got = read_field(outdir / "starprod_smooth.psqf")
+        want = twisted_tensor(h, h, OrderingSpec(0.5, GaussianSmoother(0.2, 0.2))).psi_field
+        assert l2_norm(got - want) / l2_norm(want) < 1e-10
+        # the gauge map from sigma to sigma_to is the twisted tensor at sigma_to
+        outdir = tmp_path / "gauge"
+        assert main(["starprod", "--op", "gauge", "--left-hermite", "1", "--sigma", "0.5",
+                     "--sigma-to", "0.2", "--nx", "64", "--np", "64", "--formats", "bin",
+                     "--output-dir", str(outdir)]) == 0
+        got = read_field(outdir / "starprod_gauge.psqf")
+        want = twisted_tensor(h, h, OrderingSpec(0.2)).psi_field
+        assert l2_norm(got - want) / l2_norm(want) < 1e-10
+
+    def test_spectrum_emit_fields(self, tmp_path):
+        from psq import OscillatorParams, l2_norm
+        from psq.closedforms import ho_state
+        outdir = tmp_path / "fields"
+        assert main(["spectrum", "--levels", "2", "--emit-fields", "--nx", "64", "--np", "64",
+                     "--formats", "csv,bin", "--output-dir", str(outdir)]) == 0
+        files = {entry["path"] for entry in
+                 json.loads((outdir / "manifest.json").read_text())["files"]}
+        assert {"eigenfield_00.psqf", "eigenfield_00.psqf.csv", "eigenfield_01.psqf",
+                "eigenfield_01.psqf.csv"} <= files
+        for n in range(2):
+            field = read_field(outdir / ("eigenfield_%02d.psqf" % n))
+            want = ho_state(n, n, OscillatorParams(), field.grid).psi_field
+            assert l2_norm(field - want) < 1e-6
 
     @pytest.mark.parametrize("argv, scenario, params", [
         (["spectrum"], "spectrum", {}),

@@ -178,6 +178,33 @@ class TestSpectrumSolver:
         with pytest.raises(NumericalPreconditionError, match="resolution"):
             spectrum_via_schrodinger(H, OrderingSpec(0.5), 60, grid64)
 
+    def test_function_terms_match_polynomial_route(self, grid64):
+        # x_function + p_function terms build the same factor pairs as the
+        # polynomial, through the function-term branch of the Hermiticity check
+        H_fn = ObservableSpec.x_function(lambda x: 0.5 * x ** 2) \
+            + ObservableSpec.p_function(lambda p: 0.5 * p ** 2)
+        for spec in (OrderingSpec(0.5), OrderingSpec(0.2)):
+            got = spectrum_via_schrodinger(H_fn, spec, 4, grid64)
+            want = spectrum_via_schrodinger(ObservableSpec.harmonic(1.0), spec, 4, grid64,
+                                            residual_fields=False)
+            assert np.abs(got.energies - want.energies).max() < 1e-12
+            assert np.abs(got.energies - (np.arange(4) + 0.5)).max() < 1e-8
+            for left, right in got.residuals:
+                assert left < 1e-6 and right < 1e-6
+        # a complex function term is named as the offending term
+        bad = H_fn + ObservableSpec.x_function(lambda x: 1e-3j * x)
+        with pytest.raises(PSQError, match="x-function term"):
+            spectrum_via_schrodinger(bad, OrderingSpec(0.5), 4, grid64)
+
+    def test_non_finite_matrix_refused(self, grid64):
+        # sigma = 1e300 overflows the ordered coefficients of x^2 p^2: the
+        # matrix holds NaN, which no comparison downstream may let through
+        H = ObservableSpec.from_poly(PolyH.monomial(0, 2, c=0.5) + PolyH.monomial(2, 0, c=0.5)
+                                     + PolyH.monomial(2, 2, c=0.1), "H")
+        with np.errstate(all="ignore"), pytest.raises(NumericalPreconditionError,
+                                                      match="not finite"):
+            spectrum_via_schrodinger(H, OrderingSpec(1e300), 4, grid64)
+
 
 class TestGaugeInvariance:
     def test_oscillator_across_sigma(self, grid128):
