@@ -12,6 +12,9 @@ and commutes with integration.  Supported kinds:
   numerically at the lattice origin on every use
 * WordSmoother(word): a grading-decreasing differential-operator word (a
   polyalg.DiffOpWord); exact on polynomials, not applicable to sampled fields.
+
+The involution's conjugate smoother Sbar f = conj(S conj f) is derived from
+the multiplier, conj S(-xi, -eta); no smoother carries one of its own.
 """
 
 from dataclasses import dataclass, field
@@ -35,10 +38,6 @@ class GaussianSmoother:
 
     def multiplier(self, XI, ETA, hbar):
         return np.exp(-(self.alpha * XI ** 2 + self.beta * ETA ** 2) / (2.0 * hbar))
-
-    def conjugated(self):
-        # real, reflection-symmetric multiplier: Sbar = S
-        return self
 
     def to_word(self):
         return DiffOpWord.gaussian(self.alpha, self.beta)
@@ -88,11 +87,6 @@ class CohenSmoother:
             raise PSQError("Cohen multiplier vanishes on the lattice")
         return 1.0 / vals
 
-    def conjugated(self):
-        fn = self.fn
-        return CohenSmoother(lambda XI, ETA: np.conj(fn(-np.asarray(XI), -np.asarray(ETA))),
-                             label=self.label + "_bar")
-
     def to_word(self):
         raise UnsupportedObservableError(
             "Cohen smoother has no exact polynomial word")
@@ -115,9 +109,6 @@ class WordSmoother:
     def multiplier(self, XI, ETA, hbar):
         raise UnsupportedObservableError(
             "word smoothers act on polynomials, not sampled fields")
-
-    def conjugated(self):
-        return WordSmoother(self.word.conjugated())
 
     def to_word(self):
         return self.word

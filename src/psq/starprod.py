@@ -402,22 +402,21 @@ def moyal_bracket(f, g_field, spec):
 def involution_dagger(field, spec):
     """A^dagger = S S_{sigma - sigmabar} Sbar^-1 conj(A).
 
-    One guarded multiply of conj(A) by the gauge phase
-    exp(i (sigma - sigmabar) xi eta / hbar), times S / Sbar only when the
-    smoother differs from its conjugate (Cohen smoothers).  Gaussian smoothers
-    have Sbar = S, so that factor cancels exactly and an underflowing
-    multiplier cannot turn into 0/0.  For sigma = 1/2 with the identity
-    smoother this is plain conjugation, bit-exact.  The result keeps the
-    field's guard flags.
+    Sbar f = conj(S conj f) is the Fourier multiplier conj S(-xi, -eta).  One
+    guarded multiply of conj(A) by the gauge phase
+    exp(i (sigma - sigmabar) xi eta / hbar) times S / Sbar, taken sample by
+    sample and exactly 1 wherever the two samples agree, so an underflowing
+    real multiplier cannot turn into 0/0 (identity and Gaussian smoothers
+    give 1 everywhere).  For sigma = 1/2 with the identity smoother this is
+    plain conjugation, bit-exact.  The result keeps the field's guard flags.
     """
     delta = spec.sigma - spec.sigma_bar
     conj_field = field.conj()
     if delta == 0 and spec.is_plain_sigma():
         return conj_field
     g = field.grid
-    mult = _gauge_phase(g, delta)
-    smoother, sbar = spec.smoother, spec.smoother.conjugated()
-    if sbar != smoother:
-        XI, ETA = g.conj_meshes()
-        mult = mult * smoother.multiplier(XI, ETA, g.hbar) / sbar.multiplier(XI, ETA, g.hbar)
-    return _apply_multiplier(conj_field, mult)
+    XI, ETA = g.conj_meshes()
+    s = spec.smoother.multiplier(XI, ETA, g.hbar)
+    sbar = np.conj(spec.smoother.multiplier(-XI, -ETA, g.hbar))
+    ratio = np.divide(s, sbar, out=np.ones_like(s), where=s != sbar)
+    return _apply_multiplier(conj_field, _gauge_phase(g, delta) * ratio)

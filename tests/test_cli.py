@@ -1,10 +1,14 @@
 import json
 import os
 import shutil
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psq import PolyH, PSQError, integrate, read_field
 from psq.cli import CONFIG_SCHEMA, PARAMS, main, parse_poly, run
@@ -144,7 +148,74 @@ class TestBundledConfigs:
         assert abs(integrals[0] - np.sqrt(2 * np.pi)) < 1e-6
 
 
+# small grids and short runs keep each drawn config to milliseconds
+_CAPS = {"steps": 16, "levels": 8}
+_SIZES = st.sampled_from([8, 16, 32, 24])
+_NUMBERS = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, 1e-300, 1e300, -1e300]))
+_STRINGS = st.one_of(st.sampled_from(["x", "p", "x,p,H", "0.5*p^2 + 0.5*x^2", "x*p + x^4",
+                                      "0.5*p^2 + 0.1*x^2*p^2", "", "q"]),
+                     st.text("xpH,^*+-.0123456789e ", max_size=6))
+
+
+def _value(schema, key=None):
+    """A strategy for one JSON-schema fragment of PARAMS, inside its bounds."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema["type"]
+    if kind == "boolean":
+        return st.booleans()
+    if kind == "integer":
+        if key in ("nx", "np"):
+            return _SIZES
+        return st.integers(schema.get("minimum", -2), _CAPS.get(key, 16))
+    if kind == "number":
+        low = schema.get("minimum", schema.get("exclusiveMinimum", -1e300))
+        high = schema.get("maximum", 1e300)
+        return _NUMBERS.filter(lambda v: low <= v <= high and
+                               v != schema.get("exclusiveMinimum"))
+    if kind == "string":
+        return _STRINGS
+    if kind == "array":
+        return st.lists(_value(schema["items"]), min_size=schema.get("minItems", 0), max_size=3)
+    return st.fixed_dictionaries({}, optional={k: _value(s, k)
+                                               for k, s in schema["properties"].items()})
+
+
+@st.composite
+def _configs(draw):
+    scenario = draw(st.sampled_from(sorted(PARAMS)))
+    table = {key: _value(schema, key) for key, (schema, _default) in PARAMS[scenario].items()}
+    required = {key: table.pop(key) for key in ("steps",) if key in table}
+    span = draw(st.floats(0.5, 20))
+    return {
+        "scenario": scenario,
+        "formats": draw(st.lists(st.sampled_from(["csv", "bin", "dat"]), unique=True,
+                                 max_size=3)),
+        "grid": {"nx": draw(_SIZES), "np": draw(_SIZES), "x_min": -span, "x_max": span,
+                 "p_min": -span, "p_max": span, "hbar": draw(st.floats(1e-3, 5))},
+        "ordering": {"sigma": draw(st.floats(-4, 5)),
+                     "smoother": draw(_value(CONFIG_SCHEMA["properties"]["ordering"]
+                                             ["properties"]["smoother"]))},
+        "params": draw(st.fixed_dictionaries(required, optional=table)),
+    }
+
+
 class TestRunContract:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(config=_configs())
+    def test_exit_code_contract_property(self, config):
+        # any config drawn from PARAMS exits 0, 2, 3 or 4, and a failed run
+        # leaves an absent output_dir absent
+        with tempfile.TemporaryDirectory() as tmp:
+            outdir = os.path.join(tmp, "new", "out")
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                code, manifest = cli_run_config(dict(config, output_dir=outdir))
+            assert code in (0, 2, 3, 4)
+            assert (manifest is None) == (code != 0)
+            if code != 0:
+                assert not os.path.exists(os.path.join(tmp, "new"))
+
     def test_malformed_config_exit_2_no_artifacts(self, tmp_path):
         payload = {"scenario": "definitely-not-a-scenario",
                    "output_dir": str(tmp_path / "out")}
@@ -368,6 +439,16 @@ class TestRunContract:
             assert cli_run_config(dict(payload, output_dir=str(nested)))[0] == 3
         assert nested.is_dir() and not os.listdir(nested)
 
+    def test_unresolved_level_exit_3(self, tmp_path):
+        # eight harmonic levels do not fit in [-3, 3]: not even level 0 decays
+        payload = {"scenario": "spectrum",
+                   "grid": {"nx": 64, "np": 64, "x_min": -3, "x_max": 3,
+                            "p_min": -3, "p_max": 3},
+                   "params": {"levels": 8}}
+        (code, manifest), outdir = run_config(payload, tmp_path)
+        assert (code, manifest) == (3, None)
+        assert not Path(outdir).exists()
+
     def test_rk4_drift_checked_between_snapshots(self, tmp_path, capsys):
         # snapshots only at steps 157 and 314: the drift is caught at the
         # step it passes the bound, before the pullback itself is refused
@@ -430,6 +511,21 @@ class TestSubcommands:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "psq" in out and "field format" in out
+
+    def test_run_returns_exit_code(self, tmp_path):
+        path = tmp_path / "config.json"
+        for params, want in (({"f": "x", "g": "p"}, 0), ({"f": "q"}, 2)):
+            path.write_text(json.dumps({"scenario": "symbolic", "params": params,
+                                        "output_dir": str(tmp_path / "out")}))
+            assert main(["run", str(path)]) == want
+
+    def test_print_schema(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "unread.json"), "--print-schema"]) == 0
+        assert json.loads(capsys.readouterr().out) == CONFIG_SCHEMA
+
+    def test_no_command_prints_help(self, capsys):
+        assert main([]) == 0
+        assert capsys.readouterr().out.startswith("usage: psq")
 
     def test_spectrum_subcommand(self, tmp_path):
         outdir = str(tmp_path / "spect")

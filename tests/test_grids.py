@@ -298,6 +298,29 @@ class TestSerialization:
         with pytest.raises(PSQError, match="not a PSQF file"):
             read_field(path)
 
+    def test_rejects_truncated_payload_and_other_version(self, grid64, tmp_path):
+        path = tmp_path / "field.psqf"
+        write_field(PhaseField.constant(grid64), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-16])
+        with pytest.raises(PSQError, match="truncated"):
+            read_field(path)
+        path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:])
+        with pytest.raises(PSQError, match="unsupported PSQF version 2"):
+            read_field(path)
+
+
+class TestPhaseFieldGuards:
+    def test_shape_must_match_grid(self, grid64):
+        with pytest.raises(PSQError, match="does not match grid"):
+            PhaseField(grid64, np.zeros((3, 3)))
+
+    def test_assert_finite_rejects_nan(self, grid64):
+        f = PhaseField.constant(grid64)
+        f.values[5, 7] = np.nan
+        with pytest.raises(PSQError, match="non-finite"):
+            f.assert_finite()
+
 
 class TestWaveFunction:
     def test_norm_and_inner(self, grid64):

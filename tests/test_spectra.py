@@ -178,6 +178,15 @@ class TestSpectrumSolver:
         with pytest.raises(NumericalPreconditionError, match="resolution"):
             spectrum_via_schrodinger(H, OrderingSpec(0.5), 60, grid64)
 
+    def test_zero_levels_refused(self, grid64):
+        with pytest.raises(PSQError, match="at least 1"):
+            spectrum_via_schrodinger(ObservableSpec.harmonic(1.0), OrderingSpec(0.5), 0, grid64)
+
+    def test_unresolved_level_refused(self):
+        grid = make_grid(64, 64, -3.0, 3.0, -3.0, 3.0, 1.0)
+        with pytest.raises(NumericalPreconditionError, match="level 0 is not resolved"):
+            spectrum_via_schrodinger(ObservableSpec.harmonic(1.0), OrderingSpec(0.5), 8, grid)
+
     def test_function_terms_match_polynomial_route(self, grid64):
         # x_function + p_function terms build the same factor pairs as the
         # polynomial, through the function-term branch of the Hermiticity check

@@ -684,16 +684,20 @@ class TestInvolution:
 
     def test_strong_gaussian_smoother(self):
         # S = Sbar cancels exactly: the multiplier underflows to 0 on this
-        # lattice, and S / Sbar would be 0/0
+        # lattice, and S / Sbar would be 0/0; the Cohen form of the same
+        # smoother, F = exp((2 xi^2 + 2 eta^2) / 2 hbar), must agree
         grid = make_grid(64, 64, -4.0, 4.0, -4.0, 4.0, 1.0)
         X, P = grid.meshes()
         f = PhaseField(grid, np.exp(-(X ** 2 + P ** 2)))
-        smoother = GaussianSmoother(2.0, 2.0)
-        out = involution_dagger(f, OrderingSpec(0.5, smoother))
-        assert np.abs(out.values - np.conj(f.values)).max() < 1e-12
-        spec = OrderingSpec(0.3, smoother)
-        back = involution_dagger(involution_dagger(f, spec), spec)
-        assert l2_norm(back - f) / l2_norm(f) < 1e-8
+        cohen = CohenSmoother(
+            lambda xi, eta: np.exp((2.0 * np.asarray(xi) ** 2 + 2.0 * np.asarray(eta) ** 2) / 2.0))
+        for smoother in (GaussianSmoother(2.0, 2.0), cohen):
+            with np.errstate(over="ignore"):
+                out = involution_dagger(f, OrderingSpec(0.5, smoother))
+                assert np.abs(out.values - np.conj(f.values)).max() < 1e-12
+                spec = OrderingSpec(0.3, smoother)
+                back = involution_dagger(involution_dagger(f, spec), spec)
+            assert l2_norm(back - f) / l2_norm(f) < 1e-8
 
     def test_involutive(self, grid64, rng):
         for spec in (OrderingSpec(0.3),

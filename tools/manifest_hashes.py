@@ -39,6 +39,9 @@ BRANCHES = {
                                  "steps": 16, "dt": 0.01}},
     "starprod-smooth": {"scenario": "starprod", "grid": _SMALL, "ordering": _GAUSSIAN,
                         "formats": ["bin"], "params": {"op": "smooth", "direction": "inverse"}},
+    "starprod-dagger": {"scenario": "starprod", "grid": _SMALL,
+                        "ordering": dict(_GAUSSIAN, sigma=0.3), "formats": ["bin"],
+                        "params": {"op": "dagger"}},
     "starprod-gauge": {"scenario": "starprod", "grid": _SMALL, "formats": ["bin"],
                        "params": {"op": "gauge", "sigma_to": 0.2}},
     "spectrum-emit-fields": {"scenario": "spectrum", "grid": {"nx": 64, "np": 32},
