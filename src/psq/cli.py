@@ -9,8 +9,8 @@ CSVs; floats are printed with 17 significant digits.
 subcommand flags (`--<key>`, `_` written as `-`) and the values a scenario
 reads, defaults included, all come from it.  `run_config` resolves the grid,
 the ordering and the params once and hands them to the scenario, which reads
-nothing else of the config; a params key the scenario does not read is a
-config error.  A failed run leaves output_dir as it found it.
+nothing else of the config; a params key (JSON or flag) the scenario does not
+read is a config error.  A failed run leaves output_dir as it found it.
 
 Exit codes: 0 ok, 2 config/schema violation, 3 numerical-precondition
 failure, 4 I/O error.
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalPreconditionError, PSQError
-from .grids import make_grid, write_field, write_field_csv
+from .grids import FIELD_FORMAT_VERSION, make_grid, write_field, write_field_csv
 from .ordering import IdentitySmoother, spec_from_dict
 from .polyalg import PolyH, pstar_S, sigma_S_order
 from .spectra import gauge_spectrum_check, spectrum_via_schrodinger
@@ -44,8 +44,6 @@ from .closedforms import (CoherentParams, FreeGaussianParams, OscillatorParams,
                           free_gaussian, free_wavepacket, ho_ladder, ho_state)
 from .dynamics import (METHODS, EvolutionConfig, default_observables, evolve_phase_space,
                        evolve_schrodinger)
-
-FIELD_FORMAT_VERSION = 1
 
 # boundary_tail_mass counts 2 cells on each side as tail: all of a 4-cell axis
 _SIZE = {"type": "integer", "minimum": 8, "maximum": 4096}
@@ -417,7 +415,7 @@ def _scenario_evolve(grid, spec, p, emit):
     # the closed form is built on both routes: its grid-span check guards them
     state0 = free_gaussian(packet, 0.0, grid) if free else coherent_state(packet, grid)
     if p["method"] == "phase_space_rk4":
-        result = evolve_phase_space(_under(state0, spec), hobs, spec, cfg_evo,
+        result = evolve_phase_space(_under(state0, spec), hobs, cfg_evo,
                                     observables=observables)
     else:
         phi0 = free_wavepacket(packet, 0.0, grid) if free else coherent_wavepacket(packet, grid)
@@ -639,7 +637,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command")
 
     run_p = sub.add_parser("run", help="execute a JSON scenario config")
-    run_p.add_argument("config")
+    run_p.add_argument("config", nargs="?")
     run_p.add_argument("--print-schema", action="store_true")
 
     for scenario, runner in _RUNNERS.items():
@@ -670,6 +668,9 @@ def main(argv=None):
         if args.print_schema:
             print(json.dumps(CONFIG_SCHEMA, indent=2, sort_keys=True))
             return 0
+        if args.config is None:
+            print("config error: psq run needs a config path", file=sys.stderr)
+            return 2
         return run(args.config)[0]
 
     scenario = "symbolic" if vars(args).get("symbolic") else args.command
@@ -685,7 +686,8 @@ def main(argv=None):
                                    "beta": args.beta}
                                   if (args.alpha or args.beta)
                                   else {"kind": "identity"})},
-        "params": {k: v for k, v in vars(args).items() if k in PARAMS[scenario]},
+        "params": {k: v for k, v in vars(args).items()
+                   if k in CONFIG_SCHEMA["properties"]["params"]["properties"]},
     }
     return run_config(config)[0]
 

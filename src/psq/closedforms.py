@@ -316,11 +316,12 @@ def coherent_genvalue_residuals(params, state):
 
     Returns (left, right, pde1, pde2): the two star-genvalue residuals
     a_L * Psi = z Psi and abar_R * Psi = z* Psi, and the residuals of the
-    equivalent pair of first-order differential equations, all relative.
+    equivalent pair of first-order differential equations, all relative, all
+    under the state's ordering (params supplies the center and omega).
     """
     grid = state.grid
     hbar = grid.hbar
-    omega, s = params.omega, params.sigma
+    omega, s = params.omega, state.spec.sigma
     sb = 1.0 - s
     z = (omega * params.x_bar + 1j * params.p_bar) / sqrt(2.0 * hbar * omega)
     osc = OscillatorParams(omega=omega, sigma=s)

@@ -212,12 +212,7 @@ def _estimate_spectral_radius(rhs, grid):
         vec = nxt * (1.0 / nrm)
     return est
 
-def _require_spec(state, spec):
-    if state.spec != spec:
-        raise PSQError("the state is under %r, not the evolution's ordering %r"
-                       % (state.spec, spec))
-
-def evolve_phase_space(state0, H, spec, cfg, observables=None, classical=False):
+def evolve_phase_space(state0, H, cfg, observables=None, classical=False):
     """Method-of-lines RK4 on the phase-space evolution equation.
 
     Evolves the state's field Psi (pure or mixed: the equation is linear in
@@ -231,11 +226,11 @@ def evolve_phase_space(state0, H, spec, cfg, observables=None, classical=False):
     classical=True the same integrator solves the Liouville equation instead
     (the hbar-deformation terms are dropped, and so is the norm check); for
     quadratic symbols the two flows agree on Gaussians, which the tests
-    exploit.  The state must be under `spec`.
+    exploit.  The evolution runs under the state's own ordering, state0.spec.
     """
     if cfg.method != "phase_space_rk4":
         raise PSQError("evolve_phase_space runs phase_space_rk4, not %r" % cfg.method)
-    _require_spec(state0, spec)
+    spec = state0.spec
     grid = state0.grid
     rhs = _classical_rhs(H, grid) if classical else _quantum_rhs(H, spec, grid.hbar)
     radius = _estimate_spectral_radius(rhs, grid)
@@ -364,23 +359,17 @@ def heisenberg_observable(A_poly, H_poly, spec, t):
         "Heisenberg series tail %.3g above %.1g at order %d"
         % (term.max_abs_coeff(), HEISENBERG_TAIL, HEISENBERG_ORDER))
 
-def heisenberg_trajectory(A, state0, H, spec, cfg):
+def heisenberg_trajectory(A, phi0, H, spec, cfg):
     """Expectation trajectory of A with the equation-of-motion residual.
 
-    Evolves the state in the Schrodinger picture, records <A>(t), and checks
-    d/dt <A> = <[[A, H]]> at interior snapshot times by centered differences.
-    The state must be phi* (x) phi with known provenance, under `spec`.
-    Returns (times, values, residual_max).
+    Evolves the wavefunction phi0 in the Schrodinger picture, as
+    evolve_schrodinger does, records <A>(t) in the state phi* (x) phi under
+    `spec`, and checks d/dt <A> = <[[A, H]]> at interior snapshot times by
+    centered differences.  Returns (times, values, residual_max).
     """
-    _require_spec(state0, spec)
-    if state0.provenance is None:
-        raise PSQError("heisenberg_trajectory needs a pure state with provenance")
-    phi, psi = state0.provenance
-    if not np.array_equal(phi.values, psi.values):
-        raise PSQError("heisenberg_trajectory needs phi* (x) phi; its provenance pair differs")
     bracket = ObservableSpec.from_poly(
         formal_star_bracket(A.as_poly(), H.as_poly(), spec), "[[A,H]]")
-    result = evolve_schrodinger(phi, H, spec, cfg,
+    result = evolve_schrodinger(phi0, H, spec, cfg,
                                 observables={"A": A, "B": bracket},
                                 phase_space_snapshots=False)
     times = result.times

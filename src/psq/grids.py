@@ -37,7 +37,7 @@ import scipy.fft as sp_fft
 from .errors import GridMismatchError, PSQError
 
 _MAGIC = b"PSQF"
-_VERSION = 1
+FIELD_FORMAT_VERSION = 1        # PSQF header version, recorded in every manifest
 TAIL_MARGIN = 2                 # outer lattice cells counted as boundary tail
 
 
@@ -461,7 +461,7 @@ def write_field(field, path):
     samples as interleaved f64 pairs, x-major.
     """
     g = field.grid
-    header = _MAGIC + struct.pack("<III", _VERSION, g.nx, g.np) + b"\x00" * 16
+    header = _MAGIC + struct.pack("<III", FIELD_FORMAT_VERSION, g.nx, g.np) + b"\x00" * 16
     doubles = struct.pack("<6d", g.x_min, g.x_max, g.p_min, g.p_max, g.hbar, 0.0)
     data = np.ascontiguousarray(field.values, dtype=np.complex128)
     if not np.little_endian:  # pragma: no cover
@@ -479,7 +479,7 @@ def read_field(path):
         if len(header) != 32 or header[:4] != _MAGIC:
             raise PSQError("not a PSQF file: %s" % path)
         version, nx, npn = struct.unpack("<III", header[4:16])
-        if version != _VERSION:
+        if version != FIELD_FORMAT_VERSION:
             raise PSQError("unsupported PSQF version %d" % version)
         x_min, x_max, p_min, p_max, hbar, _ = struct.unpack("<6d", fh.read(48))
         raw = fh.read(16 * nx * npn)

@@ -286,12 +286,14 @@ def star_sigma(f, g_field, sigma):
     grid = f.grid
     _check_tail_mass(f, meta)
     _check_tail_mass(g_field, meta)
-    kernels = [_to_kernel(h.values, sigma, grid) for h in (f, g_field)] if grid.dx <= grid.deta else []
+    operands = (f,) if g_field is f else (f, g_field)      # a repeated operand maps once
+    kernels = [_to_kernel(h.values, sigma, grid) for h in operands] if grid.dx <= grid.deta else []
     if kernels and max(lost for _K, lost in kernels) <= _KERNEL_SPAN_MASS:
-        (Kf, _), (Kg, _) = kernels
+        Kf, Kg = kernels[0][0], kernels[-1][0]
         values = _from_kernel((Kg @ Kf) * (grid.dx / sqrt(2.0 * pi * grid.hbar)), sigma, grid)
     else:
-        spect = _twisted_convolution(fourier_full(f).values, fourier_full(g_field).values,
+        spectra = [fourier_full(h).values for h in operands]
+        spect = _twisted_convolution(spectra[0], spectra[-1],
                                      grid.xi, grid.eta, sigma, grid.hbar)
         values = fourier_full_inverse(SpectralField(grid, spect)).values
     return PhaseField(grid, values, meta).assert_finite()
@@ -299,9 +301,9 @@ def star_sigma(f, g_field, sigma):
 
 def star_sigma_S(f, g_field, spec):
     """f *_{sigma,S} g = S(S^-1 f *_sigma S^-1 g); identity smoother reduces
-    bit-for-bit to star_sigma."""
+    bit-for-bit to star_sigma.  A repeated operand (g_field is f) is pulled back once."""
     fi = apply_smoother(spec, f, "inverse")
-    gi = apply_smoother(spec, g_field, "inverse")
+    gi = fi if g_field is f else apply_smoother(spec, g_field, "inverse")
     return apply_smoother(spec, star_sigma(fi, gi, spec.sigma), "forward")
 
 

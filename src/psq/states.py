@@ -25,7 +25,7 @@ from .grids import (PhaseField, WaveFunction, _fwd_x, _shear_mask, _sheared_samp
                     _to_kernel, fourier_partial, half_dft, integrate,  # noqa: F401
                     l2_inner, l2_norm, read_field, write_field)
 from .ordering import OrderingSpec, spec_from_dict
-from .starprod import apply_smoother, involution_dagger, star_sigma_S
+from .starprod import apply_smoother, gauge_transform, involution_dagger, star_sigma_S
 
 INTERPOLATION_TAIL_THRESHOLD = 1e-6
 PURITY_TOL = 1e-5
@@ -62,11 +62,10 @@ def hermite_basis(grid, nmax, omega=1.0):
 
 @dataclass
 class QuasiDistribution:
-    """A phase-space state: the field Psi, its ordering, optional provenance."""
+    """A phase-space state: the field Psi and the ordering every state function reads."""
 
     psi_field: PhaseField
     spec: OrderingSpec
-    provenance: tuple = None            # (phi, psi) WaveFunctions when known
 
     @property
     def grid(self):
@@ -86,9 +85,11 @@ class QuasiDistribution:
         return integrate(self.psi_field) / sqrt(2.0 * pi * self.grid.hbar)
 
     def inner_h(self, other):
-        """Hilbert-space scalar product <self|other>_H (S^-1 pullback)."""
+        """Hilbert-space scalar product <self|other>_H (S^-1 pullbacks, the other's
+        gauge-mapped to this sigma, so states under different orderings compare)."""
         a = apply_smoother(self.spec, self.psi_field, "inverse")
-        b = apply_smoother(other.spec, other.psi_field, "inverse")
+        b = gauge_transform(apply_smoother(other.spec, other.psi_field, "inverse"),
+                            other.spec.sigma, self.spec.sigma)
         return l2_inner(a, b)
 
 
@@ -149,7 +150,7 @@ def twisted_tensor(phi, psi, spec):
     chi *= _shear_mask(grid, sigma, grid.eta)
     # one partial transform on the shift axis: y -> p with kernel e^{-i p y/hbar}
     out = apply_smoother(spec, fourier_partial(PhaseField(grid, chi), "p", "forward"))
-    return QuasiDistribution(out.assert_finite(), spec, provenance=(phi, psi))
+    return QuasiDistribution(out.assert_finite(), spec)
 
 
 def _kernel(state):

@@ -147,8 +147,7 @@ def test_criterion_06_coherent_orbit():
     obs = default_observables()
     cfg = EvolutionConfig(dt=dt, steps=steps, method="phase_space_rk4",
                           snapshot_every=157)
-    result = evolve_phase_space(cs, ObservableSpec.harmonic(1.0),
-                                OrderingSpec(0.5), cfg,
+    result = evolve_phase_space(cs, ObservableSpec.harmonic(1.0), cfg,
                                 observables=obs)
     orbit_err = 0.0
     unc_err = 0.0

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -522,6 +523,33 @@ class TestSubcommands:
     def test_print_schema(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "unread.json"), "--print-schema"]) == 0
         assert json.loads(capsys.readouterr().out) == CONFIG_SCHEMA
+
+    def test_print_schema_needs_no_path(self, capsys):
+        assert main(["run", "--print-schema"]) == 0
+        assert json.loads(capsys.readouterr().out) == CONFIG_SCHEMA
+        # without --print-schema the path is required
+        assert main(["run"]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+
+    @pytest.mark.parametrize("argv", [
+        ["starprod", "--f", "x*p", "--nx", "64", "--np", "64"],
+        ["starprod", "--symbolic", "--op", "bracket", "--left-hermite", "3"],
+    ])
+    def test_unread_flag_exit_2(self, tmp_path, capsys, argv):
+        # a flag the scenario does not read is refused, as its JSON key is
+        outdir = tmp_path / "out"
+        assert main(argv + ["--output-dir", str(outdir)]) == 2
+        assert "reads no params" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_manifest_records_field_format_version(self, tmp_path):
+        outdir = tmp_path / "orc"
+        assert main(["oracle", "--nx", "32", "--np", "32", "--formats", "bin",
+                     "--output-dir", str(outdir)]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        header = (outdir / "ho_state.psqf").read_bytes()[:8]
+        assert header[:4] == b"PSQF"
+        assert manifest["field_format_version"] == struct.unpack("<I", header[4:])[0]
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 0

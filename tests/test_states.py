@@ -70,6 +70,19 @@ class TestTwistedTensor:
             want = phi2.inner(phi1) * psi1.inner(psi2)
             assert abs(got - want) < 1e-8
 
+    @pytest.mark.parametrize("spec_a, spec_b", [
+        (OrderingSpec(0.2), OrderingSpec(0.7)),
+        (OrderingSpec(0.0), OrderingSpec(1.0)),
+        (OrderingSpec(0.3), OrderingSpec(0.6, GaussianSmoother(0.1, 0.1))),
+    ], ids=["0.2-0.7", "0-1", "0.3-0.6-gaussian"])
+    def test_scalar_product_across_orderings(self, grid64, spec_a, spec_b):
+        # <Psi_aa|Psi_bb>_H = |<a|b>|^2 whichever ordering each state is under
+        a = coherent_wavepacket(CoherentParams(1.0, 0.5), grid64)
+        b = coherent_wavepacket(CoherentParams(-0.5, 1.0), grid64)
+        want = abs(a.inner(b)) ** 2
+        got = twisted_tensor(a, a, spec_a).inner_h(twisted_tensor(b, b, spec_b))
+        assert abs(got - want) < 1e-12
+
     def test_axis_mismatch(self, grid64):
         from psq import make_grid
         other = make_grid(64, 64, -8, 8, -8, 8, 0.5)

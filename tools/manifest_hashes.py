@@ -26,7 +26,9 @@ from psq.cli import run_config  # noqa: E402
 from scenarios import WORKLOADS, cycle, file_hashes  # noqa: E402
 
 _SMALL = {"nx": 32, "np": 32}
+_MID = {"nx": 64, "np": 64}
 _GAUSSIAN = {"sigma": 0.5, "smoother": {"kind": "gaussian", "alpha": 0.1, "beta": 0.1}}
+_QUARTIC = "0.5*p^2 + 0.5*x^2 + 0.01*x^4"
 # scenario branches that neither the demo configs nor the workloads run
 BRANCHES = {
     "oracle-free": {"scenario": "oracle", "grid": _SMALL, "params": {"state": "free", "t": 0.5}},
@@ -34,9 +36,28 @@ BRANCHES = {
                              "params": {"family": "free", "hbars": [0.2, 0.1], "grid": _SMALL}},
     "classical-limit-ho": {"scenario": "classical-limit",
                            "params": {"family": "ho", "hbars": [0.2, 0.1], "grid": _SMALL}},
-    "evolve-custom": {"scenario": "evolve", "grid": {"nx": 64, "np": 64},
-                      "params": {"system": "custom", "hamiltonian": "0.5*p^2 + 0.5*x^2 + 0.01*x^4",
+    "evolve-custom": {"scenario": "evolve", "grid": _MID,
+                      "params": {"system": "custom", "hamiltonian": _QUARTIC,
                                  "steps": 16, "dt": 0.01}},
+    "evolve-matrix-exponential": {"scenario": "evolve", "grid": _MID,
+                                  "params": {"system": "custom", "hamiltonian": _QUARTIC,
+                                             "method": "matrix_exponential",
+                                             "steps": 16, "dt": 0.01}},
+    "oracle-ho-ladder": {"scenario": "oracle", "grid": _MID,
+                         "params": {"state": "ho-ladder", "m": 1, "n": 2}},
+    "oracle-coherent": {"scenario": "oracle", "grid": _SMALL, "ordering": {"sigma": 0.2},
+                        "params": {"state": "coherent"}},
+    "starprod-commutator": {"scenario": "starprod", "grid": _MID, "formats": ["bin"],
+                            "params": {"op": "commutator", "right_hermite": 1}},
+    "starprod-bracket": {"scenario": "starprod", "grid": _MID,
+                         "ordering": dict(_GAUSSIAN, sigma=0.3), "formats": ["bin"],
+                         "params": {"op": "bracket", "right_hermite": 1}},
+    "starprod-bopp-right": {"scenario": "starprod", "grid": _SMALL,
+                            "ordering": dict(_GAUSSIAN, sigma=0.3), "formats": ["bin"],
+                            "params": {"op": "bopp", "side": "right",
+                                       "observable": "x*p + 0.5*x^2"}},
+    "symbolic": {"scenario": "symbolic", "ordering": dict(_GAUSSIAN, sigma=0.3),
+                 "params": {"f": "x*p + 0.5*x^2", "g": "p^2"}},
     "starprod-smooth": {"scenario": "starprod", "grid": _SMALL, "ordering": _GAUSSIAN,
                         "formats": ["bin"], "params": {"op": "smooth", "direction": "inverse"}},
     "starprod-dagger": {"scenario": "starprod", "grid": _SMALL,
