@@ -20,7 +20,7 @@ H = ObservableSpec.from_poly(PolyH.monomial(0, 2, c=0.5), "H")
 spec = OrderingSpec(0.5)
 
 dp = np.sqrt(hbar / 2)
-params = FreeGaussianParams(p0=1.0, delta_p=dp, sigma=0.5)
+params = FreeGaussianParams(p0=1.0, delta_p=dp)
 phi0 = free_wavepacket(params, 0.0, grid)
 
 cfg = EvolutionConfig(dt=1e-3, steps=1000, snapshot_every=250)
@@ -38,12 +38,12 @@ for i, t in enumerate(result.times):
           % (t, x_mean, np.sqrt(var_x),
              np.sqrt(dx0 ** 2 + (dp * t) ** 2), np.sqrt(var_p)))
 
-exact = free_gaussian(params, 1.0, grid)
+exact = free_gaussian(params, 1.0, spec, grid)
 rel = l2_norm(result.snapshots[-1] - exact.psi_field) / l2_norm(exact.psi_field)
 print("\nfinal snapshot vs analytic solution: rel L2 = %.2e" % rel)
 
 # the same evolution computed directly on phase space
-state0 = free_gaussian(params, 0.0, grid)
+state0 = free_gaussian(params, 0.0, spec, grid)
 cfg2 = EvolutionConfig(dt=0.01, steps=100, method="phase_space_rk4")
 result2 = evolve_phase_space(state0, H, cfg2)
 rel2 = l2_norm(result2.snapshots[-1] - exact.psi_field) / l2_norm(exact.psi_field)

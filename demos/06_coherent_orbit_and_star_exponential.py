@@ -19,7 +19,7 @@ H = ObservableSpec.harmonic(1.0)
 spec = OrderingSpec(0.5)
 grid = make_grid(64, 64, -8.0, 8.0, -8.0, 8.0, 1.0)
 
-cs = coherent_state(CoherentParams(1.0, 0.0, 1.0, 0.5), grid)
+cs = coherent_state(CoherentParams(1.0, 0.0, 1.0), spec, grid)
 steps = 628
 cfg = EvolutionConfig(dt=2 * np.pi / steps, steps=steps,
                       method="phase_space_rk4", snapshot_every=157)
@@ -60,7 +60,7 @@ print("U(t) * U(-t) deviation from 1: %.2e"
 # the round-off of the conjugation (Bopp actions of degree-24 Taylor
 # polynomials; rescaling its input alone moves it by ~2e-8), not RK4 error
 mid = make_grid(64, 64, -6.0, 6.0, -6.0, 6.0, 1.0)
-cs2 = coherent_state(CoherentParams(0.6, 0.2, 1.0, 0.5), mid)
+cs2 = coherent_state(CoherentParams(0.6, 0.2, 1.0), spec, mid)
 work = bopp_apply(ObservableSpec.from_poly(u_minus, "U-"), cs2.psi_field, "right", spec)
 conj = bopp_apply(ObservableSpec.from_poly(u_plus, "U+"), work, "left", spec)
 ref = evolve_phase_space(cs2, H,

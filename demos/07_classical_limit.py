@@ -9,7 +9,7 @@ spans proportional to sqrt(hbar) so relative resolution stays constant.
 
 import numpy as np
 
-from psq import make_grid
+from psq import OrderingSpec, make_grid
 from psq.closedforms import (CoherentParams, FreeGaussianParams,
                              OscillatorParams, classical_limit_probe,
                              coherent_state, free_gaussian, ho_state)
@@ -30,7 +30,7 @@ fn = bump(0.8, 0.8)
 def free_family(hb):
     span = 0.8 + 8 * np.sqrt(hb / 0.2) + 1.5
     g = make_grid(64, 64, -span, span, -span, span, hb)
-    return free_gaussian(FreeGaussianParams(0.8, 0.5 * np.sqrt(hb), 0.5), 1.0, g)
+    return free_gaussian(FreeGaussianParams(0.8, 0.5 * np.sqrt(hb)), 1.0, OrderingSpec(0.5), g)
 
 
 for hb, v in zip(HBARS, classical_limit_probe(free_family, fn, HBARS)):
@@ -57,7 +57,7 @@ fnc = bump(1.0, 0.5)
 def coh_family(hb):
     span = 1.0 + 8 * np.sqrt(hb / 0.2)
     g = make_grid(64, 64, -span, span, -span, span, hb)
-    return coherent_state(CoherentParams(1.0, 0.5, 1.0, 0.5), g)
+    return coherent_state(CoherentParams(1.0, 0.5, 1.0), OrderingSpec(0.5), g)
 
 
 for hb, v in zip(HBARS, classical_limit_probe(coh_family, fnc, HBARS)):

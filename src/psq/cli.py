@@ -37,8 +37,7 @@ from .polyalg import PolyH, pstar_S, sigma_S_order
 from .spectra import gauge_spectrum_check, spectrum_via_schrodinger
 from .starprod import (ObservableSpec, apply_smoother, bopp_apply, gauge_transform,
                        involution_dagger, moyal_bracket, star_commutator, star_sigma_S)
-from .states import (QuasiDistribution, hermite_function, marginal, purity_check,
-                     twisted_tensor, write_state)
+from .states import hermite_function, marginal, purity_check, twisted_tensor, write_state
 from .closedforms import (CoherentParams, FreeGaussianParams, OscillatorParams,
                           classical_limit_probe, coherent_state, coherent_wavepacket,
                           free_gaussian, free_wavepacket, ho_ladder, ho_state)
@@ -110,9 +109,7 @@ PARAMS = {
     "classical-limit": {"family": (_enum("coherent", "free", "ho"), "coherent"),
                         "hbars": (dict(_NUMS, items={"type": "number", "exclusiveMinimum": 0}),
                                   [0.2, 0.1, 0.05, 0.025]), "x0": (_NUM, 1.0),
-                        "p0": (_NUM, 0.5), "t": (_NUM, 1.0), "n": (_INDEX, 1),
-                        "grid": ({"type": "object", "properties": {"nx": _SIZE, "np": _SIZE},
-                                  "additionalProperties": False}, {})},
+                        "p0": (_NUM, 0.5), "t": (_NUM, 1.0), "n": (_INDEX, 1)},
 }
 
 CONFIG_SCHEMA = {
@@ -332,23 +329,13 @@ class _Emitter:
 # scenario implementations
 # ---------------------------------------------------------------------------
 
-def _free_packet(p, grid, sigma):
+def _free_packet(p, grid):
     return FreeGaussianParams(1.0 if p["p0"] is None else p["p0"],
-                              sqrt(grid.hbar / 2.0) if p["delta_p"] is None else p["delta_p"],
-                              sigma)
+                              sqrt(grid.hbar / 2.0) if p["delta_p"] is None else p["delta_p"])
 
 
-def _coherent_packet(p, sigma):
-    return CoherentParams(p["x0"], 0.0 if p["p0"] is None else p["p0"], p["omega"], sigma)
-
-
-def _oscillator(omega, spec):
-    return OscillatorParams(omega, spec.sigma, spec.smoother.alpha, spec.smoother.beta)
-
-
-def _under(state, spec):
-    """A closed-form state of the identity smoother at spec.sigma, under `spec`."""
-    return QuasiDistribution(apply_smoother(spec, state.psi_field), spec)
+def _coherent_packet(p):
+    return CoherentParams(p["x0"], 0.0 if p["p0"] is None else p["p0"], p["omega"])
 
 
 def _scenario_spectrum(grid, spec, p, emit):
@@ -400,23 +387,23 @@ def _scenario_evolve(grid, spec, p, emit):
     free = p["system"] == "free"
     if free:
         hobs = ObservableSpec.from_poly(PolyH.monomial(0, 2, c=0.5), "H")
-        packet = _free_packet(p, grid, spec.sigma)
+        packet = _free_packet(p, grid)
     elif p["system"] == "oscillator":
         hobs = ObservableSpec.harmonic(p["omega"])
-        packet = _coherent_packet(p, spec.sigma)
+        packet = _coherent_packet(p)
     else:
         if p["hamiltonian"] is None:
             raise PSQError("system 'custom' needs params.hamiltonian")
         hobs = ObservableSpec.from_poly(parse_poly(p["hamiltonian"]), "H")
-        packet = _coherent_packet(p, spec.sigma)
+        packet = _coherent_packet(p)
     every = p["snapshot_every"]
     cfg_evo = EvolutionConfig(dt=p["dt"], steps=p["steps"], method=p["method"],
                               snapshot_every=max(p["steps"] // 8, 1) if every is None else every)
     # the closed form is built on both routes: its grid-span check guards them
-    state0 = free_gaussian(packet, 0.0, grid) if free else coherent_state(packet, grid)
+    state0 = (free_gaussian(packet, 0.0, spec, grid) if free
+              else coherent_state(packet, spec, grid))
     if p["method"] == "phase_space_rk4":
-        result = evolve_phase_space(_under(state0, spec), hobs, cfg_evo,
-                                    observables=observables)
+        result = evolve_phase_space(state0, hobs, cfg=cfg_evo, observables=observables)
     else:
         phi0 = free_wavepacket(packet, 0.0, grid) if free else coherent_wavepacket(packet, grid)
         result = evolve_schrodinger(phi0, hobs, spec, cfg_evo,
@@ -442,14 +429,14 @@ def _scenario_oracle(grid, spec, p, emit):
     """
     kind = p["state"]
     if kind == "free":
-        state = _under(free_gaussian(_free_packet(p, grid, spec.sigma), p["t"], grid), spec)
+        state = free_gaussian(_free_packet(p, grid), p["t"], spec, grid)
         name = "free_gaussian"
     elif kind == "coherent":
-        state = _under(coherent_state(_coherent_packet(p, spec.sigma), grid), spec)
+        state = coherent_state(_coherent_packet(p), spec, grid)
         name = "coherent"
     else:
         name, build = {"ho": ("ho_state", ho_state), "ho-ladder": ("ho_ladder", ho_ladder)}[kind]
-        state = build(p["m"], p["n"], _oscillator(p["omega"], spec), grid)
+        state = build(p["m"], p["n"], OscillatorParams(p["omega"], spec), grid)
     emit.field(name + ".psqf", state.psi_field)
     emit.state(name + ".state.psqf", state)
 
@@ -479,6 +466,7 @@ def _scenario_starprod(grid, spec, p, emit):
     """
     op = p["op"]
 
+    @lru_cache(maxsize=None)        # equal indices share one operand
     def operand(n):
         h = hermite_function(grid, n, p["omega"])
         return twisted_tensor(h, h, spec).psi_field
@@ -515,8 +503,7 @@ def _scenario_symbolic(_grid, spec, p, emit):
 
 
 def _scenario_classical_limit(grid, spec, p, emit):
-    """hbar-sweep weak-limit pairings; params.grid (JSON only) overrides nx, np"""
-    shape = (p["grid"].get("nx", grid.nx), p["grid"].get("np", grid.np))
+    """hbar-sweep weak-limit pairings on grids of the run grid's nx and np"""
     hbars = p["hbars"]
     family_kind = p["family"]
     x0, p0 = p["x0"], p["p0"]
@@ -525,13 +512,12 @@ def _scenario_classical_limit(grid, spec, p, emit):
         scale = sqrt(hb / hbars[0])
         span_x = abs(x0) + 8.0 * scale
         span_p = abs(p0) + 8.0 * scale
-        g = make_grid(*shape, -span_x, span_x, -span_p, span_p, hb)
+        g = make_grid(grid.nx, grid.np, -span_x, span_x, -span_p, span_p, hb)
         if family_kind == "coherent":
-            return _under(coherent_state(CoherentParams(x0, p0, 1.0, spec.sigma), g), spec)
+            return coherent_state(CoherentParams(x0, p0), spec, g)
         if family_kind == "free":
-            return _under(free_gaussian(FreeGaussianParams(p0, sqrt(hb) * 0.5, spec.sigma),
-                                        p["t"], g), spec)
-        return ho_state(p["n"], p["n"], _oscillator(1.0, spec), g)
+            return free_gaussian(FreeGaussianParams(p0, sqrt(hb) * 0.5), p["t"], spec, g)
+        return ho_state(p["n"], p["n"], OscillatorParams(1.0, spec), g)
 
     def testfn(X, P):
         return np.exp(-((X - x0) ** 2 + (P - p0) ** 2) / 4.0)
@@ -624,11 +610,23 @@ def _add_param_flags(parser, scenario):
         elif schema["type"] in ("string", "integer", "number"):
             kwargs.update(type=_CASTS.get(schema["type"], str), choices=schema.get("enum"))
         else:
-            continue        # smoothers and params.grid are JSON-only
+            continue        # smoothers is JSON-only
         parser.add_argument("--" + key.replace("_", "-"), **kwargs)
 
 
 def main(argv=None):
+    """The psq command; a stdout closed early exits 4, the I/O-error code."""
+    try:
+        try:
+            return _main(argv)
+        finally:
+            sys.stdout.flush()      # a closed pipe fails here, inside the try
+    except BrokenPipeError:         # devnull, so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
+
+
+def _main(argv):
     parser = argparse.ArgumentParser(
         prog="psq", description="phase-space quantization batch tool")
     parser.add_argument("--version", action="version",

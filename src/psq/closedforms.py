@@ -24,7 +24,7 @@ from .errors import NumericalPreconditionError, PSQError, SpanError
 from .grids import PhaseField, WaveFunction, integrate, l2_norm, spectral_derivatives
 from .ordering import GaussianSmoother, OrderingSpec
 from .polyalg import PolyH
-from .starprod import ObservableSpec, bopp_apply
+from .starprod import ObservableSpec, apply_smoother, bopp_apply
 from .states import QuasiDistribution
 
 HO_STATE_INDEX_CAP = 12
@@ -33,21 +33,22 @@ HO_LADDER_SUM_CAP = 8
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Frequency plus ordering parameters of the smoothed oscillator family.
+    """Frequency plus the ordering of the smoothed oscillator family.
 
-    lam = (1 + omega*alpha + beta/omega)/2 and lam_bar = 1 - lam; the
-    closed-form Laguerre states exist on the line sigma = 1/2, beta =
-    omega^2 alpha with lam outside {0, 1}.
+    The smoother must be Gaussian, S_{alpha,beta}; lam = (1 + omega*alpha +
+    beta/omega)/2, lam_bar = 1 - lam.  The closed-form Laguerre states exist
+    on the line sigma = 1/2, beta = omega^2 alpha with lam outside {0, 1}.
     """
 
     omega: float = 1.0
-    sigma: float = 0.5
-    alpha: float = 0.0
-    beta: float = 0.0
+    spec: OrderingSpec = OrderingSpec()
 
     def __post_init__(self):
         if not self.omega > 0:
             raise PSQError("omega must be positive")
+        if not isinstance(self.spec.smoother, GaussianSmoother):
+            raise PSQError("the oscillator closed forms need a Gaussian smoother, got %r"
+                           % self.spec.smoother.kind)
         # omega^2 and lam enter every closed form; past double range they overflow
         if not np.isfinite([self.omega * self.omega, self.lam]).all():
             raise NumericalPreconditionError(
@@ -55,17 +56,17 @@ class OscillatorParams:
 
     @property
     def lam(self):
-        return 0.5 * (1.0 + self.omega * self.alpha + self.beta / self.omega)
+        sm = self.spec.smoother
+        return 0.5 * (1.0 + self.omega * sm.alpha + sm.beta / self.omega)
 
     @property
     def lam_bar(self):
         return 1.0 - self.lam
 
-    def spec(self):
-        return OrderingSpec(self.sigma, GaussianSmoother(self.alpha, self.beta))
-
     def require_laguerre_family(self):
-        if abs(self.sigma - 0.5) > 1e-14 or abs(self.beta - self.omega ** 2 * self.alpha) > 1e-12:
+        sm = self.spec.smoother
+        off_line = abs(sm.beta - self.omega ** 2 * sm.alpha) > 1e-12
+        if abs(self.spec.sigma - 0.5) > 1e-14 or off_line:
             raise PSQError(
                 "closed-form Laguerre states require sigma=1/2 and beta=omega^2*alpha")
         if min(abs(self.lam), abs(self.lam_bar)) < 1e-12:
@@ -77,11 +78,10 @@ class OscillatorParams:
 
 @dataclass(frozen=True)
 class FreeGaussianParams:
-    """Free-particle Gaussian packet: center momentum, momentum width, sigma."""
+    """Free-particle Gaussian packet: center momentum and momentum width."""
 
     p0: float
     delta_p: float
-    sigma: float = 0.5
 
     def __post_init__(self):
         if not self.delta_p > 0:
@@ -93,12 +93,11 @@ class FreeGaussianParams:
 
 @dataclass(frozen=True)
 class CoherentParams:
-    """Coherent-state center and frequency; derivation requires alpha=beta=0."""
+    """Coherent-state center and frequency."""
 
     x_bar: float
     p_bar: float
     omega: float = 1.0
-    sigma: float = 0.5
 
     def __post_init__(self):
         if not self.omega > 0:
@@ -118,15 +117,15 @@ def _require_span(grid, need_x, need_p):
 # free particle
 # ---------------------------------------------------------------------------
 
-def free_gaussian(params, t, grid):
-    """Time-evolved free Gaussian packet (identity smoother, general sigma).
+def free_gaussian(params, t, spec, grid):
+    """Time-evolved free Gaussian packet under `spec`: S of the sigma form.
 
     Exact evaluation of the analytic solution of the evolution equation; the
     initial state minimizes the uncertainty product, Delta p stays constant
     and Delta x grows as sqrt(Delta x^2 + Delta p^2 t^2).
     """
     hbar = grid.hbar
-    s = params.sigma
+    s = spec.sigma
     sb = 1.0 - s
     dp_ = params.delta_p
     dx_ = params.delta_x(hbar)
@@ -139,8 +138,7 @@ def free_gaussian(params, t, grid):
     shifted = X - P * t + 1j * (1.0 - 2.0 * s) * (dx_ / dp_) * (P - params.p0)
     denom = 4.0 * (sb ** 2 + s ** 2) * dx_ ** 2 + 4j * (1.0 - 2.0 * s) * dx_ * dp_ * t
     vals = pref * gaussians * np.exp(-shifted ** 2 / denom)
-    field = PhaseField(grid, vals)
-    return QuasiDistribution(field, OrderingSpec(s))
+    return QuasiDistribution(apply_smoother(spec, PhaseField(grid, vals)), spec)
 
 
 def free_wavepacket(params, t, grid):
@@ -174,11 +172,12 @@ def _laguerre_recurrence(n, s, z):
 def ho_state(m, n, params, grid):
     """Closed-form oscillator star-genfield with left index m, right index n.
 
-    Valid on the Laguerre line (sigma=1/2, beta=omega^2 alpha); for m < n the
-    conjugate-transposed form of the (n, m) state is used.  The prefactor is
-    re-measured against the analytic one and the state renormalized in the
-    Hilbert-algebra norm (the factor is kept as meta 'prefactor_rescale'); a
-    state that underflows to zero on the grid raises NumericalPreconditionError.
+    Valid on the Laguerre line of params.spec (sigma=1/2, beta=omega^2 alpha);
+    for m < n the conjugate-transposed form of the (n, m) state is used.  The
+    prefactor is re-measured against the analytic one and the state
+    renormalized in the Hilbert-algebra norm (the factor is kept as meta
+    'prefactor_rescale'); a state that underflows to zero on the grid raises
+    NumericalPreconditionError.
     """
     params.require_laguerre_family()
     if max(m, n) > HO_STATE_INDEX_CAP or min(m, n) < 0:
@@ -204,17 +203,17 @@ def ho_state(m, n, params, grid):
     vals = pref * radial * _laguerre_recurrence(n, m - n, z) \
         * np.exp(-1j * (m - n) * theta) * np.exp(-r2 / (2.0 * hbar * omega * lam))
     field = PhaseField(grid, vals)
-    nrm = QuasiDistribution(field, params.spec()).norm_h()
+    nrm = QuasiDistribution(field, params.spec).norm_h()
     if not nrm > 0:
         raise NumericalPreconditionError(
             "oscillator state (%d, %d) is zero on this grid; refine it or raise hbar" % (m, n))
-    state = QuasiDistribution(field * (1.0 / nrm), params.spec())
+    state = QuasiDistribution(field * (1.0 / nrm), params.spec)
     state.psi_field.meta["prefactor_rescale"] = nrm
     return state
 
 
 def annihilation_symbol(params, hbar):
-    """Holomorphic coordinate (omega x + i p)/sqrt(2 hbar omega) as a polynomial."""
+    """Holomorphic coordinate (omega x + i p)/sqrt(2 hbar omega); reads only params.omega."""
     c = 1.0 / sqrt(2.0 * hbar * params.omega)
     return PolyH.monomial(1, 0, c=params.omega * c) + PolyH.monomial(0, 1, c=1j * c)
 
@@ -233,7 +232,7 @@ def ho_ladder(m, n, params, grid):
     params.require_laguerre_family()
     if m + n > HO_LADDER_SUM_CAP or min(m, n) < 0:
         raise PSQError("ladder indices capped at m+n <= %d" % HO_LADDER_SUM_CAP)
-    spec = params.spec()
+    spec = params.spec
     hbar = grid.hbar
     a_dn = ObservableSpec.from_poly(annihilation_symbol(params, hbar), "a")
     a_up = ObservableSpec.from_poly(creation_symbol(params, hbar), "abar")
@@ -255,14 +254,14 @@ def ho_ladder(m, n, params, grid):
 # coherent states
 # ---------------------------------------------------------------------------
 
-def coherent_state(params, grid):
-    """Coherent quasi-distribution centered at (x_bar, p_bar), alpha=beta=0.
+def coherent_state(params, spec, grid):
+    """Coherent quasi-distribution at (x_bar, p_bar) under `spec`: S of the sigma form.
 
-    Exact evaluation of the closed form; for sigma=1/2 the cross-phase term
-    vanishes and the state is a real Gaussian with widths set by omega.
+    Exact evaluation of the closed form; at sigma=1/2 the cross-phase term
+    vanishes and the sigma form is a real Gaussian with widths set by omega.
     """
     hbar = grid.hbar
-    s = params.sigma
+    s = spec.sigma
     sb = 1.0 - s
     omega = params.omega
     ss = sb ** 2 + s ** 2
@@ -275,21 +274,21 @@ def coherent_state(params, grid):
         * np.exp(-(P - params.p_bar) ** 2 / denom) \
         * np.exp(2j * (2.0 * s - 1.0) * omega * (X - params.x_bar)
                  * (P - params.p_bar) / denom)
-    field = PhaseField(grid, vals)
-    return QuasiDistribution(field, OrderingSpec(s))
+    return QuasiDistribution(apply_smoother(spec, PhaseField(grid, vals)), spec)
 
 
-def momentum_plane_wave_state(p0, sigma, alpha, beta, grid):
+def momentum_plane_wave_state(p0, spec, grid):
     """Sharp-momentum field (1/(2 pi hbar sqrt(beta))) e^{-(p-p0)^2/2 hbar beta}.
 
-    The beta > 0 Gaussian form of the plane-wave tensor square.  It is not a
+    The plane-wave tensor square under `spec` (Gaussian, beta > 0).  It is not a
     proper state (no decay along x, not square integrable in the limit), so
     it is flagged accordingly and never materialized as a grid delta; it is
     exposed because it is a formal two-sided genfunction of the momentum
     symbol, which the Gaussian-smoothed Bopp route can verify exactly.
     """
+    beta = getattr(spec.smoother, "beta", 0.0)
     if not beta > 0:
-        raise PSQError("the sharp-momentum form needs beta > 0")
+        raise PSQError("the sharp-momentum form needs a Gaussian smoother with beta > 0")
     hbar = grid.hbar
     _require_span(grid, 0.0, abs(p0) + 5.0 * sqrt(hbar * beta))
     _X, P = grid.meshes()
@@ -297,7 +296,7 @@ def momentum_plane_wave_state(p0, sigma, alpha, beta, grid):
         / (2.0 * pi * hbar * sqrt(beta))
     field = PhaseField(grid, vals + 0j)
     field.meta["not_a_proper_state"] = True
-    return QuasiDistribution(field, OrderingSpec(sigma, GaussianSmoother(alpha, beta)))
+    return QuasiDistribution(field, spec)
 
 
 def coherent_wavepacket(params, grid):
@@ -316,17 +315,17 @@ def coherent_genvalue_residuals(params, state):
 
     Returns (left, right, pde1, pde2): the two star-genvalue residuals
     a_L * Psi = z Psi and abar_R * Psi = z* Psi, and the residuals of the
-    equivalent pair of first-order differential equations, all relative, all
-    under the state's ordering (params supplies the center and omega).
+    equivalent pair of first-order differential equations, all relative.  The
+    Bopp residuals are under the state's ordering; the PDEs are the identity-
+    smoother system at its sigma (a Gaussian(0.1, 0.1) state reads 0.13).
     """
     grid = state.grid
     hbar = grid.hbar
     omega, s = params.omega, state.spec.sigma
     sb = 1.0 - s
     z = (omega * params.x_bar + 1j * params.p_bar) / sqrt(2.0 * hbar * omega)
-    osc = OscillatorParams(omega=omega, sigma=s)
-    a_dn = ObservableSpec.from_poly(annihilation_symbol(osc, hbar), "a")
-    a_up = ObservableSpec.from_poly(creation_symbol(osc, hbar), "abar")
+    a_dn = ObservableSpec.from_poly(annihilation_symbol(params, hbar), "a")
+    a_up = ObservableSpec.from_poly(creation_symbol(params, hbar), "abar")
     psi = state.psi_field
     nrm = l2_norm(psi)
     left = l2_norm(bopp_apply(a_dn, psi, "left", state.spec) - psi * z) / nrm

@@ -108,7 +108,7 @@ def test_criterion_05_free_particle_dynamics():
     dp = np.sqrt(hbar / 2)
     dx = hbar / (2 * dp)
     p0 = 1.0
-    params = FreeGaussianParams(p0, dp, 0.5)
+    params = FreeGaussianParams(p0, dp)
     H = ObservableSpec.from_poly(PolyH.monomial(0, 2, c=0.5), "H")
     phi0 = free_wavepacket(params, 0.0, grid)
     spec = OrderingSpec(0.5)
@@ -118,7 +118,7 @@ def test_criterion_05_free_particle_dynamics():
     cfg = EvolutionConfig(dt=1e-3, steps=1000, snapshot_every=250)
     result = evolve_schrodinger(phi0, H, spec, cfg,
                                 observables=default_observables())
-    exact = free_gaussian(params, 1.0, grid)
+    exact = free_gaussian(params, 1.0, OrderingSpec(0.5), grid)
     rel = l2_norm(result.snapshots[-1] - exact.psi_field) \
         / l2_norm(exact.psi_field)
     moment_err = 0.0
@@ -141,7 +141,7 @@ def test_criterion_05_free_particle_dynamics():
 def test_criterion_06_coherent_orbit():
     grid = make_grid(64, 64, -8, 8, -8, 8, 1.0)
     x0, p0 = 1.0, 0.0
-    cs = coherent_state(CoherentParams(x0, p0, 1.0, 0.5), grid)
+    cs = coherent_state(CoherentParams(x0, p0, 1.0), OrderingSpec(0.5), grid)
     steps = 1256
     dt = TWO_PI / steps
     obs = default_observables()
@@ -277,7 +277,7 @@ def test_criterion_09_classical_limits():
     def free_family(hb):
         span = abs(p0) * t + 8 * np.sqrt(hb / 0.2) + 1.5
         g = make_grid(64, 64, -span, span, -span, span, hb)
-        return free_gaussian(FreeGaussianParams(p0, 0.5 * np.sqrt(hb), 0.5), t, g)
+        return free_gaussian(FreeGaussianParams(p0, 0.5 * np.sqrt(hb)), t, OrderingSpec(0.5), g)
 
     errs = [abs(v - fn(p0 * t, p0)) for v in
             classical_limit_probe(free_family, fn, hbars)]
@@ -302,7 +302,7 @@ def test_criterion_09_classical_limits():
     def coh_family(hb):
         span = max(abs(x0), abs(pp0)) + 8 * np.sqrt(hb / 0.2)
         g = make_grid(64, 64, -span, span, -span, span, hb)
-        return coherent_state(CoherentParams(x0, pp0, 1.0, 0.5), g)
+        return coherent_state(CoherentParams(x0, pp0, 1.0), OrderingSpec(0.5), g)
 
     errs = [abs(v - fnc(x0, pp0)) for v in
             classical_limit_probe(coh_family, fnc, hbars)]

@@ -2,6 +2,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psq
 from psq import PolyH, PSQError, integrate, read_field
 from psq.cli import CONFIG_SCHEMA, PARAMS, main, parse_poly, run
 from psq.cli import run_config as cli_run_config
@@ -245,10 +248,10 @@ class TestRunContract:
                  "params": {"state": "coherent"}},
                 {"scenario": "evolve", "params": {"system": "custom"}},
                 # out-of-range indices, levels and hbars, and empty sweeps
-                {"scenario": "classical-limit",
-                 "params": {"hbars": [0.2, -0.1], "grid": {"nx": 16, "np": 16}}},
-                {"scenario": "classical-limit",
-                 "params": {"hbars": [], "grid": {"nx": 16, "np": 16}}},
+                {"scenario": "classical-limit", "grid": {"nx": 16, "np": 16},
+                 "params": {"hbars": [0.2, -0.1]}},
+                {"scenario": "classical-limit", "grid": {"nx": 16, "np": 16},
+                 "params": {"hbars": []}},
                 {"scenario": "wigner", "grid": {"nx": 64, "np": 64},
                  "params": {"phi_hermite": -1, "psi_hermite": -1}},
                 {"scenario": "starprod", "grid": {"nx": 64, "np": 64},
@@ -276,10 +279,9 @@ class TestRunContract:
                  "ordering": {"sigma": 0.2}, "params": {"state": "ho"}},
                 # every scenario builds the run's grid, the symbolic one too
                 {"scenario": "symbolic", "grid": {"nx": 63}},
-                # classical-limit's params.grid takes only nx and np
+                # classical-limit reads nx and np of the run's grid: params.grid is refused
                 {"scenario": "classical-limit",
-                 "params": {"hbars": [0.2], "grid": {"nx": 32, "np": 32, "hbar": 0.5,
-                                                     "x_min": -1}}},
+                 "params": {"hbars": [0.2], "grid": {"nx": 32, "np": 32}}},
                 # NaN or Infinity anywhere in the config (json.load accepts both)
                 {"scenario": "oracle", "grid": {"nx": 32, "np": 32},
                  "params": {"state": "coherent", "x0": float("nan")}},
@@ -288,9 +290,8 @@ class TestRunContract:
                 {"scenario": "symbolic",
                  "ordering": {"smoother": {"kind": "gaussian", "alpha": float("nan"),
                                            "beta": 0.1}}},
-                {"scenario": "classical-limit",
-                 "params": {"family": "free", "hbars": [0.2], "t": float("nan"),
-                            "grid": {"nx": 32, "np": 32}}},
+                {"scenario": "classical-limit", "grid": {"nx": 32, "np": 32},
+                 "params": {"family": "free", "hbars": [0.2], "t": float("nan")}},
                 {"scenario": "evolve", "grid": {"nx": 32, "np": 32},
                  "params": {"p0": float("inf"), "steps": 2}},
                 # unknown keys at any level: grid, ordering, smoother, top level
@@ -531,6 +532,18 @@ class TestSubcommands:
         assert main(["run"]) == 2
         assert capsys.readouterr().err.startswith("config error")
 
+    def test_print_schema_to_closed_stdout_exits_4(self):
+        # the reader closes its end at once, so every write to stdout fails
+        src = str(Path(psq.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
+        proc = subprocess.Popen([sys.executable, "-m", "psq.cli", "run", "--print-schema"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        _out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 4
+        assert b"Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["starprod", "--f", "x*p", "--nx", "64", "--np", "64"],
         ["starprod", "--symbolic", "--op", "bracket", "--left-hermite", "3"],
@@ -670,6 +683,30 @@ class TestSubcommands:
                                                "--output-dir", str(tmp_path / argv[1])])
             assert code == 0
 
+    def test_starprod_equal_indices_share_one_operand(self, tmp_path, monkeypatch):
+        # one twisted tensor for both slots, and the bytes of the product of
+        # two operands built apart
+        from psq import (GaussianSmoother, OrderingSpec, hermite_function, make_grid,
+                         star_sigma_S, twisted_tensor, write_field)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return twisted_tensor(*args)
+
+        monkeypatch.setattr(psq.cli, "twisted_tensor", counting)
+        outdir = tmp_path / "star"
+        assert main(["starprod", "--op", "star", "--left-hermite", "2", "--right-hermite", "2",
+                     "--nx", "64", "--np", "64", "--sigma", "0.3", "--alpha", "0.1",
+                     "--beta", "0.1", "--formats", "bin", "--output-dir", str(outdir)]) == 0
+        assert len(calls) == 1
+        spec = OrderingSpec(0.3, GaussianSmoother(0.1, 0.1))
+        h = hermite_function(make_grid(64, 64, -8.0, 8.0, -8.0, 8.0, 1.0), 2)
+        f, g = (twisted_tensor(h, h, spec).psi_field for _ in range(2))
+        write_field(star_sigma_S(f, g, spec), tmp_path / "apart.psqf")
+        assert (outdir / "starprod_star.psqf").read_bytes() \
+            == (tmp_path / "apart.psqf").read_bytes()
+
     def test_oracle_ladder_subcommand(self, tmp_path):
         outdir = str(tmp_path / "lad")
         code = main(["oracle", "--output-dir", outdir, "--state", "ho-ladder",
@@ -702,14 +739,14 @@ class TestSubcommands:
         assert code == 0
         lines = (Path(outdir) / "classical_limit.csv").read_text().splitlines()
         assert len(lines) == 3
-        # the grid flags set nx and np, as params.grid does in a JSON config
+        # the grid flags set nx and np, as the grid block does in a JSON config
         small = tmp_path / "clim32"
         code = main(["classical-limit", "--output-dir", str(small), "--nx", "32",
                      "--np", "32", "--hbars", "0.2,0.1"])
         assert code == 0
         (code, _manifest), outdir = run_config(
-            {"scenario": "classical-limit",
-             "params": {"hbars": [0.2, 0.1], "grid": {"nx": 32, "np": 32}}}, tmp_path)
+            {"scenario": "classical-limit", "grid": {"nx": 32, "np": 32},
+             "params": {"hbars": [0.2, 0.1]}}, tmp_path)
         assert code == 0
         assert (small / "classical_limit.csv").read_bytes() \
             == (Path(outdir) / "classical_limit.csv").read_bytes()
@@ -754,14 +791,14 @@ class TestSubcommands:
             assert abs(re - want) < 1e-12 and im == 0.0
 
     def test_oracle_free_state(self, tmp_path):
-        from psq import make_grid
+        from psq import OrderingSpec, make_grid
         from psq.closedforms import FreeGaussianParams, free_gaussian
         outdir = tmp_path / "free"
         assert main(["oracle", "--state", "free", "--t", "0.5", "--nx", "64", "--np", "64",
                      "--formats", "bin", "--output-dir", str(outdir)]) == 0
         field = read_field(outdir / "free_gaussian.psqf")
         grid = make_grid(64, 64, -8.0, 8.0, -8.0, 8.0, 1.0)
-        want = free_gaussian(FreeGaussianParams(1.0, np.sqrt(0.5)), 0.5, grid)
+        want = free_gaussian(FreeGaussianParams(1.0, np.sqrt(0.5)), 0.5, OrderingSpec(0.5), grid)
         assert np.array_equal(field.values, want.psi_field.values)
         assert abs(integrate(field) / np.sqrt(2 * np.pi) - 1.0) < 1e-10
 

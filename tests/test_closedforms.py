@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
-from psq import (ObservableSpec, OrderingSpec, PSQError, SpanError,
-                 bopp_apply, expectation, l2_norm, make_grid, purity_check,
+from psq import (CohenSmoother, GaussianSmoother, ObservableSpec, OrderingSpec, PSQError,
+                 SpanError, apply_smoother, bopp_apply, expectation, l2_norm, make_grid, purity_check,
                  stargen_residual, twisted_tensor, uncertainty)
 from psq.closedforms import (CoherentParams, FreeGaussianParams,
                              OscillatorParams, _laguerre_recurrence,
@@ -34,7 +34,7 @@ class TestFreeGaussian:
         dp = np.sqrt(hbar / 2)
         dx = hbar / (2 * dp)
         p0 = 1.0
-        fg = free_gaussian(FreeGaussianParams(p0, dp, 0.5), 0.0, grid64)
+        fg = free_gaussian(FreeGaussianParams(p0, dp), 0.0, OrderingSpec(0.5), grid64)
         X, P = grid64.meshes()
         want = (1 / np.sqrt(np.pi * dx * dp)) \
             * np.exp(-(P - p0) ** 2 / (2 * dp ** 2)) \
@@ -45,23 +45,23 @@ class TestFreeGaussian:
         p0 = 1.0
         dp = np.sqrt(grid64.hbar / 2)
         for t in (0.0, 0.5, 1.0):
-            fg = free_gaussian(FreeGaussianParams(p0, dp, 0.5), t, grid64)
+            fg = free_gaussian(FreeGaussianParams(p0, dp), t, OrderingSpec(0.5), grid64)
             assert abs(expectation(ObservableSpec.position(), fg) - p0 * t) < 1e-7
             assert abs(expectation(ObservableSpec.momentum(), fg) - p0) < 1e-7
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3, 0.5, 0.8])
     def test_matches_tensor_of_wavepacket(self, grid64, sigma):
         # general sigma at t = 0 equals the twisted tensor of the packet
-        params = FreeGaussianParams(0.5, np.sqrt(grid64.hbar / 2), sigma)
-        direct = free_gaussian(params, 0.0, grid64)
+        params = FreeGaussianParams(0.5, np.sqrt(grid64.hbar / 2))
+        direct = free_gaussian(params, 0.0, OrderingSpec(sigma), grid64)
         packet = free_wavepacket(params, 0.0, grid64)
         tensored = twisted_tensor(packet, packet, OrderingSpec(sigma))
         assert l2_norm(direct.psi_field - tensored.psi_field) < 1e-8
 
     def test_evolved_matches_tensor_of_evolved_packet(self, grid64):
-        params = FreeGaussianParams(0.5, np.sqrt(grid64.hbar / 2), 0.3)
+        params = FreeGaussianParams(0.5, np.sqrt(grid64.hbar / 2))
         t = 0.8
-        direct = free_gaussian(params, t, grid64)
+        direct = free_gaussian(params, t, OrderingSpec(0.3), grid64)
         packet = free_wavepacket(params, t, grid64)
         tensored = twisted_tensor(packet, packet, OrderingSpec(0.3))
         assert l2_norm(direct.psi_field - tensored.psi_field) < 1e-7
@@ -69,10 +69,10 @@ class TestFreeGaussian:
     def test_span_guard(self):
         small = make_grid(32, 32, -2, 2, -2, 2, 1.0)
         with pytest.raises(SpanError):
-            free_gaussian(FreeGaussianParams(1.0, 0.7, 0.5), 3.0, small)
+            free_gaussian(FreeGaussianParams(1.0, 0.7), 3.0, OrderingSpec(0.5), small)
 
     def test_initial_minimum_uncertainty(self, grid64):
-        fg = free_gaussian(FreeGaussianParams(1.0, 0.6, 0.5), 0.0, grid64)
+        fg = free_gaussian(FreeGaussianParams(1.0, 0.6), 0.0, OrderingSpec(0.5), grid64)
         prod = uncertainty(fg, "x") * uncertainty(fg, "p")
         assert abs(prod - grid64.hbar / 2) < 1e-7
 
@@ -113,7 +113,7 @@ class TestHoState:
 
     def test_ladder_matches_closed_form_smoothed(self, grid64):
         # the lam = 0.7 family: sigma = 1/2, beta = omega^2 alpha
-        par = OscillatorParams(1.0, 0.5, 0.2, 0.2)
+        par = OscillatorParams(1.0, OrderingSpec(0.5, GaussianSmoother(0.2, 0.2)))
         assert abs(par.lam - 0.7) < 1e-14
         closed = ho_state(2, 2, par, grid64)
         ladder = ho_ladder(2, 2, par, grid64)
@@ -147,9 +147,10 @@ class TestHoState:
 
     def test_constraint_validation(self, grid64):
         with pytest.raises(PSQError, match="sigma=1/2"):
-            ho_state(0, 0, OscillatorParams(1.0, 0.3, 0.0, 0.0), grid64)
+            ho_state(0, 0, OscillatorParams(1.0, OrderingSpec(0.3)), grid64)
         with pytest.raises(PSQError, match="beta=omega"):
-            ho_state(0, 0, OscillatorParams(1.0, 0.5, 0.1, 0.3), grid64)
+            ho_state(0, 0, OscillatorParams(1.0, OrderingSpec(0.5, GaussianSmoother(0.1, 0.3))),
+                     grid64)
         with pytest.raises(PSQError, match="capped"):
             ho_state(13, 0, OscillatorParams(), grid64)
         with pytest.raises(PSQError, match="capped"):
@@ -161,7 +162,7 @@ class TestHoState:
         H = ObservableSpec.harmonic(1.0)
         for lam in (0.3, 0.5, 0.7):
             alpha = (2 * lam - 1) / 2.0
-            par = OscillatorParams(1.0, 0.5, alpha, alpha)
+            par = OscillatorParams(1.0, OrderingSpec(0.5, GaussianSmoother(alpha, alpha)))
             for n in (0, 1, 2):
                 st = ho_state(n, n, par, grid128)
                 got = expectation(H, st)
@@ -172,13 +173,13 @@ class TestHoState:
         for m in (0, 1, 2):
             is_pure, _res = purity_check(ho_state(m, m, par, grid64))
             assert is_pure
-        cs = coherent_state(CoherentParams(0.8, -0.4, 1.0, 0.5), grid64)
+        cs = coherent_state(CoherentParams(0.8, -0.4, 1.0), OrderingSpec(0.5), grid64)
         assert purity_check(cs)[0]
-        fg = free_gaussian(FreeGaussianParams(0.5, 0.7, 0.5), 0.0, grid64)
+        fg = free_gaussian(FreeGaussianParams(0.5, 0.7), 0.0, OrderingSpec(0.5), grid64)
         assert purity_check(fg)[0]
 
     def test_stationary_residuals(self, grid64):
-        par = OscillatorParams(1.0, 0.5, 0.1, 0.1)
+        par = OscillatorParams(1.0, OrderingSpec(0.5, GaussianSmoother(0.1, 0.1)))
         H = ObservableSpec.harmonic(1.0)
         for n in (0, 1, 2):
             st = ho_state(n, n, par, grid64)
@@ -189,8 +190,8 @@ class TestHoState:
 class TestCoherent:
     def test_moyal_form_is_real_gaussian(self, grid64):
         hbar = grid64.hbar
-        cp = CoherentParams(1.0, -0.5, 1.0, 0.5)
-        cs = coherent_state(cp, grid64)
+        cp = CoherentParams(1.0, -0.5, 1.0)
+        cs = coherent_state(cp, OrderingSpec(0.5), grid64)
         X, P = grid64.meshes()
         want = np.sqrt(2.0 / (np.pi * hbar)) \
             * np.exp(-(X - 1.0) ** 2 / hbar - (P + 0.5) ** 2 / hbar)
@@ -199,29 +200,66 @@ class TestCoherent:
 
     @pytest.mark.parametrize("sigma", [0.2, 0.5, 0.9])
     def test_genvalue_residuals(self, grid64, sigma):
-        cp = CoherentParams(0.7, 0.4, 1.0, sigma)
-        cs = coherent_state(cp, grid64)
+        cp = CoherentParams(0.7, 0.4, 1.0)
+        cs = coherent_state(cp, OrderingSpec(sigma), grid64)
         left, right, pde1, pde2 = coherent_genvalue_residuals(cp, cs)
         assert left < 1e-6 and right < 1e-6
         assert pde1 < 1e-6 and pde2 < 1e-6
 
     def test_minimum_uncertainty(self, grid64):
-        cs = coherent_state(CoherentParams(1.0, 0.5, 1.0, 0.5), grid64)
+        cs = coherent_state(CoherentParams(1.0, 0.5, 1.0), OrderingSpec(0.5), grid64)
         prod = uncertainty(cs, "x") * uncertainty(cs, "p")
         assert abs(prod - grid64.hbar / 2) < 1e-7
 
     def test_matches_tensor_of_wavepacket(self, grid64):
-        cp = CoherentParams(0.8, -0.3, 1.0, 0.5)
-        cs = coherent_state(cp, grid64)
+        cp = CoherentParams(0.8, -0.3, 1.0)
+        cs = coherent_state(cp, OrderingSpec(0.5), grid64)
         wp = coherent_wavepacket(cp, grid64)
         tensored = twisted_tensor(wp, wp, OrderingSpec(0.5))
         assert l2_norm(cs.psi_field - tensored.psi_field) < 1e-8
 
 
+class TestSmoothedOrdering:
+    """A closed form under (sigma, S) is S applied to its sigma form."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
+    def test_states_are_smoothed_identity_forms(self, grid64, sigma):
+        spec = OrderingSpec(sigma, GaussianSmoother(0.1, 0.1))
+        plain = OrderingSpec(sigma)
+        fp, cp = FreeGaussianParams(0.5, 0.7), CoherentParams(1.0, 0.5)
+        for got, bare in ((free_gaussian(fp, 0.5, spec, grid64),
+                           free_gaussian(fp, 0.5, plain, grid64)),
+                          (coherent_state(cp, spec, grid64), coherent_state(cp, plain, grid64))):
+            assert got.spec == spec and bare.spec == plain
+            assert np.array_equal(got.psi_field.values,
+                                  apply_smoother(spec, bare.psi_field).values)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
+    def test_smoothed_coherent_ladder_residuals(self, grid64, sigma):
+        cp = CoherentParams(1.0, 0.5)
+        cs = coherent_state(cp, OrderingSpec(sigma, GaussianSmoother(0.1, 0.1)), grid64)
+        left, right, pde1, pde2 = coherent_genvalue_residuals(cp, cs)
+        assert left < 1e-6 and right < 1e-6
+        # the two PDEs are the identity-smoother system: a smoothed state fails them
+        assert pde1 > 0.1 and pde2 > 0.1
+
+    def test_oscillator_needs_a_gaussian_smoother(self):
+        cohen = CohenSmoother(lambda xi, eta: np.ones_like(xi * eta))
+        with pytest.raises(PSQError, match="Gaussian smoother"):
+            OscillatorParams(1.0, OrderingSpec(0.5, cohen))
+
+    @pytest.mark.parametrize("beta", [0.0, -0.1])
+    def test_sharp_momentum_needs_positive_beta(self, grid64, beta):
+        from psq.closedforms import momentum_plane_wave_state
+        with pytest.raises(PSQError, match="beta > 0"):
+            momentum_plane_wave_state(1.0, OrderingSpec(0.5, GaussianSmoother(0.1, beta)),
+                                      grid64)
+
+
 class TestMomentumPlaneWave:
     def test_flagged_and_shaped(self, grid64):
         from psq.closedforms import momentum_plane_wave_state
-        st = momentum_plane_wave_state(1.0, 0.5, 0.0, 0.5, grid64)
+        st = momentum_plane_wave_state(1.0, OrderingSpec(0.5, GaussianSmoother(0.0, 0.5)), grid64)
         assert st.psi_field.meta["not_a_proper_state"]
         # constant along x, Gaussian along p with the stated prefactor
         v = st.psi_field.values
@@ -234,7 +272,7 @@ class TestMomentumPlaneWave:
         # p * Psi = p0 Psi = Psi * p, exact through the finite smoothed series
         from psq.closedforms import momentum_plane_wave_state
         p0 = 1.0
-        st = momentum_plane_wave_state(p0, 0.3, 0.0, 0.5, grid64)
+        st = momentum_plane_wave_state(p0, OrderingSpec(0.3, GaussianSmoother(0.0, 0.5)), grid64)
         psi = st.psi_field
         mom = ObservableSpec.momentum()
         for side in ("left", "right"):
@@ -248,7 +286,7 @@ class TestMomentumPlaneWave:
         from psq.closedforms import momentum_plane_wave_state
         from psq.polyalg import PolyH
         p0, beta = 1.0, 0.5
-        st = momentum_plane_wave_state(p0, 0.5, 0.0, beta, grid64)
+        st = momentum_plane_wave_state(p0, OrderingSpec(0.5, GaussianSmoother(0.0, beta)), grid64)
         psi = st.psi_field
         H = ObservableSpec.from_poly(PolyH.monomial(0, 2, c=0.5), "H")
         energy = 0.5 * p0 ** 2 - 0.5 * grid64.hbar * beta
@@ -273,8 +311,8 @@ class TestClassicalLimit:
         def family(hb):
             span = abs(p0) * t + 8 * np.sqrt(hb / 0.2) + 1.5
             grid = make_grid(64, 64, -span, span, -span, span, hb)
-            return free_gaussian(FreeGaussianParams(p0, 0.5 * np.sqrt(hb), 0.5),
-                                 t, grid)
+            return free_gaussian(FreeGaussianParams(p0, 0.5 * np.sqrt(hb)),
+                                 t, OrderingSpec(0.5), grid)
 
         vals = classical_limit_probe(family, fn, self.HBARS)
         errs = [abs(v - fn(p0 * t, p0)) for v in vals]
@@ -304,7 +342,7 @@ class TestClassicalLimit:
         def family(hb):
             span = max(abs(x0), abs(p0)) + 8 * np.sqrt(hb / 0.2)
             grid = make_grid(64, 64, -span, span, -span, span, hb)
-            return coherent_state(CoherentParams(x0, p0, 1.0, 0.5), grid)
+            return coherent_state(CoherentParams(x0, p0, 1.0), OrderingSpec(0.5), grid)
 
         vals = classical_limit_probe(family, fn, self.HBARS)
         errs = [abs(v - fn(x0, p0)) for v in vals]

@@ -28,7 +28,7 @@ def wide_grid():
 
 class TestSchrodinger:
     def test_free_packet_matches_closed_form(self, wide_grid):
-        params = FreeGaussianParams(1.0, np.sqrt(wide_grid.hbar / 2), 0.5)
+        params = FreeGaussianParams(1.0, np.sqrt(wide_grid.hbar / 2))
         phi0 = free_wavepacket(params, 0.0, wide_grid)
         cfg = EvolutionConfig(dt=1e-3, steps=1000)
         result = evolve_schrodinger(phi0, FREE_H, OrderingSpec(0.5), cfg,
@@ -118,17 +118,17 @@ class TestSchrodinger:
 
 class TestPhaseSpace:
     def test_free_particle_matches_oracle(self, wide_grid):
-        params = FreeGaussianParams(1.0, np.sqrt(wide_grid.hbar / 2), 0.5)
-        rho0 = free_gaussian(params, 0.0, wide_grid)
+        params = FreeGaussianParams(1.0, np.sqrt(wide_grid.hbar / 2))
+        rho0 = free_gaussian(params, 0.0, OrderingSpec(0.5), wide_grid)
         cfg = EvolutionConfig(dt=0.01, steps=100, method="phase_space_rk4")
         result = evolve_phase_space(rho0, FREE_H, cfg)
-        want = free_gaussian(params, 1.0, wide_grid).psi_field
+        want = free_gaussian(params, 1.0, OrderingSpec(0.5), wide_grid).psi_field
         rel = l2_norm(result.snapshots[-1] - want) / l2_norm(want)
         assert rel < 1e-5
 
     def test_coherent_orbit_over_period(self, grid64):
         x0, p0 = 1.0, 0.0
-        cs = coherent_state(CoherentParams(x0, p0, 1.0, 0.5), grid64)
+        cs = coherent_state(CoherentParams(x0, p0, 1.0), OrderingSpec(0.5), grid64)
         steps = 640
         dt = 2 * np.pi / steps
         obs = default_observables()
@@ -145,7 +145,7 @@ class TestPhaseSpace:
     def test_general_sigma_orbit(self, grid64):
         # the (2 sigma - 1) dispersive terms enter the generator; the center
         # trajectory stays classical
-        cs = coherent_state(CoherentParams(1.0, 0.0, 1.0, 0.2), grid64)
+        cs = coherent_state(CoherentParams(1.0, 0.0, 1.0), OrderingSpec(0.2), grid64)
         obs = default_observables()
         cfg = EvolutionConfig(dt=0.01, steps=157, method="phase_space_rk4",
                               snapshot_every=157)
@@ -183,14 +183,14 @@ class TestPhaseSpace:
         assert np.abs(got.values - want).max() < 1e-9
 
     def test_mass_conserved(self, grid64):
-        cs = coherent_state(CoherentParams(0.7, 0.2, 1.0, 0.5), grid64)
+        cs = coherent_state(CoherentParams(0.7, 0.2, 1.0), OrderingSpec(0.5), grid64)
         cfg = EvolutionConfig(dt=0.01, steps=100, method="phase_space_rk4",
                               snapshot_every=20)
         result = evolve_phase_space(cs, OSC_H, cfg)
         assert np.abs(result.norms - result.norms[0]).max() < 1e-8
         # a mixture evolves linearly: its <x^2> is the weighted <x^2> of its
         # components at every snapshot
-        other = coherent_state(CoherentParams(-0.4, 0.5, 1.0, 0.5), grid64)
+        other = coherent_state(CoherentParams(-0.4, 0.5, 1.0), OrderingSpec(0.5), grid64)
         short = EvolutionConfig(dt=0.01, steps=4, method="phase_space_rk4",
                                 snapshot_every=1)
         x2 = {"x2": default_observables()["x2"]}
@@ -201,7 +201,7 @@ class TestPhaseSpace:
 
     def test_quantum_equals_liouville_for_quadratic(self, grid64):
         # quadratic symbols: the deformation terms cancel on Gaussians
-        cs = coherent_state(CoherentParams(0.8, -0.3, 1.0, 0.5), grid64)
+        cs = coherent_state(CoherentParams(0.8, -0.3, 1.0), OrderingSpec(0.5), grid64)
         cfg = EvolutionConfig(dt=0.01, steps=60, method="phase_space_rk4")
         quantum = evolve_phase_space(cs, OSC_H, cfg)
         classical = evolve_phase_space(cs, OSC_H, cfg,
@@ -223,7 +223,8 @@ class TestPhaseSpace:
     def test_smoothed_stationary_state_static(self, grid64):
         # the lam = 0.7 Laguerre-family state is stationary under its own
         # smoothed product
-        st = ho_state(1, 1, OscillatorParams(1.0, 0.5, 0.2, 0.2), grid64)
+        st = ho_state(1, 1, OscillatorParams(1.0, OrderingSpec(0.5, GaussianSmoother(0.2, 0.2))),
+                      grid64)
         steps = 320
         cfg = EvolutionConfig(dt=np.pi / steps, steps=steps,
                               method="phase_space_rk4", snapshot_every=steps)
@@ -233,7 +234,7 @@ class TestPhaseSpace:
         assert drift < 1e-6
 
     def test_stability_bound_enforced(self, grid64):
-        cs = coherent_state(CoherentParams(0.5, 0.0, 1.0, 0.5), grid64)
+        cs = coherent_state(CoherentParams(0.5, 0.0, 1.0), OrderingSpec(0.5), grid64)
         with pytest.raises(StabilityBoundError, match="suggested dt"):
             evolve_phase_space(cs, OSC_H,
                                EvolutionConfig(dt=0.5, steps=5,
@@ -247,7 +248,7 @@ class TestPhaseSpace:
         # an asymmetric Gaussian smoother makes the RK4 flow non-unitary:
         # ||S^-1 Psi|| drifts by ~1e-4 within 80 steps while the recorded
         # normalization integral stays at 1; a symmetric one drifts ~1e-11
-        cs = coherent_state(CoherentParams(1.0, 0.5, 1.0, 0.5), grid64)
+        cs = coherent_state(CoherentParams(1.0, 0.5, 1.0), OrderingSpec(0.5), grid64)
         cfg = EvolutionConfig(dt=0.01, steps=80, method="phase_space_rk4")
         for alpha, beta in ((0.3, 0.0), (0.0, 0.3)):
             spec = OrderingSpec(0.5, GaussianSmoother(alpha, beta))
@@ -261,14 +262,14 @@ class TestPhaseSpace:
 
     def test_picture_equivalence(self, grid64):
         # Schrodinger evolve + tensor vs direct phase-space evolve
-        cp = CoherentParams(0.8, 0.4, 1.0, 0.5)
+        cp = CoherentParams(0.8, 0.4, 1.0)
         phi0 = coherent_wavepacket(cp, grid64)
         spec = OrderingSpec(0.5)
         # 30 does not divide 100: both routes also record the final step
         steps, dt = 100, 0.005
         cfg = EvolutionConfig(dt=dt, steps=steps, snapshot_every=30)
         sch = evolve_schrodinger(phi0, OSC_H, spec, cfg)
-        state0 = coherent_state(cp, grid64)
+        state0 = coherent_state(cp, spec, grid64)
         cfg2 = EvolutionConfig(dt=dt, steps=steps, method="phase_space_rk4",
                                snapshot_every=30)
         phs = evolve_phase_space(state0, OSC_H, cfg2)
@@ -280,11 +281,11 @@ class TestPhaseSpace:
 
     def test_rk4_convergence_order(self, grid64):
         # halving dt shrinks the error by ~2^4 on the coherent benchmark
-        cp = CoherentParams(1.0, 0.0, 1.0, 0.5)
+        cp = CoherentParams(1.0, 0.0, 1.0)
         t_final = 0.64
         errs = []
         for steps in (40, 80):
-            cs = coherent_state(cp, grid64)
+            cs = coherent_state(cp, OrderingSpec(0.5), grid64)
             cfg = EvolutionConfig(dt=t_final / steps, steps=steps,
                                   method="phase_space_rk4",
                                   snapshot_every=steps)
@@ -297,7 +298,7 @@ class TestPhaseSpace:
 
     def test_strang_convergence_order(self, grid64):
         # the split-step propagator is second order: halving dt gives ~x4
-        cp = CoherentParams(1.0, 0.0, 1.0, 0.5)
+        cp = CoherentParams(1.0, 0.0, 1.0)
         t_final = 0.64
         errs = []
         for steps in (64, 128):
@@ -347,7 +348,7 @@ class TestStarExponential:
         u_minus = PolyH.zero()
         for term in minus:
             u_minus = u_minus + term
-        cs = coherent_state(CoherentParams(0.6, 0.2, 1.0, 0.5), grid)
+        cs = coherent_state(CoherentParams(0.6, 0.2, 1.0), OrderingSpec(0.5), grid)
         work = bopp_apply(ObservableSpec.from_poly(u_minus, "U-"), cs.psi_field,
                           "right", spec)
         conjugated = bopp_apply(ObservableSpec.from_poly(u_plus, "U+"), work,
@@ -380,7 +381,7 @@ class TestHeisenberg:
         bracket = formal_star_bracket(PolyH.x(), FREE_H.as_poly(),
                                       OrderingSpec(0.5))
         assert bracket == PolyH.p()
-        params = FreeGaussianParams(0.7, np.sqrt(grid64.hbar / 2), 0.5)
+        params = FreeGaussianParams(0.7, np.sqrt(grid64.hbar / 2))
         packet = free_wavepacket(params, 0.0, grid64)
         cfg = EvolutionConfig(dt=0.005, steps=60, snapshot_every=1)
         times, vals, resid = heisenberg_trajectory(
@@ -392,7 +393,7 @@ class TestHeisenberg:
 
     def test_oscillator_energy_constant(self, grid64):
         # exact eigendecomposition propagator: conservation to rounding
-        cp = CoherentParams(0.9, 0.1, 1.0, 0.5)
+        cp = CoherentParams(0.9, 0.1, 1.0)
         phi0 = coherent_wavepacket(cp, grid64)
         cfg = EvolutionConfig(dt=0.01, steps=100, snapshot_every=10,
                               method="matrix_exponential")
@@ -406,8 +407,8 @@ class TestHeisenberg:
         # <A(0)>_{rho(t)} = <A(t)>_{rho(0)} with A(t) from the bracket series
         spec = OrderingSpec(0.5)
         t = 0.3
-        cp = CoherentParams(0.8, -0.2, 1.0, 0.5)
-        cs = coherent_state(cp, grid64)
+        cp = CoherentParams(0.8, -0.2, 1.0)
+        cs = coherent_state(cp, spec, grid64)
         a_t = heisenberg_observable(PolyH.x(), OSC_H.as_poly(), spec, t)
         lhs = expectation(ObservableSpec.from_poly(a_t, "x(t)"), cs)
         obs = default_observables()

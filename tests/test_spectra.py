@@ -44,7 +44,7 @@ class TestExpectation:
         assert abs(expectation(H, state) - 0.5 * grid64.hbar) < 1e-7
 
     def test_coherent_center(self, grid64):
-        cs = coherent_state(CoherentParams(1.25, -0.5, 1.0, 0.5), grid64)
+        cs = coherent_state(CoherentParams(1.25, -0.5, 1.0), OrderingSpec(0.5), grid64)
         assert abs(expectation(ObservableSpec.position(), cs) - 1.25) < 1e-7
         assert abs(expectation(ObservableSpec.momentum(), cs) + 0.5) < 1e-7
 
@@ -82,14 +82,14 @@ class TestUncertainty:
         dp = 0.5
         dx = hbar / (2 * dp)
         for t in (0.0, 0.5, 1.0, 2.0):
-            fg = free_gaussian(FreeGaussianParams(0.3, dp, 0.5), t, grid)
+            fg = free_gaussian(FreeGaussianParams(0.3, dp), t, OrderingSpec(0.5), grid)
             assert abs(uncertainty(fg, "p") - dp) < 1e-6
             assert abs(uncertainty(fg, "x")
                        - np.sqrt(dx ** 2 + (dp * t) ** 2)) < 1e-6
 
     def test_minimum_uncertainty_states(self, grid64):
         hbar = grid64.hbar
-        cs = coherent_state(CoherentParams(0.5, 0.25, 1.0, 0.5), grid64)
+        cs = coherent_state(CoherentParams(0.5, 0.25, 1.0), OrderingSpec(0.5), grid64)
         assert abs(uncertainty(cs, "x") * uncertainty(cs, "p") - hbar / 2) < 1e-7
         gs = ho_state(0, 0, OscillatorParams(), grid64)
         assert abs(uncertainty(gs, "x") * uncertainty(gs, "p") - hbar / 2) < 1e-7

@@ -32,10 +32,10 @@ _QUARTIC = "0.5*p^2 + 0.5*x^2 + 0.01*x^4"
 # scenario branches that neither the demo configs nor the workloads run
 BRANCHES = {
     "oracle-free": {"scenario": "oracle", "grid": _SMALL, "params": {"state": "free", "t": 0.5}},
-    "classical-limit-free": {"scenario": "classical-limit",
-                             "params": {"family": "free", "hbars": [0.2, 0.1], "grid": _SMALL}},
-    "classical-limit-ho": {"scenario": "classical-limit",
-                           "params": {"family": "ho", "hbars": [0.2, 0.1], "grid": _SMALL}},
+    "classical-limit-free": {"scenario": "classical-limit", "grid": _SMALL,
+                             "params": {"family": "free", "hbars": [0.2, 0.1]}},
+    "classical-limit-ho": {"scenario": "classical-limit", "grid": _SMALL,
+                           "params": {"family": "ho", "hbars": [0.2, 0.1]}},
     "evolve-custom": {"scenario": "evolve", "grid": _MID,
                       "params": {"system": "custom", "hamiltonian": _QUARTIC,
                                  "steps": 16, "dt": 0.01}},
@@ -68,6 +68,28 @@ BRANCHES = {
     "spectrum-emit-fields": {"scenario": "spectrum", "grid": {"nx": 64, "np": 32},
                              "formats": ["csv", "bin"],
                              "params": {"levels": 2, "emit_fields": True}},
+    # the closed forms under a Gaussian ordering
+    "oracle-free-gaussian": {"scenario": "oracle", "grid": _MID, "ordering": _GAUSSIAN,
+                             "formats": ["bin"], "params": {"state": "free", "t": 0.5}},
+    "oracle-coherent-gaussian": {"scenario": "oracle", "grid": _MID,
+                                 "ordering": dict(_GAUSSIAN, sigma=0.3), "formats": ["bin"],
+                                 "params": {"state": "coherent"}},
+    "oracle-ho-gaussian": {"scenario": "oracle", "grid": _MID, "ordering": _GAUSSIAN,
+                           "formats": ["bin"], "params": {"state": "ho", "m": 2, "n": 1}},
+    "classical-limit-coherent-gaussian": {"scenario": "classical-limit", "grid": _MID,
+                                          "ordering": _GAUSSIAN,
+                                          "params": {"family": "coherent", "hbars": [0.2, 0.1]}},
+    "classical-limit-free-gaussian": {"scenario": "classical-limit", "grid": _MID,
+                                      "ordering": _GAUSSIAN,
+                                      "params": {"family": "free", "hbars": [0.2, 0.1]}},
+    "classical-limit-ho-gaussian": {"scenario": "classical-limit", "grid": _MID,
+                                    "ordering": _GAUSSIAN,
+                                    "params": {"family": "ho", "hbars": [0.2, 0.1]}},
+    "evolve-rk4-gaussian": {"scenario": "evolve", "grid": _MID, "ordering": _GAUSSIAN,
+                            "params": {"system": "oscillator", "method": "phase_space_rk4",
+                                       "steps": 20, "dt": 0.01}},
+    "evolve-split-step-gaussian": {"scenario": "evolve", "grid": _MID, "ordering": _GAUSSIAN,
+                                   "params": {"system": "free", "steps": 20, "dt": 0.01}},
 }
 
 
