@@ -4,8 +4,8 @@ Everything in this demo is coefficient-exact; hbar is a formal grading
 variable, so deformation identities print as exact polynomial equalities.
 """
 
-from psq import (DiffOpWord, PolyH, apply_word, nf_adjoint, nf_multiply,
-                 ppoisson, pstar, sigma_S_order, sigma_order)
+from psq import (DiffOpWord, PolyH, nf_adjoint, nf_multiply, ppoisson, pstar,
+                 sigma_S_order, sigma_order)
 
 x, p = PolyH.x(), PolyH.p()
 sigma = 0.3
@@ -35,12 +35,12 @@ word = DiffOpWord.three_parameter(a, b, c)
 A = PolyH.monomial(0, 2, c=0.5) + PolyH.monomial(0, 3, c=1 / 6) \
     + PolyH.monomial(2, 0, c=0.5)
 print("\nsymbol            A =", A.render())
-print("pulled back  S^-1 A =", apply_word(word, A, "inverse").render())
+print("pulled back  S^-1 A =", word.apply(A, "inverse").render())
 print("ordered word        =", sigma_S_order(A, sigma, word).render())
 
 # the word fixes the coordinates: S x = x and S p = p exactly
-print("\nS x =", apply_word(word, x).render(), "   S p =",
-      apply_word(word, p).render())
+print("\nS x =", word.apply(x).render(), "   S p =",
+      word.apply(p).render())
 
 # adjoints reverse and conjugate, then reduce back to standard order
 w = sigma_order(PolyH.monomial(1, 1), 0.0)

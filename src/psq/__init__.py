@@ -19,25 +19,24 @@ from .errors import (GridMismatchError, IllPosedSmoothingError,
                      NumericalPreconditionError, PSQError, SpanError,
                      StabilityBoundError, TruncationError,
                      UnsupportedObservableError)
-from .grids import (PhaseField, PhaseGrid, SpectralField, WaveFunction,
-                    boundary_tail_mass, fourier_full, fourier_full_inverse,
-                    fourier_partial, integrate, l2_inner, l2_norm, make_grid,
-                    read_field, write_field, write_field_csv)
+from .grids import (PhaseField, PhaseGrid, WaveFunction, boundary_tail_mass,
+                    fourier_full, fourier_full_inverse, fourier_partial,
+                    integrate, l2_inner, l2_norm, make_grid, read_field,
+                    write_field, write_field_csv)
 from .ordering import (CohenSmoother, GaussianSmoother, IdentitySmoother,
                        OrderingSpec, WordSmoother)
-from .polyalg import (DiffOpWord, OperatorNF, PolyH, WordGenerator, apply_word,
-                      nf_adjoint, nf_multiply, ppoisson, pstar, pstar_S,
-                      sigma_S_order, sigma_order)
+from .polyalg import (DiffOpWord, OperatorNF, PolyH, WordGenerator, nf_adjoint,
+                      nf_multiply, ppoisson, pstar, pstar_S, sigma_S_order,
+                      sigma_order)
 from .starprod import (ObservableSpec, apply_smoother, bopp_apply,
                        gauge_transform, involution_dagger, moyal_bracket,
                        star_commutator, star_sigma, star_sigma_S)
 from .states import (MixedState, QuasiDistribution, basis_idempotence_check,
-                     hermite_basis, hermite_function, marginal,
-                     pure_factorization, purity_check, read_state,
-                     twisted_tensor, write_state)
-from .spectra import (SpectralResult, apply_operator_matrix, expectation,
-                      gauge_spectrum_check, operator_matrix,
-                      spectrum_via_schrodinger, stargen_residual, uncertainty)
+                     hermite_function, marginal, pure_factorization,
+                     purity_check, read_state, twisted_tensor, write_state)
+from .spectra import (SpectralResult, expectation, gauge_spectrum_check,
+                      operator_matrix, spectrum_via_schrodinger,
+                      stargen_residual, uncertainty)
 from .closedforms import (CoherentParams, FreeGaussianParams, OscillatorParams,
                           annihilation_symbol, classical_limit_probe,
                           coherent_genvalue_residuals, coherent_state,

@@ -208,10 +208,6 @@ def _grid_from_config(cfg):
                      g["p_min"], g["p_max"], g["hbar"])
 
 
-def _spec_from_config(cfg):
-    return spec_from_dict(cfg.get("ordering", {"sigma": 0.5}))
-
-
 def _require_finite(value, where="config"):
     """Raise PSQError at a NaN or +-Infinity anywhere in a config value."""
     items = value.items() if isinstance(value, dict) else \
@@ -577,7 +573,8 @@ def run_config(config):
         return 4, None
     try:
         _require_finite(config)
-        _RUNNERS[config["scenario"]](_grid_from_config(config), _spec_from_config(config),
+        _RUNNERS[config["scenario"]](_grid_from_config(config),
+                                     spec_from_dict(config.get("ordering", {})),
                                      _params(config), emit)
         manifest = emit.manifest(config)
         emit.commit()
@@ -626,9 +623,18 @@ def main(argv=None):
         return 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a failed write of help or version text raises
+    (argparse swallows it), so that main sees a closed stdout however it is
+    buffered; the subcommand parsers inherit the class."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def _main(argv):
-    parser = argparse.ArgumentParser(
-        prog="psq", description="phase-space quantization batch tool")
+    parser = _Parser(prog="psq", description="phase-space quantization batch tool")
     parser.add_argument("--version", action="version",
                         version="psq %s (field format v%d)"
                         % (__version__, FIELD_FORMAT_VERSION))

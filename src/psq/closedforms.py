@@ -16,7 +16,7 @@ sampled field can carry.
 """
 
 from dataclasses import dataclass
-from math import hypot, pi, sqrt
+from math import factorial, hypot, pi, sqrt
 
 import numpy as np
 
@@ -241,12 +241,7 @@ def ho_ladder(m, n, params, grid):
         field = bopp_apply(a_up, field, "left", spec)
     for _ in range(n):
         field = bopp_apply(a_dn, field, "right", spec)
-    norm = 1.0
-    for k in range(1, m + 1):
-        norm *= k
-    for k in range(1, n + 1):
-        norm *= k
-    field = field * (1.0 / sqrt(norm))
+    field = field * (1.0 / sqrt(factorial(m) * factorial(n)))
     return QuasiDistribution(field, spec)
 
 

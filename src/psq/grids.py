@@ -181,16 +181,6 @@ class PhaseField:
         return self
 
 
-class SpectralField:
-    """Complex samples on the centered conjugate lattice (xi_k, eta_l)."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid, values):
-        self.grid = grid
-        self.values = _as_complex_2d(grid, values)
-
-
 class WaveFunction:
     """Complex samples on the x axis of a PhaseGrid."""
 
@@ -273,21 +263,23 @@ def _eta_to_p(grid, values):
 
 
 def fourier_full(field):
-    """Full transform PhaseField -> SpectralField on the centered lattice."""
+    """Full transform onto the centered conjugate lattice: values[k, l] =
+    F f(xi_k, eta_l), in a PhaseField of the same shape with the field's flags."""
     g = field.grid
     out = _fwd_x(g, field.values)
     out = _p_to_eta(g, out)
     out *= g.dx * g.dp / (2.0 * np.pi * g.hbar)
-    return SpectralField(g, out)
+    return PhaseField(g, out, field.meta)
 
 
-def fourier_full_inverse(sfield):
-    """Inverse of :func:`fourier_full`."""
-    g = sfield.grid
-    out = _inv_x(g, sfield.values)
+def fourier_full_inverse(field):
+    """Inverse of :func:`fourier_full`: conjugate-lattice samples back to
+    (x, p), with the field's guard flags."""
+    g = field.grid
+    out = _inv_x(g, field.values)
     out = _eta_to_p(g, out)
     out *= g.dxi * g.deta / (2.0 * np.pi * g.hbar)
-    return PhaseField(g, out)
+    return PhaseField(g, out, field.meta)
 
 
 # (axis, direction) -> (half transform, spacing of its input lattice): one
@@ -304,8 +296,9 @@ def fourier_partial(field, axis, direction):
     axis='x': forward maps x to its conjugate variable, inverse maps back.
     axis='p': 'inverse' maps p to the shift variable y (kernel e^{+i y p/hbar}),
     'forward' maps y back to p, so that full = (x forward) o (p inverse).
-    Returned values live on the mixed-representation lattice but are carried
-    in a PhaseField of the same shape, with the field's guard flags.
+    Returned values live on the mixed-representation lattice and, as with
+    the full transforms, are carried in a PhaseField of the same shape with
+    the field's guard flags.
     """
     if axis not in ("x", "p"):
         raise PSQError("axis must be 'x' or 'p'")
@@ -347,7 +340,7 @@ def _fourier_powers(field, m_x, m_p, orders):
     if wanted:
         spectrum = fourier_full(field).values
         for r, s in sorted(wanted):
-            mult = SpectralField(field.grid, spectrum * m_x ** r * m_p ** s)
+            mult = PhaseField(field.grid, spectrum * m_x ** r * m_p ** s)
             out[(r, s)] = fourier_full_inverse(mult).values
     return out
 

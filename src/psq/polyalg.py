@@ -331,11 +331,6 @@ class DiffOpWord:
             k += 1
 
 
-def apply_word(word, f, direction="forward"):
-    """Apply the automorphism word (or its inverse) to a polynomial."""
-    return word.apply(f, direction)
-
-
 # ---------------------------------------------------------------------------
 # operator normal forms
 # ---------------------------------------------------------------------------

@@ -99,10 +99,6 @@ def operator_matrix(A, spec, grid):
     return M
 
 
-def apply_operator_matrix(M, wavefunction):
-    return WaveFunction(wavefunction.grid, M @ wavefunction.values)
-
-
 def hermiticity_defect(A, spec, grid):
     """Self-adjointness defect of the ordered operator, checked symbolically.
 
@@ -176,9 +172,9 @@ def spectrum_via_schrodinger(H, spec, n_levels, grid, residual_fields=True):
             "n_levels=%d exceeds the reliable resolution bound nx/4=%d"
             % (n_levels, grid.nx // 4))
     energies, vectors = hermitian_eigh(H, spec, grid)
-    vectors /= np.sqrt(grid.dx)     # eigh's orthonormal columns, dx-weighted
     kept_e = energies[:n_levels]
-    waves = [WaveFunction(grid, vectors[:, n]) for n in range(n_levels)]
+    # the kept columns of eigh's orthonormal basis, dx-weighted
+    waves = [WaveFunction(grid, vectors[:, n] / np.sqrt(grid.dx)) for n in range(n_levels)]
     # boundary-resolution sanity: levels must decay inside the span
     for n, w in enumerate(waves):
         edge = max(abs(w.values[0]), abs(w.values[-1]))

@@ -41,7 +41,7 @@ import scipy.fft as sp_fft
 
 from .errors import (IllPosedSmoothingError, NumericalPreconditionError, PSQError,
                      UnsupportedObservableError)
-from .grids import (PhaseField, SpectralField, _fourier_powers, _from_kernel, _to_kernel,
+from .grids import (PhaseField, _fourier_powers, _from_kernel, _to_kernel,
                     boundary_tail_mass, fourier_full, fourier_full_inverse, multiply_mixed)
 from .ordering import GaussianSmoother
 from .polyalg import PolyH, sigma_order, sigma_order_right, word_profiles
@@ -145,21 +145,6 @@ class ObservableSpec:
                 pairs.append((pq ** m if m else None, a_m))
         return pairs
 
-    def sample(self, grid):
-        """Evaluate the symbol A(x, p) on the grid (numeric hbar)."""
-        X, P = grid.meshes()
-        out = np.zeros((grid.nx, grid.np), dtype=complex)
-        for kind, payload in self.terms:
-            if kind == "x":
-                out += np.broadcast_to(np.asarray(payload(grid.x), dtype=complex)[:, None],
-                                       out.shape)
-            elif kind == "p":
-                out += np.broadcast_to(np.asarray(payload(grid.p), dtype=complex)[None, :],
-                                       out.shape)
-            else:
-                out += payload.evaluate(X, P, grid.hbar)
-        return PhaseField(grid, out)
-
 
 # ---------------------------------------------------------------------------
 # Fourier multipliers with the deconvolution guard
@@ -178,17 +163,16 @@ def _apply_multiplier(field, mult):
     F = fourier_full(field)
     mvals = np.asarray(mult, dtype=complex)
     bad = np.abs(mvals) > AMPLIFICATION_CUTOFF
-    meta = dict(field.meta)
     if np.any(bad):
         total = np.sum(np.abs(F.values) ** 2)
         clamped = np.sum(np.abs(F.values[bad]) ** 2)
         if total > 0 and clamped / total > CLAMPED_MASS_TOLERANCE:
             raise IllPosedSmoothingError("deconvolution ill-posed for this field")
         fraction = float(clamped / total) if total > 0 else 0.0
-        meta["deconvolution_clamped"] = max(meta.get("deconvolution_clamped", 0.0), fraction)
+        F.meta["deconvolution_clamped"] = max(F.meta.get("deconvolution_clamped", 0.0), fraction)
         mvals = np.where(bad, 0.0, mvals)
     F.values *= mvals
-    return PhaseField(field.grid, fourier_full_inverse(F).values, meta).assert_finite()
+    return fourier_full_inverse(F).assert_finite()
 
 
 def apply_smoother(spec, field, direction="forward"):
@@ -295,7 +279,7 @@ def star_sigma(f, g_field, sigma):
         spectra = [fourier_full(h).values for h in operands]
         spect = _twisted_convolution(spectra[0], spectra[-1],
                                      grid.xi, grid.eta, sigma, grid.hbar)
-        values = fourier_full_inverse(SpectralField(grid, spect)).values
+        values = fourier_full_inverse(PhaseField(grid, spect)).values
     return PhaseField(grid, values, meta).assert_finite()
 
 

@@ -56,10 +56,6 @@ def hermite_function(grid, n, omega=1.0):
     return WaveFunction(grid, prev)
 
 
-def hermite_basis(grid, nmax, omega=1.0):
-    return [hermite_function(grid, n, omega) for n in range(nmax + 1)]
-
-
 @dataclass
 class QuasiDistribution:
     """A phase-space state: the field Psi and the ordering every state function reads."""

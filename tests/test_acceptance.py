@@ -11,9 +11,9 @@ import pytest
 
 from psq import (EvolutionConfig, GaussianSmoother, IdentitySmoother,
                  ObservableSpec, OrderingSpec, PolyH, WaveFunction,
-                 apply_operator_matrix, basis_idempotence_check, bopp_apply,
+                 basis_idempotence_check, bopp_apply,
                  evolve_phase_space, evolve_schrodinger, expectation,
-                 gauge_spectrum_check, hermite_basis, integrate, l2_norm,
+                 gauge_spectrum_check, hermite_function, integrate, l2_norm,
                  make_grid, operator_matrix, spectrum_via_schrodinger,
                  star_sigma, stargen_residual, twisted_tensor, uncertainty)
 from psq.closedforms import (CoherentParams, FreeGaussianParams,
@@ -168,7 +168,7 @@ def test_criterion_06_coherent_orbit():
 def test_criterion_07_bridge_property_suite():
     grid = make_grid(64, 64, -8, 8, -8, 8, 1.0)
     rng = np.random.default_rng(905)
-    basis = hermite_basis(grid, 5)
+    basis = [hermite_function(grid, n) for n in range(6)]
     observables = [
         ObservableSpec.from_poly(PolyH.x(), "x"),
         ObservableSpec.from_poly(PolyH.p(), "p"),
@@ -199,11 +199,11 @@ def test_criterion_07_bridge_property_suite():
         for obs_i, A in enumerate(observables):
             M = matrices[(spec_i, obs_i)]
             left = bopp_apply(A, state.psi_field, "left", spec)
-            want = twisted_tensor(phi, apply_operator_matrix(M, psi), spec)
+            want = twisted_tensor(phi, WaveFunction(psi.grid, M @ psi.values), spec)
             worst = max(worst, l2_norm(left - want.psi_field)
                         / max(l2_norm(left), 1e-30))
             right = bopp_apply(A, state.psi_field, "right", spec)
-            wantr = twisted_tensor(apply_operator_matrix(M.conj().T, phi),
+            wantr = twisted_tensor(WaveFunction(phi.grid, M.conj().T @ phi.values),
                                    psi, spec)
             worst = max(worst, l2_norm(right - wantr.psi_field)
                         / max(l2_norm(right), 1e-30))

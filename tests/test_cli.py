@@ -533,16 +533,22 @@ class TestSubcommands:
         assert capsys.readouterr().err.startswith("config error")
 
     def test_print_schema_to_closed_stdout_exits_4(self):
-        # the reader closes its end at once, so every write to stdout fails
+        # the reader closes its end at once, so every write to stdout fails;
+        # unbuffered, argparse's own help and version writes meet it first
         src = str(Path(psq.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
-        proc = subprocess.Popen([sys.executable, "-m", "psq.cli", "run", "--print-schema"],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        proc.stdout.close()
-        _out, err = proc.communicate(timeout=60)
-        assert proc.returncode == 4
-        assert b"Traceback" not in err
+        env.pop("PYTHONUNBUFFERED", None)
+        for argv, extra in ((["run", "--print-schema"], {}),
+                            (["--version"], {"PYTHONUNBUFFERED": "1"}),
+                            (["spectrum", "--help"], {"PYTHONUNBUFFERED": "1"})):
+            proc = subprocess.Popen([sys.executable, "-m", "psq.cli"] + argv,
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    env=dict(env, **extra))
+            proc.stdout.close()
+            _out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 4, argv
+            assert b"Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["starprod", "--f", "x*p", "--nx", "64", "--np", "64"],

@@ -159,7 +159,7 @@ class TestPhaseSpace:
         # d rho/dt = -p dx rho + w^2 x dp rho
         #            + i (hbar/2)(2 sigma - 1)(w^2 dp^2 - dx^2) rho
         from psq.dynamics import _quantum_rhs
-        from psq import SpectralField, fourier_full, fourier_full_inverse
+        from psq import fourier_full, fourier_full_inverse
         hbar = grid64.hbar
         sigma, omega = 0.2, 1.3
         H = ObservableSpec.harmonic(omega)
@@ -172,7 +172,7 @@ class TestPhaseSpace:
         F = fourier_full(rho)
 
         def mult(m):
-            return fourier_full_inverse(SpectralField(grid64, F.values * m)).values
+            return fourier_full_inverse(PhaseField(grid64, F.values * m)).values
 
         dx_r = mult(1j * XI / hbar)
         dp_r = mult(-1j * ETA / hbar)

@@ -1,7 +1,7 @@
 import pytest
 
 from psq import (DiffOpWord, OperatorNF, PolyH, PSQError, WordGenerator,
-                 apply_word, nf_adjoint, nf_multiply, ppoisson, pstar,
+                 nf_adjoint, nf_multiply, ppoisson, pstar,
                  sigma_S_order, sigma_order)
 from psq.polyalg import sigma_order_right
 
@@ -62,8 +62,8 @@ class TestPstar:
         s, s2 = 0.2, 0.9
         word = DiffOpWord.gauge_shift(s2 - s)
         f, g = rand_poly(rng), rand_poly(rng)
-        lhs = apply_word(word, pstar(f, g, s))
-        rhs = pstar(apply_word(word, f), apply_word(word, g), s2)
+        lhs = word.apply(pstar(f, g, s))
+        rhs = pstar(word.apply(f), word.apply(g), s2)
         assert (lhs - rhs).is_zero(1e-11 * max(max_coeff(lhs), 1.0))
 
 
@@ -85,8 +85,8 @@ class TestDiffOpWord:
     def test_fixes_coordinates(self):
         for word in (DiffOpWord.gaussian(0.3, 0.7),
                      DiffOpWord.three_parameter(1.0, 2.0, 3.0)):
-            assert apply_word(word, PolyH.x()) == PolyH.x()
-            assert apply_word(word, PolyH.p()) == PolyH.p()
+            assert word.apply(PolyH.x()) == PolyH.x()
+            assert word.apply(PolyH.p()) == PolyH.p()
 
     def test_three_parameter_pullback_example(self):
         # S = exp(-i hbar a dx dp + i hbar b x dp^2 - hbar^2 c dp^3)
@@ -96,7 +96,7 @@ class TestDiffOpWord:
         word = DiffOpWord.three_parameter(a, b, c)
         A = PolyH.monomial(0, 2, c=0.5) + PolyH.monomial(0, 3, c=1 / 6) \
             + PolyH.monomial(2, 0, c=0.5)
-        pulled = apply_word(word, A, "inverse")
+        pulled = word.apply(A, "inverse")
         expected = A + PolyH.monomial(1, 0, 1, -1j * b) \
             + PolyH.monomial(1, 1, 1, -1j * b) \
             + PolyH.monomial(0, 0, 2, 0.5 * a * b + c)
@@ -105,7 +105,7 @@ class TestDiffOpWord:
     def test_roundtrip(self, rng):
         word = DiffOpWord.three_parameter(0.3, 1.1, -0.2)
         f = rand_poly(rng, 4)
-        back = apply_word(word, apply_word(word, f, "inverse"), "forward")
+        back = word.apply(word.apply(f, "inverse"), "forward")
         assert (back - f).is_zero(1e-12 * max(max_coeff(f), 1.0))
 
     def test_rejects_non_terminating_generator(self):

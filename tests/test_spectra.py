@@ -4,8 +4,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from psq import (GaussianSmoother, IdentitySmoother, MixedState,
                  NumericalPreconditionError, ObservableSpec, OrderingSpec,
-                 PolyH, PSQError, apply_operator_matrix, expectation,
-                 gauge_spectrum_check, hermite_basis, l2_norm, make_grid,
+                 PolyH, PSQError, expectation,
+                 gauge_spectrum_check, l2_norm, make_grid,
                  operator_matrix, spectrum_via_schrodinger, stargen_residual,
                  twisted_tensor, uncertainty)
 from psq.closedforms import (CoherentParams, FreeGaussianParams,
@@ -51,7 +51,7 @@ class TestExpectation:
     def test_trace_form_for_mixtures(self, grid64, rng):
         # <A>_mix = sum p_l <phi_l | A_matrix phi_l>
         spec = OrderingSpec(0.5, GaussianSmoother(0.05, 0.08))
-        basis = hermite_basis(grid64, 3)
+        basis = [hermite_function(grid64, n) for n in range(4)]
         weights = [0.4, 0.35, 0.25]
         comps = tuple((w, twisted_tensor(basis[i], basis[i], spec))
                       for i, w in enumerate(weights))
@@ -60,7 +60,7 @@ class TestExpectation:
             PolyH.monomial(2, 0, c=0.3) + PolyH.monomial(0, 2, c=0.7)
             + PolyH.monomial(1, 1, c=0.2), "A")
         M = operator_matrix(A, spec, grid64)
-        want = sum(w * basis[i].inner(apply_operator_matrix(M, basis[i]))
+        want = sum(w * basis[i].inner(WaveFunction(basis[i].grid, M @ basis[i].values))
                    for i, w in enumerate(weights))
         got = expectation(A, mix)
         assert abs(got - want) < 1e-7
@@ -269,7 +269,7 @@ class TestBridgeTheorem:
     ], ids=["moyal", "standard", "smoothed"])
     def test_left_and_right_actions(self, grid64, rng, spec):
         from psq import bopp_apply
-        basis = hermite_basis(grid64, 5)
+        basis = [hermite_function(grid64, n) for n in range(6)]
         for _ in range(4):
             c1 = rng.normal(size=6) + 1j * rng.normal(size=6)
             c2 = rng.normal(size=6) + 1j * rng.normal(size=6)
@@ -284,12 +284,12 @@ class TestBridgeTheorem:
             for A in observables:
                 M = operator_matrix(A, spec, grid64)
                 left = bopp_apply(A, state.psi_field, "left", spec)
-                want = twisted_tensor(phi, apply_operator_matrix(M, psi), spec)
+                want = twisted_tensor(phi, WaveFunction(psi.grid, M @ psi.values), spec)
                 assert l2_norm(left - want.psi_field) \
                     / max(l2_norm(left), 1e-30) < 1e-6
                 right = bopp_apply(A, state.psi_field, "right", spec)
                 wantr = twisted_tensor(
-                    apply_operator_matrix(M.conj().T, phi), psi, spec)
+                    WaveFunction(phi.grid, M.conj().T @ phi.values), psi, spec)
                 assert l2_norm(right - wantr.psi_field) \
                     / max(l2_norm(right), 1e-30) < 1e-6
 
@@ -306,6 +306,6 @@ class TestBridgeTheorem:
             - bopp_apply(H, state.psi_field, "right", spec)
         assert l2_norm(com) / l2_norm(state.psi_field) < 1e-8
         M = operator_matrix(H, spec, grid64)
-        a = phi.inner(apply_operator_matrix(M, phi))
+        a = phi.inner(WaveFunction(phi.grid, M @ phi.values))
         left, right = stargen_residual(H, state, a.real)
         assert left < 1e-6 and right < 1e-6

@@ -11,8 +11,7 @@ from psq import (CohenSmoother, GaussianSmoother, IdentitySmoother,
                  involution_dagger, l2_inner, l2_norm, make_grid, moyal_bracket,
                  operator_matrix, pstar, star_commutator, star_sigma,
                  star_sigma_S, twisted_tensor)
-from psq.grids import (SpectralField, fourier_full, fourier_full_inverse,
-                       spectral_derivatives)
+from psq.grids import fourier_full, fourier_full_inverse, spectral_derivatives
 from psq.polyalg import DiffOpWord
 from psq.starprod import (_KERNEL_SPAN_MASS, _bopp_series, _bopp_shifts, _to_kernel,
                           _twisted_convolution)
@@ -116,14 +115,16 @@ class TestStarSigma:
             acted = bopp_apply(ObservableSpec.harmonic(1.0), pulled, "right", bopp_spec)
             assert acted.meta["deconvolution_clamped"] == clamped
         # smoothers, gauge maps, the involution, the smoothed product and
-        # partial transforms keep the flags of a localized operand
+        # the partial and full transforms keep the flags of a localized operand
         flagged = PhaseField(grid64, state.values, out.meta)
         for kept in (apply_smoother(spec, flagged, "forward"),
                      gauge_transform(flagged, 0.2, 0.7),
                      involution_dagger(flagged, OrderingSpec(0.3)),
                      involution_dagger(flagged, spec),
                      star_sigma_S(flagged, flagged, spec),
-                     fourier_partial(flagged, "p", "inverse")):
+                     fourier_partial(flagged, "p", "inverse"),
+                     fourier_full(flagged),
+                     fourier_full_inverse(fourier_full(flagged))):
             assert kept.meta["tail_mass_warning"] == out.meta["tail_mass_warning"]
 
 
@@ -170,7 +171,7 @@ def convolution_route(f, g2, sigma):
     grid = f.grid
     spect = _twisted_convolution(fourier_full(f).values, fourier_full(g2).values,
                                  grid.xi, grid.eta, sigma, grid.hbar)
-    return fourier_full_inverse(SpectralField(grid, spect))
+    return fourier_full_inverse(PhaseField(grid, spect))
 
 
 class TestKernelRoute:
@@ -429,15 +430,6 @@ class TestBoppApply:
 
 
 class TestObservableSampling:
-    def test_sample_combines_terms(self, grid64):
-        A = ObservableSpec((("x", lambda x: np.cos(x)),
-                            ("p", lambda p: p ** 2),
-                            ("poly", PolyH.monomial(1, 1, c=0.5))))
-        X, P = grid64.meshes()
-        got = A.sample(grid64)
-        want = np.cos(X) + P ** 2 + 0.5 * X * P
-        assert np.abs(got.values - want).max() < 1e-12
-
     def test_as_poly_rejects_callables(self, grid64):
         A = ObservableSpec.x_function(lambda x: np.cos(x))
         with pytest.raises(UnsupportedObservableError):
@@ -768,14 +760,14 @@ class TestAlgebraProperties:
         assert d < 1e-8 * l2_norm(f) * l2_norm(g2)
 
     def test_leibniz_spectral(self, grid64, rng):
-        from psq import SpectralField, fourier_full, fourier_full_inverse
+        from psq import fourier_full, fourier_full_inverse
         hbar = grid64.hbar
         XI, ETA = grid64.conj_meshes()
 
         def ddx(fld):
             F = fourier_full(fld)
             return fourier_full_inverse(
-                SpectralField(grid64, F.values * (1j * XI / hbar)))
+                PhaseField(grid64, F.values * (1j * XI / hbar)))
 
         s = 0.3
         f = gaussian_mixture(grid64, rng)

@@ -5,7 +5,7 @@ from psq import (CoherentParams, GaussianSmoother, MixedState,
                  NumericalPreconditionError, OrderingSpec, PhaseField, PSQError,
                  WaveFunction,
                  apply_smoother, basis_idempotence_check, coherent_wavepacket,
-                 hermite_basis, hermite_function, l2_norm, make_grid, marginal,
+                 hermite_function, l2_norm, make_grid, marginal,
                  pure_factorization, purity_check, read_state, star_sigma_S,
                  twisted_tensor, write_state)
 from psq.starprod import _KERNEL_SPAN_MASS, _from_kernel, _to_kernel
@@ -15,7 +15,7 @@ TWO_PI = 2 * np.pi
 
 
 def random_wavefunction(grid, rng, nmax=5):
-    basis = hermite_basis(grid, nmax)
+    basis = [hermite_function(grid, n) for n in range(nmax + 1)]
     coeffs = rng.normal(size=nmax + 1) + 1j * rng.normal(size=nmax + 1)
     vals = sum(c * b.values for c, b in zip(coeffs, basis))
     return WaveFunction(grid, vals).normalized()
@@ -23,7 +23,7 @@ def random_wavefunction(grid, rng, nmax=5):
 
 class TestHermite:
     def test_orthonormal(self, grid64):
-        basis = hermite_basis(grid64, 8)
+        basis = [hermite_function(grid64, n) for n in range(9)]
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
                 want = 1.0 if i == j else 0.0
@@ -309,7 +309,7 @@ class TestKernelMap:
         # rho = (1 - e^-beta) sum_n e^{-n beta} |n><n| over 40 levels maps to
         # (1/pi hbar) tanh(beta hbar omega/2) exp(-tanh(beta hbar omega/2)(x^2 + p^2)/hbar)
         beta, hbar = 2.0, grid128.hbar
-        phis = np.array([h.values for h in hermite_basis(grid128, 39)])
+        phis = np.array([hermite_function(grid128, n).values for n in range(40)])
         weights = (1 - np.exp(-beta)) * np.exp(-beta * np.arange(40))
         K = (np.conj(phis).T * weights) @ phis
         wigner = _from_kernel(K, 0.5, grid128) / np.sqrt(TWO_PI * hbar)

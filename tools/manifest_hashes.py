@@ -29,6 +29,8 @@ _SMALL = {"nx": 32, "np": 32}
 _MID = {"nx": 64, "np": 64}
 _GAUSSIAN = {"sigma": 0.5, "smoother": {"kind": "gaussian", "alpha": 0.1, "beta": 0.1}}
 _QUARTIC = "0.5*p^2 + 0.5*x^2 + 0.01*x^4"
+# dx 0.25 > deta 0.196: kernels cannot hold the operands, so star_sigma convolves
+_CONVOLVED = {"nx": 64, "np": 128, "p_min": -16, "p_max": 16}
 # scenario branches that neither the demo configs nor the workloads run
 BRANCHES = {
     "oracle-free": {"scenario": "oracle", "grid": _SMALL, "params": {"state": "free", "t": 0.5}},
@@ -49,6 +51,15 @@ BRANCHES = {
                         "params": {"state": "coherent"}},
     "starprod-commutator": {"scenario": "starprod", "grid": _MID, "formats": ["bin"],
                             "params": {"op": "commutator", "right_hermite": 1}},
+    "starprod-star-convolution": {"scenario": "starprod", "grid": _CONVOLVED, "formats": ["bin"],
+                                  "params": {"op": "star", "left_hermite": 1,
+                                             "right_hermite": 1}},
+    "starprod-commutator-convolution-gaussian": {"scenario": "starprod", "grid": _CONVOLVED,
+                                                 "ordering": dict(_GAUSSIAN, sigma=0.3),
+                                                 "formats": ["bin"],
+                                                 "params": {"op": "commutator",
+                                                            "left_hermite": 0,
+                                                            "right_hermite": 2}},
     "starprod-bracket": {"scenario": "starprod", "grid": _MID,
                          "ordering": dict(_GAUSSIAN, sigma=0.3), "formats": ["bin"],
                          "params": {"op": "bracket", "right_hermite": 1}},
