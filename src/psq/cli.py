@@ -3,7 +3,8 @@
 One scenario per process: a JSON config (or equivalent flags) selects a
 scenario, the run emits data files plus a manifest.json listing every
 artifact with its content hash.  Identical configs yield byte-identical
-CSVs; floats are printed with 17 significant digits.
+CSVs at a fixed BLAS thread count (spectra move in their last bits between
+counts); floats are printed with 17 significant digits.
 
 `PARAMS` declares each scenario's params keys once; the config schema, the
 subcommand flags (`--<key>`, `_` written as `-`) and the values a scenario

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft as sp_fft
 
 from .errors import GridMismatchError, PSQError
 
@@ -227,7 +226,7 @@ def half_dft(values, axis, in0, din, out0, dout, sign, hbar):
 
     in_j = in0 + j*din and out_m = out0 + m*dout with n*din*dout = 2 pi hbar,
     which reduces the kernel to a plain FFT between pre/post phase factors.
-    No weight is applied here, and the FFT uses scipy.fft's worker setting.
+    No weight is applied here; the FFT is numpy's and runs on one thread.
     """
     values = np.asarray(values, dtype=complex)
     n = values.shape[axis]
@@ -236,9 +235,9 @@ def half_dft(values, axis, in0, din, out0, dout, sign, hbar):
     shape[axis] = n
     a = values * pre.reshape(shape)
     if sign < 0:
-        A = sp_fft.fft(a, axis=axis)
+        A = np.fft.fft(a, axis=axis)
     else:
-        A = sp_fft.ifft(a, axis=axis) * n
+        A = np.fft.ifft(a, axis=axis) * n
     return A * post.reshape(shape)
 
 

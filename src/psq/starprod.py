@@ -19,7 +19,7 @@ Three computational routes, cross-checked in the test suite:
   ``grids._fourier_powers``.
 
 Every transform runs through ``grids``, the sigma-field <-> kernel maps
-included.
+included, except the twisted convolution's zero-padded row FFTs.
 
 Smoothers, gauge maps between sigma values and the involution are Fourier
 multipliers on the conjugate lattice, applied through one guarded multiply
@@ -37,7 +37,6 @@ import warnings
 from math import factorial, pi, sqrt
 
 import numpy as np
-import scipy.fft as sp_fft
 
 from .errors import (IllPosedSmoothingError, NumericalPreconditionError, PSQError,
                      UnsupportedObservableError)
@@ -225,9 +224,9 @@ def _twisted_convolution(Ff, Fg, xi, eta, sigma, hbar):
     """
     nx, npn = Ff.shape
     sb = 1.0 - sigma
-    L = sp_fft.next_fast_len(3 * npn - 1)
-    # eta-padded so the linear convolution index stays in range
-    G = sp_fft.fft(np.pad(Fg, ((0, 0), (npn // 2, 0))), L, axis=1)
+    # rows of 1.5 npn (Fg) and npn (D), read at [npn, 2 npn): 3 npn never wraps
+    L = 3 * npn
+    G = np.fft.fft(np.pad(Fg, ((0, 0), (npn // 2, 0))), L, axis=1)
     B = np.exp(-1j * sb * np.outer(xi, eta) / hbar)          # (m, l')
     out = np.zeros((nx, npn), dtype=complex)
     h = nx // 2
@@ -235,7 +234,7 @@ def _twisted_convolution(Ff, Fg, xi, eta, sigma, hbar):
         lo, hi = max(0, mp - h), min(nx, mp - h + nx)         # partner rows on the lattice
         A = Ff[mp, :] * np.exp(1j * (sb - sigma) * xi[mp] * eta / hbar)
         D = A[None, :] * B[lo:hi]                             # (m, l')
-        conv = sp_fft.ifft(sp_fft.fft(D, L, axis=1) * G[lo - mp + h: hi - mp + h],
+        conv = np.fft.ifft(np.fft.fft(D, L, axis=1) * G[lo - mp + h: hi - mp + h],
                            axis=1)[:, npn:2 * npn]
         out[lo:hi] += np.exp(1j * sigma * xi[mp] * eta / hbar)[None, :] * conv
     out *= (xi[1] - xi[0]) * (eta[1] - eta[0]) / (2.0 * np.pi * hbar)

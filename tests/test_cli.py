@@ -21,6 +21,13 @@ from psq.cli import run_config as cli_run_config
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
+def _child_env():
+    """os.environ with this checkout's psq first on PYTHONPATH, for subprocesses."""
+    src = str(Path(psq.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
+
+
 def run_config(payload, tmp_path, name="config.json"):
     payload = dict(payload)
     payload["output_dir"] = str(tmp_path / "out")
@@ -535,9 +542,7 @@ class TestSubcommands:
     def test_print_schema_to_closed_stdout_exits_4(self):
         # the reader closes its end at once, so every write to stdout fails;
         # unbuffered, argparse's own help and version writes meet it first
-        src = str(Path(psq.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
+        env = _child_env()
         env.pop("PYTHONUNBUFFERED", None)
         for argv, extra in ((["run", "--print-schema"], {}),
                             (["--version"], {"PYTHONUNBUFFERED": "1"}),
@@ -549,6 +554,14 @@ class TestSubcommands:
             _out, err = proc.communicate(timeout=60)
             assert proc.returncode == 4, argv
             assert b"Traceback" not in err
+
+    def test_cli_import_loads_no_scipy(self):
+        # a fresh interpreter, so no other test's scipy import is in sys.modules
+        probe = ("import sys, psq.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                             capture_output=True, text=True, timeout=60, check=True).stdout
+        assert out.strip() == "[]"
 
     @pytest.mark.parametrize("argv", [
         ["starprod", "--f", "x*p", "--nx", "64", "--np", "64"],

@@ -7,7 +7,7 @@ of cycle 0 (seed 1) of each perfbench workload, run through psq.cli.run_config.
 Run it on two source trees and diff the outputs to see which artifacts moved.
 BLAS threads are pinned to one (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS), as in
 perfbench/run.py, because some spectra hash differently under threaded BLAS;
-FFTs run on scipy's default of one worker.
+FFTs are numpy's, which run on one thread.
 """
 
 import glob
