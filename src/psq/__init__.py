@@ -22,7 +22,7 @@ from .errors import (GridMismatchError, IllPosedSmoothingError,
 from .grids import (PhaseField, PhaseGrid, WaveFunction, boundary_tail_mass,
                     fourier_full, fourier_full_inverse, fourier_partial,
                     integrate, l2_inner, l2_norm, make_grid, read_field,
-                    write_field, write_field_csv)
+                    write_field, write_field_csv, write_field_dat)
 from .ordering import (CohenSmoother, GaussianSmoother, IdentitySmoother,
                        OrderingSpec, WordSmoother)
 from .polyalg import (DiffOpWord, OperatorNF, PolyH, WordGenerator, nf_adjoint,

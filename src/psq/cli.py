@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalPreconditionError, PSQError
-from .grids import FIELD_FORMAT_VERSION, make_grid, write_field, write_field_csv
+from .grids import FIELD_FORMAT_VERSION, make_grid, write_field, write_field_csv, write_field_dat
 from .ordering import IdentitySmoother, spec_from_dict
 from .polyalg import PolyH, pstar_S, sigma_S_order
 from .spectra import gauge_spectrum_check, spectrum_via_schrodinger
@@ -119,7 +119,7 @@ CONFIG_SCHEMA = {
     "required": ["scenario", "output_dir"],
     "properties": {
         "scenario": {"enum": list(PARAMS)},
-        "output_dir": {"type": "string"},
+        "output_dir": {"type": "string", "pattern": "^[^\\u0000]*$"},   # NUL names no path
         "formats": {"type": "array",
                     "items": {"enum": ["csv", "bin", "dat"]}},
         "grid": _GRID_SCHEMA,
@@ -147,23 +147,12 @@ DEFAULT_GRID = {"nx": 128, "np": 128, "x_min": -8.0, "x_max": 8.0,
 _CASTS = {"integer": int, "number": float}
 
 
-def _fmt(value):
-    return "%.17g" % value
-
-
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
+            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v)
                               for v in row) + "\n")
-
-
-def _write_dat(path, columns):
-    """gnuplot-friendly whitespace table."""
-    with open(path, "w") as fh:
-        for row in zip(*columns):
-            fh.write(" ".join(_fmt(float(v)) for v in row) + "\n")
 
 
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -197,6 +186,8 @@ def parse_poly(text):
                 m += int(power or 1)
             else:
                 coeff *= float(factor)
+        if not np.isfinite(coeff):
+            raise PSQError("coefficient of %r is not finite" % match.group(0))
         out = out + PolyH.monomial(n, m, c=coeff)
         pos = match.end()
     return out
@@ -272,15 +263,13 @@ class _Emitter:
         if "csv" in self.formats:
             _write_csv(self.path(name), header, rows)
 
-    def dat(self, name, columns):
-        if "dat" in self.formats:
-            _write_dat(self.path(name), columns)
-
     def field(self, name, field):
         if "bin" in self.formats:
             write_field(field, self.path(name))
         if "csv" in self.formats:
             write_field_csv(field, self.path(name + ".csv"))
+        if "dat" in self.formats:
+            write_field_dat(field, self.path(name.removesuffix(".psqf") + ".dat"))
 
     def state(self, name, state):
         """A quasi-distribution: its binary field plus the JSON sidecar."""
@@ -350,10 +339,11 @@ def _scenario_spectrum(grid, spec, p, emit):
 
 
 def _scenario_gauge_check(grid, _spec, p, emit):
-    """spectrum invariance across `sigmas` and (JSON only) `smoothers`
+    """spectrum invariance across `sigmas`, per smoother (JSON only: `smoothers`)
 
     Sweeps its own orderings, `sigmas` times the identity smoother plus
-    `smoothers`; the top-level ordering is not read.
+    `smoothers`; the top-level ordering is not read.  max_deviation compares
+    only orderings that share a smoother.
     """
     smoothers = [IdentitySmoother()] + [spec_from_dict({"smoother": entry}).smoother
                                         for entry in p["smoothers"]]
@@ -410,11 +400,8 @@ def _scenario_evolve(grid, spec, p, emit):
     for name in observables:
         columns += [result.expectations[name].real, result.expectations[name].imag]
     emit.csv("trajectory.csv", header, zip(*columns, result.norms))
-    X, P = grid.meshes()
     for i, field in enumerate(result.snapshots):
         emit.field("snapshot_%03d.psqf" % i, field)
-        emit.dat("snapshot_%03d.dat" % i, [X.ravel(), P.ravel(),
-                                           field.values.real.ravel(), field.values.imag.ravel()])
 
 
 def _scenario_oracle(grid, spec, p, emit):
@@ -540,9 +527,9 @@ _RUNNERS = {
 def run(config_path):
     """Execute a scenario config file; returns (exit_code, manifest or None)."""
     try:
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8") as fh:       # JSON's encoding, not the locale's
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:    # ValueError: NUL, not UTF-8, not JSON
         print("config error: %s" % exc, file=sys.stderr)
         return 2, None
     return run_config(config)

@@ -17,10 +17,14 @@ multipliers (i xi/hbar)^n (-i eta/hbar)^m, which live in
 Every transform decision lives here: the phases of :func:`half_dft` and its
 axis helpers, the weights of the full and partial transforms, the powers of
 conjugate-lattice multipliers (``_fourier_powers``) and the shift-theorem
-samples f(x + s y) (``_sheared_samples``), and the maps between a sigma-field
+samples f(x + s y) (``_sheared_samples``), the maps between a sigma-field
 and its configuration-space kernel (``_to_kernel``, ``_from_kernel``) with
-their dense lag sums and shear geometry; other modules transform through
-these.
+their dense lag sums and shear geometry, and the star product's twisted
+convolution on the conjugate lattice (``_twisted_convolution``); other
+modules transform through these, and no other module calls numpy.fft.
+
+One row writer exports a field as x-major rows ``x p re im``, comma-separated
+under a header (:func:`write_field_csv`) or space-separated (:func:`write_field_dat`).
 
 Fields are immutable values: every operation returns a new field.  Two
 fields interoperate only if their grids compare equal; there is never an
@@ -408,6 +412,37 @@ def _from_kernel(K, sigma, grid):
     return fourier_partial(PhaseField(grid, chi), "p", "forward").values
 
 
+def _twisted_convolution(Ff, Fg, xi, eta, sigma, hbar):
+    """F(f*g) on the centered lattice via the exact on-lattice phase sum.
+
+    F(f*g)(xi_m, eta_l) = (dxi deta / 2 pi hbar) *
+        sum_{m', l'} Ff[m', l'] Fg[m-m'+nx/2, l-l'+np/2]
+            exp(i/hbar [sigma xi' (eta-eta') - sigmabar (xi-xi') eta'])
+
+    Out-of-lattice differences contribute zero (no folding), so the Fg rows
+    are transformed once and each m' forms only the rows m whose partner row
+    m-m'+nx/2 is on the lattice; accuracy is governed by the operands'
+    spectral tails, not by aliasing.
+    """
+    nx, npn = Ff.shape
+    sb = 1.0 - sigma
+    # rows of 1.5 npn (Fg) and npn (D), read at [npn, 2 npn): 3 npn never wraps
+    L = 3 * npn
+    G = np.fft.fft(np.pad(Fg, ((0, 0), (npn // 2, 0))), L, axis=1)
+    B = np.exp(-1j * sb * np.outer(xi, eta) / hbar)          # (m, l')
+    out = np.zeros((nx, npn), dtype=complex)
+    h = nx // 2
+    for mp in range(nx):
+        lo, hi = max(0, mp - h), min(nx, mp - h + nx)         # partner rows on the lattice
+        A = Ff[mp, :] * np.exp(1j * (sb - sigma) * xi[mp] * eta / hbar)
+        D = A[None, :] * B[lo:hi]                             # (m, l')
+        conv = np.fft.ifft(np.fft.fft(D, L, axis=1) * G[lo - mp + h: hi - mp + h],
+                           axis=1)[:, npn:2 * npn]
+        out[lo:hi] += np.exp(1j * sigma * xi[mp] * eta / hbar)[None, :] * conv
+    out *= (xi[1] - xi[0]) * (eta[1] - eta[0]) / (2.0 * np.pi * hbar)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -441,7 +476,7 @@ def boundary_tail_mass(field):
 
 
 # ---------------------------------------------------------------------------
-# serialization: flat binary container and CSV export
+# serialization: flat binary container, CSV and .dat export
 # ---------------------------------------------------------------------------
 
 def write_field(field, path):
@@ -482,12 +517,24 @@ def read_field(path):
     return PhaseField(grid, vals)
 
 
+def _write_rows(field, path, sep, header):
+    """The header, then x-major rows x, p, re, im as %.17g joined by sep."""
+    g = field.grid
+    v = field.values
+    num = "%.17g" + sep
+    xs, ps = ([num % a for a in axis.tolist()] for axis in (g.x, g.p))
+    vals = map((num + "%.17g\n").__mod__, zip(v.real.ravel().tolist(), v.imag.ravel().tolist()))
+    with open(path, "w") as fh:
+        fh.write(header)
+        fh.writelines(x + p + next(vals) for x in xs for p in ps)
+
+
 def write_field_csv(field, path):
     """CSV export: columns x,p,re,im with a comment header."""
     g = field.grid
-    v = field.values
-    xs, ps = (["%.17g," % a for a in axis.tolist()] for axis in (g.x, g.p))
-    vals = map("%.17g,%.17g\n".__mod__, zip(v.real.ravel().tolist(), v.imag.ravel().tolist()))
-    with open(path, "w") as fh:
-        fh.write("# hbar=%.17g nx=%d np=%d\nx,p,re,im\n" % (g.hbar, g.nx, g.np))
-        fh.writelines(x + p + next(vals) for x in xs for p in ps)
+    _write_rows(field, path, ",", "# hbar=%.17g nx=%d np=%d\nx,p,re,im\n" % (g.hbar, g.nx, g.np))
+
+
+def write_field_dat(field, path):
+    """gnuplot-friendly export: the CSV's data rows, space-separated, no header."""
+    _write_rows(field, path, " ", "")

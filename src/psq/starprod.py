@@ -18,8 +18,8 @@ Three computational routes, cross-checked in the test suite:
   series sum_{j,k} (d_x^j d_p^k A)/(j! k!) F^-1[m_x^j m_p^k F psi] through
   ``grids._fourier_powers``.
 
-Every transform runs through ``grids``, the sigma-field <-> kernel maps
-included, except the twisted convolution's zero-padded row FFTs.
+Every transform runs through ``grids``, the sigma-field <-> kernel maps and
+the twisted convolution included.
 
 Smoothers, gauge maps between sigma values and the involution are Fourier
 multipliers on the conjugate lattice, applied through one guarded multiply
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (IllPosedSmoothingError, NumericalPreconditionError, PSQError,
                      UnsupportedObservableError)
-from .grids import (PhaseField, _fourier_powers, _from_kernel, _to_kernel,
+from .grids import (PhaseField, _fourier_powers, _from_kernel, _to_kernel, _twisted_convolution,
                     boundary_tail_mass, fourier_full, fourier_full_inverse, multiply_mixed)
 from .ordering import GaussianSmoother
 from .polyalg import PolyH, sigma_order, sigma_order_right, word_profiles
@@ -209,37 +209,6 @@ def gauge_transform(field, sigma_from, sigma_to):
 # ---------------------------------------------------------------------------
 # the star product: twisted convolution and kernel pair
 # ---------------------------------------------------------------------------
-
-def _twisted_convolution(Ff, Fg, xi, eta, sigma, hbar):
-    """F(f*g) on the centered lattice via the exact on-lattice phase sum.
-
-    F(f*g)(xi_m, eta_l) = (dxi deta / 2 pi hbar) *
-        sum_{m', l'} Ff[m', l'] Fg[m-m'+nx/2, l-l'+np/2]
-            exp(i/hbar [sigma xi' (eta-eta') - sigmabar (xi-xi') eta'])
-
-    Out-of-lattice differences contribute zero (no folding), so the Fg rows
-    are transformed once and each m' forms only the rows m whose partner row
-    m-m'+nx/2 is on the lattice; accuracy is governed by the operands'
-    spectral tails, not by aliasing.
-    """
-    nx, npn = Ff.shape
-    sb = 1.0 - sigma
-    # rows of 1.5 npn (Fg) and npn (D), read at [npn, 2 npn): 3 npn never wraps
-    L = 3 * npn
-    G = np.fft.fft(np.pad(Fg, ((0, 0), (npn // 2, 0))), L, axis=1)
-    B = np.exp(-1j * sb * np.outer(xi, eta) / hbar)          # (m, l')
-    out = np.zeros((nx, npn), dtype=complex)
-    h = nx // 2
-    for mp in range(nx):
-        lo, hi = max(0, mp - h), min(nx, mp - h + nx)         # partner rows on the lattice
-        A = Ff[mp, :] * np.exp(1j * (sb - sigma) * xi[mp] * eta / hbar)
-        D = A[None, :] * B[lo:hi]                             # (m, l')
-        conv = np.fft.ifft(np.fft.fft(D, L, axis=1) * G[lo - mp + h: hi - mp + h],
-                           axis=1)[:, npn:2 * npn]
-        out[lo:hi] += np.exp(1j * sigma * xi[mp] * eta / hbar)[None, :] * conv
-    out *= (xi[1] - xi[0]) * (eta[1] - eta[0]) / (2.0 * np.pi * hbar)
-    return out
-
 
 # A kernel drops the share sqrt(m) of an operand that loses the mass m (out of
 # span or aliased), so the product is off by about sqrt(m_f) + sqrt(m_g) of the

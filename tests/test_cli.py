@@ -59,7 +59,8 @@ class TestParsePoly:
     def test_rejects_garbage(self):
         with pytest.raises((PSQError, ValueError)):
             parse_poly("0.5*q^2")
-        for text in ("y", "x^-1", "x^2.5", "2x", "x*", "x +- p", "1e-3*y^2"):
+        for text in ("y", "x^-1", "x^2.5", "2x", "x*", "x +- p", "1e-3*y^2",
+                     "1e999*x", "1e200*1e200*x"):      # coefficients past the float range
             with pytest.raises(PSQError):
                 parse_poly(text)
 
@@ -314,6 +315,11 @@ class TestRunContract:
             assert code == 2
             assert manifest is None
             assert not Path(outdir).exists()
+        # an output_dir with a NUL byte names no path
+        before = sorted(os.listdir(tmp_path))
+        assert cli_run_config({"scenario": "symbolic",
+                               "output_dir": str(tmp_path / "o\x00x")}) == (2, None)
+        assert sorted(os.listdir(tmp_path)) == before
         # flags build a config too: a non-finite flag value exits 2
         for argv in (["oracle", "--state", "coherent", "--x0", "nan"],
                      ["oracle", "--state", "free", "--t", "nan"]):
@@ -343,6 +349,13 @@ class TestRunContract:
         path.write_text("{not json")
         code, _ = run(str(path))
         assert code == 2
+        # not UTF-8 (JSON's encoding, whatever the locale), and nested past the
+        # recursion limit
+        for data in (b"\xff{}", b"[" * 100000 + b"]" * 100000):
+            path.write_bytes(data)
+            assert run(str(path)) == (2, None)
+        # a path with a NUL byte names no file
+        assert run(str(path) + "\x00") == (2, None)
 
     def test_numerical_precondition_exit_3(self, tmp_path):
         # a span far too small for the requested oracle state
@@ -511,6 +524,18 @@ class TestRunContract:
         assert manifest["files"][0]["path"] == "symbolic.txt"
         assert len(manifest["files"][0]["sha256"]) == 64
         assert (Path(outdir) / "manifest.json").exists()
+
+    def test_dat_is_the_csv_rows_for_every_field(self, tmp_path):
+        # a field of any scenario, not only evolve's snapshots: the CSV's data
+        # rows with a space for each comma
+        (code, _manifest), outdir = run_config(
+            {"scenario": "wigner", "formats": ["csv", "dat"], "grid": {"nx": 64, "np": 32},
+             "params": {"phi_hermite": 0, "psi_hermite": 1}}, tmp_path)
+        assert code == 0
+        rows = (Path(outdir) / "wigner_0_1.psqf.csv").read_text().splitlines(keepends=True)
+        dat = (Path(outdir) / "wigner_0_1.dat").read_text()
+        assert len(rows) == 2 + 64 * 32
+        assert dat == "".join(row.replace(",", " ") for row in rows[2:])
 
 
 class TestSubcommands:

@@ -101,6 +101,9 @@ BRANCHES = {
                                        "steps": 20, "dt": 0.01}},
     "evolve-split-step-gaussian": {"scenario": "evolve", "grid": _MID, "ordering": _GAUSSIAN,
                                    "params": {"system": "free", "steps": 20, "dt": 0.01}},
+    # a .dat outside evolve
+    "wigner-dat": {"scenario": "wigner", "grid": _MID, "formats": ["csv", "dat"],
+                   "params": {"phi_hermite": 1, "psi_hermite": 2}},
 }
 
 
