@@ -73,6 +73,7 @@ _INT = {"type": "integer"}
 _INDEX = {"type": "integer", "minimum": 0}          # Hermite and oscillator indices
 _LEVELS = {"type": "integer", "minimum": 1}
 _NUM = {"type": "number"}
+_SIGMA = {"type": "number", "minimum": -4, "maximum": 5}      # ordering.sigma and sigma_to
 _STR = {"type": "string"}
 _NUMS = {"type": "array", "items": _NUM, "minItems": 1}
 _HARMONIC = "0.5*p^2 + 0.5*x^2"
@@ -104,7 +105,7 @@ PARAMS = {
                               "gauge", "bopp"), "star"),
                  "left_hermite": (_INDEX, 0), "right_hermite": (_INDEX, 0),
                  "omega": (_NUM, 1.0), "direction": (_enum("forward", "inverse"), "forward"),
-                 "sigma_to": (_NUM, 0.5), "observable": (_STR, "x"),
+                 "sigma_to": (_SIGMA, 0.5), "observable": (_STR, "x"),
                  "side": (_enum("left", "right"), "left")},
     "symbolic": {"f": (_STR, "x"), "g": (_STR, "p")},
     "classical-limit": {"family": (_enum("coherent", "free", "ho"), "coherent"),
@@ -126,7 +127,7 @@ CONFIG_SCHEMA = {
         "ordering": {
             "type": "object",
             "properties": {
-                "sigma": {"type": "number", "minimum": -4, "maximum": 5},
+                "sigma": _SIGMA,
                 "smoother": _SMOOTHER_SCHEMA,
             },
             "additionalProperties": False,

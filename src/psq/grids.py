@@ -19,7 +19,8 @@ axis helpers, the weights of the full and partial transforms, the powers of
 conjugate-lattice multipliers (``_fourier_powers``) and the shift-theorem
 samples f(x + s y) (``_sheared_samples``), the maps between a sigma-field
 and its configuration-space kernel (``_to_kernel``, ``_from_kernel``) with
-their dense lag sums and shear geometry, and the star product's twisted
+their dense lag sums and shear geometry, its rank-one case for the twisted
+tensor product (``_from_pair``), and the star product's twisted
 convolution on the conjugate lattice (``_twisted_convolution``); other
 modules transform through these, and no other module calls numpy.fft.
 
@@ -31,6 +32,7 @@ fields interoperate only if their grids compare equal; there is never an
 implicit resample.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -72,6 +74,9 @@ class PhaseGrid:
             raise PSQError("hbar must be positive")
         if not (self.x_max > self.x_min and self.p_max > self.p_min):
             raise PSQError("empty span: require x_max > x_min and p_max > p_min")
+        # an infinite bound or hbar makes a spacing infinite, as does an overflowing span
+        if not np.all(np.isfinite([self.hbar, self.dx, self.dp, self.dxi, self.deta])):
+            raise PSQError("hbar, the bounds and the lattice spacings must be finite")
 
     @property
     def dx(self):
@@ -412,6 +417,25 @@ def _from_kernel(K, sigma, grid):
     return fourier_partial(PhaseField(grid, chi), "p", "forward").values
 
 
+def _interpolation_tail(coeffs):
+    """Relative weight of the outermost interpolation modes."""
+    mags = np.abs(coeffs)
+    peak, edge = mags.max(), max(mags[:2].max(), mags[-2:].max())
+    return float(edge / peak) if peak != 0.0 else 0.0
+
+
+def _from_pair(phi, psi, sigma, grid):
+    """:func:`_from_kernel` of the rank-one kernel conj(phi) (x) psi, and the pair's
+    interpolation tail: both trig interpolants sum_m c_m e^{i xi_m x/hbar} read at
+    x - sigmabar y and x + sigma y inside :func:`_shear_mask`, then y -> p."""
+    cp, cs = (_fwd_x(grid, f) / grid.nx for f in (phi, psi))
+    left = _sheared_samples(grid, cp, -(1.0 - sigma), grid.eta)      # x - sigmabar y
+    chi = np.conj(left) * _sheared_samples(grid, cs, sigma, grid.eta)
+    chi *= _shear_mask(grid, sigma, grid.eta)
+    values = fourier_partial(PhaseField(grid, chi), "p", "forward").values
+    return values, max(_interpolation_tail(cp), _interpolation_tail(cs))
+
+
 def _twisted_convolution(Ff, Fg, xi, eta, sigma, hbar):
     """F(f*g) on the centered lattice via the exact on-lattice phase sum.
 
@@ -508,11 +532,15 @@ def read_field(path):
         version, nx, npn = struct.unpack("<III", header[4:16])
         if version != FIELD_FORMAT_VERSION:
             raise PSQError("unsupported PSQF version %d" % version)
-        x_min, x_max, p_min, p_max, hbar, _ = struct.unpack("<6d", fh.read(48))
-        raw = fh.read(16 * nx * npn)
-    if len(raw) != 16 * nx * npn:
-        raise PSQError("truncated PSQF payload in %s" % path)
-    grid = make_grid(nx, npn, x_min, x_max, p_min, p_max, hbar)
+        doubles = fh.read(48)
+        if len(doubles) != 48:
+            raise PSQError("truncated PSQF header in %s" % path)
+        # the header's grid is checked before its payload size is trusted
+        grid = make_grid(nx, npn, *struct.unpack("<6d", doubles)[:5])
+        size = 16 * nx * npn
+        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+            raise PSQError("truncated PSQF payload in %s" % path)
+        raw = fh.read(size)
     vals = np.frombuffer(raw, dtype="<c16").astype(complex).reshape(nx, npn)
     return PhaseField(grid, vals)
 

@@ -17,6 +17,7 @@ The involution's conjugate smoother Sbar f = conj(S conj f) is derived from
 the multiplier, conj S(-xi, -eta); no smoother carries one of its own.
 """
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,12 +143,25 @@ class OrderingSpec:
         return {"sigma": self.sigma, "smoother": self.smoother.as_dict()}
 
 
+def _finite(d, key, default):
+    """d[key] (or the default) as a float; PSQError unless it is a number within
+    the float range (not a bool, NaN, +-Infinity or an overlong integer)."""
+    value = d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise PSQError("ordering %s must be a finite number, got %r" % (key, value))
+    return float(value)
+
+
 def spec_from_dict(d):
-    sm = d.get("smoother", {"kind": "identity"})
+    """The OrderingSpec of a JSON ordering block (a state sidecar or a config)."""
+    sm = d.get("smoother", {"kind": "identity"}) if isinstance(d, dict) else None
+    if not isinstance(sm, dict):
+        raise PSQError("an ordering and its smoother must be JSON objects, got %r" % d)
     kind = sm.get("kind", "identity")
     if kind not in ("identity", "gaussian"):
         raise PSQError("cannot build smoother kind %r from config" % kind)
-    smoother = GaussianSmoother(float(sm.get("alpha", 0.0)), float(sm.get("beta", 0.0)))
+    smoother = GaussianSmoother(_finite(sm, "alpha", 0.0), _finite(sm, "beta", 0.0))
     if kind == "identity" and not smoother.is_identity():
         raise PSQError("the identity smoother takes no alpha or beta, got %r" % sm)
-    return OrderingSpec(float(d.get("sigma", 0.5)), smoother)
+    return OrderingSpec(_finite(d, "sigma", 0.5), smoother)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NumericalPreconditionError, PSQError
 from .grids import WaveFunction, integrate, l2_norm, multiply_mixed
 from .ordering import OrderingSpec
-from .polyalg import nf_adjoint, sigma_S_order
+from .polyalg import nf_adjoint
 from .starprod import ObservableSpec, bopp_apply
 from .states import twisted_tensor
 
@@ -104,24 +104,22 @@ def hermiticity_defect(A, spec, grid):
 
     The discrete matrix of a symbolically Hermitian word can carry a spurious
     band-edge defect (the lattice [x, p] commutator fails on the highest
-    mode), so the check must not use the matrix itself.  Returns the largest
-    violating coefficient magnitude of the ordered polynomial part or largest
-    imaginary part of a function term on the lattice, with a name for the
-    term that carries it.
+    mode), so the check reads the word the matrix's factor pairs come from,
+    :meth:`ObservableSpec.ordered_word`.  Returns the largest violating
+    coefficient magnitude of that word or largest imaginary part of a function
+    term on the lattice, with a name for the term that carries it.
     """
     defect, term = 0.0, "none"
-    poly = A.poly_part()
-    if poly.terms:
-        word = sigma_S_order(poly, spec.sigma, spec.smoother.to_word())
+    if A.poly.terms:
+        word = A.ordered_word(spec, "left")
         diff = word - nf_adjoint(word)
         defect = max((abs(c) for c in diff.terms.values()), default=0.0)
-        term = "polynomial part %s" % poly.render()
-    for kind, payload in A.fn_terms():
-        coords = grid.x if kind == "x" else grid.xi
-        vals = np.asarray(payload(coords), dtype=complex)
+        term = "polynomial part %s" % A.poly.render()
+    for axis, fn in A.fns:
+        vals = np.asarray(fn(grid.x if axis == "x" else grid.xi), dtype=complex)
         fn_defect = float(np.abs(vals.imag).max())
         if fn_defect > defect:
-            defect, term = fn_defect, "%s-function term" % kind
+            defect, term = fn_defect, "%s-function term" % axis
     return defect, term
 
 

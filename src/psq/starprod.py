@@ -55,24 +55,27 @@ CLAMPED_MASS_TOLERANCE = 1e-12
 # ---------------------------------------------------------------------------
 
 class ObservableSpec:
-    """Symbolic sum of terms: x-only functions, p-only functions, polynomials.
+    """Symbolic sum of a polynomial and x-only or p-only functions.
 
-    The split matters because the first two admit exact multiplicative
-    realizations in mixed representations for arbitrary smooth profiles,
-    while cross terms are handled exactly only for polynomials.
+    ``poly`` is the polynomial part, summed once; ``fns`` holds the function
+    terms in order, as (axis, fn) with axis 'x' or 'p'.  The split matters
+    because function terms admit exact multiplicative realizations in mixed
+    representations for arbitrary smooth profiles, while cross terms are
+    handled exactly only for polynomials.
     """
 
-    def __init__(self, terms, label="A"):
-        self.terms = tuple(terms)
+    def __init__(self, poly=None, fns=(), label="A"):
+        # summed onto zero like every sum of polynomials: 0.0 + c clears a -0.0 part of c
+        self.poly = PolyH.zero() if poly is None else PolyH.zero() + poly
+        self.fns = tuple(fns)
         self.label = label
-        for kind, _payload in self.terms:
-            if kind not in ("x", "p", "poly"):
-                raise UnsupportedObservableError("unknown term kind %r" % kind)
+        if any(axis not in ("x", "p") for axis, _fn in self.fns):
+            raise UnsupportedObservableError("function terms take the axis 'x' or 'p'")
 
     # -- constructors --------------------------------------------------------
     @classmethod
     def from_poly(cls, poly, label="A"):
-        return cls((("poly", poly),), label)
+        return cls(poly, (), label)
 
     @classmethod
     def position(cls):
@@ -84,11 +87,11 @@ class ObservableSpec:
 
     @classmethod
     def x_function(cls, fn, label="V(x)"):
-        return cls((("x", fn),), label)
+        return cls(None, (("x", fn),), label)
 
     @classmethod
     def p_function(cls, fn, label="T(p)"):
-        return cls((("p", fn),), label)
+        return cls(None, (("p", fn),), label)
 
     @classmethod
     def harmonic(cls, omega=1.0):
@@ -98,49 +101,43 @@ class ObservableSpec:
         return cls.from_poly(h, "H_osc")
 
     def __add__(self, other):
-        return ObservableSpec(self.terms + other.terms,
+        return ObservableSpec(self.poly + other.poly, self.fns + other.fns,
                               "%s+%s" % (self.label, other.label))
 
-    def poly_part(self):
-        total = PolyH.zero()
-        for kind, payload in self.terms:
-            if kind == "poly":
-                total = total + payload
-        return total
-
-    def fn_terms(self):
-        return [(kind, payload) for kind, payload in self.terms if kind != "poly"]
-
     def as_poly(self):
-        if self.fn_terms():
+        if self.fns:
             raise UnsupportedObservableError(
                 "observable %s has non-polynomial terms" % self.label)
-        return self.poly_part()
+        return self.poly
+
+    def ordered_word(self, spec, side):
+        """The polynomial part pulled back by S^-1 and sigma-ordered for the
+        side: the standard-ordered word behind :meth:`factors` and the
+        Hermiticity check."""
+        order = sigma_order if side == "left" else sigma_order_right
+        return order(spec.smoother.to_word().apply(self.poly, "inverse"), spec.sigma)
 
     def factors(self, spec, side, xq, pq, hbar):
         """The ordered operator as [(b, a)]: sum of a(q) b(p), p acting first.
 
         xq and pq are the caller's q and p coordinates (Bopp-sheared lattices
         or the plain x and u axes).  b is None for a p-independent pair and a
-        is a scalar when constant in q.  The polynomial part is pulled back by
-        S^-1 and sigma-ordered for the requested side; function terms admit
-        only the identity smoother.
+        is a scalar when constant in q.  The function terms come first, then
+        the profiles of :meth:`ordered_word`; function terms admit only the
+        identity smoother.
         """
-        if not spec.is_plain_sigma() and self.fn_terms():
+        if not spec.is_plain_sigma() and self.fns:
             raise UnsupportedObservableError(
                 "x-only/p-only function terms support only the identity smoother; "
                 "use polynomial terms for smoothed orderings")
         pairs = []
-        for kind, payload in self.fn_terms():
-            if kind == "x":
-                pairs.append((None, np.asarray(payload(xq), dtype=complex)))
+        for axis, fn in self.fns:
+            if axis == "x":
+                pairs.append((None, np.asarray(fn(xq), dtype=complex)))
             else:
-                pairs.append((np.asarray(payload(pq), dtype=complex), 1.0))
-        poly = self.poly_part()
-        if poly.terms:
-            pulled = spec.smoother.to_word().apply(poly, "inverse")
-            order = sigma_order if side == "left" else sigma_order_right
-            for m, a_m in word_profiles(order(pulled, spec.sigma), xq, hbar):
+                pairs.append((np.asarray(fn(pq), dtype=complex), 1.0))
+        if self.poly.terms:
+            for m, a_m in word_profiles(self.ordered_word(spec, side), xq, hbar):
                 pairs.append((pq ** m if m else None, a_m))
         return pairs
 
@@ -321,14 +318,14 @@ def bopp_apply(A, psi, side, spec):
     if side not in ("left", "right"):
         raise PSQError("side must be 'left' or 'right'")
     smoothed = not spec.is_plain_sigma()
-    if smoothed and (A.fn_terms() or not isinstance(spec.smoother, GaussianSmoother)):
+    if smoothed and (A.fns or not isinstance(spec.smoother, GaussianSmoother)):
         raise UnsupportedObservableError(
             "smoothed Bopp actions need a Gaussian smoother and polynomial "
             "terms; got %s with %s" % (spec.smoother.kind, A.label))
     g = psi.grid
     m_x, m_p = _bopp_shifts(spec, side, g)
     if smoothed:
-        return _bopp_series(A.poly_part(), psi, m_x, m_p).assert_finite()
+        return _bopp_series(A.poly, psi, m_x, m_p).assert_finite()
     xq = g.x[:, None] + m_x
     pq = g.p[None, :] + m_p
     out = np.zeros((g.nx, g.np), dtype=complex)

@@ -6,11 +6,11 @@ phase-space function
     Psi(x, p) = S (2 pi hbar)^{-1/2} int dy e^{-i p y/hbar}
                 conj(phi)(x - sigmabar y) psi(x + sigma y),
 
-by band-limited interpolation at the sheared points (masked to zero outside
-the x domain, where the wavefunctions are below the tail threshold), one
-partial transform on the shift axis, and the smoother.  The map is linear in
-the kernel K = conj(phi) (x) psi; its inverse (S^-1, p -> y, a sigmabar y
-shift) reads K off any state, and K's leading singular pair factors a pure one.
+by band-limited interpolation at the sheared points (``grids._from_pair``,
+zero outside the x domain, where the wavefunctions are below the tail
+threshold) and the smoother.  The map is linear in the kernel K = conj(phi)
+(x) psi; its inverse (S^-1, ``grids._to_kernel``) reads K off any state, and
+K's leading singular pair factors a pure one.
 """
 
 import json
@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import NumericalPreconditionError, PSQError
 # half_dft stays bound here for perfbench's tracer, which patches it per module
-from .grids import (PhaseField, WaveFunction, _fwd_x, _shear_mask, _sheared_samples,
-                    _to_kernel, fourier_partial, half_dft, integrate,  # noqa: F401
-                    l2_inner, l2_norm, read_field, write_field)
+from .grids import (PhaseField, WaveFunction, _from_pair, _to_kernel, half_dft,  # noqa: F401
+                    integrate, l2_inner, l2_norm, read_field, write_field)
 from .ordering import OrderingSpec, spec_from_dict
 from .starprod import apply_smoother, gauge_transform, involution_dagger, star_sigma_S
 
@@ -116,36 +115,18 @@ class MixedState(QuasiDistribution):
 # twisted tensor product
 # ---------------------------------------------------------------------------
 
-def _interpolation_tail(coeffs):
-    """Relative weight of the outermost interpolation modes."""
-    mags = np.abs(coeffs)
-    peak = mags.max()
-    if peak == 0.0:
-        return 0.0
-    edge = max(mags[:2].max(), mags[-2:].max())
-    return float(edge / peak)
-
-
 def twisted_tensor(phi, psi, spec):
     """Build the quasi-distribution of the pair (phi, psi) under the spec."""
     if phi.grid != psi.grid:
         raise PSQError("wavefunctions live on different axes")
     grid = phi.grid
-    sigma, sb = spec.sigma, spec.sigma_bar
-    # coefficients c_m of the trig interpolants sum_m c_m e^{i xi_m x/hbar}
-    cp = _fwd_x(grid, phi.values) / grid.nx
-    cs = _fwd_x(grid, psi.values) / grid.nx
-    tail = max(_interpolation_tail(cp), _interpolation_tail(cs))
+    values, tail = _from_pair(phi.values, psi.values, spec.sigma, grid)
     if tail > INTERPOLATION_TAIL_THRESHOLD:
         raise NumericalPreconditionError(
             "band-limited interpolation error estimate %.3g exceeds %.1g; "
             "refine the axis or widen the span"
             % (tail, INTERPOLATION_TAIL_THRESHOLD))
-    chi = (np.conj(_sheared_samples(grid, cp, -sb, grid.eta))
-           * _sheared_samples(grid, cs, sigma, grid.eta))
-    chi *= _shear_mask(grid, sigma, grid.eta)
-    # one partial transform on the shift axis: y -> p with kernel e^{-i p y/hbar}
-    out = apply_smoother(spec, fourier_partial(PhaseField(grid, chi), "p", "forward"))
+    out = apply_smoother(spec, PhaseField(grid, values))
     return QuasiDistribution(out.assert_finite(), spec)
 
 

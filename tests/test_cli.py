@@ -302,6 +302,10 @@ class TestRunContract:
                  "params": {"family": "free", "hbars": [0.2], "t": float("nan")}},
                 {"scenario": "evolve", "grid": {"nx": 32, "np": 32},
                  "params": {"p0": float("inf"), "steps": 2}},
+                # sigma_to shares ordering.sigma's range: exp(i 1e300 xi eta/hbar)
+                # is a phase the float product cannot resolve
+                {"scenario": "starprod", "grid": {"nx": 64, "np": 64},
+                 "params": {"op": "gauge", "sigma_to": 1e300}},
                 # unknown keys at any level: grid, ordering, smoother, top level
                 {"scenario": "wigner", "grid": {"nx": 64, "xmin": -4}},
                 {"scenario": "wigner", "grid": {"nx": 64, "np": 64},

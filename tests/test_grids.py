@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ class TestMakeGrid:
     def test_rejects_empty_span(self):
         with pytest.raises(PSQError, match="empty span"):
             make_grid(64, 64, 8, -8, -8, 8, 1.0)
+
+    def test_rejects_infinite_bounds_and_hbar(self):
+        # each makes a lattice spacing infinite: dxi for hbar, dx or dp for a bound
+        for args in ((-8, 8, -8, 8, np.inf), (-8, np.inf, -8, 8, 1.0),
+                     (-8, 8, -np.inf, 8, 1.0), (-1e308, 1e308, -8, 8, 1.0)):
+            with pytest.raises(PSQError, match="must be finite"):
+                make_grid(64, 64, *args)
 
 
 class TestFourierFull:
@@ -307,6 +316,20 @@ class TestSerialization:
             read_field(path)
         path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:])
         with pytest.raises(PSQError, match="unsupported PSQF version 2"):
+            read_field(path)
+        # the header's sizes and grid are checked before any payload is read:
+        # over one sample's payload, a 2^20 x 2^20 or 2^31 x 2^31 claim and a
+        # size that is no power of two; an infinite hbar; a cut header
+        for nx, npn, match in ((2 ** 20, 2 ** 20, "truncated"), (2 ** 31, 2 ** 31, "truncated"),
+                               (6, 8, "power of two")):
+            path.write_bytes(raw[:8] + struct.pack("<II", nx, npn) + raw[16:96])
+            with pytest.raises(PSQError, match=match):
+                read_field(path)
+        path.write_bytes(raw[:64] + struct.pack("<d", np.inf) + raw[72:])
+        with pytest.raises(PSQError, match="must be finite"):
+            read_field(path)
+        path.write_bytes(raw[:40])
+        with pytest.raises(PSQError, match="truncated PSQF header"):
             read_field(path)
 
 

@@ -318,6 +318,16 @@ class TestKernelMap:
         want = t / (np.pi * hbar) * np.exp(-t * (X ** 2 + P ** 2) / hbar)
         assert np.abs(wigner - want).max() <= 1e-12 * want.max()
 
+    def test_pair_map_matches_outer_product_kernel(self, grid64):
+        # twisted_tensor's rank-one map against the kernel route on conj(phi) (x) psi
+        phi = hermite_function(grid64, 2)
+        psi = coherent_wavepacket(CoherentParams(1.0, 0.5), grid64)
+        K = np.outer(np.conj(phi.values), psi.values)
+        for sigma in (0.0, 0.37, 1.0):
+            got = twisted_tensor(phi, psi, OrderingSpec(sigma)).psi_field.values
+            want = _from_kernel(K, sigma, grid64)
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
     def test_kernel_product_keeps_guard_flags(self, grid64):
         # the S^-1 pullback clamps; the operand carries a tail-mass flag
         spec = OrderingSpec(0.5, GaussianSmoother(0.1, 0.1))
@@ -371,3 +381,15 @@ class TestStateIO:
         back = read_state(path)
         assert np.array_equal(back.psi_field.values, mix.psi_field.values)
         assert back.spec == spec
+
+    def test_rejects_malformed_sidecar(self, grid64, tmp_path):
+        phi = hermite_function(grid64, 0)
+        path = tmp_path / "state.psqf"
+        write_state(twisted_tensor(phi, phi, OrderingSpec(0.5)), path)
+        sidecar = tmp_path / "state.psqf.json"
+        # not objects, a sigma that is no number, and an infinite alpha
+        for text in ('{"smoother": 5}', '[]', '{"sigma": "x"}', '{"sigma": null}',
+                     '{"smoother": {"kind": "gaussian", "alpha": Infinity, "beta": 0.1}}'):
+            sidecar.write_text(text)
+            with pytest.raises(PSQError):
+                read_state(path)
