@@ -12,6 +12,9 @@ reads, defaults included, all come from it.  `run_config` resolves the grid,
 the ordering and the params once and hands them to the scenario, which reads
 nothing else of the config; a params key (JSON or flag) the scenario does not
 read is a config error.  A failed run leaves output_dir as it found it.
+The ordering block, `params.sigma_to` and gauge-check's `smoothers` take their
+schema fragments from psq.ordering, which owns an ordering's JSON form; the
+`--sigma/--alpha/--beta` flags map to it through `GaussianSmoother.as_dict`.
 
 Exit codes: 0 ok, 2 config/schema violation, 3 numerical-precondition
 failure, 4 I/O error.
@@ -33,7 +36,8 @@ import numpy as np
 from . import __version__
 from .errors import NumericalPreconditionError, PSQError
 from .grids import FIELD_FORMAT_VERSION, make_grid, write_field, write_field_csv, write_field_dat
-from .ordering import IdentitySmoother, spec_from_dict
+from .ordering import (ORDERING_SCHEMA, SIGMA_SCHEMA, SMOOTHER_SCHEMA, GaussianSmoother,
+                       IdentitySmoother, spec_from_dict)
 from .polyalg import PolyH, pstar_S, sigma_S_order
 from .spectra import gauge_spectrum_check, spectrum_via_schrodinger
 from .starprod import (ObservableSpec, apply_smoother, bopp_apply, gauge_transform,
@@ -59,21 +63,10 @@ _GRID_SCHEMA = {
     "additionalProperties": False,
 }
 
-_SMOOTHER_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["identity", "gaussian"]},
-        "alpha": {"type": "number", "minimum": -2, "maximum": 2},
-        "beta": {"type": "number", "minimum": -2, "maximum": 2},
-    },
-    "additionalProperties": False,
-}
-
 _INT = {"type": "integer"}
 _INDEX = {"type": "integer", "minimum": 0}          # Hermite and oscillator indices
 _LEVELS = {"type": "integer", "minimum": 1}
 _NUM = {"type": "number"}
-_SIGMA = {"type": "number", "minimum": -4, "maximum": 5}      # ordering.sigma and sigma_to
 _STR = {"type": "string"}
 _NUMS = {"type": "array", "items": _NUM, "minItems": 1}
 _HARMONIC = "0.5*p^2 + 0.5*x^2"
@@ -90,7 +83,7 @@ PARAMS = {
                  "emit_fields": ({"type": "boolean"}, False)},
     "gauge-check": {"hamiltonian": (_STR, _HARMONIC), "sigmas": (_NUMS, [0.0, 0.5, 1.0]),
                     "levels": (_LEVELS, 5),
-                    "smoothers": ({"type": "array", "items": _SMOOTHER_SCHEMA}, [])},
+                    "smoothers": ({"type": "array", "items": SMOOTHER_SCHEMA}, [])},
     "evolve": {"system": (_enum("free", "oscillator", "custom"), "free"),
                "method": (_enum(*METHODS), "split_step_schrodinger"),
                "dt": (_NUM, 1e-3), "steps": (_INT, 1000), "snapshot_every": (_INT, None),
@@ -105,7 +98,7 @@ PARAMS = {
                               "gauge", "bopp"), "star"),
                  "left_hermite": (_INDEX, 0), "right_hermite": (_INDEX, 0),
                  "omega": (_NUM, 1.0), "direction": (_enum("forward", "inverse"), "forward"),
-                 "sigma_to": (_SIGMA, 0.5), "observable": (_STR, "x"),
+                 "sigma_to": (SIGMA_SCHEMA, 0.5), "observable": (_STR, "x"),
                  "side": (_enum("left", "right"), "left")},
     "symbolic": {"f": (_STR, "x"), "g": (_STR, "p")},
     "classical-limit": {"family": (_enum("coherent", "free", "ho"), "coherent"),
@@ -124,14 +117,7 @@ CONFIG_SCHEMA = {
         "formats": {"type": "array",
                     "items": {"enum": ["csv", "bin", "dat"]}},
         "grid": _GRID_SCHEMA,
-        "ordering": {
-            "type": "object",
-            "properties": {
-                "sigma": _SIGMA,
-                "smoother": _SMOOTHER_SCHEMA,
-            },
-            "additionalProperties": False,
-        },
+        "ordering": dict(ORDERING_SCHEMA, additionalProperties=False),
         # flat: a key read by several scenarios has one fragment in all of them
         "params": {
             "type": "object",
@@ -675,10 +661,7 @@ def _main(argv):
                  "x_max": args.span, "p_min": -args.span, "p_max": args.span,
                  "hbar": args.hbar},
         "ordering": {"sigma": args.sigma,
-                     "smoother": ({"kind": "gaussian", "alpha": args.alpha,
-                                   "beta": args.beta}
-                                  if (args.alpha or args.beta)
-                                  else {"kind": "identity"})},
+                     "smoother": GaussianSmoother(args.alpha, args.beta).as_dict()},
         "params": {k: v for k, v in vars(args).items()
                    if k in CONFIG_SCHEMA["properties"]["params"]["properties"]},
     }

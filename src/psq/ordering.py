@@ -15,15 +15,37 @@ and commutes with integration.  Supported kinds:
 
 The involution's conjugate smoother Sbar f = conj(S conj f) is derived from
 the multiplier, conj S(-xi, -eta); no smoother carries one of its own.
+
+An ordering's JSON form, in configs and state sidecars alike, is the object
+ORDERING_SCHEMA describes: sigma in [-4, 5] (default 1/2) and an identity or
+Gaussian smoother with alpha and beta in [-2, 2].  spec_from_dict reads it and
+OrderingSpec.as_dict writes it; both refuse an ordering outside it, so Cohen
+and word smoothers have no JSON form.
 """
 
-import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import PSQError, UnsupportedObservableError
 from .polyalg import DiffOpWord
+
+SIGMA_SCHEMA = {"type": "number", "minimum": -4, "maximum": 5}
+SMOOTHER_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "kind": {"enum": ["identity", "gaussian"]},
+        "alpha": {"type": "number", "minimum": -2, "maximum": 2},
+        "beta": {"type": "number", "minimum": -2, "maximum": 2},
+    },
+    "additionalProperties": False,
+}
+# open to other keys: a state sidecar also carries "normalized"
+ORDERING_SCHEMA = {
+    "type": "object",
+    "properties": {"sigma": SIGMA_SCHEMA, "smoother": SMOOTHER_SCHEMA},
+}
 
 
 @dataclass(frozen=True)
@@ -95,9 +117,6 @@ class CohenSmoother:
     def is_identity(self):
         return False
 
-    def as_dict(self):
-        return {"kind": "cohen", "label": self.label}
-
 
 class WordSmoother:
     """Differential-operator-word smoother; exact symbolic use only."""
@@ -116,9 +135,6 @@ class WordSmoother:
 
     def is_identity(self):
         return self.word.is_identity()
-
-    def as_dict(self):
-        return {"kind": "word"}
 
 
 @dataclass(frozen=True)
@@ -140,28 +156,32 @@ class OrderingSpec:
         return self.smoother.is_identity()
 
     def as_dict(self):
-        return {"sigma": self.sigma, "smoother": self.smoother.as_dict()}
+        """The JSON form; PSQError for an ordering spec_from_dict would refuse."""
+        if not isinstance(self.smoother, GaussianSmoother):
+            raise PSQError("a %s smoother has no JSON form" % self.smoother.kind)
+        d = {"sigma": self.sigma, "smoother": self.smoother.as_dict()}
+        spec_from_dict(d)
+        return d
 
 
-def _finite(d, key, default):
-    """d[key] (or the default) as a float; PSQError unless it is a number within
-    the float range (not a bool, NaN, +-Infinity or an overlong integer)."""
-    value = d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
-        raise PSQError("ordering %s must be a finite number, got %r" % (key, value))
-    return float(value)
+@lru_cache(maxsize=None)
+def _validator():
+    """The ORDERING_SCHEMA validator, built once; jsonschema loads on first use."""
+    import jsonschema
+    return jsonschema.validators.validator_for(ORDERING_SCHEMA)(ORDERING_SCHEMA)
 
 
 def spec_from_dict(d):
     """The OrderingSpec of a JSON ordering block (a state sidecar or a config)."""
-    sm = d.get("smoother", {"kind": "identity"}) if isinstance(d, dict) else None
-    if not isinstance(sm, dict):
-        raise PSQError("an ordering and its smoother must be JSON objects, got %r" % d)
-    kind = sm.get("kind", "identity")
-    if kind not in ("identity", "gaussian"):
-        raise PSQError("cannot build smoother kind %r from config" % kind)
-    smoother = GaussianSmoother(_finite(sm, "alpha", 0.0), _finite(sm, "beta", 0.0))
-    if kind == "identity" and not smoother.is_identity():
+    from jsonschema.exceptions import best_match
+    error = best_match(_validator().iter_errors(d))
+    if error is not None:
+        raise PSQError("ordering %r: %s" % (d, error.message))
+    sm = d.get("smoother", {})
+    smoother = GaussianSmoother(float(sm.get("alpha", 0.0)), float(sm.get("beta", 0.0)))
+    # NaN passes the schema's bounds
+    if not np.isfinite([smoother.alpha, smoother.beta]).all():
+        raise PSQError("ordering alpha and beta must be finite, got %r" % sm)
+    if sm.get("kind", "identity") == "identity" and not smoother.is_identity():
         raise PSQError("the identity smoother takes no alpha or beta, got %r" % sm)
-    return OrderingSpec(_finite(d, "sigma", 0.5), smoother)
+    return OrderingSpec(float(d.get("sigma", 0.5)), smoother)

@@ -69,6 +69,7 @@ class ObservableSpec:
         self.poly = PolyH.zero() if poly is None else PolyH.zero() + poly
         self.fns = tuple(fns)
         self.label = label
+        self._words = {}            # (ordering, side) -> ordered word, built on first use
         if any(axis not in ("x", "p") for axis, _fn in self.fns):
             raise UnsupportedObservableError("function terms take the axis 'x' or 'p'")
 
@@ -113,9 +114,12 @@ class ObservableSpec:
     def ordered_word(self, spec, side):
         """The polynomial part pulled back by S^-1 and sigma-ordered for the
         side: the standard-ordered word behind :meth:`factors` and the
-        Hermiticity check."""
-        order = sigma_order if side == "left" else sigma_order_right
-        return order(spec.smoother.to_word().apply(self.poly, "inverse"), spec.sigma)
+        Hermiticity check, kept per (ordering, side) once built."""
+        if (spec, side) not in self._words:
+            order = sigma_order if side == "left" else sigma_order_right
+            word = spec.smoother.to_word().apply(self.poly, "inverse")
+            self._words[spec, side] = order(word, spec.sigma)
+        return self._words[spec, side]
 
     def factors(self, spec, side, xq, pq, hbar):
         """The ordered operator as [(b, a)]: sum of a(q) b(p), p acting first.

@@ -228,12 +228,12 @@ def pure_factorization(state):
 # ---------------------------------------------------------------------------
 
 def write_state(state, path):
-    """Write the field to path and its ordering to the sidecar path + '.json'."""
-    write_field(state.psi_field, path)
-    sidecar = str(path) + ".json"
-    payload = dict(state.spec.as_dict())
+    """Write the field to path and its ordering to the sidecar path + '.json'; an
+    ordering read_state would refuse raises PSQError before either file is written."""
+    payload = state.spec.as_dict()
     payload["normalized"] = bool(abs(state.normalization_integral() - 1.0) < 1e-6)
-    with open(sidecar, "w") as fh:
+    write_field(state.psi_field, path)
+    with open(str(path) + ".json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

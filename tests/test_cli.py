@@ -60,7 +60,8 @@ class TestParsePoly:
         with pytest.raises((PSQError, ValueError)):
             parse_poly("0.5*q^2")
         for text in ("y", "x^-1", "x^2.5", "2x", "x*", "x +- p", "1e-3*y^2",
-                     "1e999*x", "1e200*1e200*x"):      # coefficients past the float range
+                     "1e999*x", "1e200*1e200*x",      # coefficients past the float range
+                     "", "   "):
             with pytest.raises(PSQError):
                 parse_poly(text)
 
@@ -255,6 +256,9 @@ class TestRunContract:
                 {"scenario": "oracle", "grid": {"nx": 4, "np": 4},
                  "params": {"state": "coherent"}},
                 {"scenario": "evolve", "params": {"system": "custom"}},
+                # an empty Hamiltonian and an observable evolve does not know
+                {"scenario": "spectrum", "params": {"hamiltonian": ""}},
+                {"scenario": "evolve", "params": {"observables": "x,q"}},
                 # out-of-range indices, levels and hbars, and empty sweeps
                 {"scenario": "classical-limit", "grid": {"nx": 16, "np": 16},
                  "params": {"hbars": [0.2, -0.1]}},

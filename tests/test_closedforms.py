@@ -347,3 +347,16 @@ class TestClassicalLimit:
         vals = classical_limit_probe(family, fn, self.HBARS)
         errs = [abs(v - fn(x0, p0)) for v in vals]
         assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: OscillatorParams(omega=0.0), "omega must be positive"),
+    (lambda: FreeGaussianParams(1.0, delta_p=0.0), "delta_p must be positive"),
+    (lambda: CoherentParams(1.0, 0.5, omega=0.0), "omega must be positive"),
+    # lam = (1 + omega alpha + beta / omega) / 2 = 1: lam_bar vanishes
+    (lambda: OscillatorParams(1.0, OrderingSpec(0.5, GaussianSmoother(0.5, 0.5)))
+     .require_laguerre_family(), "degenerate"),
+], ids=["oscillator-omega-zero", "free-delta-p-zero", "coherent-omega-zero", "laguerre-lam-1"])
+def test_rejects_invalid_parameters(build, message):
+    with pytest.raises(PSQError, match=message):
+        build()

@@ -426,3 +426,16 @@ class TestHeisenberg:
         a_t = heisenberg_observable(PolyH.x(), OSC_H.as_poly(), spec, t)
         want = PolyH.monomial(1, 0, c=np.cos(t)) + PolyH.monomial(0, 1, c=np.sin(t))
         assert (a_t - want).is_zero(1e-12)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: EvolutionConfig(dt=0.0, steps=10), "positive"),
+    (lambda: EvolutionConfig(dt=-1e-3, steps=10), "positive"),
+    (lambda: EvolutionConfig(dt=1e-3, steps=0), "positive"),
+    (lambda: EvolutionConfig(dt=1e-3, steps=10, method="euler"), "unknown method"),
+    (lambda: star_exponential(OSC_H, 0.1, 21, OrderingSpec(0.5),
+                              make_grid(32, 32, -6, 6, -6, 6, 1.0)), "capped at 20"),
+], ids=["dt-zero", "dt-negative", "steps-zero", "unknown-method", "star-exp-order-21"])
+def test_rejects_invalid_arguments(build, message):
+    with pytest.raises(PSQError, match=message):
+        build()

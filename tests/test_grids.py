@@ -1,8 +1,11 @@
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psq
 from psq import (GridMismatchError, PhaseField, PSQError,
                  WaveFunction, fourier_full, fourier_full_inverse,
                  fourier_partial, integrate, l2_inner, l2_norm, make_grid,
@@ -47,6 +50,35 @@ class TestMakeGrid:
                      (-8, 8, -np.inf, 8, 1.0), (-1e308, 1e308, -8, 8, 1.0)):
             with pytest.raises(PSQError, match="must be finite"):
                 make_grid(64, 64, *args)
+
+
+def _fft_uses(tree):
+    """Line numbers where a module reaches numpy.fft: np.fft / numpy.fft
+    attributes, `import numpy.fft` and `from numpy(.fft) import ...fft...`."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "fft" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.fft") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "numpy.fft" or (
+                node.module == "numpy" and any(a.name == "fft" for a in node.names))
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_grids_calls_numpy_fft():
+    # grids is the one transform layer: no other module reaches numpy.fft
+    src = Path(psq.__file__).resolve().parent
+    uses = {path.name: _fft_uses(ast.parse(path.read_text()))
+            for path in sorted(src.glob("*.py"))}
+    assert uses.pop("grids.py")
+    assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
 class TestFourierFull:

@@ -226,3 +226,9 @@ class TestRendering:
     def test_nf_render(self):
         a = OperatorNF({(1, 2, 0): 1.0, (0, 1, 1): -2j * 0.5})
         assert a.render() == "1*q*p^2 + -1j*hbar*p"
+
+
+@pytest.mark.parametrize("direction", ["sideways", "Forward", ""])
+def test_word_rejects_unknown_direction(direction):
+    with pytest.raises(PSQError, match="direction must be"):
+        DiffOpWord.gaussian(0.1, 0.1).apply(PolyH.x(), direction)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import psq.starprod
 from psq import (GaussianSmoother, IdentitySmoother, MixedState,
                  NumericalPreconditionError, ObservableSpec, OrderingSpec,
                  PolyH, PSQError, expectation,
@@ -12,6 +13,7 @@ from psq.closedforms import (CoherentParams, FreeGaussianParams,
                              OscillatorParams, coherent_state, free_gaussian,
                              ho_state)
 from psq.grids import WaveFunction
+from psq.spectra import hermitian_eigh
 from psq.states import hermite_function
 
 
@@ -132,6 +134,19 @@ class TestSpectrumSolver:
         assert np.abs(res.energies - want).max() / want.max() < 1e-8
         for left, right in res.residuals:
             assert left < 1e-6 and right < 1e-6
+
+    def test_eigensolve_orders_the_symbol_once(self, grid64, monkeypatch):
+        # the Hermiticity check and the matrix share one ordered word
+        calls = []
+        order = psq.starprod.sigma_order
+
+        def counted(f, sigma):
+            calls.append(sigma)
+            return order(f, sigma)
+
+        monkeypatch.setattr(psq.starprod, "sigma_order", counted)
+        hermitian_eigh(ObservableSpec.harmonic(), OrderingSpec(0.3), grid64)
+        assert calls == [0.3]
 
     def test_smoothed_oscillator_shifted_levels(self, grid128):
         # E_n = (n + lam_bar) hbar omega with lam_bar = (1 - w a - b/w)/2
@@ -314,3 +329,10 @@ class TestBridgeTheorem:
         a = phi.inner(WaveFunction(phi.grid, M @ phi.values))
         left, right = stargen_residual(H, state, a.real)
         assert left < 1e-6 and right < 1e-6
+
+
+@pytest.mark.parametrize("which", ["q", "X", ""])
+def test_uncertainty_rejects_unknown_quadrature(grid64, which):
+    state = ho_state(0, 0, OscillatorParams(), grid64)
+    with pytest.raises(PSQError, match="which must be"):
+        uncertainty(state, which)

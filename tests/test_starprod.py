@@ -859,3 +859,23 @@ class TestSeededAlgebraProperties:
         b = QuasiDistribution(
             apply_smoother(other, gauge_transform(g2, spec.sigma, other.sigma)), other)
         assert abs(a.inner_h(b) - l2_inner(f, g2)) < 1e-10 * l2_norm(f) * l2_norm(g2)
+
+
+def _vanishing_cohen():
+    # admissible at the origin (F = 1 on |xi| <= 1), zero beyond
+    return CohenSmoother(lambda xi, eta: np.where(np.abs(xi) > 1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda g: apply_smoother(OrderingSpec(0.5, _vanishing_cohen()),
+                              PhaseField(g, np.ones((g.nx, g.np), dtype=complex))),
+     "vanishes on the lattice"),
+    (lambda g: OrderingSpec(float("nan")), "sigma must be finite"),
+    (lambda g: bopp_apply(ObservableSpec.position(),
+                          PhaseField(g, np.ones((g.nx, g.np), dtype=complex)),
+                          "up", OrderingSpec(0.5)), "side must be"),
+    (lambda g: ObservableSpec(fns=(("y", np.cos),)), "axis"),
+], ids=["cohen-vanishes", "sigma-nan", "bopp-side-up", "function-axis-y"])
+def test_rejects_invalid_arguments(grid64, build, message):
+    with pytest.raises(PSQError, match=message):
+        build(grid64)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from psq import (CoherentParams, GaussianSmoother, MixedState,
+from psq import (CohenSmoother, CoherentParams, GaussianSmoother, MixedState,
                  NumericalPreconditionError, OrderingSpec, PhaseField, PSQError,
                  WaveFunction,
                  apply_smoother, basis_idempotence_check, coherent_wavepacket,
                  hermite_function, l2_norm, make_grid, marginal,
                  pure_factorization, purity_check, read_state, star_sigma_S,
-                 twisted_tensor, write_state)
+                 twisted_tensor, WordSmoother, write_state)
+from psq.polyalg import DiffOpWord
 from psq.starprod import _KERNEL_SPAN_MASS, _from_kernel, _to_kernel
-from psq.states import _kernel
+from psq.states import QuasiDistribution, _kernel
 
 TWO_PI = 2 * np.pi
 
@@ -389,7 +390,31 @@ class TestStateIO:
         sidecar = tmp_path / "state.psqf.json"
         # not objects, a sigma that is no number, and an infinite alpha
         for text in ('{"smoother": 5}', '[]', '{"sigma": "x"}', '{"sigma": null}',
-                     '{"smoother": {"kind": "gaussian", "alpha": Infinity, "beta": 0.1}}'):
+                     '{"smoother": {"kind": "gaussian", "alpha": Infinity, "beta": 0.1}}',
+                     # sigma and alpha outside the config schema's bounds
+                     '{"sigma": 1e300}', '{"sigma": 5.5}',
+                     '{"smoother": {"kind": "gaussian", "alpha": 1e300, "beta": 0.1}}',
+                     # NaN passes a schema's bounds
+                     '{"smoother": {"kind": "gaussian", "alpha": NaN, "beta": 0.1}}'):
             sidecar.write_text(text)
             with pytest.raises(PSQError):
                 read_state(path)
+
+    def test_write_refuses_unreadable_ordering(self, grid64, tmp_path):
+        # orderings read_state would refuse raise before any file is written
+        field = twisted_tensor(hermite_function(grid64, 0), hermite_function(grid64, 0),
+                               OrderingSpec(0.5)).psi_field
+        cohen = CohenSmoother(lambda xi, eta: np.exp(0.05 * (xi ** 2 + eta ** 2)))
+        for spec in (OrderingSpec(0.5, cohen),
+                     OrderingSpec(0.5, WordSmoother(DiffOpWord.gaussian(0.1, 0.1))),
+                     OrderingSpec(7.0)):
+            with pytest.raises(PSQError):
+                write_state(QuasiDistribution(field, spec), tmp_path / "state.psqf")
+            assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("axis", ["q", "P", ""])
+def test_marginal_rejects_unknown_axis(grid64, axis):
+    phi = hermite_function(grid64, 0)
+    with pytest.raises(PSQError, match="axis must be"):
+        marginal(twisted_tensor(phi, phi, OrderingSpec(0.5)), axis)
