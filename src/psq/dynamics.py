@@ -156,8 +156,10 @@ def evolve_schrodinger(phi0, H, spec, cfg, observables=None,
     elif cfg.method == "matrix_exponential":
         evals, vecs = hermitian_eigh(H, spec, grid)
         phase = np.exp(-1j * cfg.dt * evals / grid.hbar)
+        vecs = vecs.astype(complex, copy=False)     # one complex BLAS product per step
+        vecs_h = vecs.conj().T
         def step(values):
-            return vecs @ (phase * (vecs.conj().T @ values))
+            return vecs @ (phase * (vecs_h @ values))
     else:
         raise PSQError("evolve_schrodinger runs split_step_schrodinger or "
                        "matrix_exponential, not %r" % cfg.method)

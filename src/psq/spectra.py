@@ -8,6 +8,13 @@ multiply, position factors as row scalings or diagonal terms), the Hermitian
 eigenproblem is solved there (hermitian_eigh, whose eigensystem the dense
 Schrodinger propagator of psq.dynamics shares), and phase-space eigenfields
 are re-assembled with the twisted tensor product.
+In the x-representation conj(phat) = -phat, so an ordered word whose terms
+c hbar^k q^n p^m all have c i^m real (time-reversal invariant, as
+p^2/2 + V(x) with polynomial V is under every sigma and Gaussian smoother)
+has a real matrix, up to the unpaired band-edge momentum of the lattice:
+hermitian_eigh then solves the real symmetric problem and returns float64
+eigenvectors, which WaveFunction casts to complex.  Observables with
+function terms, and every other word, keep the complex Hermitian solve.
 The bridge identity
 
     A (star) (phi tensor psi) = phi tensor (A_matrix psi)
@@ -123,6 +130,21 @@ def hermiticity_defect(A, spec, grid):
     return defect, term
 
 
+def time_reversal_defect(A, spec):
+    """Distance of the ordered operator's x-representation matrix from real.
+
+    A word term c hbar^k q^n p^m has a real matrix exactly when c i^m is real
+    (c real for even m, imaginary for odd m).  Returns the largest
+    |Im(c i^m)| over :meth:`ObservableSpec.ordered_word`, or inf for an
+    observable with function terms, which stay complex.
+    """
+    if A.fns:
+        return np.inf
+    word = A.ordered_word(spec, "left")
+    return max((abs((c * (1, 1j, -1, -1j)[m % 4]).imag)
+                for (_n, m, _k), c in word.terms.items()), default=0.0)
+
+
 def hermitian_eigh(A, spec, grid):
     """Eigensystem (np.linalg.eigh) of the ordered operator's dense matrix.
 
@@ -130,16 +152,33 @@ def hermitian_eigh(A, spec, grid):
     Hermiticity symbolically (PSQError names the offending term; a NaN defect
     fails too), then symmetrizes away the band-edge defect; the eigensolver
     and the dense propagator both start here.
+
+    A time-reversal-invariant operator, whose word terms c hbar^k q^n p^m all
+    have c i^m real (conj(phat) = -phat in the x-representation;
+    :func:`time_reversal_defect` within the Hermiticity tolerance), has a real
+    matrix: it is solved as the real symmetric (M.real + M.real^T) / 2, built
+    without a complex temporary, and its eigenvectors come back float64
+    (WaveFunction casts them).  Only the band-edge momentum, which has no
+    -u partner on the lattice, gives an odd-m term a real part in phat's
+    matrix; the real route drops the imaginary part that leaves in M, as the
+    symmetrization drops the band-edge Hermiticity defect.  Observables with
+    function terms, and every other operator, are solved as the complex
+    Hermitian (M + M^H) / 2.
     """
     defect, term = hermiticity_defect(A, spec, grid)
     M = operator_matrix(A, spec, grid)
     if not np.all(np.isfinite(M)):
         raise NumericalPreconditionError(
             "ordered operator matrix of %s is not finite at sigma=%r" % (A.label, spec.sigma))
-    if not defect <= HERMITICITY_TOL * max(np.abs(M).max(), 1.0):
+    tol = HERMITICITY_TOL * max(np.abs(M).max(), 1.0)
+    if not defect <= tol:
         raise PSQError(
             "ordered operator is not Hermitian (defect %.3g); offending term: %s"
             % (defect, term))
+    if time_reversal_defect(A, spec) <= tol:
+        sym = M.real + M.real.T         # real views: no complex temporary
+        sym *= 0.5
+        return np.linalg.eigh(sym)
     return np.linalg.eigh(0.5 * (M + M.conj().T))
 
 

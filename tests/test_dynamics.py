@@ -427,6 +427,19 @@ class TestHeisenberg:
         want = PolyH.monomial(1, 0, c=np.cos(t)) + PolyH.monomial(0, 1, c=np.sin(t))
         assert (a_t - want).is_zero(1e-12)
 
+    def test_heisenberg_series_tail_refused(self):
+        # t^18/18! at t = 20 is 4e7: the truncated series is refused, not returned
+        with pytest.raises(TruncationError, match="tail 4.09e\\+07 above 1e-12 at order 18"):
+            heisenberg_observable(PolyH.x(), OSC_H.as_poly(), OrderingSpec(0.5), 20.0)
+
+    def test_coarse_snapshots_fail_the_equation_of_motion(self, grid64):
+        # <x>(t) = cos t sampled every 0.2: the centered difference misses
+        # <p>(0.2) = -sin(0.2) by about 0.2^3 / 6 = 1.3e-3, far above the 1e-5 check
+        phi0 = coherent_wavepacket(CoherentParams(1.0, 0.0, 1.0), grid64)
+        cfg = EvolutionConfig(dt=0.05, steps=8, snapshot_every=4)
+        with pytest.raises(PSQError, match="equation-of-motion residual 0.00124"):
+            heisenberg_trajectory(ObservableSpec.position(), phi0, OSC_H, OrderingSpec(0.5), cfg)
+
 
 @pytest.mark.parametrize("build, message", [
     (lambda: EvolutionConfig(dt=0.0, steps=10), "positive"),

@@ -230,6 +230,55 @@ class TestSpectrumSolver:
             spectrum_via_schrodinger(H, OrderingSpec(1e300), 4, grid64)
 
 
+class TestRealRoute:
+    """Time-reversal-invariant words are solved as real symmetric matrices."""
+
+    HARMONIC = PolyH.monomial(0, 2, c=0.5) + PolyH.monomial(2, 0, c=0.5)
+    QUARTIC = PolyH.monomial(0, 2, c=0.5) + PolyH.monomial(4, 0, c=0.25)
+    WEYL_X2P2 = HARMONIC + PolyH.monomial(2, 2, c=0.1)
+
+    @staticmethod
+    def complex_eigh(A, spec, grid):
+        M = operator_matrix(A, spec, grid)
+        return np.linalg.eigh(0.5 * (M + M.conj().T))
+
+    @pytest.mark.parametrize("poly, spec", [
+        (HARMONIC, OrderingSpec(0.5)),
+        (HARMONIC, OrderingSpec(0.5, GaussianSmoother(0.1, 0.1))),
+        (QUARTIC, OrderingSpec(0.5)),
+        (QUARTIC, OrderingSpec(0.5, GaussianSmoother(0.1, 0.1))),
+        (WEYL_X2P2, OrderingSpec(0.5)),
+    ], ids=["harmonic", "harmonic-gaussian", "quartic", "quartic-gaussian", "weyl-x2p2"])
+    def test_matches_complex_hermitian_route(self, grid128, poly, spec):
+        H = ObservableSpec.from_poly(poly, "H")
+        energies, vectors = hermitian_eigh(H, spec, grid128)
+        assert vectors.dtype == np.float64
+        want_e, want_v = self.complex_eigh(H, spec, grid128)
+        assert np.abs(energies[:5] - want_e[:5]).max() < 1e-8 * np.abs(want_e[:5]).max()
+        for n in range(5):
+            assert abs(abs(np.vdot(want_v[:, n], vectors[:, n])) - 1.0) < 1e-12
+
+    def test_time_reversal_breaking_word_stays_complex(self, grid128):
+        # the Weyl word of x p has c = 0.1 at m = 1: c i^m is imaginary
+        H = ObservableSpec.harmonic(1.0) + ObservableSpec.from_poly(
+            PolyH.monomial(1, 1, c=0.1), "0.1 xp")
+        spec = OrderingSpec(0.5)
+        energies, vectors = hermitian_eigh(H, spec, grid128)
+        assert np.iscomplexobj(vectors)
+        want_e, _ = self.complex_eigh(H, spec, grid128)
+        assert np.array_equal(energies, want_e)
+        # the ground state carries the chirp exp(-0.05 i x^2 / hbar): no phase makes it real
+        ground = vectors[:, 0] / vectors[np.argmax(np.abs(vectors[:, 0])), 0]
+        assert np.abs(ground.imag).max() > 1e-2 * np.abs(ground).max()
+
+    def test_function_terms_stay_complex(self, grid128):
+        H = ObservableSpec.x_function(lambda x: 0.5 * x ** 2) \
+            + ObservableSpec.from_poly(PolyH.monomial(0, 2, c=0.5), "T")
+        energies, vectors = hermitian_eigh(H, OrderingSpec(0.5), grid128)
+        assert np.iscomplexobj(vectors)
+        assert np.abs(energies[:4] - (np.arange(4) + 0.5)).max() < 1e-8
+
+
 class TestGaugeInvariance:
     def test_oscillator_across_sigma(self, grid128):
         H = ObservableSpec.harmonic(1.0)
@@ -329,6 +378,14 @@ class TestBridgeTheorem:
         a = phi.inner(WaveFunction(phi.grid, M @ phi.values))
         left, right = stargen_residual(H, state, a.real)
         assert left < 1e-6 and right < 1e-6
+
+
+def test_uncertainty_refuses_negative_variance(grid64):
+    # the off-diagonal field of Hermite 0 and 1 has <x> = 1/sqrt(2), <x^2> = 0
+    state = twisted_tensor(hermite_function(grid64, 0), hermite_function(grid64, 1),
+                           OrderingSpec(0.5))
+    with pytest.raises(NumericalPreconditionError, match="negative variance -0.5"):
+        uncertainty(state, "x")
 
 
 @pytest.mark.parametrize("which", ["q", "X", ""])

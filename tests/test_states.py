@@ -251,6 +251,12 @@ class TestFactorization:
         rebuilt = twisted_tensor(phi_r, psi_r, spec)
         assert l2_norm(rebuilt.psi_field - state.psi_field) < 1e-5
 
+    def test_zero_field_has_no_rank_one_component(self, grid64):
+        zero = QuasiDistribution(PhaseField(grid64, np.zeros((64, 64), dtype=complex)),
+                                 OrderingSpec(0.5))
+        with pytest.raises(PSQError, match="no rank-one component"):
+            pure_factorization(zero)
+
     @pytest.mark.parametrize("sigma", [0.0, 0.3, 0.5, 1.0])
     def test_kernel_inverts_twisted_tensor(self, grid128, sigma):
         h1, h2 = hermite_function(grid128, 1), hermite_function(grid128, 2)
