@@ -26,7 +26,7 @@ from .errors import (NumericalPreconditionError, PSQError, StabilityBoundError,
 from .grids import (PhaseField, WaveFunction, half_dft, l2_norm,  # noqa: F401
                     multiply_mixed, spectral_derivatives)
 from .polyalg import PolyH, pstar, pstar_S
-from .spectra import expectation, hermitian_eigh
+from .spectra import _hermitian_gate, expectation, hermitian_eigh
 from .starprod import ObservableSpec, bopp_apply
 from .states import QuasiDistribution, twisted_tensor
 
@@ -137,9 +137,10 @@ def evolve_schrodinger(phi0, H, spec, cfg, observables=None,
     method='split_step_schrodinger' needs a natural symbol and splits it into
     kinetic and potential factors (second-order Strang splitting, spectrally
     exact factors); method='matrix_exponential' propagates exactly with the
-    eigensystem of the dense ordered matrix (spectra.hermitian_eigh).  Any
-    other method raises PSQError.  Snapshots are phase-space fields obtained
-    by re-tensoring unless disabled.
+    eigensystem of the dense ordered matrix (spectra.hermitian_eigh).  Both
+    refuse a non-Hermitian ordered word with PSQError, and any other method
+    raises it too.  Snapshots are phase-space fields obtained by re-tensoring
+    unless disabled.
     """
     grid = phi0.grid
     if cfg.method == "split_step_schrodinger":
@@ -149,6 +150,7 @@ def evolve_schrodinger(phi0, H, spec, cfg, observables=None,
                 "split-step requires a natural (kinetic + potential) symbol; "
                 "use method='matrix_exponential'")
         t_prof, v_prof = parts
+        _hermitian_gate(H, spec, grid, max(np.abs(t_prof).max(), np.abs(v_prof).max()))
         half_v = np.exp(-0.5j * cfg.dt * v_prof / grid.hbar)
         full_t = np.exp(-1j * cfg.dt * t_prof / grid.hbar)
         def step(values):
@@ -329,14 +331,18 @@ def formal_star_bracket(A_poly, H_poly, spec):
 
     (A *_{sigma,S} H - H *_{sigma,S} A)/(i hbar) computed in the symbolic
     layer: the (sigma, S) commutator, with the formal hbar grading shifted
-    down by one.
+    down by one.  Its hbar^0 part cancels up to round-off, which grows with
+    the products' coefficients: a remainder above 1e-12 times the larger
+    product's largest coefficient (at least 1) is refused.
     """
     word = spec.smoother.to_word()
-    com = pstar_S(A_poly, H_poly, spec.sigma, word) - pstar_S(H_poly, A_poly, spec.sigma, word)
+    ah = pstar_S(A_poly, H_poly, spec.sigma, word)
+    ha = pstar_S(H_poly, A_poly, spec.sigma, word)
+    bound = 1e-12 * max(ah.max_abs_coeff(), ha.max_abs_coeff(), 1.0)
     shifted = {}
-    for (n, m, k), c in com.terms.items():
+    for (n, m, k), c in (ah - ha).terms.items():
         if k == 0:
-            if abs(c) > 1e-12:
+            if abs(c) > bound:
                 raise PSQError("bracket has an hbar^0 remainder; inconsistent")
             continue
         shifted[(n, m, k - 1)] = c / 1j

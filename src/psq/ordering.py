@@ -84,9 +84,8 @@ class CohenSmoother:
 
     kind = "cohen"
 
-    def __init__(self, fn, label="cohen"):
+    def __init__(self, fn):
         self.fn = fn
-        self.label = label
 
     def _admissibility(self, dxi, deta, hbar):
         """F(0,0) = 1 and grad F(0,0) = 0, finite differences at the origin."""

@@ -8,13 +8,10 @@ multiply, position factors as row scalings or diagonal terms), the Hermitian
 eigenproblem is solved there (hermitian_eigh, whose eigensystem the dense
 Schrodinger propagator of psq.dynamics shares), and phase-space eigenfields
 are re-assembled with the twisted tensor product.
-In the x-representation conj(phat) = -phat, so an ordered word whose terms
-c hbar^k q^n p^m all have c i^m real (time-reversal invariant, as
-p^2/2 + V(x) with polynomial V is under every sigma and Gaussian smoother)
-has a real matrix, up to the unpaired band-edge momentum of the lattice:
-hermitian_eigh then solves the real symmetric problem and returns float64
-eigenvectors, which WaveFunction casts to complex.  Observables with
-function terms, and every other word, keep the complex Hermitian solve.
+One gate, read off the ordered word in one pass, refuses a non-Hermitian
+operator (hermitian_eigh and the split step of psq.dynamics both pass it)
+and finds the time-reversal-invariant words, as p^2/2 + V(x) is under every
+sigma and Gaussian smoother, whose matrix is real and solved as such.
 The bridge identity
 
     A (star) (phi tensor psi) = phi tensor (A_matrix psi)
@@ -106,76 +103,59 @@ def operator_matrix(A, spec, grid):
     return M
 
 
-def hermiticity_defect(A, spec, grid):
-    """Self-adjointness defect of the ordered operator, checked symbolically.
+def _hermitian_gate(A, spec, grid, scale):
+    """Refuse a non-Hermitian ordered operator; return whether its matrix is real.
 
     The discrete matrix of a symbolically Hermitian word can carry a spurious
-    band-edge defect (the lattice [x, p] commutator fails on the highest
-    mode), so the check reads the word the matrix's factor pairs come from,
-    :meth:`ObservableSpec.ordered_word`.  Returns the largest violating
-    coefficient magnitude of that word or largest imaginary part of a function
-    term on the lattice, with a name for the term that carries it.
+    band-edge defect, so the gate reads the word the factor pairs come from,
+    :meth:`ObservableSpec.ordered_word`, in one pass: its self-adjointness
+    defect |word - word^dagger|, and whether each term c hbar^k q^n p^m has a
+    real x-representation matrix (c i^m real, as conj(phat) = -phat).
+    Function terms are sampled on the lattice; they must be real there and
+    keep the matrix complex.  A defect above HERMITICITY_TOL * max(scale, 1)
+    raises PSQError naming the offending term.
     """
-    defect, term = 0.0, "none"
+    defect = imag = 0.0
+    term = "none"
     if A.poly.terms:
         word = A.ordered_word(spec, "left")
-        diff = word - nf_adjoint(word)
-        defect = max((abs(c) for c in diff.terms.values()), default=0.0)
+        adjoint = nf_adjoint(word).terms
+        for key in word.terms.keys() | adjoint.keys():
+            c = word.terms.get(key, 0.0)
+            defect = max(defect, abs(c - adjoint.get(key, 0.0)))
+            imag = max(imag, abs((c * (1, 1j, -1, -1j)[key[1] % 4]).imag))
         term = "polynomial part %s" % A.poly.render()
     for axis, fn in A.fns:
         vals = np.asarray(fn(grid.x if axis == "x" else grid.xi), dtype=complex)
         fn_defect = float(np.abs(vals.imag).max())
         if fn_defect > defect:
             defect, term = fn_defect, "%s-function term" % axis
-    return defect, term
-
-
-def time_reversal_defect(A, spec):
-    """Distance of the ordered operator's x-representation matrix from real.
-
-    A word term c hbar^k q^n p^m has a real matrix exactly when c i^m is real
-    (c real for even m, imaginary for odd m).  Returns the largest
-    |Im(c i^m)| over :meth:`ObservableSpec.ordered_word`, or inf for an
-    observable with function terms, which stay complex.
-    """
-    if A.fns:
-        return np.inf
-    word = A.ordered_word(spec, "left")
-    return max((abs((c * (1, 1j, -1, -1j)[m % 4]).imag)
-                for (_n, m, _k), c in word.terms.items()), default=0.0)
+    tol = HERMITICITY_TOL * max(scale, 1.0)
+    if not defect <= tol:
+        raise PSQError(
+            "ordered operator is not Hermitian (defect %.3g); offending term: %s"
+            % (defect, term))
+    return not A.fns and imag <= tol
 
 
 def hermitian_eigh(A, spec, grid):
     """Eigensystem (np.linalg.eigh) of the ordered operator's dense matrix.
 
-    Refuses a matrix that is not finite (NumericalPreconditionError), checks
-    Hermiticity symbolically (PSQError names the offending term; a NaN defect
-    fails too), then symmetrizes away the band-edge defect; the eigensolver
-    and the dense propagator both start here.
-
-    A time-reversal-invariant operator, whose word terms c hbar^k q^n p^m all
-    have c i^m real (conj(phat) = -phat in the x-representation;
-    :func:`time_reversal_defect` within the Hermiticity tolerance), has a real
-    matrix: it is solved as the real symmetric (M.real + M.real^T) / 2, built
-    without a complex temporary, and its eigenvectors come back float64
-    (WaveFunction casts them).  Only the band-edge momentum, which has no
-    -u partner on the lattice, gives an odd-m term a real part in phat's
-    matrix; the real route drops the imaginary part that leaves in M, as the
-    symmetrization drops the band-edge Hermiticity defect.  Observables with
-    function terms, and every other operator, are solved as the complex
-    Hermitian (M + M^H) / 2.
+    Refuses a matrix that is not finite (NumericalPreconditionError), then
+    passes the Hermiticity gate that the split step of psq.dynamics passes
+    too, with the matrix's largest entry as the scale.  A matrix the gate
+    finds real is solved as the real symmetric (M.real + M.real^T) / 2, built
+    without a complex temporary, with float64 eigenvectors (WaveFunction
+    casts them); every other one as the complex Hermitian (M + M^H) / 2.
+    Symmetrizing drops the band-edge Hermiticity defect; the real route also
+    drops the imaginary part that the band-edge momentum, which has no -u
+    partner on the lattice, leaves in an odd-m term's matrix.
     """
-    defect, term = hermiticity_defect(A, spec, grid)
     M = operator_matrix(A, spec, grid)
     if not np.all(np.isfinite(M)):
         raise NumericalPreconditionError(
             "ordered operator matrix of %s is not finite at sigma=%r" % (A.label, spec.sigma))
-    tol = HERMITICITY_TOL * max(np.abs(M).max(), 1.0)
-    if not defect <= tol:
-        raise PSQError(
-            "ordered operator is not Hermitian (defect %.3g); offending term: %s"
-            % (defect, term))
-    if time_reversal_defect(A, spec) <= tol:
+    if _hermitian_gate(A, spec, grid, np.abs(M).max()):
         sym = M.real + M.real.T         # real views: no complex temporary
         sym *= 0.5
         return np.linalg.eigh(sym)

@@ -293,7 +293,7 @@ def _bopp_series(poly, field, m_x, m_p):
     pull-back/push-forward sandwich.
     """
     g = field.grid
-    X, P = g.meshes()
+    X, P = g.x[:, None], g.p[None, :]       # broadcast axes: powers cost O(nx + np)
     degx = max((n for (n, _m, _k) in poly.terms), default=0)
     degp = max((m for (_n, m, _k) in poly.terms), default=0)
     terms = {(j, k): poly.diff_x(j).diff_p(k) for j in range(degx + 1) for k in range(degp + 1)}

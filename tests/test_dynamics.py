@@ -12,7 +12,7 @@ from psq.closedforms import (CoherentParams, FreeGaussianParams,
                              coherent_wavepacket, free_gaussian,
                              free_wavepacket, ho_state)
 from psq.dynamics import _fold_numeric_hbar
-from psq.polyalg import pstar
+from psq.polyalg import ppoisson, pstar, pstar_S
 from psq.starprod import apply_smoother
 from psq.states import QuasiDistribution
 
@@ -108,12 +108,13 @@ class TestSchrodinger:
             evolve_schrodinger(phi0, H, OrderingSpec(0.5),
                                EvolutionConfig(dt=0.01, steps=5, method="phase_space_rk4"),
                                phase_space_snapshots=False)
-        # the dense propagator names the term that breaks Hermiticity
+        # the dense propagator and the split step name the term that breaks Hermiticity
         H_bad = ObservableSpec.from_poly(
             PolyH.monomial(0, 2, c=0.5) + PolyH.monomial(1, 0, c=1j), "Hbad")
-        with pytest.raises(PSQError, match="offending term"):
-            evolve_schrodinger(phi0, H_bad, OrderingSpec(0.5), cfg,
-                               phase_space_snapshots=False)
+        for bad_cfg in (cfg, EvolutionConfig(dt=0.01, steps=20)):
+            with pytest.raises(PSQError, match="offending term"):
+                evolve_schrodinger(phi0, H_bad, OrderingSpec(0.5), bad_cfg,
+                                   phase_space_snapshots=False)
 
 
 class TestPhaseSpace:
@@ -426,6 +427,39 @@ class TestHeisenberg:
         a_t = heisenberg_observable(PolyH.x(), OSC_H.as_poly(), spec, t)
         want = PolyH.monomial(1, 0, c=np.cos(t)) + PolyH.monomial(0, 1, c=np.sin(t))
         assert (a_t - want).is_zero(1e-12)
+
+    def test_bracket_of_large_coefficients(self):
+        # the hbar^0 remainder AH - HA is round-off, which grows with the
+        # products' coefficients: 40 seeded pairs of 4-term polynomials of
+        # degree <= 3 with N(0, 1e6) coefficients all bracket, to the Poisson
+        # bracket at hbar^0
+        rng = np.random.default_rng(11)
+
+        def draw():
+            out = PolyH.zero()
+            for n, m in rng.integers(0, 4, size=(4, 2)):
+                out = out + PolyH.monomial(int(n), int(m), c=rng.normal(0.0, 1e6))
+            return out
+
+        for _ in range(40):
+            A, H = draw(), draw()
+            bracket = formal_star_bracket(A, H, OrderingSpec(0.5))
+            assert (bracket.hbar_slice(0) - ppoisson(A, H)).max_abs_coeff() \
+                <= 1e-12 * A.max_abs_coeff() * H.max_abs_coeff()
+
+    def test_bracket_hbar0_remainder_refused(self, monkeypatch):
+        # A H gains an hbar^0 constant of 1e-6 of its size: not round-off, refused
+        calls = []
+
+        def skewed(f, g, sigma, word):
+            out = pstar_S(f, g, sigma, word)
+            calls.append(f)
+            return out + PolyH.const(1e-6 * out.max_abs_coeff()) if len(calls) == 1 else out
+
+        monkeypatch.setattr("psq.dynamics.pstar_S", skewed)
+        with pytest.raises(PSQError, match="hbar\\^0 remainder"):
+            formal_star_bracket(PolyH.x().scale(1e6), OSC_H.as_poly(), OrderingSpec(0.5))
+        assert len(calls) == 2
 
     def test_heisenberg_series_tail_refused(self):
         # t^18/18! at t = 20 is 4e7: the truncated series is refused, not returned
