@@ -138,8 +138,9 @@ def evolve_schrodinger(phi0, H, spec, cfg, observables=None,
     kinetic and potential factors (second-order Strang splitting, spectrally
     exact factors); method='matrix_exponential' propagates exactly with the
     eigensystem of the dense ordered matrix (spectra.hermitian_eigh).  Both
-    refuse a non-Hermitian ordered word with PSQError, and any other method
-    raises it too.  Snapshots are phase-space fields obtained by re-tensoring
+    refuse a non-finite ordered operator with NumericalPreconditionError and
+    a non-Hermitian ordered word with PSQError; any other method raises
+    PSQError too.  Snapshots are phase-space fields obtained by re-tensoring
     unless disabled.
     """
     grid = phi0.grid
@@ -150,6 +151,10 @@ def evolve_schrodinger(phi0, H, spec, cfg, observables=None,
                 "split-step requires a natural (kinetic + potential) symbol; "
                 "use method='matrix_exponential'")
         t_prof, v_prof = parts
+        if not (np.all(np.isfinite(t_prof)) and np.all(np.isfinite(v_prof))):
+            raise NumericalPreconditionError(
+                "ordered kinetic or potential profile of %s is not finite at sigma=%r"
+                % (H.label, spec.sigma))
         _hermitian_gate(H, spec, grid, max(np.abs(t_prof).max(), np.abs(v_prof).max()))
         half_v = np.exp(-0.5j * cfg.dt * v_prof / grid.hbar)
         full_t = np.exp(-1j * cfg.dt * t_prof / grid.hbar)

@@ -20,9 +20,10 @@ conjugate-lattice multipliers (``_fourier_powers``) and the shift-theorem
 samples f(x + s y) (``_sheared_samples``), the maps between a sigma-field
 and its configuration-space kernel (``_to_kernel``, ``_from_kernel``) with
 their dense lag sums and shear geometry, its rank-one case for the twisted
-tensor product (``_from_pair``), and the star product's twisted
-convolution on the conjugate lattice (``_twisted_convolution``); other
-modules transform through these, and no other module calls numpy.fft.
+tensor product (``_from_pair``), the star product's twisted convolution
+on the conjugate lattice (``_twisted_convolution``), and the circulant lag
+layout of the x-axis mixed multiply's dense matrix (``_mixed_matrix``);
+other modules transform through these, and no other module calls numpy.fft.
 
 One row writer exports a field as x-major rows ``x p re im``, comma-separated
 under a header (:func:`write_field_csv`) or space-separated (:func:`write_field_dat`).
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatchError, PSQError
 
@@ -333,6 +335,22 @@ def multiply_mixed(grid, values, axis, profile):
     out = back(grid, there(grid, values) * profile)
     out /= grid.nx if axis == "x" else grid.np
     return out
+
+
+def _mixed_matrix(grid, profile):
+    """Dense matrix C of the x-axis mixed multiply: C @ v is
+    multiply_mixed(grid, v, "x", profile) for a vector v on the x axis.
+
+    Its kernel (1/nx) sum_m b(u_m) e^{i (x_j - x_k) u_m / hbar} depends on
+    j - k mod nx alone, because the conjugate lattice is centred
+    (u_0 dx / hbar = -pi, with nx even or 1), so C is circulant.  One column
+    goes through the mixed multiply, and C[j, k] = c[(j - k) mod nx] is a
+    read-only strided view of it, with no nx x nx copy.
+    """
+    e0 = np.zeros(grid.nx)
+    e0[0] = 1.0
+    c = multiply_mixed(grid, e0, "x", profile)
+    return sliding_window_view(np.concatenate((c[1:], c)), grid.nx)[:, ::-1]
 
 
 def _fourier_powers(field, m_x, m_p, orders):

@@ -3,11 +3,12 @@
 The eigensolver never discretizes the star-genvalue equation directly: the
 ordered operator A_{sigma,S}(qhat, phat) with qhat = x, phat = -i hbar d_x is
 assembled as a dense matrix on the x axis from the same a(q) b(p) factor
-pairs that drive the Bopp route (momentum factors through the grids mixed
-multiply, position factors as row scalings or diagonal terms), the Hermitian
-eigenproblem is solved there (hermitian_eigh, whose eigensystem the dense
-Schrodinger propagator of psq.dynamics shares), and phase-space eigenfields
-are re-assembled with the twisted tensor product.
+pairs that drive the Bopp route (each momentum factor as one circulant
+column through the grids mixed multiply, position factors as row scalings
+or diagonal terms), the Hermitian eigenproblem is solved there
+(hermitian_eigh, whose eigensystem the dense Schrodinger propagator of
+psq.dynamics shares), and phase-space eigenfields are re-assembled with the
+twisted tensor product.
 One gate, read off the ordered word in one pass, refuses a non-Hermitian
 operator (hermitian_eigh and the split step of psq.dynamics both pass it)
 and finds the time-reversal-invariant words, as p^2/2 + V(x) is under every
@@ -26,7 +27,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import NumericalPreconditionError, PSQError
-from .grids import WaveFunction, integrate, l2_norm, multiply_mixed
+from .grids import WaveFunction, _mixed_matrix, integrate, l2_norm
 from .ordering import OrderingSpec
 from .polyalg import nf_adjoint
 from .starprod import ObservableSpec, bopp_apply
@@ -85,21 +86,21 @@ def operator_matrix(A, spec, grid):
     """Dense matrix of A_{sigma,S}(qhat, phat) on the grid's x axis.
 
     Each factor pair a(x) b(u) of :meth:`ObservableSpec.factors` becomes
-    diag(a) W^H diag(b) W, with W the x-axis transform applied column by
-    column to the identity through the grids mixed multiply; p-independent
-    pairs add to the diagonal.  Function terms under a non-identity smoother
-    raise UnsupportedObservableError, as in the Bopp route.
+    diag(a) C_b, with C_b the matrix of the grids mixed multiply by b: one
+    column through that multiply, laid out by lag (grids._mixed_matrix), so
+    the build holds M and one product matrix.  p-independent pairs add to
+    the diagonal.  Function terms under a non-identity smoother raise
+    UnsupportedObservableError, as in the Bopp route.
     """
     nx = grid.nx
     diag = np.arange(nx)
-    eye = np.eye(nx)
     M = np.zeros((nx, nx), dtype=complex)
     for b, a in A.factors(spec, "left", grid.x, grid.xi, grid.hbar):
         a = np.broadcast_to(a, (nx,))
         if b is None:
             M[diag, diag] += a
         else:
-            M += a[:, None] * multiply_mixed(grid, eye, "x", b[:, None])
+            M += a[:, None] * _mixed_matrix(grid, b)
     return M
 
 
@@ -145,21 +146,24 @@ def hermitian_eigh(A, spec, grid):
     passes the Hermiticity gate that the split step of psq.dynamics passes
     too, with the matrix's largest entry as the scale.  A matrix the gate
     finds real is solved as the real symmetric (M.real + M.real^T) / 2, built
-    without a complex temporary, with float64 eigenvectors (WaveFunction
-    casts them); every other one as the complex Hermitian (M + M^H) / 2.
-    Symmetrizing drops the band-edge Hermiticity defect; the real route also
-    drops the imaginary part that the band-edge momentum, which has no -u
-    partner on the lattice, leaves in an odd-m term's matrix.
+    without a complex temporary and with M released before the solve, with
+    float64 eigenvectors (WaveFunction casts them); every other one as the
+    complex Hermitian (M + M^H) / 2, symmetrized in place.  Either route holds
+    at most M and one more matrix.  Symmetrizing drops the band-edge
+    Hermiticity defect; the real route also drops the imaginary part that the
+    band-edge momentum, which has no -u partner on the lattice, leaves in an
+    odd-m term's matrix.
     """
     M = operator_matrix(A, spec, grid)
     if not np.all(np.isfinite(M)):
         raise NumericalPreconditionError(
             "ordered operator matrix of %s is not finite at sigma=%r" % (A.label, spec.sigma))
     if _hermitian_gate(A, spec, grid, np.abs(M).max()):
-        sym = M.real + M.real.T         # real views: no complex temporary
-        sym *= 0.5
-        return np.linalg.eigh(sym)
-    return np.linalg.eigh(0.5 * (M + M.conj().T))
+        M = M.real + M.real.T           # real views: no complex temporary, M released
+    else:
+        M += M.conj().T                 # conj copies, so the transpose does not alias M
+    M *= 0.5
+    return np.linalg.eigh(M)
 
 
 @dataclass

@@ -454,8 +454,18 @@ class TestRunContract:
         {"scenario": "wigner",
          "grid": {"nx": 8, "np": 8, "x_min": -1, "x_max": 1, "p_min": -1, "p_max": 1},
          "params": {"phi_hermite": 3, "psi_hermite": 3}},
+    ] + [
+        # an overflowing potential or kinetic term is refused before the first
+        # step by both Schrodinger methods
+        {"scenario": "evolve", "grid": {"nx": 32, "np": 32},
+         "params": {"system": "custom", "hamiltonian": hamiltonian, "method": method,
+                    "steps": 2, "dt": 0.01}}
+        for method in ("split_step_schrodinger", "matrix_exponential")
+        for hamiltonian in ("0.5*p^2 + 1e306*x^4", "1e306*p^4 + 0.5*x^2")
     ], ids=["purity-zero-field", "ho-zero-field", "rk4-zero-start", "omega-overflow",
-            "harmonic-omega-overflow", "free-t-overflow", "gauge-nan-matrix", "interpolation-tail"])
+            "harmonic-omega-overflow", "free-t-overflow", "gauge-nan-matrix", "interpolation-tail",
+            "split-step-potential-overflow", "split-step-kinetic-overflow",
+            "matrix-exponential-potential-overflow", "matrix-exponential-kinetic-overflow"])
     def test_runtime_failure_exit_3_leaves_no_directory(self, tmp_path, capsys, payload):
         nested = tmp_path / "new" / "out"
         with np.errstate(all="ignore"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -12,7 +14,7 @@ from psq import (GaussianSmoother, IdentitySmoother, MixedState,
 from psq.closedforms import (CoherentParams, FreeGaussianParams,
                              OscillatorParams, coherent_state, free_gaussian,
                              ho_state)
-from psq.grids import WaveFunction
+from psq.grids import WaveFunction, multiply_mixed
 from psq.spectra import hermitian_eigh
 from psq.states import hermite_function
 
@@ -228,6 +230,65 @@ class TestSpectrumSolver:
         with np.errstate(all="ignore"), pytest.raises(NumericalPreconditionError,
                                                       match="not finite"):
             spectrum_via_schrodinger(H, OrderingSpec(1e300), 4, grid64)
+
+
+class TestOperatorMatrix:
+    """The circulant build of the ordered matrix against the column-by-column route."""
+
+    QUARTIC = ObservableSpec.from_poly(
+        PolyH.monomial(0, 2, c=0.5) + PolyH.monomial(4, 0, c=0.25), "Hq")
+    WORDS = [
+        ("harmonic", ObservableSpec.harmonic(1.0), 0.5),
+        ("quartic", QUARTIC, 0.5),
+        ("weyl-x2p2", ObservableSpec.from_poly(PolyH.monomial(2, 2), "x2p2"), 0.5),
+        ("xp", ObservableSpec.from_poly(PolyH.monomial(1, 1), "xp"), 0.3),
+        ("p3", ObservableSpec.from_poly(PolyH.monomial(0, 3), "p3"), 0.5),
+        ("p-function", ObservableSpec.p_function(np.sin)
+         + ObservableSpec.x_function(lambda x: 0.5 * x ** 2), 0.5),
+    ]
+
+    @staticmethod
+    def reference(A, spec, grid):
+        """Sum over the factor pairs of diag(a) times the mixed multiply of
+        every column of the identity."""
+        nx = grid.nx
+        M = np.zeros((nx, nx), dtype=complex)
+        for b, a in A.factors(spec, "left", grid.x, grid.xi, grid.hbar):
+            a = np.broadcast_to(a, (nx,))
+            if b is None:
+                M += np.diag(a)
+            else:
+                M += a[:, None] * multiply_mixed(grid, np.eye(nx), "x", b[:, None])
+        return M
+
+    # function terms admit only the identity smoother
+    CASES = [pytest.param(A, OrderingSpec(sigma, smoother), id=name + "-" + smoother.kind)
+             for name, A, sigma in WORDS
+             for smoother in (IdentitySmoother(), GaussianSmoother(0.1, 0.1))
+             if not (A.fns and smoother.kind != "identity")]
+
+    @pytest.mark.parametrize("nx", [32, 64])
+    @pytest.mark.parametrize("A, spec", CASES)
+    def test_matches_column_by_column_route(self, nx, A, spec):
+        grid = make_grid(nx, 32, -8.0, 8.0, -8.0, 8.0, 1.0)
+        want = self.reference(A, spec, grid)
+        got = operator_matrix(A, spec, grid)
+        assert got.shape == (nx, nx) and got.dtype == complex
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_builds_with_two_matrices_live(self):
+        # the build holds M and one product a[:, None] * C: 2 nx^2 complex values
+        nx = 256
+        grid = make_grid(nx, 16, -8.0, 8.0, -8.0, 8.0, 1.0)
+        spec = OrderingSpec(0.3, GaussianSmoother(0.1, 0.1))
+        operator_matrix(self.QUARTIC, spec, grid)      # order the word once
+        tracemalloc.start()
+        try:
+            operator_matrix(self.QUARTIC, spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * nx * nx * 16
 
 
 class TestRealRoute:
