@@ -12,7 +12,9 @@ twisted tensor product.
 One gate, read off the ordered word in one pass, refuses a non-Hermitian
 operator (hermitian_eigh and the split step of psq.dynamics both pass it)
 and finds the time-reversal-invariant words, as p^2/2 + V(x) is under every
-sigma and Gaussian smoother, whose matrix is real and solved as such.
+sigma and Gaussian smoother, whose matrix is real and solved as such; an even
+word of these (V even) on a centred span commutes with x -> -x and is solved
+as two half-size parity blocks.
 The bridge identity
 
     A (star) (phi tensor psi) = phi tensor (A_matrix psi)
@@ -105,18 +107,19 @@ def operator_matrix(A, spec, grid):
 
 
 def _hermitian_gate(A, spec, grid, scale):
-    """Refuse a non-Hermitian ordered operator; return whether its matrix is real.
+    """Refuse a non-Hermitian ordered operator; return (real, even) for its matrix.
 
     The discrete matrix of a symbolically Hermitian word can carry a spurious
     band-edge defect, so the gate reads the word the factor pairs come from,
     :meth:`ObservableSpec.ordered_word`, in one pass: its self-adjointness
-    defect |word - word^dagger|, and whether each term c hbar^k q^n p^m has a
-    real x-representation matrix (c i^m real, as conj(phat) = -phat).
-    Function terms are sampled on the lattice; they must be real there and
-    keep the matrix complex.  A defect above HERMITICITY_TOL * max(scale, 1)
-    raises PSQError naming the offending term.
+    defect |word - word^dagger|, whether each term c hbar^k q^n p^m has a
+    real x-representation matrix (c i^m real, as conj(phat) = -phat), and
+    whether each has n + m even, so that the matrix commutes with x -> -x on
+    a centred span.  Function terms are sampled on the lattice; they must be
+    real there and keep the matrix complex.  A defect above
+    HERMITICITY_TOL * max(scale, 1) raises PSQError naming the offending term.
     """
-    defect = imag = 0.0
+    defect = imag = odd = 0.0
     term = "none"
     if A.poly.terms:
         word = A.ordered_word(spec, "left")
@@ -125,6 +128,7 @@ def _hermitian_gate(A, spec, grid, scale):
             c = word.terms.get(key, 0.0)
             defect = max(defect, abs(c - adjoint.get(key, 0.0)))
             imag = max(imag, abs((c * (1, 1j, -1, -1j)[key[1] % 4]).imag))
+            odd = max(odd, abs(c) * ((key[0] + key[1]) % 2))
         term = "polynomial part %s" % A.poly.render()
     for axis, fn in A.fns:
         vals = np.asarray(fn(grid.x if axis == "x" else grid.xi), dtype=complex)
@@ -136,7 +140,19 @@ def _hermitian_gate(A, spec, grid, scale):
         raise PSQError(
             "ordered operator is not Hermitian (defect %.3g); offending term: %s"
             % (defect, term))
-    return not A.fns and imag <= tol
+    real = not A.fns and imag <= tol
+    return real, real and not odd and grid.x_min == -grid.x_max and grid.nx > 1
+
+
+def _fold(M, sign):
+    """M's rows in the even (sign 1) or odd (-1) basis of j -> -j mod nx: e_0,
+    (e_j + e_{nx-j}) / sqrt(2) for 0 < j < nx/2 and e_{nx/2}, or the
+    (e_j - e_{nx-j}) / sqrt(2).  Folding the rows of M^T folds its columns."""
+    h = len(M) // 2
+    lo, hi = M[1:h], M[:h:-1]
+    if sign < 0:
+        return (lo - hi) * sqrt(0.5)
+    return np.concatenate([M[:1], (lo + hi) * sqrt(0.5), M[h:h + 1]])
 
 
 def hermitian_eigh(A, spec, grid):
@@ -148,22 +164,45 @@ def hermitian_eigh(A, spec, grid):
     finds real is solved as the real symmetric (M.real + M.real^T) / 2, built
     without a complex temporary and with M released before the solve, with
     float64 eigenvectors (WaveFunction casts them); every other one as the
-    complex Hermitian (M + M^H) / 2, symmetrized in place.  Either route holds
-    at most M and one more matrix.  Symmetrizing drops the band-edge
-    Hermiticity defect; the real route also drops the imaginary part that the
-    band-edge momentum, which has no -u partner on the lattice, leaves in an
-    odd-m term's matrix.
+    complex Hermitian (M + M^H) / 2, symmetrized in place.  Symmetrizing drops
+    the band-edge Hermiticity defect; the real route also drops the imaginary
+    part that the band-edge momentum, which has no -u partner on the lattice,
+    leaves in an odd-m term's matrix.  When, besides, every word term has
+    n + m even, there are no function terms and x_min == -x_max (nx > 1), the
+    real matrix is cut into the even (nx/2 + 1) and odd (nx/2 - 1) blocks of
+    the reflection (_fold) and released, and each block goes to eigh.  The
+    blocks hold its parity average, which drops the reflection defect that
+    momentum leaves in an odd-m term, as the real route drops its imaginary
+    part.  The merged eigensystem comes back in the x basis, ascending, an
+    even level before an odd one of equal energy (a stable merge).  Every
+    route holds at most M and one more matrix; the blocks, half a real
+    nx x nx matrix, are all the block route holds while it solves.
     """
     M = operator_matrix(A, spec, grid)
     if not np.all(np.isfinite(M)):
         raise NumericalPreconditionError(
             "ordered operator matrix of %s is not finite at sigma=%r" % (A.label, spec.sigma))
-    if _hermitian_gate(A, spec, grid, np.abs(M).max()):
+    real, even = _hermitian_gate(A, spec, grid, np.abs(M).max())
+    if real:
         M = M.real + M.real.T           # real views: no complex temporary, M released
     else:
         M += M.conj().T                 # conj copies, so the transpose does not alias M
     M *= 0.5
-    return np.linalg.eigh(M)
+    if not even:
+        return np.linalg.eigh(M)
+    blocks = [_fold(_fold(M, sign).T, sign) for sign in (1, -1)]
+    del M
+    (w_even, y_even), (w_odd, y_odd) = [np.linalg.eigh(b) for b in blocks]
+    h = grid.nx // 2
+    w = np.concatenate([w_even, w_odd])
+    order = np.argsort(w, kind="stable")
+    even_cols, odd_cols = np.split(np.argsort(order), [h + 1])
+    V = np.zeros((grid.nx, grid.nx))
+    V[::h, even_cols] = y_even[::h]
+    V[1:h, even_cols] = V[:h:-1, even_cols] = y_even[1:h] * sqrt(0.5)
+    V[1:h, odd_cols] = y_odd * sqrt(0.5)
+    V[:h:-1, odd_cols] = -V[1:h, odd_cols]
+    return w[order], V
 
 
 @dataclass

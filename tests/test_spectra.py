@@ -5,9 +5,9 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import psq.starprod
-from psq import (GaussianSmoother, IdentitySmoother, MixedState,
+from psq import (EvolutionConfig, GaussianSmoother, IdentitySmoother, MixedState,
                  NumericalPreconditionError, ObservableSpec, OrderingSpec,
-                 PolyH, PSQError, expectation,
+                 PolyH, PSQError, evolve_schrodinger, expectation,
                  gauge_spectrum_check, l2_norm, make_grid,
                  operator_matrix, spectrum_via_schrodinger, stargen_residual,
                  twisted_tensor, uncertainty)
@@ -338,6 +338,102 @@ class TestRealRoute:
         energies, vectors = hermitian_eigh(H, OrderingSpec(0.5), grid128)
         assert np.iscomplexobj(vectors)
         assert np.abs(energies[:4] - (np.arange(4) + 0.5)).max() < 1e-8
+
+
+class TestParityBlocks:
+    """Even words on a centred span are solved as two parity blocks."""
+
+    HARMONIC = TestRealRoute.HARMONIC
+    QUARTIC = TestRealRoute.QUARTIC
+    ODD_POTENTIAL = HARMONIC + PolyH.monomial(3, 0, c=0.02) + PolyH.monomial(4, 0, c=0.01)
+
+    @staticmethod
+    def counted_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @staticmethod
+    def real_eigh(A, spec, grid):
+        M = operator_matrix(A, spec, grid).real
+        S = 0.5 * (M + M.T)
+        return np.linalg.eigh(S), S, np.abs(M).max()
+
+    @pytest.mark.parametrize("poly, spec", [
+        (HARMONIC, OrderingSpec(0.5)),
+        (HARMONIC, OrderingSpec(0.3, GaussianSmoother(0.1, 0.1))),
+        (QUARTIC, OrderingSpec(0.5)),
+        (QUARTIC, OrderingSpec(0.8, GaussianSmoother(0.1, 0.1))),
+        # odd-m terms: the parity average drops their band-edge defect
+        (TestRealRoute.WEYL_X2P2, OrderingSpec(0.5)),
+    ], ids=["harmonic", "harmonic-gaussian", "quartic", "quartic-gaussian", "weyl-x2p2"])
+    def test_matches_full_real_solve(self, grid128, monkeypatch, poly, spec):
+        H = ObservableSpec.from_poly(poly, "H")
+        (want_e, want_v), _, _ = self.real_eigh(H, spec, grid128)
+        calls = self.counted_eigh(monkeypatch)
+        energies, vectors = hermitian_eigh(H, spec, grid128)
+        assert calls == [65, 63]
+        assert vectors.dtype == np.float64 and vectors.shape == (128, 128)
+        assert np.abs(energies[:5] - want_e[:5]).max() < 1e-8 * np.abs(want_e[:5]).max()
+        for n in range(5):
+            assert abs(abs(want_v[:, n] @ vectors[:, n]) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("poly", [HARMONIC, QUARTIC], ids=["harmonic", "quartic"])
+    def test_complete_orthonormal_eigensystem(self, grid64, poly):
+        H = ObservableSpec.from_poly(poly, "H")
+        spec = OrderingSpec(0.5, GaussianSmoother(0.1, 0.1))
+        (want_e, _), S, scale = self.real_eigh(H, spec, grid64)
+        energies, vectors = hermitian_eigh(H, spec, grid64)
+        assert np.all(np.diff(energies) >= 0)
+        assert np.abs(energies - want_e).max() < 1e-12 * scale
+        assert np.abs(vectors.T @ vectors - np.eye(64)).max() < 1e-12
+        assert np.abs((vectors * energies) @ vectors.T - S).max() < 1e-12 * scale
+
+    def test_dense_propagator_uses_every_pair(self, grid64):
+        # a displaced, moving packet has even and odd parts on every level
+        H = ObservableSpec.from_poly(self.QUARTIC, "H")
+        spec = OrderingSpec(0.5)
+        x = grid64.x
+        phi0 = WaveFunction(grid64, np.exp(-0.5 * (x - 1.0) ** 2 + 0.7j * x)).normalized()
+        cfg = EvolutionConfig(dt=0.1, steps=5, method="matrix_exponential")
+        got = evolve_schrodinger(phi0, H, spec, cfg, phase_space_snapshots=False)
+        (w, v), _, _ = self.real_eigh(H, spec, grid64)
+        want = v @ (np.exp(-0.5j * w / grid64.hbar) * (v.T @ phi0.values))
+        assert np.abs(got.snapshots[-1].values - want).max() < 1e-10
+
+    def test_equal_energies_come_back_even_first(self, grid64):
+        # x^2 is diagonal: x_j and x_{-j} = -x_j give one even and one odd level
+        energies, vectors = hermitian_eigh(
+            ObservableSpec.from_poly(PolyH.monomial(2, 0), "x^2"), OrderingSpec(0.5), grid64)
+        pairs = np.flatnonzero(energies[1:] == energies[:-1])
+        assert len(pairs) == 31
+        mirrored = vectors[-np.arange(64)]          # row j -> row -j mod nx
+        assert np.array_equal(mirrored[:, pairs], vectors[:, pairs])
+        assert np.array_equal(mirrored[:, pairs + 1], -vectors[:, pairs + 1])
+
+    @pytest.mark.parametrize("H, grid", [
+        (ObservableSpec.from_poly(ODD_POTENTIAL, "odd"), make_grid(64, 64, -8, 8, -8, 8, 1.0)),
+        (ObservableSpec.x_function(lambda x: 0.5 * x ** 2)
+         + ObservableSpec.from_poly(PolyH.monomial(0, 2, c=0.5), "T"),
+         make_grid(64, 64, -8, 8, -8, 8, 1.0)),
+        (ObservableSpec.harmonic(), make_grid(64, 64, -7, 9, -8, 8, 1.0)),
+        (ObservableSpec.harmonic() + ObservableSpec.from_poly(PolyH.monomial(1, 1, c=0.1), "xp"),
+         make_grid(64, 64, -8, 8, -8, 8, 1.0)),
+        (ObservableSpec.harmonic(), make_grid(1, 64, -8, 8, -8, 8, 1.0)),
+    ], ids=["odd-potential", "x-function", "uncentred-span", "xp-word", "one-point"])
+    def test_other_words_take_the_full_route(self, grid64, monkeypatch, H, grid):
+        calls = self.counted_eigh(monkeypatch)
+        hermitian_eigh(H, OrderingSpec(0.5), grid)
+        assert calls == [grid.nx]
+        calls.clear()
+        hermitian_eigh(ObservableSpec.harmonic(), OrderingSpec(0.5), grid64)
+        assert calls == [33, 31]
 
 
 class TestGaugeInvariance:

@@ -79,6 +79,11 @@ BRANCHES = {
     "spectrum-emit-fields": {"scenario": "spectrum", "grid": {"nx": 64, "np": 32},
                              "formats": ["csv", "bin"],
                              "params": {"levels": 2, "emit_fields": True}},
+    # spectra that keep the full eigensolve: an odd word, and a span with x_min != -x_max
+    "spectrum-odd-potential": {"scenario": "spectrum", "grid": _MID,
+                               "params": {"hamiltonian": _QUARTIC + " + 0.02*x^3"}},
+    "spectrum-uncentred-span": {"scenario": "spectrum",
+                                "grid": dict(_MID, x_min=-7.0, x_max=9.0)},
     # the closed forms under a Gaussian ordering
     "oracle-free-gaussian": {"scenario": "oracle", "grid": _MID, "ordering": _GAUSSIAN,
                              "formats": ["bin"], "params": {"state": "free", "t": 0.5}},
