@@ -313,6 +313,7 @@ def coherent_genvalue_residuals(params, state):
     equivalent pair of first-order differential equations, all relative.  The
     Bopp residuals are under the state's ordering; the PDEs are the identity-
     smoother system at its sigma (a Gaussian(0.1, 0.1) state reads 0.13).
+    A zero field raises NumericalPreconditionError.
     """
     grid = state.grid
     hbar = grid.hbar
@@ -323,6 +324,8 @@ def coherent_genvalue_residuals(params, state):
     a_up = ObservableSpec.from_poly(creation_symbol(params, hbar), "abar")
     psi = state.psi_field
     nrm = l2_norm(psi)
+    if nrm == 0.0:
+        raise NumericalPreconditionError("coherent genvalue residuals of a zero field")
     left = l2_norm(bopp_apply(a_dn, psi, "left", state.spec) - psi * z) / nrm
     right = l2_norm(bopp_apply(a_up, psi, "right", state.spec) - psi * np.conj(z)) / nrm
     # first-order system, spectral derivatives

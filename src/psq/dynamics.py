@@ -187,8 +187,8 @@ def evolve_schrodinger(phi0, H, spec, cfg, observables=None,
 
 def _quantum_rhs(H, spec, hbar):
     def rhs(field):
-        com = bopp_apply(H, field, "left", spec) - bopp_apply(H, field, "right", spec)
-        return com * (1.0 / (1j * hbar))
+        left, right = bopp_apply(H, field, "both", spec)
+        return (left - right) * (1.0 / (1j * hbar))
     return rhs
 
 def _classical_rhs(H, grid):

@@ -21,14 +21,18 @@ samples f(x + s y) (``_sheared_samples``), the maps between a sigma-field
 and its configuration-space kernel (``_to_kernel``, ``_from_kernel``) with
 their dense lag sums and shear geometry, its rank-one case for the twisted
 tensor product (``_from_pair``), the star product's twisted convolution
-on the conjugate lattice (``_twisted_convolution``), and the circulant lag
+on the conjugate lattice (``_twisted_convolution``), the two halves of the
+mixed multiply (``_to_mixed``, ``_from_mixed``), and the circulant lag
 layout of the x-axis mixed multiply's dense matrix (``_mixed_matrix``);
 other modules transform through these, and no other module calls numpy.fft.
 
 One row writer exports a field as x-major rows ``x p re im``, comma-separated
 under a header (:func:`write_field_csv`) or space-separated (:func:`write_field_dat`).
 
-Fields are immutable values: every operation returns a new field.  Two
+Fields are immutable values: every operation returns a new field.  A
+transform writes only into a buffer it allocated itself (``half_dft``'s
+``out=`` takes such a buffer, so a chain of steps reuses one array), never
+into its input, so a field's samples are never changed under it.  Two
 fields interoperate only if their grids compare equal; there is never an
 implicit resample.
 """
@@ -232,44 +236,50 @@ def _dft_phases(n, in0, din, out0, dout, sign, hbar):
     return pre, post
 
 
-def half_dft(values, axis, in0, din, out0, dout, sign, hbar):
+def half_dft(values, axis, in0, din, out0, dout, sign, hbar, out=None):
     """sum_j f_j exp(sign * i * out_m * in_j / hbar) along one axis.
 
     in_j = in0 + j*din and out_m = out0 + m*dout with n*din*dout = 2 pi hbar,
     which reduces the kernel to a plain FFT between pre/post phase factors.
     No weight is applied here; the FFT is numpy's and runs on one thread.
+    The result goes into ``out`` when given (a complex array of the values'
+    shape, which may be ``values`` itself: a buffer its caller owns), else
+    into one new array; the phases, the FFT and the scaling all run in that
+    buffer, and ``values`` is read only.
     """
-    values = np.asarray(values, dtype=complex)
+    values = np.asarray(values)
     n = values.shape[axis]
     pre, post = _dft_phases(n, in0, din, out0, dout, sign, hbar)
     shape = [1] * values.ndim
     shape[axis] = n
-    a = values * pre.reshape(shape)
+    out = np.multiply(values, pre.reshape(shape), out=out)
     if sign < 0:
-        A = np.fft.fft(a, axis=axis)
+        np.fft.fft(out, axis=axis, out=out)
     else:
-        A = np.fft.ifft(a, axis=axis) * n
-    return A * post.reshape(shape)
+        np.fft.ifft(out, axis=axis, out=out)
+        out *= n
+    out *= post.reshape(shape)
+    return out
 
 
-def _fwd_x(grid, values):
+def _fwd_x(grid, values, out=None):
     """x -> xi with kernel e^{-i x xi/hbar}; no weight."""
-    return half_dft(values, 0, grid.x[0], grid.dx, grid.xi[0], grid.dxi, -1, grid.hbar)
+    return half_dft(values, 0, grid.x[0], grid.dx, grid.xi[0], grid.dxi, -1, grid.hbar, out=out)
 
 
-def _inv_x(grid, values):
+def _inv_x(grid, values, out=None):
     """xi -> x with kernel e^{+i x xi/hbar}; no weight."""
-    return half_dft(values, 0, grid.xi[0], grid.dxi, grid.x[0], grid.dx, +1, grid.hbar)
+    return half_dft(values, 0, grid.xi[0], grid.dxi, grid.x[0], grid.dx, +1, grid.hbar, out=out)
 
 
-def _p_to_eta(grid, values):
+def _p_to_eta(grid, values, out=None):
     """p -> eta with kernel e^{+i eta p/hbar}; no weight."""
-    return half_dft(values, 1, grid.p[0], grid.dp, grid.eta[0], grid.deta, +1, grid.hbar)
+    return half_dft(values, 1, grid.p[0], grid.dp, grid.eta[0], grid.deta, +1, grid.hbar, out=out)
 
 
-def _eta_to_p(grid, values):
+def _eta_to_p(grid, values, out=None):
     """eta -> p with kernel e^{-i eta p/hbar}; no weight."""
-    return half_dft(values, 1, grid.eta[0], grid.deta, grid.p[0], grid.dp, -1, grid.hbar)
+    return half_dft(values, 1, grid.eta[0], grid.deta, grid.p[0], grid.dp, -1, grid.hbar, out=out)
 
 
 def fourier_full(field):
@@ -277,7 +287,7 @@ def fourier_full(field):
     F f(xi_k, eta_l), in a PhaseField of the same shape with the field's flags."""
     g = field.grid
     out = _fwd_x(g, field.values)
-    out = _p_to_eta(g, out)
+    _p_to_eta(g, out, out=out)
     out *= g.dx * g.dp / (2.0 * np.pi * g.hbar)
     return PhaseField(g, out, field.meta)
 
@@ -287,17 +297,17 @@ def fourier_full_inverse(field):
     (x, p), with the field's guard flags."""
     g = field.grid
     out = _inv_x(g, field.values)
-    out = _eta_to_p(g, out)
+    _eta_to_p(g, out, out=out)
     out *= g.dxi * g.deta / (2.0 * np.pi * g.hbar)
     return PhaseField(g, out, field.meta)
 
 
 # (axis, direction) -> (half transform, spacing of its input lattice): one
-# weighted fourier_partial step; multiply_mixed runs an axis's pair out of the
-# sample lattice and back
+# weighted fourier_partial step
 _HALF = {("x", "forward"): (_fwd_x, "dx"), ("x", "inverse"): (_inv_x, "dxi"),
          ("p", "inverse"): (_p_to_eta, "dp"), ("p", "forward"): (_eta_to_p, "deta")}
-_OUT_AND_BACK = {"x": ("forward", "inverse"), "p": ("inverse", "forward")}
+# axis -> (out of the sample lattice, back onto it): multiply_mixed's round trip
+_MIXED = {"x": (_fwd_x, _inv_x), "p": (_p_to_eta, _eta_to_p)}
 
 
 def fourier_partial(field, axis, direction):
@@ -316,7 +326,8 @@ def fourier_partial(field, axis, direction):
         raise PSQError("direction must be 'forward' or 'inverse'")
     g = field.grid
     transform, spacing = _HALF[axis, direction]
-    out = transform(g, field.values) * (getattr(g, spacing) / np.sqrt(2.0 * np.pi * g.hbar))
+    out = transform(g, field.values)
+    out *= getattr(g, spacing) / np.sqrt(2.0 * np.pi * g.hbar)
     return PhaseField(g, out, field.meta)
 
 
@@ -327,12 +338,25 @@ def multiply_mixed(grid, values, axis, profile):
     axis='p' multiplies on the (x, y) lattice (p -> y, multiply, y -> p).
     The sqrt(2 pi hbar) weights of :func:`fourier_partial` cancel on the
     round trip, leaving 1/n.  Only axis 0 (x) or axis 1 (p) is transformed,
-    so any array whose x or p axis sits there may be passed.
+    so any array whose x or p axis sits there may be passed.  It runs
+    :func:`_to_mixed` then :func:`_from_mixed`; a caller multiplying one
+    operand by several profiles runs the first half once.
     """
     if axis not in ("x", "p"):
         raise PSQError("axis must be 'x' or 'p'")
-    (there, _), (back, _) = (_HALF[axis, d] for d in _OUT_AND_BACK[axis])
-    out = back(grid, there(grid, values) * profile)
+    return _from_mixed(grid, _to_mixed(grid, values, axis), axis, profile)
+
+
+def _to_mixed(grid, values, axis, out=None):
+    """The samples on an axis's mixed lattice, unweighted (into ``out`` when given)."""
+    return _MIXED[axis][0](grid, values, out=out)
+
+
+def _from_mixed(grid, mixed, axis, profile):
+    """Mixed-lattice samples times the profile, mapped back in the product's
+    own buffer and divided by n."""
+    work = mixed * profile
+    out = _MIXED[axis][1](grid, work, out=work)
     out /= grid.nx if axis == "x" else grid.np
     return out
 
@@ -353,30 +377,34 @@ def _mixed_matrix(grid, profile):
     return sliding_window_view(np.concatenate((c[1:], c)), grid.nx)[:, ::-1]
 
 
-def _fourier_powers(field, m_x, m_p, orders):
-    """{(r, s): F^-1[m_x^r m_p^s F f]} for each requested order.
+def _fourier_powers(field, shifts, orders):
+    """Yield ((r, s), i, F^-1[m_x^r m_p^s F f]) for each requested order, in
+    sorted order, and each multiplier pair (m_x, m_p) = shifts[i].
 
-    m_x and m_p are multipliers on the conjugate lattice (any shapes that
-    broadcast to it).  One full transform of the field, then one inverse per
-    distinct nonzero order; the order (0, 0) returns the samples themselves.
+    The multipliers live on the conjugate lattice (any shapes that broadcast
+    to it).  One full transform of the field, made at the first nonzero
+    order, serves every pair; each inverse is made when it is yielded, so a
+    caller that sums them holds one at a time.  The order (0, 0) yields the
+    samples themselves.
     """
-    wanted = set(orders)
-    out = {(0, 0): field.values} if (0, 0) in wanted else {}
-    wanted.discard((0, 0))
-    if wanted:
-        spectrum = fourier_full(field).values
-        for r, s in sorted(wanted):
-            mult = PhaseField(field.grid, spectrum * m_x ** r * m_p ** s)
-            out[(r, s)] = fourier_full_inverse(mult).values
-    return out
+    spectrum = None
+    for r, s in sorted(set(orders)):
+        if (r, s) != (0, 0) and spectrum is None:
+            spectrum = fourier_full(field).values
+        for i, (m_x, m_p) in enumerate(shifts):
+            if (r, s) == (0, 0):
+                yield (r, s), i, field.values
+            else:
+                mult = PhaseField(field.grid, spectrum * m_x ** r * m_p ** s)
+                yield (r, s), i, fourier_full_inverse(mult).values
 
 
 def spectral_derivatives(field, orders):
     """{(r, s): d_x^r d_p^s field values} for each requested order: the
     multipliers (i xi/hbar)^r (-i eta/hbar)^s through :func:`_fourier_powers`."""
     g = field.grid
-    return _fourier_powers(field, 1j * g.xi[:, None] / g.hbar, -1j * g.eta[None, :] / g.hbar,
-                           orders)
+    shift = (1j * g.xi[:, None] / g.hbar, -1j * g.eta[None, :] / g.hbar)
+    return {rs: values for rs, _i, values in _fourier_powers(field, [shift], orders)}
 
 
 def _sheared_samples(grid, coeffs, scale, y):
@@ -385,7 +413,8 @@ def _sheared_samples(grid, coeffs, scale, y):
     coeffs: interpolation coefficients of f (nx,), or of one f per y (nx, len(y)).
     """
     phases = np.exp(1j * scale * np.outer(grid.xi, y) / grid.hbar)
-    return _inv_x(grid, coeffs.reshape(grid.nx, -1) * phases)
+    work = coeffs.reshape(grid.nx, -1) * phases
+    return _inv_x(grid, work, out=work)
 
 
 def _shear_mask(grid, sigma, y):

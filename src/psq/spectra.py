@@ -71,13 +71,15 @@ def uncertainty(state, which):
 def stargen_residual(H, state, energy):
     """Relative residuals of the two-sided star-genvalue equations.
 
-    (|H*Psi - E Psi| / |Psi|, |Psi*H - E Psi| / |Psi|).
+    (|H*Psi - E Psi| / |Psi|, |Psi*H - E Psi| / |Psi|), both sides from one
+    Bopp action; a zero field raises NumericalPreconditionError.
     """
     psi = state.psi_field
     nrm = l2_norm(psi)
-    left = l2_norm(bopp_apply(H, psi, "left", state.spec) - psi * energy) / nrm
-    right = l2_norm(bopp_apply(H, psi, "right", state.spec) - psi * energy) / nrm
-    return left, right
+    if nrm == 0.0:
+        raise NumericalPreconditionError("star-genvalue residual of a zero field")
+    return tuple(l2_norm(acted - psi * energy) / nrm
+                 for acted in bopp_apply(H, psi, "both", state.spec))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,14 @@ Three computational routes, cross-checked in the test suite:
   ordered operator with x and p replaced by the (sigma, S) Bopp shifts
   (m_x, m_p), defined once on the conjugate lattice.  With the identity
   smoother they are real and the operator is applied pair by pair from
-  :meth:`ObservableSpec.factors` through the mixed-representation multiply
-  ``grids.multiply_mixed`` (one round trip per non-scalar factor); a
-  Gaussian smoother makes them complex, and the action is the two-index
-  series sum_{j,k} (d_x^j d_p^k A)/(j! k!) F^-1[m_x^j m_p^k F psi] through
-  ``grids._fourier_powers``.
+  :meth:`ObservableSpec.factors` through the two halves of the
+  mixed-representation multiply ``grids.multiply_mixed`` (one round trip
+  per non-scalar factor); a Gaussian smoother makes them complex, and the
+  action is the two-index series
+  sum_{j,k} (d_x^j d_p^k A)/(j! k!) F^-1[m_x^j m_p^k F psi] through
+  ``grids._fourier_powers``.  side='both' returns A * psi and psi * A from
+  one set of forward transforms of psi, as the two-sided star-genvalue
+  residual and the Moyal-bracket evolution need.
 
 Every transform runs through ``grids``, the sigma-field <-> kernel maps and
 the twisted convolution included.
@@ -40,8 +43,8 @@ import numpy as np
 
 from .errors import (IllPosedSmoothingError, NumericalPreconditionError, PSQError,
                      UnsupportedObservableError)
-from .grids import (PhaseField, _fourier_powers, _from_kernel, _to_kernel, _twisted_convolution,
-                    boundary_tail_mass, fourier_full, fourier_full_inverse, multiply_mixed)
+from .grids import (PhaseField, _fourier_powers, _from_kernel, _from_mixed, _to_kernel, _to_mixed,
+                    _twisted_convolution, boundary_tail_mass, fourier_full, fourier_full_inverse)
 from .ordering import GaussianSmoother
 from .polyalg import PolyH, sigma_order, sigma_order_right, word_profiles
 
@@ -283,14 +286,16 @@ def _bopp_shifts(spec, side, grid):
     return m_x, m_p
 
 
-def _bopp_series(poly, field, m_x, m_p):
-    """Polynomial symbol times field as a finite series in the Bopp shifts:
+def _bopp_series(poly, field, shifts):
+    """Polynomial symbol times field as a finite series in the Bopp shifts,
+    one result per (m_x, m_p) pair of shifts:
 
         A * g = sum_{j,k} (d_x^j d_p^k A) / (j! k!) F^-1[m_x^j m_p^k F g],
 
     with the symbol derivatives exact and the transforms of
-    ``grids._fourier_powers``.  No deconvolution appears, unlike the
-    pull-back/push-forward sandwich.
+    ``grids._fourier_powers``: one full transform of g for every pair, and
+    each inverse added to its sum as it is made.  No deconvolution appears,
+    unlike the pull-back/push-forward sandwich.
     """
     g = field.grid
     X, P = g.x[:, None], g.p[None, :]       # broadcast axes: powers cost O(nx + np)
@@ -298,15 +303,17 @@ def _bopp_series(poly, field, m_x, m_p):
     degp = max((m for (_n, m, _k) in poly.terms), default=0)
     terms = {(j, k): poly.diff_x(j).diff_p(k) for j in range(degx + 1) for k in range(degp + 1)}
     terms = {jk: d_sym for jk, d_sym in terms.items() if not d_sym.is_zero()}
-    works = _fourier_powers(field, m_x, m_p, terms)
-    out = np.zeros((g.nx, g.np), dtype=complex)
-    for (j, k), d_sym in terms.items():
-        out += d_sym.evaluate(X, P, g.hbar) / (factorial(j) * factorial(k)) * works[j, k]
-    return PhaseField(g, out, field.meta)
+    outs = [np.zeros((g.nx, g.np), dtype=complex) for _ in shifts]
+    for (j, k), i, work in _fourier_powers(field, shifts, terms):
+        if i == 0:
+            coeff = terms[j, k].evaluate(X, P, g.hbar) / (factorial(j) * factorial(k))
+        outs[i] += coeff * work
+    return [PhaseField(g, out, field.meta) for out in outs]
 
 
 def bopp_apply(A, psi, side, spec):
-    """A *_{sigma,S} psi (side='left') or psi *_{sigma,S} A (side='right').
+    """A *_{sigma,S} psi (side='left'), psi *_{sigma,S} A (side='right'), or
+    the pair (A *_{sigma,S} psi, psi *_{sigma,S} A) (side='both').
 
     The ordered operator acts with x and p replaced by the Bopp shifts of
     :func:`_bopp_shifts`.  With the identity smoother they are real: left
@@ -317,26 +324,44 @@ def bopp_apply(A, psi, side, spec):
     the shifts, and the action becomes the finite two-index series of
     :func:`_bopp_series` (no deconvolution); every other smoother, and
     function terms under a Gaussian one, raise UnsupportedObservableError.
-    The result keeps psi's guard flags.
+    One side runs the same code as both.  Both sides share psi's forward
+    transforms: its x -> u and p -> y transforms, made at most once and
+    used by every factor pair of either side, or its one full transform
+    under a Gaussian smoother.  Each result keeps psi's guard flags.
     """
-    if side not in ("left", "right"):
-        raise PSQError("side must be 'left' or 'right'")
+    if side not in ("left", "right", "both"):
+        raise PSQError("side must be 'left', 'right' or 'both'")
     smoothed = not spec.is_plain_sigma()
     if smoothed and (A.fns or not isinstance(spec.smoother, GaussianSmoother)):
         raise UnsupportedObservableError(
             "smoothed Bopp actions need a Gaussian smoother and polynomial "
             "terms; got %s with %s" % (spec.smoother.kind, A.label))
     g = psi.grid
-    m_x, m_p = _bopp_shifts(spec, side, g)
+    sides = ("left", "right") if side == "both" else (side,)
+    shifts = [_bopp_shifts(spec, s, g) for s in sides]
     if smoothed:
-        return _bopp_series(A.poly, psi, m_x, m_p).assert_finite()
-    xq = g.x[:, None] + m_x
-    pq = g.p[None, :] + m_p
-    out = np.zeros((g.nx, g.np), dtype=complex)
-    for b, a in A.factors(spec, side, xq, pq, g.hbar):
-        work = psi.values if b is None else multiply_mixed(g, psi.values, "x", b)
-        out += work * a if np.ndim(a) == 0 else multiply_mixed(g, work, "p", a)
-    return PhaseField(g, out, psi.meta).assert_finite()
+        acted = _bopp_series(A.poly, psi, shifts)
+    else:
+        mixed = {}                  # axis -> psi on its mixed lattice, made on first use
+
+        def psi_mixed(axis):
+            if axis not in mixed:
+                mixed[axis] = _to_mixed(g, psi.values, axis)
+            return mixed[axis]
+
+        acted = []
+        for s, (m_x, m_p) in zip(sides, shifts):
+            out = np.zeros((g.nx, g.np), dtype=complex)
+            for b, a in A.factors(spec, s, g.x[:, None] + m_x, g.p[None, :] + m_p, g.hbar):
+                work = psi.values if b is None else _from_mixed(g, psi_mixed("x"), "x", b)
+                if np.ndim(a) == 0:
+                    out += work * a
+                else:
+                    there = psi_mixed("p") if b is None else _to_mixed(g, work, "p", out=work)
+                    out += _from_mixed(g, there, "p", a)
+            acted.append(PhaseField(g, out, psi.meta))
+    acted = tuple(f.assert_finite() for f in acted)
+    return acted if side == "both" else acted[0]
 
 
 # ---------------------------------------------------------------------------

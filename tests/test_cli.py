@@ -229,6 +229,18 @@ class TestRunContract:
             if code != 0:
                 assert not os.path.exists(os.path.join(tmp, "new"))
 
+    def test_starprod_bopp_side_is_one_side(self, tmp_path):
+        # the library's side='both' returns two fields; the starprod scenario
+        # writes one, so its schema keeps left and right
+        for side, want in (("left", 0), ("right", 0), ("both", 2)):
+            payload = {"scenario": "starprod", "grid": {"nx": 32, "np": 32},
+                       "params": {"op": "bopp", "observable": "x*p", "side": side}}
+            (tmp_path / side).mkdir()
+            (code, manifest), outdir = run_config(payload, tmp_path / side)
+            assert code == want
+            assert (manifest is None) == (want != 0)
+            assert Path(outdir).exists() == (want == 0)
+
     def test_malformed_config_exit_2_no_artifacts(self, tmp_path):
         payload = {"scenario": "definitely-not-a-scenario",
                    "output_dir": str(tmp_path / "out")}

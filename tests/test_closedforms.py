@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
-from psq import (CohenSmoother, GaussianSmoother, ObservableSpec, OrderingSpec, PSQError,
-                 SpanError, apply_smoother, bopp_apply, expectation, l2_norm, make_grid, purity_check,
-                 stargen_residual, twisted_tensor, uncertainty)
+from psq import (CohenSmoother, GaussianSmoother, NumericalPreconditionError, ObservableSpec,
+                 OrderingSpec, PhaseField, PSQError, QuasiDistribution, SpanError, apply_smoother,
+                 bopp_apply, expectation, l2_norm, make_grid, purity_check, stargen_residual,
+                 twisted_tensor, uncertainty)
 from psq.closedforms import (CoherentParams, FreeGaussianParams,
                              OscillatorParams, _laguerre_recurrence,
                              annihilation_symbol, classical_limit_probe,
@@ -205,6 +206,12 @@ class TestCoherent:
         left, right, pde1, pde2 = coherent_genvalue_residuals(cp, cs)
         assert left < 1e-6 and right < 1e-6
         assert pde1 < 1e-6 and pde2 < 1e-6
+
+    def test_genvalue_residuals_refuse_a_zero_field(self):
+        g = make_grid(32, 32, -6.0, 6.0, -6.0, 6.0, 1.0)
+        zero = QuasiDistribution(PhaseField.constant(g, 0.0), OrderingSpec(0.5))
+        with pytest.raises(NumericalPreconditionError, match="zero field"):
+            coherent_genvalue_residuals(CoherentParams(0.7, 0.4, 1.0), zero)
 
     def test_minimum_uncertainty(self, grid64):
         cs = coherent_state(CoherentParams(1.0, 0.5, 1.0), OrderingSpec(0.5), grid64)

@@ -10,8 +10,8 @@ from psq import (GridMismatchError, PhaseField, PSQError,
                  WaveFunction, fourier_full, fourier_full_inverse,
                  fourier_partial, integrate, l2_inner, l2_norm, make_grid,
                  read_field, write_field, write_field_csv)
-from psq.grids import (_dft_phases, _fwd_x, _sheared_samples, half_dft, multiply_mixed,
-                       spectral_derivatives)
+from psq.grids import (_dft_phases, _fourier_powers, _fwd_x, _mixed_matrix, _sheared_samples,
+                       half_dft, multiply_mixed, spectral_derivatives)
 from psq.ordering import OrderingSpec
 from psq.states import hermite_function, twisted_tensor
 
@@ -172,6 +172,103 @@ class TestMixedDispatch:
     def test_multiply_mixed_rejects_axis(self, grid64):
         with pytest.raises(PSQError, match="axis must be 'x' or 'p'"):
             multiply_mixed(grid64, np.ones((64, 64)), "z", 1.0)
+
+
+def _frozen(values):
+    """A read-only copy of values, and a second copy to compare it against."""
+    frozen = np.array(values)
+    frozen.flags.writeable = False
+    return frozen, frozen.copy()
+
+
+class TestInputsStayUnchanged:
+    """Every transform writes only into a buffer it allocated: its inputs,
+    read-only, real or 1-D, come back bit for bit as they went in."""
+
+    G = make_grid(32, 16, -6.0, 5.0, -3.0, 4.0, 0.7)
+
+    def _inputs(self, rng):
+        nx, npn = self.G.nx, self.G.np
+        return {"complex": rng.normal(size=(nx, npn)) + 1j * rng.normal(size=(nx, npn)),
+                "real": rng.normal(size=(nx, npn)),
+                "vector": rng.normal(size=nx) + 1j * rng.normal(size=nx),
+                "real vector": rng.normal(size=nx)}
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "vector", "real vector"])
+    @pytest.mark.parametrize("sign", [-1, +1])
+    def test_half_dft(self, rng, kind, sign):
+        g = self.G
+        values, before = _frozen(self._inputs(rng)[kind])
+        args = (0, g.x[0], g.dx, g.xi[0], g.dxi, sign, g.hbar)
+        want = half_dft(before.astype(complex), *args)
+        assert np.array_equal(half_dft(values, *args), want)
+        buffer = np.empty(values.shape, dtype=complex)
+        assert half_dft(values, *args, out=buffer) is buffer
+        assert np.array_equal(buffer, want)
+        own = before.astype(complex)                    # a buffer that is also the input
+        assert half_dft(own, *args, out=own) is own
+        assert np.array_equal(own, want)
+        assert np.array_equal(values, before)
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_full_and_partial_transforms(self, rng, kind):
+        g = self.G
+        values, before = _frozen(self._inputs(rng)[kind])
+        field = PhaseField(g, values)
+        reference = PhaseField(g, before.astype(complex))
+        for transform in (fourier_full, fourier_full_inverse):
+            assert np.array_equal(transform(field).values, transform(reference).values)
+        for axis in ("x", "p"):
+            for direction in ("forward", "inverse"):
+                got = fourier_partial(field, axis, direction).values
+                assert np.array_equal(got, fourier_partial(reference, axis, direction).values)
+        assert np.array_equal(field.values, before)
+        assert np.array_equal(values, before)
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "vector", "real vector"])
+    def test_multiply_mixed(self, rng, kind):
+        g = self.G
+        values, before = _frozen(self._inputs(rng)[kind])
+        axes = ("x", "p") if values.ndim == 2 else ("x",)
+        for axis in axes:
+            n = g.nx if axis == "x" else g.np
+            shape = (n, 1) if axis == "x" and values.ndim == 2 else (n,)
+            profile, profile_before = _frozen(np.exp(rng.normal(size=shape)))
+            want = multiply_mixed(g, before.astype(complex), axis, profile_before)
+            assert np.array_equal(multiply_mixed(g, values, axis, profile), want)
+            assert np.array_equal(profile, profile_before)
+        assert np.array_equal(values, before)
+
+    def test_mixed_matrix_and_split_step_vectors(self, rng):
+        # the unit column of _mixed_matrix is a real vector, the split step's a complex one
+        g = self.G
+        profile, before = _frozen(g.xi ** 2 / 2.0)
+        C = _mixed_matrix(g, profile)
+        assert np.array_equal(C[:, 0], multiply_mixed(g, np.eye(g.nx)[0], "x", before))
+        psi, psi_before = _frozen(self._inputs(rng)["vector"])
+        assert np.array_equal(multiply_mixed(g, psi, "x", profile),
+                              multiply_mixed(g, psi_before, "x", before))
+        assert np.array_equal(psi, psi_before) and np.array_equal(profile, before)
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_fourier_powers(self, rng, kind):
+        g = self.G
+        values, before = _frozen(self._inputs(rng)[kind])
+        field = PhaseField(g, values)
+        shifts = [tuple(_frozen(m)[0] for m in (rng.normal(size=(g.nx, 1)),
+                                                 rng.normal(size=(1, g.np)) * 1j))
+                  for _ in range(2)]
+        orders = [(0, 0), (1, 0), (0, 2), (2, 1)]
+        got = list(_fourier_powers(field, shifts, orders))
+        assert [(rs, i) for rs, i, _v in got] == [(rs, i) for rs in sorted(orders) for i in (0, 1)]
+        spectrum = fourier_full(PhaseField(g, before.astype(complex))).values
+        for (r, s), i, work in got:
+            m_x, m_p = shifts[i]
+            want = before if (r, s) == (0, 0) else fourier_full_inverse(
+                PhaseField(g, spectrum * m_x ** r * m_p ** s)).values
+            assert np.array_equal(work, want)
+        assert np.array_equal(field.values, before)
+        assert np.array_equal(values, before)
 
 
 class TestShearedSamples:

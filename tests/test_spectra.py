@@ -7,7 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 import psq.starprod
 from psq import (EvolutionConfig, GaussianSmoother, IdentitySmoother, MixedState,
                  NumericalPreconditionError, ObservableSpec, OrderingSpec,
-                 PolyH, PSQError, evolve_schrodinger, expectation,
+                 PhaseField, PolyH, PSQError, evolve_schrodinger, expectation,
                  gauge_spectrum_check, l2_norm, make_grid,
                  operator_matrix, spectrum_via_schrodinger, stargen_residual,
                  twisted_tensor, uncertainty)
@@ -16,7 +16,7 @@ from psq.closedforms import (CoherentParams, FreeGaussianParams,
                              ho_state)
 from psq.grids import WaveFunction, multiply_mixed
 from psq.spectra import hermitian_eigh
-from psq.states import hermite_function
+from psq.states import QuasiDistribution, hermite_function
 
 
 def fd_oracle_levels(nx, span, potential, k=5):
@@ -118,6 +118,21 @@ class TestStargenResidual:
         left = l2_norm(bopp_apply(H, psi, "left", state.spec) - psi * 2.5) / nrm
         right = l2_norm(bopp_apply(H, psi, "right", state.spec) - psi * 1.5) / nrm
         assert left < 1e-6 and right < 1e-6
+
+    def test_both_sides_are_the_one_sided_residuals(self, grid64):
+        H = ObservableSpec.harmonic(1.0)
+        state = ho_state(2, 1, OscillatorParams(), grid64)
+        psi = state.psi_field
+        nrm = l2_norm(psi)
+        want = tuple(l2_norm(psq.starprod.bopp_apply(H, psi, side, state.spec) - psi * 2.5) / nrm
+                     for side in ("left", "right"))
+        assert stargen_residual(H, state, 2.5) == want
+
+    def test_zero_field_is_refused(self):
+        g = make_grid(32, 32, -6.0, 6.0, -6.0, 6.0, 1.0)
+        zero = QuasiDistribution(PhaseField.constant(g, 0.0), OrderingSpec(0.5))
+        with pytest.raises(NumericalPreconditionError, match="zero field"):
+            stargen_residual(ObservableSpec.harmonic(1.0), zero, 0.5)
 
     def test_random_state_is_not_an_eigenstate(self, grid64, rng):
         phi = hermite_function(grid64, 0)

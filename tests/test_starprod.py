@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.fft as sp_fft
+
+import psq.grids
+import psq.starprod
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -299,7 +302,7 @@ class TestBoppSeries:
                 for poly in SERIES_SYMBOLS:
                     want = _gaussian_direct_product(poly, field, side, sigma,
                                                     alpha, beta, g.hbar).values
-                    got = _bopp_series(poly, field, m_x, m_p).values
+                    got = _bopp_series(poly, field, [(m_x, m_p)])[0].values
                     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -428,6 +431,59 @@ class TestBoppApply:
         mixed = ObservableSpec.x_function(np.cos) + ObservableSpec.harmonic(1.0)
         with pytest.raises(UnsupportedObservableError):
             operator_matrix(mixed, OrderingSpec(0.4, GaussianSmoother(0.1, 0.2)), grid64)
+
+
+class TestBoppBoth:
+    """side='both' is bit for bit the pair of one-sided actions, from one
+    set of forward transforms of the operand."""
+
+    CASES = {
+        "identity-functions": (
+            lambda: ObservableSpec.harmonic(1.3) + ObservableSpec.x_function(np.cos)
+            + ObservableSpec.p_function(lambda p: 0.1 * p ** 4),
+            lambda: OrderingSpec(0.37)),
+        "x2p2-sigma-0.3": (lambda: ObservableSpec.from_poly(PolyH.monomial(2, 2), "x2p2"),
+                           lambda: OrderingSpec(0.3)),
+        "quartic-gaussian": (
+            lambda: ObservableSpec.from_poly(
+                PolyH.monomial(0, 2, c=0.5) + PolyH.monomial(2, 0, c=0.5)
+                + PolyH.monomial(4, 0, c=0.1), "quartic"),
+            lambda: OrderingSpec(0.37, GaussianSmoother(0.1, 0.1))),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_the_one_sided_calls(self, grid64, rng, case):
+        A, spec = (build() for build in self.CASES[case])
+        f = gaussian_mixture(grid64, rng)
+        f.meta["tail_mass_warning"] = 1e-3
+        left, right = bopp_apply(A, f, "both", spec)
+        assert np.array_equal(left.values, bopp_apply(A, f, "left", spec).values)
+        assert np.array_equal(right.values, bopp_apply(A, f, "right", spec).values)
+        assert left.meta == right.meta == f.meta
+        assert left.meta is not right.meta
+
+    def test_identity_transforms_the_operand_once_per_axis(self, grid64, rng, monkeypatch):
+        A, spec = (build() for build in self.CASES["identity-functions"])
+        f = gaussian_mixture(grid64, rng)
+        seen = []
+        to_mixed = psq.starprod._to_mixed
+
+        def counted(grid, values, axis, **kwargs):
+            seen.append(axis if values is f.values else None)
+            return to_mixed(grid, values, axis, **kwargs)
+
+        monkeypatch.setattr(psq.starprod, "_to_mixed", counted)
+        bopp_apply(A, f, "both", spec)
+        assert sorted(a for a in seen if a is not None) == ["p", "x"]
+
+    def test_gaussian_transforms_the_operand_once(self, grid64, rng, monkeypatch):
+        A, spec = (build() for build in self.CASES["quartic-gaussian"])
+        f = gaussian_mixture(grid64, rng)
+        calls = []
+        full = psq.grids.fourier_full
+        monkeypatch.setattr(psq.grids, "fourier_full", lambda field: calls.append(1) or full(field))
+        bopp_apply(A, f, "both", spec)
+        assert len(calls) == 1
 
 
 class TestObservableSampling:
