@@ -26,15 +26,26 @@ mixed multiply (``_to_mixed``, ``_from_mixed``), and the circulant lag
 layout of the x-axis mixed multiply's dense matrix (``_mixed_matrix``);
 other modules transform through these, and no other module calls numpy.fft.
 
+Phase tables that depend on the grid alone are built once and cached
+read-only, in bounded ``lru_cache`` helpers keyed by hashable values:
+``half_dft``'s pre and post phases (``_dft_phases``), and the kernel maps'
+lag lattice with exp(i p y/hbar), exp(i x xi/hbar) and exp(i xi eta/hbar)
+(``_kernel_phases``, keyed by the frozen grid, two entries: the two grids a
+caller alternating between sizes uses).  The sigma-dependent tables (the
+shear phases of ``_sheared_samples`` and the ``_shear_mask`` masks) are
+built per call and never cached: sigma changes from one product to the
+next, so a cache would hold entries that are never read again.
+
 One row writer exports a field as x-major rows ``x p re im``, comma-separated
-under a header (:func:`write_field_csv`) or space-separated (:func:`write_field_dat`).
+under a header (:func:`write_field_csv`) or space-separated (:func:`write_field_dat`),
+one x-row of Python floats at a time.
 
 Fields are immutable values: every operation returns a new field.  A
-transform writes only into a buffer it allocated itself (``half_dft``'s
-``out=`` takes such a buffer, so a chain of steps reuses one array), never
-into its input, so a field's samples are never changed under it.  Two
-fields interoperate only if their grids compare equal; there is never an
-implicit resample.
+transform writes only into a buffer it allocated itself (``half_dft``'s and
+``_sheared_samples``' ``out=`` take such a buffer, so a chain of steps, as
+in the kernel maps, reuses one array), never into its input, so a field's
+samples are never changed under it.  Two fields interoperate only if their
+grids compare equal; there is never an implicit resample.
 """
 
 import os
@@ -407,13 +418,15 @@ def spectral_derivatives(field, orders):
     return {rs: values for rs, _i, values in _fourier_powers(field, [shift], orders)}
 
 
-def _sheared_samples(grid, coeffs, scale, y):
+def _sheared_samples(grid, coeffs, scale, y, out=None):
     """Samples f(x_j + scale * y_l) on the (x, y) lattice, by shift theorem.
 
     coeffs: interpolation coefficients of f (nx,), or of one f per y (nx, len(y)).
+    The samples go into ``out`` when given (a complex (nx, len(y)) buffer its
+    caller owns, which may be ``coeffs`` itself), else into one new array.
     """
     phases = np.exp(1j * scale * np.outer(grid.xi, y) / grid.hbar)
-    work = coeffs.reshape(grid.nx, -1) * phases
+    work = np.multiply(coeffs.reshape(grid.nx, -1), phases, out=out)
     return _inv_x(grid, work, out=work)
 
 
@@ -431,6 +444,21 @@ def _share(weight, mask):
     return float(weight[mask].sum() / max(weight.sum(), 1e-300))
 
 
+@lru_cache(maxsize=2)
+def _kernel_phases(grid):
+    """The kernel maps' phase tables that depend on the grid alone, cached and
+    read-only: the lags y_d = d dx (d in [1 - nx, nx - 1]), exp(i p y_d/hbar)
+    (np x (2 nx - 1)), exp(i x xi/hbar) (nx x nx) and exp(i xi eta/hbar)
+    (nx x np).  Two entries hold the two grids an alternating caller uses."""
+    y = grid.dx * np.arange(1 - grid.nx, grid.nx)
+    tables = (y, np.exp(1j * np.outer(grid.p, y) / grid.hbar),
+              np.exp(1j * np.outer(grid.x, grid.xi) / grid.hbar),
+              np.exp(1j * np.outer(grid.xi, grid.eta) / grid.hbar))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _to_kernel(values, sigma, grid):
     """Kernel K[i, k] of a sigma-field's values, and its lost mass: chi at the
     lags y_d = d dx by one dense p -> y sum (a periodic image, zeroed, past the
@@ -440,14 +468,16 @@ def _to_kernel(values, sigma, grid):
     the (xi, p) whose kernel momenta p + sigmabar xi or p - sigma xi pass the
     x lattice's Nyquist pi hbar / dx)."""
     n, nyquist = grid.nx, -grid.xi[0]
-    y = grid.dx * np.arange(1 - n, n)
-    chi = values @ np.exp(1j * np.outer(grid.p, y) / grid.hbar)
+    y, lag_phases = _kernel_phases(grid)[:2]
+    chi = values @ lag_phases
     chi *= (np.abs(y) <= -grid.eta[0]) * (grid.dp / np.sqrt(2.0 * np.pi * grid.hbar))
     xi, p = grid.xi[:, None], grid.p[None, :]
     aliased = (np.abs(p + (1.0 - sigma) * xi) > nyquist) | (np.abs(p - sigma * xi) > nyquist)
     lost = (_share(np.abs(chi) ** 2, ~_shear_mask(grid, sigma, y))
             + _share(np.abs(_fwd_x(grid, values)) ** 2, aliased))
-    shifted = _sheared_samples(grid, _fwd_x(grid, chi) / n, 1.0 - sigma, y)
+    _fwd_x(grid, chi, out=chi)
+    chi /= n
+    shifted = _sheared_samples(grid, chi, 1.0 - sigma, y, out=chi)
     i = np.arange(n)
     return shifted[i[:, None], i[None, :] - i[:, None] + n - 1], lost
 
@@ -458,9 +488,17 @@ def _from_kernel(K, sigma, grid):
     -sigmabar eta_l shift along x give chi on the (x, eta) lattice, whose
     p-sum is exactly tr K."""
     n, eta = grid.nx, grid.eta
-    rows = _fwd_x(grid, K.T).T / n * np.exp(1j * np.outer(grid.x, grid.xi) / grid.hbar)
-    H = rows @ np.exp(1j * np.outer(grid.xi, eta) / grid.hbar) * _shear_mask(grid, 1.0, eta)
-    chi = _sheared_samples(grid, _fwd_x(grid, H) / n, sigma - 1.0, eta) * _shear_mask(grid, sigma, eta)
+    row_phases, col_phases = _kernel_phases(grid)[2:]
+    rows = _fwd_x(grid, K.T).T
+    rows /= n
+    rows *= row_phases
+    H = rows @ col_phases
+    del rows                                   # the nx x nx buffer goes before the masks
+    H *= _shear_mask(grid, 1.0, eta)
+    _fwd_x(grid, H, out=H)
+    H /= n
+    chi = _sheared_samples(grid, H, sigma - 1.0, eta, out=H)
+    chi *= _shear_mask(grid, sigma, eta)
     return fourier_partial(PhaseField(grid, chi), "p", "forward").values
 
 
@@ -593,15 +631,17 @@ def read_field(path):
 
 
 def _write_rows(field, path, sep, header):
-    """The header, then x-major rows x, p, re, im as %.17g joined by sep."""
+    """The header, then x-major rows x, p, re, im as %.17g joined by sep,
+    formatted one x-row at a time."""
     g = field.grid
-    v = field.values
     num = "%.17g" + sep
+    pair = (num + "%.17g\n").__mod__
     xs, ps = ([num % a for a in axis.tolist()] for axis in (g.x, g.p))
-    vals = map((num + "%.17g\n").__mod__, zip(v.real.ravel().tolist(), v.imag.ravel().tolist()))
     with open(path, "w") as fh:
         fh.write(header)
-        fh.writelines(x + p + next(vals) for x in xs for p in ps)
+        for x, row in zip(xs, field.values):
+            vals = map(pair, zip(row.real.tolist(), row.imag.tolist()))
+            fh.writelines(x + p + v for p, v in zip(ps, vals))
 
 
 def write_field_csv(field, path):

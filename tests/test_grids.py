@@ -1,5 +1,6 @@
 import ast
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,10 @@ import psq
 from psq import (GridMismatchError, PhaseField, PSQError,
                  WaveFunction, fourier_full, fourier_full_inverse,
                  fourier_partial, integrate, l2_inner, l2_norm, make_grid,
-                 read_field, write_field, write_field_csv)
-from psq.grids import (_dft_phases, _fourier_powers, _fwd_x, _mixed_matrix, _sheared_samples,
-                       half_dft, multiply_mixed, spectral_derivatives)
+                 read_field, star_sigma, write_field, write_field_csv)
+from psq.grids import (_dft_phases, _fourier_powers, _from_kernel, _fwd_x, _kernel_phases,
+                       _mixed_matrix, _sheared_samples, _to_kernel, half_dft, multiply_mixed,
+                       spectral_derivatives)
 from psq.ordering import OrderingSpec
 from psq.states import hermite_function, twisted_tensor
 
@@ -270,6 +272,38 @@ class TestInputsStayUnchanged:
         assert np.array_equal(field.values, before)
         assert np.array_equal(values, before)
 
+    @pytest.mark.parametrize("kind", ["complex", "real", "vector", "real vector"])
+    def test_sheared_samples(self, rng, kind):
+        # a 2-D input holds one f per y, a 1-D input one f for every y
+        g = self.G
+        coeffs, before = _frozen(self._inputs(rng)[kind])
+        y, y_before = _frozen(rng.uniform(-3.0, 3.0, size=g.np))
+        want = _sheared_samples(g, before.astype(complex), 0.37, y_before)
+        assert np.array_equal(_sheared_samples(g, coeffs, 0.37, y), want)
+        buffer = np.empty((g.nx, g.np), dtype=complex)
+        assert _sheared_samples(g, coeffs, 0.37, y, out=buffer) is buffer
+        assert np.array_equal(buffer, want)
+        if coeffs.ndim == 2:
+            own = before.astype(complex)                # a buffer that is also the input
+            assert _sheared_samples(g, own, 0.37, y, out=own) is own
+            assert np.array_equal(own, want)
+        assert np.array_equal(coeffs, before) and np.array_equal(y, y_before)
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_kernel_maps(self, rng, kind):
+        g = self.G
+        values, before = _frozen(self._inputs(rng)[kind])
+        K, lost = _to_kernel(values, 0.37, g)
+        want_K, want_lost = _to_kernel(before.astype(complex), 0.37, g)
+        assert np.array_equal(K, want_K) and lost == want_lost
+        kernel = rng.normal(size=(g.nx, g.nx))
+        if kind == "complex":
+            kernel = kernel + 1j * rng.normal(size=(g.nx, g.nx))
+        kernel, kernel_before = _frozen(kernel)
+        want = _from_kernel(kernel_before.astype(complex), 0.37, g)
+        assert np.array_equal(_from_kernel(kernel, 0.37, g), want)
+        assert np.array_equal(values, before) and np.array_equal(kernel, kernel_before)
+
 
 class TestShearedSamples:
     # a band-limited trig polynomial: modes well inside the xi lattice
@@ -324,6 +358,91 @@ class TestPhaseCache:
         for g, got in zip(grids, warm[2:]):
             dense = np.exp(-1j * np.outer(g.xi, g.x) / g.hbar) @ vals
             assert np.abs(got[0] - dense).max() < 1e-12 * np.abs(dense).max()
+
+    # a product on two 64^2 grids that differ in span and hbar: both take the kernel route
+    KERNEL_GRIDS = (make_grid(64, 64, -8, 8, -8, 8, 1.0), make_grid(64, 64, -7, 7, -6, 6, 0.8))
+
+    @staticmethod
+    def _product(g, sigma=0.37):
+        h1, h2, spec = hermite_function(g, 1), hermite_function(g, 2), OrderingSpec(sigma)
+        f, h = (twisted_tensor(a, b, spec).psi_field for a, b in ((h1, h2), (h2, h1)))
+        return star_sigma(f, h, sigma).values
+
+    def test_kernel_phases_read_only_and_bounded(self):
+        for table in _kernel_phases(self.KERNEL_GRIDS[0]):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        assert 0 < _kernel_phases.cache_info().maxsize <= 2
+        for nx in (16, 32, 64):
+            _kernel_phases(make_grid(nx, 16, -4, 4, -4, 4, 1.0))
+        assert _kernel_phases.cache_info().currsize <= 2
+
+    def test_kernel_cache_changes_no_bit(self):
+        # two grids used in turn: each reads its own tables, and a cold cache
+        # gives each star product bit for bit as a warm one
+        grids = self.KERNEL_GRIDS
+        _kernel_phases.cache_clear()
+        warm = [self._product(g) for g in grids + grids]
+        info = _kernel_phases.cache_info()
+        # each product maps two operands to kernels and their product back
+        assert (info.misses, info.hits) == (2, 10)
+        for g, got in zip(grids + grids, warm):
+            _kernel_phases.cache_clear()
+            assert np.array_equal(got, self._product(g))
+        # the tables are the dense phases the maps used before, bit for bit
+        for g in grids:
+            y, lag, rows, cols = _kernel_phases(g)
+            assert np.array_equal(y, g.dx * np.arange(1 - g.nx, g.nx))
+            assert np.array_equal(lag, np.exp(1j * np.outer(g.p, y) / g.hbar))
+            assert np.array_equal(rows, np.exp(1j * np.outer(g.x, g.xi) / g.hbar))
+            assert np.array_equal(cols, np.exp(1j * np.outer(g.xi, g.eta) / g.hbar))
+
+    def test_sigma_sweep_adds_no_entries(self):
+        g = self.KERNEL_GRIDS[0]
+        self._product(g)
+        before = _kernel_phases.cache_info()
+        for sigma in (0.0, 0.25, 0.5, 0.75, 1.0):
+            self._product(g, sigma)
+        after = _kernel_phases.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+        assert after.hits == before.hits + 15
+
+
+class TestMemoryPeaks:
+    """tracemalloc peaks at 256^2, in nx np complex values (16 B each): the
+    kernel maps work in buffers they own beside the cached tables (6.1 and
+    3.0), and the row writer holds one x-row of Python floats (0.08).  Maps
+    that allocate each step afresh (8.2, 5.1) or a writer that holds every
+    value as a Python float (4.5) exceed the bounds."""
+
+    G = make_grid(256, 256, -8.0, 8.0, -8.0, 8.0, 1.0)
+    UNIT = 256 * 256 * 16
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / self.UNIT
+        finally:
+            tracemalloc.stop()
+
+    def _field(self):
+        f = twisted_tensor(hermite_function(self.G, 1), hermite_function(self.G, 2),
+                           OrderingSpec(0.37))
+        return f.psi_field.values
+
+    def test_to_kernel(self):
+        values = self._field()
+        _to_kernel(values, 0.37, self.G)                     # fills the cache
+        assert self._peak(lambda: _to_kernel(values, 0.37, self.G)) <= 7.0
+
+    def test_from_kernel(self):
+        K, _lost = _to_kernel(self._field(), 0.37, self.G)   # fills the cache
+        assert self._peak(lambda: _from_kernel(K, 0.37, self.G)) <= 4.0
+
+    def test_write_field_csv(self, tmp_path):
+        field = PhaseField(self.G, self._field())
+        assert self._peak(lambda: write_field_csv(field, tmp_path / "f.csv")) <= 1.0
 
 
 class TestDerivativeRule:

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from psq import (CohenSmoother, CoherentParams, GaussianSmoother, MixedState,
-                 NumericalPreconditionError, OrderingSpec, PhaseField, PSQError,
-                 WaveFunction,
+                 NumericalPreconditionError, ObservableSpec, OrderingSpec, PhaseField,
+                 PolyH, PSQError, WaveFunction,
                  apply_smoother, basis_idempotence_check, coherent_wavepacket,
-                 hermite_function, l2_norm, make_grid, marginal,
-                 pure_factorization, purity_check, read_state, star_sigma_S,
-                 twisted_tensor, WordSmoother, write_state)
+                 expectation, hermite_function, l2_norm, make_grid, marginal,
+                 operator_matrix, pstar, pure_factorization, purity_check, read_state,
+                 star_sigma_S, twisted_tensor, WordSmoother, write_state)
 from psq.polyalg import DiffOpWord
 from psq.starprod import _KERNEL_SPAN_MASS, _from_kernel, _to_kernel
 from psq.states import QuasiDistribution, _kernel
@@ -346,6 +346,38 @@ class TestKernelMap:
         # the product takes the kernel route and keeps both flags
         assert _to_kernel(pulled.values, 0.5, grid64)[1] <= _KERNEL_SPAN_MASS
         assert star_sigma_S(flagged, flagged, spec).meta == pulled.meta
+
+
+class TestKernelTwins:
+    """Each state-space quantity has a second route through the kernel K of
+    the state, on a 0.6 coherent (1, 0.5) + 0.4 Hermite-2 mixture at 128^2."""
+
+    @staticmethod
+    def _mixture(grid, sigma):
+        spec = OrderingSpec(sigma)
+        coh = coherent_wavepacket(CoherentParams(1.0, 0.5), grid)
+        h2 = hermite_function(grid, 2)
+        return MixedState(((0.6, twisted_tensor(coh, coh, spec)),
+                           (0.4, twisted_tensor(h2, h2, spec))))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.37])
+    def test_x_marginal_is_the_kernel_diagonal(self, grid128, sigma):
+        state = self._mixture(grid128, sigma)
+        _x, dens = marginal(state, "x")
+        diag = np.diag(_kernel(state))
+        assert np.abs(diag - dens).max() <= 1e-12 * dens.max()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.37])
+    def test_expectation_is_dx_sum_of_matrix_times_kernel(self, grid128, sigma):
+        state = self._mixture(grid128, sigma)
+        K = _kernel(state)
+        x, p = PolyH.x(), PolyH.p()
+        # the sigma-symbol of xp + px is x star p + p star x
+        for poly in (x, p * p, pstar(x, p, sigma) + pstar(p, x, sigma)):
+            A = ObservableSpec.from_poly(poly)
+            twin = grid128.dx * np.sum(operator_matrix(A, state.spec, grid128) * K)
+            want = expectation(A, state)
+            assert abs(twin - want) <= 1e-10 * abs(want)
 
 
 class TestMixedState:
