@@ -35,7 +35,8 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalPreconditionError, PSQError
-from .grids import FIELD_FORMAT_VERSION, make_grid, write_field, write_field_csv, write_field_dat
+from .grids import (FIELD_FORMAT_VERSION, make_grid, pair_shear, write_field, write_field_csv,
+                    write_field_dat)
 from .ordering import (ORDERING_SCHEMA, SIGMA_SCHEMA, SMOOTHER_SCHEMA, GaussianSmoother,
                        IdentitySmoother, spec_from_dict)
 from .polyalg import PolyH, pstar_S, sigma_S_order
@@ -436,23 +437,28 @@ def _scenario_starprod(grid, spec, p, emit):
     bopp reads only the right operand; dagger, smooth and gauge only the left.
     """
     op = p["op"]
-
-    @lru_cache(maxsize=None)        # equal indices share one operand
-    def operand(n):
-        h = hermite_function(grid, n, p["omega"])
-        return twisted_tensor(h, h, spec).psi_field
+    sides = (("left_hermite", "right_hermite") if op in _BINARY_OPS
+             else ("right_hermite",) if op == "bopp" else ("left_hermite",))
+    shear = pair_shear(grid, spec.sigma)           # one set of sigma tables for every operand
+    operands = {}
+    for n in (p[side] for side in sides):
+        if n not in operands:                       # equal indices share one operand
+            h = hermite_function(grid, n, p["omega"])
+            operands[n] = twisted_tensor(h, h, spec, shear).psi_field
+    del shear                                       # the tables go before the operation
+    left, right = operands[p[sides[0]]], operands[p[sides[-1]]]
 
     if op in _BINARY_OPS:
-        result = _BINARY_OPS[op](operand(p["left_hermite"]), operand(p["right_hermite"]), spec)
+        result = _BINARY_OPS[op](left, right, spec)
     elif op == "bopp":
         obs = ObservableSpec.from_poly(parse_poly(p["observable"]))
-        result = bopp_apply(obs, operand(p["right_hermite"]), p["side"], spec)
+        result = bopp_apply(obs, right, p["side"], spec)
     elif op == "dagger":
-        result = involution_dagger(operand(p["left_hermite"]), spec)
+        result = involution_dagger(left, spec)
     elif op == "smooth":
-        result = apply_smoother(spec, operand(p["left_hermite"]), p["direction"])
+        result = apply_smoother(spec, left, p["direction"])
     else:
-        result = gauge_transform(operand(p["left_hermite"]), spec.sigma, p["sigma_to"])
+        result = gauge_transform(left, spec.sigma, p["sigma_to"])
     emit.field("starprod_%s.psqf" % op, result)
 
 

@@ -24,7 +24,7 @@ from .errors import (NumericalPreconditionError, PSQError, StabilityBoundError,
                      TruncationError, UnsupportedObservableError)
 # half_dft stays bound here for perfbench's tracer, which patches it per module
 from .grids import (PhaseField, WaveFunction, half_dft, l2_norm,  # noqa: F401
-                    multiply_mixed, spectral_derivatives)
+                    multiply_mixed, pair_shear, spectral_derivatives)
 from .polyalg import PolyH, pstar, pstar_S
 from .spectra import _hermitian_gate, expectation, hermitian_eigh
 from .starprod import ObservableSpec, bopp_apply
@@ -171,11 +171,14 @@ def evolve_schrodinger(phi0, H, spec, cfg, observables=None,
         raise PSQError("evolve_schrodinger runs split_step_schrodinger or "
                        "matrix_exponential, not %r" % cfg.method)
 
+    # one set of sigma tables for every snapshot's state
+    shear = pair_shear(grid, spec.sigma) if (phase_space_snapshots or observables) else None
+
     def snapshot(values):
         wf = WaveFunction(grid, values.copy())
-        if not (phase_space_snapshots or observables):
+        if shear is None:
             return wf, wf.norm(), None
-        state = twisted_tensor(wf, wf, spec)
+        state = twisted_tensor(wf, wf, spec, shear)
         return (state.psi_field if phase_space_snapshots else wf), wf.norm(), state
 
     return _propagate(phi0.values, step, snapshot, cfg, observables)

@@ -32,9 +32,12 @@ read-only, in bounded ``lru_cache`` helpers keyed by hashable values:
 lag lattice with exp(i p y/hbar), exp(i x xi/hbar) and exp(i xi eta/hbar)
 (``_kernel_phases``, keyed by the frozen grid, two entries: the two grids a
 caller alternating between sizes uses).  The sigma-dependent tables (the
-shear phases of ``_sheared_samples`` and the ``_shear_mask`` masks) are
-built per call and never cached: sigma changes from one product to the
-next, so a cache would hold entries that are never read again.
+shear phases of ``_sheared_samples``, from ``_shear_phases``, and the
+``_shear_mask`` masks) are built once per call and shared by its operands:
+``_to_kernels`` maps every operand of a star product through one set, and
+``pair_shear`` gives a caller one set for all the pairs it builds at one
+sigma.  They are never cached past the call: sigma changes from one product
+to the next, so a cache would hold entries that are never read again.
 
 One row writer exports a field as x-major rows ``x p re im``, comma-separated
 under a header (:func:`write_field_csv`) or space-separated (:func:`write_field_dat`),
@@ -50,6 +53,7 @@ grids compare equal; there is never an implicit resample.
 
 import os
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -418,14 +422,22 @@ def spectral_derivatives(field, orders):
     return {rs: values for rs, _i, values in _fourier_powers(field, [shift], orders)}
 
 
-def _sheared_samples(grid, coeffs, scale, y, out=None):
-    """Samples f(x_j + scale * y_l) on the (x, y) lattice, by shift theorem.
+def _shear_phases(grid, scale, y):
+    """The shift-theorem table exp(i scale xi y/hbar) (nx x len(y)) of
+    :func:`_sheared_samples`, read-only, so that the operands of one call share it."""
+    phases = np.exp(1j * scale * np.outer(grid.xi, y) / grid.hbar)
+    phases.flags.writeable = False
+    return phases
+
+
+def _sheared_samples(grid, coeffs, phases, out=None):
+    """Samples f(x_j + scale * y_l) on the (x, y) lattice, by shift theorem,
+    with phases = _shear_phases(grid, scale, y).
 
     coeffs: interpolation coefficients of f (nx,), or of one f per y (nx, len(y)).
     The samples go into ``out`` when given (a complex (nx, len(y)) buffer its
     caller owns, which may be ``coeffs`` itself), else into one new array.
     """
-    phases = np.exp(1j * scale * np.outer(grid.xi, y) / grid.hbar)
     work = np.multiply(coeffs.reshape(grid.nx, -1), phases, out=out)
     return _inv_x(grid, work, out=work)
 
@@ -467,19 +479,33 @@ def _to_kernel(values, sigma, grid):
     :func:`_shear_mask`) plus the aliased mass (the values' |x-transform|^2 at
     the (xi, p) whose kernel momenta p + sigmabar xi or p - sigma xi pass the
     x lattice's Nyquist pi hbar / dx)."""
+    return _to_kernels((values,), sigma, grid)[0]
+
+
+def _to_kernels(operands, sigma, grid):
+    """[(K, lost)] of :func:`_to_kernel` for each operand's values at one sigma:
+    the shear table and the masks are built once and read by every operand,
+    each of which still takes one p -> y product and one transform."""
     n, nyquist = grid.nx, -grid.xi[0]
     y, lag_phases = _kernel_phases(grid)[:2]
-    chi = values @ lag_phases
-    chi *= (np.abs(y) <= -grid.eta[0]) * (grid.dp / np.sqrt(2.0 * np.pi * grid.hbar))
     xi, p = grid.xi[:, None], grid.p[None, :]
     aliased = (np.abs(p + (1.0 - sigma) * xi) > nyquist) | (np.abs(p - sigma * xi) > nyquist)
-    lost = (_share(np.abs(chi) ** 2, ~_shear_mask(grid, sigma, y))
-            + _share(np.abs(_fwd_x(grid, values)) ** 2, aliased))
-    _fwd_x(grid, chi, out=chi)
-    chi /= n
-    shifted = _sheared_samples(grid, chi, 1.0 - sigma, y, out=chi)
+    outside = ~_shear_mask(grid, sigma, y)
+    phases = _shear_phases(grid, 1.0 - sigma, y)
     i = np.arange(n)
-    return shifted[i[:, None], i[None, :] - i[:, None] + n - 1], lost
+    rows, cols = i[:, None], i[None, :] - i[:, None] + n - 1
+    weights = (np.abs(y) <= -grid.eta[0]) * (grid.dp / np.sqrt(2.0 * np.pi * grid.hbar))
+    kernels = []
+    for values in operands:
+        chi = values @ lag_phases
+        chi *= weights
+        lost = (_share(np.abs(chi) ** 2, outside)
+                + _share(np.abs(_fwd_x(grid, values)) ** 2, aliased))
+        _fwd_x(grid, chi, out=chi)
+        chi /= n
+        shifted = _sheared_samples(grid, chi, phases, out=chi)
+        kernels.append((shifted[rows, cols], lost))
+    return kernels
 
 
 def _from_kernel(K, sigma, grid):
@@ -497,7 +523,7 @@ def _from_kernel(K, sigma, grid):
     H *= _shear_mask(grid, 1.0, eta)
     _fwd_x(grid, H, out=H)
     H /= n
-    chi = _sheared_samples(grid, H, sigma - 1.0, eta, out=H)
+    chi = _sheared_samples(grid, H, _shear_phases(grid, sigma - 1.0, eta), out=H)
     chi *= _shear_mask(grid, sigma, eta)
     return fourier_partial(PhaseField(grid, chi), "p", "forward").values
 
@@ -509,14 +535,33 @@ def _interpolation_tail(coeffs):
     return float(edge / peak) if peak != 0.0 else 0.0
 
 
-def _from_pair(phi, psi, sigma, grid):
+PairShear = namedtuple("PairShear", "grid sigma left right mask")
+
+
+def pair_shear(grid, sigma):
+    """The sigma tables of :func:`_from_pair` on the grid, read-only: the shear
+    phases that read a trig interpolant at x - sigmabar eta (``left``) and
+    x + sigma eta (``right``), and :func:`_shear_mask` at y = eta (``mask``).
+    A caller that makes several pairs at one sigma builds them once and shares
+    them for the length of that call (sigma changes from one call to the
+    next, so nothing caches them)."""
+    mask = _shear_mask(grid, sigma, grid.eta)
+    mask.flags.writeable = False
+    return PairShear(grid, sigma, _shear_phases(grid, -(1.0 - sigma), grid.eta),
+                     _shear_phases(grid, sigma, grid.eta), mask)
+
+
+def _from_pair(phi, psi, shear):
     """:func:`_from_kernel` of the rank-one kernel conj(phi) (x) psi, and the pair's
     interpolation tail: both trig interpolants sum_m c_m e^{i xi_m x/hbar} read at
-    x - sigmabar y and x + sigma y inside :func:`_shear_mask`, then y -> p."""
+    x - sigmabar y and x + sigma y inside :func:`_shear_mask`, then y -> p, with
+    the sigma tables of ``shear`` (from :func:`pair_shear`)."""
+    grid = shear.grid
     cp, cs = (_fwd_x(grid, f) / grid.nx for f in (phi, psi))
-    left = _sheared_samples(grid, cp, -(1.0 - sigma), grid.eta)      # x - sigmabar y
-    chi = np.conj(left) * _sheared_samples(grid, cs, sigma, grid.eta)
-    chi *= _shear_mask(grid, sigma, grid.eta)
+    chi = _sheared_samples(grid, cp, shear.left)                    # x - sigmabar y
+    np.conj(chi, out=chi)
+    chi *= _sheared_samples(grid, cs, shear.right)
+    chi *= shear.mask
     values = fourier_partial(PhaseField(grid, chi), "p", "forward").values
     return values, max(_interpolation_tail(cp), _interpolation_tail(cs))
 

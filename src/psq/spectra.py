@@ -29,7 +29,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import NumericalPreconditionError, PSQError
-from .grids import WaveFunction, _mixed_matrix, integrate, l2_norm
+from .grids import WaveFunction, _mixed_matrix, integrate, l2_norm, pair_shear
 from .ordering import OrderingSpec
 from .polyalg import nf_adjoint
 from .starprod import ObservableSpec, bopp_apply
@@ -235,8 +235,10 @@ def spectrum_via_schrodinger(H, spec, n_levels, grid, residual_fields=True):
             % (n_levels, grid.nx // 4))
     energies, vectors = hermitian_eigh(H, spec, grid)
     kept_e = energies[:n_levels]
-    # the kept columns of eigh's orthonormal basis, dx-weighted
+    # the kept columns of eigh's orthonormal basis, dx-weighted; the nx x nx
+    # basis goes once they are copied
     waves = [WaveFunction(grid, vectors[:, n] / np.sqrt(grid.dx)) for n in range(n_levels)]
+    del vectors
     # boundary-resolution sanity: levels must decay inside the span
     for n, w in enumerate(waves):
         edge = max(abs(w.values[0]), abs(w.values[-1]))
@@ -246,9 +248,10 @@ def spectrum_via_schrodinger(H, spec, n_levels, grid, residual_fields=True):
                 "resolution supports only the lowest %d levels" % (n, edge, n))
     residuals = []
     if residual_fields:
-        for n, w in enumerate(waves):
-            state = twisted_tensor(w, w, spec)
-            residuals.append(stargen_residual(H, state, kept_e[n]))
+        # one set of sigma tables for every level; each state goes before the next is built
+        shear = pair_shear(grid, spec.sigma)
+        residuals = [stargen_residual(H, twisted_tensor(w, w, spec, shear), e)
+                     for w, e in zip(waves, kept_e)]
     return SpectralResult(kept_e, waves, spec, residuals)
 
 

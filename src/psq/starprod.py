@@ -5,9 +5,10 @@ Three computational routes, cross-checked in the test suite:
 * ``star_sigma`` composes configuration-space kernels, K_g @ K_f (cost
   O(nx^2 (nx + np))), when kernels hold both operands: dx <= deta, and at most
   1e-16 of each operand's weight lies out of span or aliased (see
-  ``grids._to_kernel``).  Other pairs take the exact-on-lattice twisted convolution
-  (the reference path, O(nx^2 np log np): the g rows transformed once, then a
-  loop over the nx rows of f);
+  ``grids._to_kernel``; both operands go through one ``grids._to_kernels``
+  call, which builds their sigma tables once).  Other pairs take the
+  exact-on-lattice twisted convolution (the reference path, O(nx^2 np log np):
+  the g rows transformed once, then a loop over the nx rows of f);
 * ``bopp_apply`` - the fast route for observable-on-state action: the
   ordered operator with x and p replaced by the (sigma, S) Bopp shifts
   (m_x, m_p), defined once on the conjugate lattice.  With the identity
@@ -43,8 +44,10 @@ import numpy as np
 
 from .errors import (IllPosedSmoothingError, NumericalPreconditionError, PSQError,
                      UnsupportedObservableError)
-from .grids import (PhaseField, _fourier_powers, _from_kernel, _from_mixed, _to_kernel, _to_mixed,
-                    _twisted_convolution, boundary_tail_mass, fourier_full, fourier_full_inverse)
+# _to_kernel, the one-operand map, stays importable from here beside the stacked _to_kernels
+from .grids import (PhaseField, _fourier_powers, _from_kernel, _from_mixed, _to_kernel,  # noqa: F401
+                    _to_kernels, _to_mixed, _twisted_convolution, boundary_tail_mass,
+                    fourier_full, fourier_full_inverse)
 from .ordering import GaussianSmoother
 from .polyalg import PolyH, sigma_order, sigma_order_right, word_profiles
 
@@ -243,7 +246,7 @@ def star_sigma(f, g_field, sigma):
     _check_tail_mass(f, meta)
     _check_tail_mass(g_field, meta)
     operands = (f,) if g_field is f else (f, g_field)      # a repeated operand maps once
-    kernels = [_to_kernel(h.values, sigma, grid) for h in operands] if grid.dx <= grid.deta else []
+    kernels = _to_kernels([h.values for h in operands], sigma, grid) if grid.dx <= grid.deta else []
     if kernels and max(lost for _K, lost in kernels) <= _KERNEL_SPAN_MASS:
         Kf, Kg = kernels[0][0], kernels[-1][0]
         values = _from_kernel((Kg @ Kf) * (grid.dx / sqrt(2.0 * pi * grid.hbar)), sigma, grid)

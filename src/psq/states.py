@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NumericalPreconditionError, PSQError
 # half_dft stays bound here for perfbench's tracer, which patches it per module
 from .grids import (PhaseField, WaveFunction, _from_pair, _to_kernel, half_dft,  # noqa: F401
-                    integrate, l2_inner, l2_norm, read_field, write_field)
+                    integrate, l2_inner, l2_norm, pair_shear, read_field, write_field)
 from .ordering import OrderingSpec, spec_from_dict
 from .starprod import apply_smoother, gauge_transform, involution_dagger, star_sigma_S
 
@@ -115,12 +115,23 @@ class MixedState(QuasiDistribution):
 # twisted tensor product
 # ---------------------------------------------------------------------------
 
-def twisted_tensor(phi, psi, spec):
-    """Build the quasi-distribution of the pair (phi, psi) under the spec."""
+def twisted_tensor(phi, psi, spec, shear=None):
+    """Build the quasi-distribution of the pair (phi, psi) under the spec.
+
+    ``shear``, the sigma tables of ``grids.pair_shear(grid, spec.sigma)``, lets
+    a caller that builds several pairs at one sigma build them once; they must
+    be for this grid and sigma (else PSQError).  Without it the call builds
+    its own, and the field is the same bit for bit.
+    """
     if phi.grid != psi.grid:
         raise PSQError("wavefunctions live on different axes")
     grid = phi.grid
-    values, tail = _from_pair(phi.values, psi.values, spec.sigma, grid)
+    if shear is None:
+        shear = pair_shear(grid, spec.sigma)
+    elif shear.grid != grid or shear.sigma != spec.sigma:
+        raise PSQError("shear tables built for sigma=%r on another grid, or for another "
+                       "sigma than %r" % (shear.sigma, spec.sigma))
+    values, tail = _from_pair(phi.values, psi.values, shear)
     if tail > INTERPOLATION_TAIL_THRESHOLD:
         raise NumericalPreconditionError(
             "band-limited interpolation error estimate %.3g exceeds %.1g; "
@@ -194,12 +205,13 @@ def purity_check(state):
 def basis_idempotence_check(i, j, k, l, spec, grid, omega=1.0):
     """Residual of Psi_ij * Psi_kl = (2 pi hbar)^{-1/2} delta_il Psi_kj."""
     needed = {n: hermite_function(grid, n, omega) for n in {i, j, k, l}}
-    t_ij = twisted_tensor(needed[i], needed[j], spec)
-    t_kl = twisted_tensor(needed[k], needed[l], spec)
-    prod = star_sigma_S(t_ij.psi_field, t_kl.psi_field, spec)
+    shear = pair_shear(grid, spec.sigma)
+    pairs = ((i, j), (k, l), (k, j)) if i == l else ((i, j), (k, l))
+    fields = [twisted_tensor(needed[a], needed[b], spec, shear).psi_field for a, b in pairs]
+    del shear                                   # the tables go before the product
+    prod = star_sigma_S(fields[0], fields[1], spec)
     if i == l:
-        t_kj = twisted_tensor(needed[k], needed[j], spec)
-        expected = t_kj.psi_field * (1.0 / sqrt(2.0 * pi * grid.hbar))
+        expected = fields[2] * (1.0 / sqrt(2.0 * pi * grid.hbar))
         return l2_norm(prod - expected) / l2_norm(expected)
     return l2_norm(prod)
 

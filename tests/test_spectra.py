@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import psq.spectra
 import psq.starprod
 from psq import (EvolutionConfig, GaussianSmoother, IdentitySmoother, MixedState,
                  NumericalPreconditionError, ObservableSpec, OrderingSpec,
@@ -245,6 +246,36 @@ class TestSpectrumSolver:
         with np.errstate(all="ignore"), pytest.raises(NumericalPreconditionError,
                                                       match="not finite"):
             spectrum_via_schrodinger(H, OrderingSpec(1e300), 4, grid64)
+
+
+class TestResidualMemory:
+    """tracemalloc peak of spectrum_via_schrodinger's residual phase, from the
+    return of hermitian_eigh to the end, in nx np complex values (16 B each)
+    at 1024 x 128: the quartic at sigma 0.37 under the identity smoother peaks
+    at 11.7, holding one set of sigma tables (2) for its five states.  A solver
+    that keeps the nx x nx eigenvector basis (4) through the residual loop,
+    with each state building its own tables, peaks at 13.6."""
+
+    def test_residual_phase_peak(self, monkeypatch):
+        grid = make_grid(1024, 128, -8.0, 8.0, -8.0, 8.0, 1.0)
+        H = ObservableSpec.from_poly(PolyH.monomial(0, 2, c=0.5) + PolyH.monomial(2, 0, c=0.5)
+                                     + PolyH.monomial(4, 0, c=0.05), "H")
+        spec = OrderingSpec(0.37)
+        spectrum_via_schrodinger(H, spec, 5, grid)       # orders the word, fills the caches
+
+        def solve_then_reset(*args):
+            solved = hermitian_eigh(*args)
+            tracemalloc.reset_peak()
+            return solved
+
+        monkeypatch.setattr(psq.spectra, "hermitian_eigh", solve_then_reset)
+        tracemalloc.start()
+        try:
+            spectrum_via_schrodinger(H, spec, 5, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.5 * grid.nx * grid.np * 16
 
 
 class TestOperatorMatrix:

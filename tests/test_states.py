@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from psq import (CohenSmoother, CoherentParams, GaussianSmoother, MixedState,
+from psq import (CohenSmoother, CoherentParams, GaussianSmoother, IdentitySmoother, MixedState,
                  NumericalPreconditionError, ObservableSpec, OrderingSpec, PhaseField,
                  PolyH, PSQError, WaveFunction,
                  apply_smoother, basis_idempotence_check, coherent_wavepacket,
                  expectation, hermite_function, l2_norm, make_grid, marginal,
                  operator_matrix, pstar, pure_factorization, purity_check, read_state,
                  star_sigma_S, twisted_tensor, WordSmoother, write_state)
+from psq.grids import pair_shear
 from psq.polyalg import DiffOpWord
 from psq.starprod import _KERNEL_SPAN_MASS, _from_kernel, _to_kernel
 from psq.states import QuasiDistribution, _kernel
@@ -110,6 +111,34 @@ class TestTwistedTensor:
         plain = twisted_tensor(phi, psi, OrderingSpec(0.3))
         pushed = apply_smoother(spec, plain.psi_field, "forward")
         assert l2_norm(direct.psi_field - pushed) / l2_norm(pushed) < 1e-9
+
+
+class TestSharedShearTables:
+    """Pairs built at one sigma through one set of tables (grids.pair_shear)
+    are the pairs built one by one, bit for bit."""
+
+    @pytest.mark.parametrize("smoother", [IdentitySmoother(), GaussianSmoother(0.1, 0.1)])
+    @pytest.mark.parametrize("sigma", [0.0, 0.37, 1.0])
+    def test_shared_tables_change_no_bit(self, grid64, sigma, smoother):
+        spec = OrderingSpec(sigma, smoother)
+        h = [hermite_function(grid64, n) for n in range(3)]
+        shear = pair_shear(grid64, sigma)
+        for phi, psi in ((h[0], h[0]), (h[1], h[2]), (h[2], h[1])):
+            shared = twisted_tensor(phi, psi, spec, shear=shear).psi_field
+            alone = twisted_tensor(phi, psi, spec).psi_field
+            assert np.array_equal(shared.values, alone.values)
+            assert shared.meta == alone.meta
+        for table in (shear.left, shear.right, shear.mask):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+    def test_tables_of_another_sigma_or_grid_refused(self, grid64):
+        h = hermite_function(grid64, 1)
+        spec = OrderingSpec(0.37)
+        other = make_grid(64, 64, -7.0, 7.0, -8.0, 8.0, 1.0)
+        for shear in (pair_shear(grid64, 0.5), pair_shear(other, 0.37)):
+            with pytest.raises(PSQError, match="shear tables"):
+                twisted_tensor(h, h, spec, shear=shear)
 
 
 class TestMarginals:
@@ -353,8 +382,8 @@ class TestKernelTwins:
     the state, on a 0.6 coherent (1, 0.5) + 0.4 Hermite-2 mixture at 128^2."""
 
     @staticmethod
-    def _mixture(grid, sigma):
-        spec = OrderingSpec(sigma)
+    def _mixture(grid, sigma, smoother=IdentitySmoother()):
+        spec = OrderingSpec(sigma, smoother)
         coh = coherent_wavepacket(CoherentParams(1.0, 0.5), grid)
         h2 = hermite_function(grid, 2)
         return MixedState(((0.6, twisted_tensor(coh, coh, spec)),
@@ -366,6 +395,46 @@ class TestKernelTwins:
         _x, dens = marginal(state, "x")
         diag = np.diag(_kernel(state))
         assert np.abs(diag - dens).max() <= 1e-12 * dens.max()
+
+    @staticmethod
+    def _pure(grid, spec):
+        phi = random_wavefunction(grid, np.random.default_rng(7))
+        return twisted_tensor(phi, phi, spec)
+
+    @pytest.mark.parametrize("smoother", [IdentitySmoother(), GaussianSmoother(0.1, 0.1)])
+    @pytest.mark.parametrize("sigma", [0.0, 0.37])
+    def test_hilbert_norm_is_dx_times_kernel_norm(self, grid128, sigma, smoother):
+        """||S^-1 Psi||_2 = dx ||K||_F.
+
+        S^-1 Psi(x, p) = (2 pi hbar)^{-1/2} int dy e^{-i p y/hbar} K(x - sigmabar y,
+        x + sigma y), so by Plancherel in y -> p, ||S^-1 Psi||^2 =
+        iint |K(x - sigmabar y, x + sigma y)|^2 dx dy, and (x, y) -> (u, v) =
+        (x - sigmabar y, x + sigma y) has Jacobian sigma + sigmabar = 1: the
+        integral is iint |K(u, v)|^2 du dv = ||K||_HS^2 for every sigma.  On
+        the lattice that double integral is dx^2 sum |K[i, k]|^2, so the
+        constant is dx; by linearity it holds for mixtures too."""
+        spec = OrderingSpec(sigma, smoother)
+        for state in (self._pure(grid128, spec), self._mixture(grid128, sigma, smoother)):
+            twin = grid128.dx * np.linalg.norm(_kernel(state))
+            assert abs(twin - state.norm_h()) <= 1e-12 * state.norm_h()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.37])
+    def test_idempotence_residual_is_the_kernel_residual(self, grid128, sigma):
+        """purity_check's r_idem = ||K K dx - K||_F / (sqrt(2 pi hbar) ||K||_F).
+
+        K[Psi * Psi] = (2 pi hbar)^{-1/2} dx K K (star_sigma), K is linear, and
+        a field's norm is dx times its kernel's Frobenius norm (the twin above),
+        so ||Psi * Psi - Psi/sqrt(2 pi hbar)|| / ||Psi|| is the kernel
+        residual over sqrt(2 pi hbar) ||K||_F.  Under a Gaussian smoother
+        purity_check measures the residual after S, which does not keep norms,
+        so the twin is the identity smoother's."""
+        scale = np.sqrt(TWO_PI * grid128.hbar)
+        # the pure state's residuals are round-off, about 1e-11; the mixture's 0.16
+        for state, tol in ((self._pure(grid128, OrderingSpec(sigma)), 1e-11),
+                           (self._mixture(grid128, sigma), 1e-12)):
+            K = _kernel(state)
+            twin = np.linalg.norm(K @ K * grid128.dx - K) / (scale * np.linalg.norm(K))
+            assert abs(twin - purity_check(state)[1][1]) <= tol
 
     @pytest.mark.parametrize("sigma", [0.0, 0.37])
     def test_expectation_is_dx_sum_of_matrix_times_kernel(self, grid128, sigma):
