@@ -321,9 +321,10 @@ def _scenario_spectrum(grid, spec, p, emit):
              float(result.residuals[n][1])) for n in range(levels)]
     emit.csv("spectrum.csv", "n,energy,residual_left,residual_right", rows)
     if p["emit_fields"]:
+        shear = pair_shear(grid, spec.sigma)           # one set of sigma tables for every level
         for n in range(levels):
             emit.field("eigenfield_%02d.psqf" % n,
-                       result.eigenfield(n, n).psi_field)
+                       result.eigenfield(n, n, shear).psi_field)
 
 
 def _scenario_gauge_check(grid, _spec, p, emit):

@@ -20,6 +20,12 @@ The bridge identity
     A (star) (phi tensor psi) = phi tensor (A_matrix psi)
 
 is the master cross-check between this module and the Bopp route.
+The eigenfields' two-sided star-genvalue residuals are that route's
+independent check of the matrix: under a Gaussian smoother S they are taken
+on the plain-sigma field Psi_c that each twisted-tensor state carries, as
+S[(S^-1 H) *_sigma Psi_c - E Psi_c], with S's multiplier applied in Fourier
+space only (stargen_residual), so no Bopp series runs; the multiplier, like
+the sigma tables, is built once per spectrum.
 """
 
 from dataclasses import dataclass
@@ -29,8 +35,8 @@ from math import sqrt
 import numpy as np
 
 from .errors import NumericalPreconditionError, PSQError
-from .grids import WaveFunction, _mixed_matrix, integrate, l2_norm, pair_shear
-from .ordering import OrderingSpec
+from .grids import WaveFunction, _mixed_matrix, fourier_full, integrate, l2_norm, pair_shear
+from .ordering import GaussianSmoother, OrderingSpec
 from .polyalg import nf_adjoint
 from .starprod import ObservableSpec, bopp_apply
 from .states import twisted_tensor
@@ -68,18 +74,59 @@ def uncertainty(state, which):
     return sqrt(max(var, 0.0))
 
 
-def stargen_residual(H, state, energy):
+def stargen_residual(H, state, energy, multiplier=None):
     """Relative residuals of the two-sided star-genvalue equations.
 
     (|H*Psi - E Psi| / |Psi|, |Psi*H - E Psi| / |Psi|), both sides from one
     Bopp action; a zero field raises NumericalPreconditionError.
+
+    A state under a Gaussian smoother S that carries its plain-sigma field
+    Psi_c (``state.canonical``) takes the canonical route: with
+    r_c = (S^-1 H) *_sigma Psi_c - E Psi_c from one canonical
+    :func:`bopp_apply` (the identity route, real shifts), each side's
+    residual field is S r_c, and its ratio is |mult F r_c| / |mult F Psi_c|
+    in Fourier space (Parseval), mult being S's multiplier, so S is never
+    applied on the lattice and the Bopp series never runs.  ``multiplier``
+    is :func:`_gaussian_multiplier` of the state's ordering and grid, for a
+    caller that checks several states under one ordering; by default the
+    call builds its own.  Every other state, among them those that carry no
+    Psi_c, takes the Bopp action on Psi itself (the series under a Gaussian
+    smoother).  Both routes refuse the same inputs with the same errors.
     """
-    psi = state.psi_field
-    nrm = l2_norm(psi)
+    spec = state.spec
+    psi = state.canonical
+    if psi is not None and multiplier is None:
+        multiplier = _gaussian_multiplier(spec, psi.grid)
+    if psi is None or multiplier is None:
+        psi = state.psi_field
+        nrm = l2_norm(psi)
+        if nrm == 0.0:
+            raise NumericalPreconditionError("star-genvalue residual of a zero field")
+        return tuple(l2_norm(acted - psi * energy) / nrm
+                     for acted in bopp_apply(H, psi, "both", spec))
+    if np.shape(multiplier) != (psi.grid.nx, psi.grid.np):
+        raise PSQError("smoother multiplier of shape %r for a %d x %d grid"
+                       % (np.shape(multiplier), psi.grid.nx, psi.grid.np))
+
+    def smoothed_norm(field):
+        spectrum = fourier_full(field).values
+        spectrum *= multiplier
+        return float(np.linalg.norm(spectrum))
+
+    nrm = smoothed_norm(psi)
     if nrm == 0.0:
         raise NumericalPreconditionError("star-genvalue residual of a zero field")
-    return tuple(l2_norm(acted - psi * energy) / nrm
-                 for acted in bopp_apply(H, psi, "both", state.spec))
+    return tuple(smoothed_norm(acted - psi * energy) / nrm
+                 for acted in bopp_apply(H, psi, "both", spec, canonical=True))
+
+
+def _gaussian_multiplier(spec, grid):
+    """The forward multiplier of the spec's smoother on the grid's conjugate
+    lattice, (nx, np), from its broadcast axes, if that smoother is a Gaussian
+    one other than the identity (the canonical residual route's); else None."""
+    if spec.is_plain_sigma() or not isinstance(spec.smoother, GaussianSmoother):
+        return None
+    return spec.smoother.multiplier(grid.xi[:, None], grid.eta[None, :], grid.hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +261,11 @@ class SpectralResult:
     ordering: OrderingSpec
     residuals: list           # per level (left, right) star-genvalue residuals
 
-    def eigenfield(self, m, n):
-        """Phase-space star-genfield  phi_m* tensor phi_n."""
-        return twisted_tensor(self.wavefunctions[m], self.wavefunctions[n], self.ordering)
+    def eigenfield(self, m, n, shear=None):
+        """Phase-space star-genfield  phi_m* tensor phi_n.  ``shear`` is as in
+        :func:`twisted_tensor`: one ``pair_shear`` set for several fields."""
+        return twisted_tensor(self.wavefunctions[m], self.wavefunctions[n], self.ordering,
+                              shear)
 
 
 def spectrum_via_schrodinger(H, spec, n_levels, grid, residual_fields=True):
@@ -248,9 +297,11 @@ def spectrum_via_schrodinger(H, spec, n_levels, grid, residual_fields=True):
                 "resolution supports only the lowest %d levels" % (n, edge, n))
     residuals = []
     if residual_fields:
-        # one set of sigma tables for every level; each state goes before the next is built
+        # one set of sigma tables (and of a Gaussian smoother's multiplier) for
+        # every level; each state goes before the next is built
         shear = pair_shear(grid, spec.sigma)
-        residuals = [stargen_residual(H, twisted_tensor(w, w, spec, shear), e)
+        mult = _gaussian_multiplier(spec, grid)
+        residuals = [stargen_residual(H, twisted_tensor(w, w, spec, shear), e, mult)
                      for w, e in zip(waves, kept_e)]
     return SpectralResult(kept_e, waves, spec, residuals)
 

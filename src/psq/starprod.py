@@ -20,7 +20,9 @@ Three computational routes, cross-checked in the test suite:
   sum_{j,k} (d_x^j d_p^k A)/(j! k!) F^-1[m_x^j m_p^k F psi] through
   ``grids._fourier_powers``.  side='both' returns A * psi and psi * A from
   one set of forward transforms of psi, as the two-sided star-genvalue
-  residual and the Moyal-bracket evolution need.
+  residual and the Moyal-bracket evolution need.  With canonical=True it
+  acts on a state's plain-sigma field Psi_c instead, by S^-1 A on the
+  identity route, as S is an algebra isomorphism.
 
 Every transform runs through ``grids``, the sigma-field <-> kernel maps and
 the twisted convolution included.
@@ -48,7 +50,7 @@ from .errors import (IllPosedSmoothingError, NumericalPreconditionError, PSQErro
 from .grids import (PhaseField, _fourier_powers, _from_kernel, _from_mixed, _to_kernel,  # noqa: F401
                     _to_kernels, _to_mixed, _twisted_convolution, boundary_tail_mass,
                     fourier_full, fourier_full_inverse)
-from .ordering import GaussianSmoother
+from .ordering import GaussianSmoother, OrderingSpec
 from .polyalg import PolyH, sigma_order, sigma_order_right, word_profiles
 
 TAIL_MASS_THRESHOLD = 1e-10
@@ -314,7 +316,7 @@ def _bopp_series(poly, field, shifts):
     return [PhaseField(g, out, field.meta) for out in outs]
 
 
-def bopp_apply(A, psi, side, spec):
+def bopp_apply(A, psi, side, spec, canonical=False):
     """A *_{sigma,S} psi (side='left'), psi *_{sigma,S} A (side='right'), or
     the pair (A *_{sigma,S} psi, psi *_{sigma,S} A) (side='both').
 
@@ -331,6 +333,14 @@ def bopp_apply(A, psi, side, spec):
     transforms: its x -> u and p -> y transforms, made at most once and
     used by every factor pair of either side, or its one full transform
     under a Gaussian smoother.  Each result keeps psi's guard flags.
+
+    canonical=True takes psi as the plain-sigma field Psi_c of the state
+    S Psi_c and returns S^-1 of the action: as S is an algebra isomorphism,
+    A *_{sigma,S} S Psi_c = S[(S^-1 A) *_sigma Psi_c] (and so on the right).
+    That is the identity route with the real shifts and the factor pairs of
+    the pulled-back word :meth:`ObservableSpec.ordered_word`, which A keeps
+    per ordering and side, so no series runs; it refuses what the series
+    refuses.  Under the identity smoother the flag changes nothing.
     """
     if side not in ("left", "right", "both"):
         raise PSQError("side must be 'left', 'right' or 'both'")
@@ -341,8 +351,10 @@ def bopp_apply(A, psi, side, spec):
             "terms; got %s with %s" % (spec.smoother.kind, A.label))
     g = psi.grid
     sides = ("left", "right") if side == "both" else (side,)
-    shifts = [_bopp_shifts(spec, s, g) for s in sides]
-    if smoothed:
+    # the canonical route's shifts are the plain-sigma ones, real
+    shifts = [_bopp_shifts(OrderingSpec(spec.sigma) if canonical else spec, s, g)
+              for s in sides]
+    if smoothed and not canonical:
         acted = _bopp_series(A.poly, psi, shifts)
     else:
         mixed = {}                  # axis -> psi on its mixed lattice, made on first use

@@ -11,6 +11,11 @@ zero outside the x domain, where the wavefunctions are below the tail
 threshold) and the smoother.  The map is linear in the kernel K = conj(phi)
 (x) psi; its inverse (S^-1, ``grids._to_kernel``) reads K off any state, and
 K's leading singular pair factors a pure one.
+
+A twisted-tensor state also keeps the plain-sigma field Psi_c it was smoothed
+from (``QuasiDistribution.canonical``, with Psi = S Psi_c), so that a consumer
+can work on Psi_c without pulling Psi back through S^-1:
+``spectra.stargen_residual`` takes a smoothed state's residuals from it.
 """
 
 import json
@@ -57,10 +62,18 @@ def hermite_function(grid, n, omega=1.0):
 
 @dataclass
 class QuasiDistribution:
-    """A phase-space state: the field Psi and the ordering every state function reads."""
+    """A phase-space state: the field Psi and the ordering every state function reads.
+
+    ``canonical`` is the plain-sigma field Psi_c with Psi = S Psi_c when the
+    builder knows it (``twisted_tensor``): ``psi_field`` itself under the
+    identity smoother, no copy.  It is None otherwise (raw fields, closed
+    forms, mixtures, states read from disk), and nothing pulls Psi back to
+    fill it.  ``psi_field`` stays the smoothed field that users and writers see.
+    """
 
     psi_field: PhaseField
     spec: OrderingSpec
+    canonical: PhaseField = None
 
     @property
     def grid(self):
@@ -121,7 +134,8 @@ def twisted_tensor(phi, psi, spec, shear=None):
     ``shear``, the sigma tables of ``grids.pair_shear(grid, spec.sigma)``, lets
     a caller that builds several pairs at one sigma build them once; they must
     be for this grid and sigma (else PSQError).  Without it the call builds
-    its own, and the field is the same bit for bit.
+    its own, and the field is the same bit for bit.  The state carries the
+    plain-sigma field it smoothed as ``canonical``.
     """
     if phi.grid != psi.grid:
         raise PSQError("wavefunctions live on different axes")
@@ -137,8 +151,10 @@ def twisted_tensor(phi, psi, spec, shear=None):
             "band-limited interpolation error estimate %.3g exceeds %.1g; "
             "refine the axis or widen the span"
             % (tail, INTERPOLATION_TAIL_THRESHOLD))
-    out = apply_smoother(spec, PhaseField(grid, values))
-    return QuasiDistribution(out.assert_finite(), spec)
+    canonical = PhaseField(grid, values)
+    out = apply_smoother(spec, canonical).assert_finite()
+    # the identity smoother's copy is the plain-sigma field itself
+    return QuasiDistribution(out, spec, out if spec.is_plain_sigma() else canonical)
 
 
 def _kernel(state):

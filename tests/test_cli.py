@@ -937,6 +937,17 @@ class TestSubcommands:
             want = ho_state(n, n, OscillatorParams(), field.grid).psi_field
             assert l2_norm(field - want) < 1e-6
 
+    def test_spectrum_fields_share_one_set_of_tables(self, tmp_path, monkeypatch):
+        # one set for the residuals and one for every emitted field
+        built = []
+        for module in (psq.cli, psq.spectra, psq.states):
+            monkeypatch.setattr(module, "pair_shear",
+                                lambda grid, sigma, name=module.__name__, f=module.pair_shear:
+                                built.append(name) or f(grid, sigma))
+        assert main(["spectrum", "--levels", "3", "--emit-fields", "--nx", "64", "--np", "64",
+                     "--formats", "bin", "--output-dir", str(tmp_path)]) == 0
+        assert sorted(built) == ["psq.cli", "psq.spectra"]
+
     @pytest.mark.parametrize("argv, scenario, params", [
         (["spectrum"], "spectrum", {}),
         (["gauge-check"], "gauge-check", {}),

@@ -144,6 +144,101 @@ class TestStargenResidual:
         assert left > 0.1 or right > 0.1
 
 
+QUARTIC = ObservableSpec.from_poly(PolyH.monomial(0, 2, c=0.5) + PolyH.monomial(2, 0, c=0.5)
+                                   + PolyH.monomial(4, 0, c=0.05), "H")
+GAUSSIAN = OrderingSpec(0.37, GaussianSmoother(0.1, 0.1))
+
+
+def _no_series(monkeypatch):
+    """Make the Bopp series refuse to run."""
+    def refused(*args):
+        raise AssertionError("the Bopp series ran")
+    monkeypatch.setattr(psq.starprod, "_bopp_series", refused)
+
+
+class TestCanonicalResidual:
+    """A Gaussian-smoothed state that carries its plain-sigma field takes its
+    residuals from the identity route on that field; one without it runs
+    the series on its smoothed field."""
+
+    @pytest.mark.parametrize("smoother", [GaussianSmoother(0.1, 0.1), GaussianSmoother(0.3, 0.0)],
+                             ids=["G(0.1,0.1)", "G(0.3,0)"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.37, 1.0])
+    def test_routes_agree_off_eigenstates(self, grid64, monkeypatch, sigma, smoother):
+        spec = OrderingSpec(sigma, smoother)
+        state = twisted_tensor(hermite_function(grid64, 0), hermite_function(grid64, 3), spec)
+        series = stargen_residual(QUARTIC, QuasiDistribution(state.psi_field, spec), 1.0)
+        _no_series(monkeypatch)
+        canonical = stargen_residual(QUARTIC, state, 1.0)
+        assert min(series) > 0.1
+        for got, want in zip(canonical, series):
+            assert abs(got - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.37, 1.0])
+    def test_canonical_action_is_the_series_pulled_back(self, sigma):
+        # on [-8, 8] the quartic's action on the sigma 0 and 1 fields reaches
+        # the x edges (1e-6 of its peak), where the two routes wrap differently
+        grid = make_grid(128, 128, -10.0, 10.0, -10.0, 10.0, 1.0)
+        spec = OrderingSpec(sigma, GaussianSmoother(0.3, 0.0))
+        state = twisted_tensor(hermite_function(grid, 1), hermite_function(grid, 2), spec)
+        series = psq.starprod.bopp_apply(QUARTIC, state.psi_field, "both", spec)
+        canonical = psq.starprod.bopp_apply(QUARTIC, state.canonical, "both", spec, canonical=True)
+        for got, want in zip(canonical, series):
+            pushed = psq.starprod.apply_smoother(spec, got)
+            assert l2_norm(pushed - want) <= 1e-9 * l2_norm(want)
+
+    def test_state_without_canonical_field_takes_the_series(self, grid64):
+        state = twisted_tensor(hermite_function(grid64, 2), hermite_function(grid64, 1), GAUSSIAN)
+        psi = state.psi_field
+        nrm = l2_norm(psi)
+        want = tuple(l2_norm(psq.starprod.bopp_apply(QUARTIC, psi, side, GAUSSIAN) - psi * 2.5)
+                     / nrm for side in ("left", "right"))
+        assert stargen_residual(QUARTIC, QuasiDistribution(psi, GAUSSIAN), 2.5) == want
+        assert stargen_residual(QUARTIC, state, 2.5) != want
+
+    def test_zero_field_is_refused(self):
+        g = make_grid(32, 32, -6.0, 6.0, -6.0, 6.0, 1.0)
+        # the smoothed field is not zero, so only the canonical route refuses
+        state = QuasiDistribution(PhaseField.constant(g, 1.0), GAUSSIAN,
+                                  PhaseField.constant(g, 0.0))
+        with pytest.raises(NumericalPreconditionError, match="zero field"):
+            stargen_residual(QUARTIC, state, 0.5)
+
+    def test_function_terms_are_refused_as_by_the_series(self, grid64):
+        H = QUARTIC + ObservableSpec.x_function(np.cos)
+        state = twisted_tensor(hermite_function(grid64, 0), hermite_function(grid64, 0), GAUSSIAN)
+        errors = []
+        for st in (QuasiDistribution(state.psi_field, GAUSSIAN), state):
+            with pytest.raises(psq.UnsupportedObservableError) as info:
+                stargen_residual(H, st, 0.5)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_spectrum_builds_one_word_and_one_multiplier(self, grid64, monkeypatch):
+        H = ObservableSpec.from_poly(QUARTIC.poly, "H")
+        calls = []
+        for name in ("sigma_order", "sigma_order_right"):
+            order = getattr(psq.starprod, name)
+            monkeypatch.setattr(psq.starprod, name,
+                                lambda f, sigma, order=order, name=name:
+                                calls.append(name) or order(f, sigma))
+        multiplier = psq.spectra._gaussian_multiplier
+        monkeypatch.setattr(psq.spectra, "_gaussian_multiplier",
+                            lambda *args: calls.append("multiplier") or multiplier(*args))
+        _no_series(monkeypatch)
+        res = spectrum_via_schrodinger(H, GAUSSIAN, 5, grid64)
+        assert sorted(calls) == ["multiplier", "sigma_order", "sigma_order_right"]
+        assert max(max(r) for r in res.residuals) < 1e-6
+        spectrum_via_schrodinger(H, GAUSSIAN, 5, grid64)
+        assert calls.count("sigma_order") + calls.count("sigma_order_right") == 2
+
+    def test_multiplier_of_another_grid_is_refused(self, grid64):
+        state = twisted_tensor(hermite_function(grid64, 0), hermite_function(grid64, 0), GAUSSIAN)
+        other = psq.spectra._gaussian_multiplier(GAUSSIAN, make_grid(32, 32, -6, 6, -6, 6, 1.0))
+        with pytest.raises(PSQError, match="multiplier"):
+            stargen_residual(QUARTIC, state, 0.5, other)
+
+
 class TestSpectrumSolver:
     def test_moyal_oscillator(self, grid128):
         H = ObservableSpec.harmonic(1.0)
@@ -190,6 +285,16 @@ class TestSpectrumSolver:
             for j, b in enumerate(res.wavefunctions):
                 want = 1.0 if i == j else 0.0
                 assert abs(a.inner(b) - want) < 1e-8
+
+    @pytest.mark.parametrize("spec", [OrderingSpec(0.37), GAUSSIAN], ids=["identity", "gaussian"])
+    def test_eigenfields_share_one_set_of_tables(self, grid64, spec):
+        res = spectrum_via_schrodinger(ObservableSpec.harmonic(1.0), spec, 3, grid64,
+                                       residual_fields=False)
+        shear = psq.spectra.pair_shear(grid64, spec.sigma)
+        for m, n in ((0, 0), (1, 1), (2, 1)):
+            own, shared = res.eigenfield(m, n), res.eigenfield(m, n, shear)
+            assert np.array_equal(own.psi_field.values, shared.psi_field.values)
+            assert own.psi_field.meta == shared.psi_field.meta
 
     def test_eigenfield_assembly(self, grid64):
         H = ObservableSpec.harmonic(1.0)
@@ -276,6 +381,31 @@ class TestResidualMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 12.5 * grid.nx * grid.np * 16
+
+
+class TestGaussianResidualMemory:
+    """TestResidualMemory's tracemalloc peak under G(0.1, 0.1): 13.2 units at
+    1024 x 128, quartic, sigma 0.37.  The states carry Psi_c beside Psi, and
+    the residuals run on Psi_c with one shared multiplier (0.5 units); the
+    series on the smoothed fields peaks at 15.2."""
+
+    def test_residual_phase_peak(self, monkeypatch):
+        grid = make_grid(1024, 128, -8.0, 8.0, -8.0, 8.0, 1.0)
+        spectrum_via_schrodinger(QUARTIC, GAUSSIAN, 5, grid)    # orders the words, fills the caches
+
+        def solve_then_reset(*args):
+            solved = hermitian_eigh(*args)
+            tracemalloc.reset_peak()
+            return solved
+
+        monkeypatch.setattr(psq.spectra, "hermitian_eigh", solve_then_reset)
+        tracemalloc.start()
+        try:
+            spectrum_via_schrodinger(QUARTIC, GAUSSIAN, 5, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14.0 * grid.nx * grid.np * 16
 
 
 class TestOperatorMatrix:

@@ -141,6 +141,33 @@ class TestSharedShearTables:
                 twisted_tensor(h, h, spec, shear=shear)
 
 
+class TestCanonicalField:
+    """A twisted-tensor state carries the plain-sigma field it was smoothed from."""
+
+    def test_identity_smoother_shares_the_field(self, grid64):
+        h = hermite_function(grid64, 1)
+        state = twisted_tensor(h, h, OrderingSpec(0.37))
+        assert state.canonical is state.psi_field
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.37, 1.0])
+    def test_gaussian_smoother_keeps_the_plain_field(self, grid64, sigma):
+        h = [hermite_function(grid64, n) for n in (1, 2)]
+        smoothed = twisted_tensor(h[0], h[1], OrderingSpec(sigma, GaussianSmoother(0.1, 0.1)))
+        plain = twisted_tensor(h[0], h[1], OrderingSpec(sigma))
+        assert np.array_equal(smoothed.canonical.values, plain.psi_field.values)
+        again = apply_smoother(smoothed.spec, smoothed.canonical)
+        assert np.array_equal(again.values, smoothed.psi_field.values)
+
+    def test_other_builders_carry_none(self, grid64, tmp_path):
+        h = hermite_function(grid64, 0)
+        state = twisted_tensor(h, h, OrderingSpec(0.5, GaussianSmoother(0.1, 0.1)))
+        write_state(state, tmp_path / "state.psqf")
+        for other in (QuasiDistribution(state.psi_field, state.spec),
+                      MixedState([(0.5, state), (0.5, state)]),
+                      read_state(tmp_path / "state.psqf")):
+            assert other.canonical is None
+
+
 class TestMarginals:
     def test_pure_gaussian_position_density(self, grid64):
         phi = hermite_function(grid64, 0)
