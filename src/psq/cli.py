@@ -38,7 +38,7 @@ from .errors import NumericalPreconditionError, PSQError
 from .grids import (FIELD_FORMAT_VERSION, make_grid, pair_shear, write_field, write_field_csv,
                     write_field_dat)
 from .ordering import (ORDERING_SCHEMA, SIGMA_SCHEMA, SMOOTHER_SCHEMA, GaussianSmoother,
-                       IdentitySmoother, spec_from_dict)
+                       IdentitySmoother, schema_error, spec_from_dict)
 from .polyalg import PolyH, pstar_S, sigma_S_order
 from .spectra import gauge_spectrum_check, spectrum_via_schrodinger
 from .starprod import (ObservableSpec, apply_smoother, bopp_apply, gauge_transform,
@@ -531,7 +531,9 @@ def run(config_path):
 
 @lru_cache(maxsize=None)
 def _schema_validator():
-    """The config validator, built and checked against its metaschema once."""
+    """The config validator, built and checked against its metaschema once, by
+    the first config the fast check of psq.ordering cannot pass; a valid run
+    never loads jsonschema, and the tests check the metaschema."""
     import jsonschema
     cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
     cls.check_schema(CONFIG_SCHEMA)
@@ -541,12 +543,15 @@ def _schema_validator():
 def run_config(config):
     """Execute a scenario config dict; returns (exit_code, manifest or None).
 
-    On a non-zero exit output_dir is left as the run found it.
+    The config is checked against CONFIG_SCHEMA through
+    psq.ordering.schema_error: a config its fast check accepts runs without
+    loading jsonschema, and a refused one exits 2 with jsonschema's
+    best-match message.  On a non-zero exit output_dir is left as the run
+    found it.
     """
-    from jsonschema.exceptions import best_match
-    error = best_match(_schema_validator().iter_errors(config))
-    if error is not None:
-        print("schema violation: %s" % error.message, file=sys.stderr)
+    message = schema_error(config, CONFIG_SCHEMA, _schema_validator)
+    if message is not None:
+        print("schema violation: %s" % message, file=sys.stderr)
         return 2, None
     try:
         emit = _Emitter(config["output_dir"], config.get("formats", ["csv"]))

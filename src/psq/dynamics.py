@@ -171,14 +171,20 @@ def evolve_schrodinger(phi0, H, spec, cfg, observables=None,
         raise PSQError("evolve_schrodinger runs split_step_schrodinger or "
                        "matrix_exponential, not %r" % cfg.method)
 
-    # one set of sigma tables for every snapshot's state
+    # one set of sigma tables for every snapshot's state, dropped once the last
+    # state is built, so that they are not live while its expectations run
     shear = pair_shear(grid, spec.sigma) if (phase_space_snapshots or observables) else None
+    unbuilt = len(cfg.snapshot_steps())
 
     def snapshot(values):
+        nonlocal shear, unbuilt
         wf = WaveFunction(grid, values.copy())
         if shear is None:
             return wf, wf.norm(), None
         state = twisted_tensor(wf, wf, spec, shear)
+        unbuilt -= 1
+        if not unbuilt:
+            shear = None
         return (state.psi_field if phase_space_snapshots else wf), wf.norm(), state
 
     return _propagate(phi0.values, step, snapshot, cfg, observables)

@@ -20,11 +20,15 @@ An ordering's JSON form, in configs and state sidecars alike, is the object
 ORDERING_SCHEMA describes: sigma in [-4, 5] (default 1/2) and an identity or
 Gaussian smoother with alpha and beta in [-2, 2].  spec_from_dict reads it and
 OrderingSpec.as_dict writes it; both refuse an ordering outside it, so Cohen
-and word smoothers have no JSON form.
+and word smoothers have no JSON form.  This module also owns the check of a
+JSON value against such a schema fragment (schema_error): a value the fast
+check _conforms accepts never loads jsonschema, which words the refusals.
 """
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
@@ -163,19 +167,84 @@ class OrderingSpec:
         return d
 
 
+_DRAFT = "https://json-schema.org/draft/2020-12/schema"
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "integer": int,
+          "number": (int, float)}
+
+
+def _is_type(value, name):
+    # a bool is no number; 5.0 is an integer and NaN a number only to jsonschema
+    if (isinstance(value, bool) != (name == "boolean")
+            or isinstance(value, float) and not isfinite(value)):
+        return False
+    return isinstance(value, _TYPES[name])
+
+
+def _number(value):
+    return _is_type(value, "number")
+
+
+# keyword -> test of (value, the keyword's argument, the schema)
+_KEYWORDS = {
+    "$schema": lambda v, uri, s: uri == _DRAFT,
+    "type": lambda v, name, s: _is_type(v, name),
+    "enum": lambda v, values, s: any(type(v) is type(e) and v == e for e in values),
+    "minimum": lambda v, bound, s: _number(v) and v >= bound,
+    "maximum": lambda v, bound, s: _number(v) and v <= bound,
+    "exclusiveMinimum": lambda v, bound, s: _number(v) and v > bound,
+    "minItems": lambda v, n, s: isinstance(v, list) and len(v) >= n,
+    "pattern": lambda v, regex, s: isinstance(v, str) and re.search(regex, v) is not None,
+    "required": lambda v, keys, s: isinstance(v, dict) and all(k in v for k in keys),
+    "properties": lambda v, props, s: isinstance(v, dict) and all(
+        _conforms(v[k], sub) for k, sub in props.items() if k in v),
+    "additionalProperties": lambda v, extra, s: (
+        extra is False and isinstance(v, dict) and all(k in s.get("properties", {}) for k in v)),
+    "items": lambda v, sub, s: isinstance(v, list) and all(_conforms(x, sub) for x in v),
+}
+
+
+def _conforms(value, schema):
+    """True only when the JSON value satisfies the draft 2020-12 schema.
+
+    Covers the keywords of psq's schemas (_KEYWORDS).  False means "no
+    verdict", never "invalid": it is returned for any other keyword, a value
+    of a type it does not know, an integer written as a float, a NaN or an
+    infinity, and a TypeError, and the caller asks jsonschema instead.
+    """
+    try:
+        return all(_KEYWORDS[key](value, arg, schema) for key, arg in schema.items())
+    except (KeyError, TypeError):
+        return False
+
+
+def schema_error(value, schema, validator):
+    """The message of jsonschema's best match among the value's errors against
+    `schema`, or None when it has none.  A value _conforms accepts returns
+    None without loading jsonschema; any other goes to `validator()`, a
+    jsonschema validator of `schema`, whose best match words the refusal."""
+    if _conforms(value, schema):
+        return None
+    from jsonschema.exceptions import best_match
+    error = best_match(validator().iter_errors(value))
+    return None if error is None else error.message
+
+
 @lru_cache(maxsize=None)
 def _validator():
-    """The ORDERING_SCHEMA validator, built once; jsonschema loads on first use."""
+    """The ORDERING_SCHEMA validator, built once, by the first ordering block
+    the fast check cannot pass; a valid run never loads jsonschema."""
     import jsonschema
     return jsonschema.validators.validator_for(ORDERING_SCHEMA)(ORDERING_SCHEMA)
 
 
 def spec_from_dict(d):
-    """The OrderingSpec of a JSON ordering block (a state sidecar or a config)."""
-    from jsonschema.exceptions import best_match
-    error = best_match(_validator().iter_errors(d))
-    if error is not None:
-        raise PSQError("ordering %r: %s" % (d, error.message))
+    """The OrderingSpec of a JSON ordering block (a state sidecar or a config).
+
+    The block is checked against ORDERING_SCHEMA through schema_error, so a
+    refusal carries jsonschema's best-match message."""
+    message = schema_error(d, ORDERING_SCHEMA, _validator)
+    if message is not None:
+        raise PSQError("ordering %r: %s" % (d, message))
     sm = d.get("smoother", {})
     smoother = GaussianSmoother(float(sm.get("alpha", 0.0)), float(sm.get("beta", 0.0)))
     # NaN passes the schema's bounds

@@ -223,9 +223,12 @@ def hermitian_eigh(A, spec, grid):
     blocks hold its parity average, which drops the reflection defect that
     momentum leaves in an odd-m term, as the real route drops its imaginary
     part.  The merged eigensystem comes back in the x basis, ascending, an
-    even level before an odd one of equal energy (a stable merge).  Every
-    route holds at most M and one more matrix; the blocks, half a real
-    nx x nx matrix, are all the block route holds while it solves.
+    even level before an odd one of equal energy (a stable merge): the
+    blocks' eigenvectors are unfolded side by side, released, and their
+    columns gathered into ascending order in one take.  Every route holds at
+    most M and one more matrix; the blocks, half a real nx x nx matrix, are
+    all the block route holds while it solves, and the unfolded and gathered
+    real matrices together match the complex M.
     """
     M = operator_matrix(A, spec, grid)
     if not np.all(np.isfinite(M)):
@@ -242,16 +245,17 @@ def hermitian_eigh(A, spec, grid):
     blocks = [_fold(_fold(M, sign).T, sign) for sign in (1, -1)]
     del M
     (w_even, y_even), (w_odd, y_odd) = [np.linalg.eigh(b) for b in blocks]
+    del blocks
     h = grid.nx // 2
     w = np.concatenate([w_even, w_odd])
+    V = np.zeros((grid.nx, grid.nx))         # unfolded, in block order: even columns first
+    V[::h, :h + 1] = y_even[::h]
+    V[1:h, :h + 1] = V[:h:-1, :h + 1] = y_even[1:h] * sqrt(0.5)
+    V[1:h, h + 1:] = y_odd * sqrt(0.5)
+    V[:h:-1, h + 1:] = -V[1:h, h + 1:]
+    del y_even, y_odd
     order = np.argsort(w, kind="stable")
-    even_cols, odd_cols = np.split(np.argsort(order), [h + 1])
-    V = np.zeros((grid.nx, grid.nx))
-    V[::h, even_cols] = y_even[::h]
-    V[1:h, even_cols] = V[:h:-1, even_cols] = y_even[1:h] * sqrt(0.5)
-    V[1:h, odd_cols] = y_odd * sqrt(0.5)
-    V[:h:-1, odd_cols] = -V[1:h, odd_cols]
-    return w[order], V
+    return w[order], V.take(order, axis=1)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import shutil
@@ -17,6 +18,7 @@ import psq
 from psq import PolyH, PSQError, integrate, read_field
 from psq.cli import CONFIG_SCHEMA, PARAMS, main, parse_poly, run
 from psq.cli import run_config as cli_run_config
+from psq.ordering import ORDERING_SCHEMA, _conforms
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -106,7 +108,9 @@ class TestBundledConfigs:
     def test_all_bundled_configs_valid(self):
         import jsonschema
         for path in CONFIG_DIR.glob("*.json"):
-            jsonschema.validate(json.loads(path.read_text()), CONFIG_SCHEMA)
+            config = json.loads(path.read_text())
+            jsonschema.validate(config, CONFIG_SCHEMA)
+            assert _conforms(config, CONFIG_SCHEMA), path.name     # no jsonschema at run time
 
     def test_smoothed_spectrum_config(self, tmp_path):
         payload = json.loads((CONFIG_DIR / "smoothed_spectrum.json").read_text())
@@ -211,6 +215,98 @@ def _configs(draw):
                                              ["properties"]["smoother"]))},
         "params": draw(st.fixed_dictionaries(required, optional=table)),
     }
+
+
+# perfbench-shaped configs for the scenarios the bundled ones miss, and integers
+# in number fields; the bases that _mutants edits
+_PERFBENCH_SHAPED = [
+    {"scenario": "starprod", "output_dir": "o", "formats": ["bin"],
+     "grid": {"nx": 128, "np": 128, "x_min": -8.0, "x_max": 8.0, "p_min": -8.0, "p_max": 8.0,
+              "hbar": 1.0},
+     "ordering": {"sigma": 0.0, "smoother": {"kind": "gaussian", "alpha": 0.1, "beta": 0.1}},
+     "params": {"op": "star", "left_hermite": 2, "right_hermite": 3}},
+    {"scenario": "wigner", "output_dir": "o", "formats": ["csv", "bin"],
+     "grid": {"nx": 256, "np": 256}, "ordering": {"sigma": 0.25, "smoother": {"kind": "identity"}},
+     "params": {"phi_hermite": 4, "psi_hermite": 4}},
+    {"scenario": "gauge-check", "output_dir": "o", "formats": ["csv"],
+     "grid": {"nx": 256, "np": 128, "hbar": 1.0},
+     "params": {"hamiltonian": "0.5*p^2 + 0.5*x^2 + 0.05*x^4", "sigmas": [0.0, 0.5, 1.0],
+                "levels": 5, "smoothers": [{"kind": "gaussian", "alpha": 0.1, "beta": 0.1}]}},
+    {"scenario": "oracle", "output_dir": "o", "params": {"state": "coherent", "x0": -1, "t": 2}},
+]
+_MUTATED = [json.loads(path.read_text())
+            for path in sorted(CONFIG_DIR.glob("*.json"))] + _PERFBENCH_SHAPED
+_NUDGES = st.one_of(st.floats(-10, 10), st.integers(-5, 10), st.sampled_from(
+    [-4, 5, -2, 2, 7, 8, 4096, 4097, -4.0, 5.0, 2.0, 8.0, 64.0, 4096.0, -2.000001, 5.000001,
+     1e-300, 1e300, -0.0, float("nan"), float("inf"), -float("inf")]))
+_WORDS = st.one_of(st.sampled_from(sorted(PARAMS) + ["csv", "bin", "dat", "xlsx", "identity",
+                                                      "gaussian", "free", "star", "left",
+                                                      "o\x00"]),
+                   _STRINGS)
+_MUTANT_VALUES = st.one_of(
+    st.none(), st.booleans(), _NUDGES, _WORDS,
+    st.lists(st.sampled_from([0.5, "csv", 1, None]), max_size=2),
+    st.sampled_from([{}, {"kind": "identity"}, {"kind": "gaussian", "alpha": 3}, (1.0,)]))
+
+
+@st.composite
+def _mutants(draw):
+    """A bundled or perfbench-shaped config with one to three entries replaced,
+    removed or added, at any depth."""
+    config = copy.deepcopy(draw(st.sampled_from(_MUTATED)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = config
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            key = draw(st.sampled_from(keys)) if keys else None
+            if key is None or not (isinstance(node[key], (dict, list)) and node[key]
+                                   and draw(st.integers(0, 3))):      # mostly deeper
+                break
+            node = node[key]
+        action = draw(st.sampled_from(["nudge", "nudge", "set", "drop", "add"]))
+        if action == "nudge" and key is not None and isinstance(node[key], (int, float, str)):
+            # a value of the same JSON type, often at or past a schema bound
+            node[key] = draw(st.booleans() if isinstance(node[key], bool) else
+                             _WORDS if isinstance(node[key], str) else _NUDGES)
+        elif isinstance(node, dict) and (action == "add" or key is None):
+            node[draw(st.sampled_from(["unexpected", "alpha", "sigma", "kind", "nx", "steps"]))] \
+                = copy.deepcopy(draw(_MUTANT_VALUES))
+        elif action == "drop" and key is not None:
+            del node[key]
+        elif key is not None:
+            node[key] = copy.deepcopy(draw(_MUTANT_VALUES))       # later steps may edit it
+    return config
+
+
+class TestFastSchemaCheck:
+    """psq.ordering._conforms lets a valid run skip jsonschema, so it may accept
+    only what jsonschema accepts; its False hands the value to jsonschema."""
+
+    def test_schemas_meet_metaschema(self):
+        # a valid run no longer builds the validator that checked this
+        import jsonschema
+        for schema in (CONFIG_SCHEMA, ORDERING_SCHEMA):
+            jsonschema.Draft202012Validator.check_schema(schema)
+        assert jsonschema.validators.validator_for(CONFIG_SCHEMA) \
+            is jsonschema.Draft202012Validator
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(config=_mutants())
+    def test_acceptance_implies_jsonschema_valid(self, config):
+        import jsonschema
+        for value, schema in ((config, CONFIG_SCHEMA), (config.get("ordering"), ORDERING_SCHEMA)):
+            if _conforms(value, schema):
+                assert jsonschema.Draft202012Validator(schema).is_valid(value), (value, schema)
+
+    def test_no_verdict_cases(self):
+        # an integer written as a float, a NaN, a bool for a number and an
+        # unknown keyword get no verdict; jsonschema decides them
+        base = {"scenario": "spectrum", "output_dir": "o"}
+        assert _conforms(base, CONFIG_SCHEMA)
+        for grid in ({"nx": 64.0}, {"hbar": float("nan")}, {"x_min": True}):
+            assert not _conforms(dict(base, grid=grid), CONFIG_SCHEMA)
+        assert not _conforms(1, {"type": "integer", "multipleOf": 2})
+        assert not _conforms(1, {"type": ["integer", "null"]})
 
 
 class TestRunContract:
@@ -609,6 +705,26 @@ class TestSubcommands:
             _out, err = proc.communicate(timeout=60)
             assert proc.returncode == 4, argv
             assert b"Traceback" not in err
+
+    def test_valid_run_loads_no_jsonschema(self, tmp_path):
+        # a fresh interpreter: a bundled config and a state sidecar that pass
+        # the fast check of psq.ordering never load jsonschema
+        config = json.loads((CONFIG_DIR / "smoothed_spectrum.json").read_text())
+        config["output_dir"] = str(tmp_path / "spectrum")
+        oracle = dict(config, scenario="oracle", output_dir=str(tmp_path / "oracle"),
+                      formats=["bin"], params={"state": "ho", "m": 1, "n": 1})
+        for name, payload in (("spectrum.json", config), ("oracle.json", oracle)):
+            (tmp_path / name).write_text(json.dumps(payload))
+        probe = ("import json, sys; from psq.cli import run; from psq.states import read_state; "
+                 "codes = [run(path)[0] for path in sys.argv[1:3]]; "
+                 "spec = read_state(sys.argv[3]).spec; "
+                 "print(json.dumps([codes, spec.smoother.alpha, 'jsonschema' in sys.modules]))")
+        out = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "spectrum.json"),
+                              str(tmp_path / "oracle.json"),
+                              str(tmp_path / "oracle" / "ho_state.state.psqf")],
+                             env=_child_env(), capture_output=True, text=True, timeout=120,
+                             check=True).stdout
+        assert json.loads(out) == [[0, 0], 0.1, False]
 
     def test_cli_import_loads_no_scipy(self):
         # a fresh interpreter, so no other test's scipy import is in sys.modules
