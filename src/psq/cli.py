@@ -270,7 +270,8 @@ class _Emitter:
         for name in sorted(self.files):
             digest = hashlib.sha256()
             with open(os.path.join(self.staging, name), "rb") as fh:
-                digest.update(fh.read())
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(chunk)
             entries.append({"path": name, "sha256": digest.hexdigest()})
         payload = {
             "version": __version__,

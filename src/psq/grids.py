@@ -41,7 +41,10 @@ to the next, so a cache would hold entries that are never read again.
 
 One row writer exports a field as x-major rows ``x p re im``, comma-separated
 under a header (:func:`write_field_csv`) or space-separated (:func:`write_field_dat`),
-one x-row of Python floats at a time.
+each value as ``'%.17g' %`` prints it.  It formats one block of whole
+x-rows (about 2,048 floats) at a time in numpy (:func:`_g17_digits`,
+:func:`_g17_cells`), and leaves to '%' only NaN, infinities and values
+within 2^-40 of a rounding tie (exact ties among them).
 
 Fields are immutable values: every operation returns a new field.  A
 transform writes only into a buffer it allocated itself (``half_dft``'s and
@@ -675,18 +678,197 @@ def read_field(path):
     return PhaseField(grid, vals)
 
 
+# ---------------------------------------------------------------------------
+# text rows: '%.17g' formatted in numpy
+# ---------------------------------------------------------------------------
+
+_POW10_MIN, _POW10_MAX = -300, 350  # k of the 10^k table; |v| 10^(16 - X) needs -293..341
+_TIE_BAND = 2.0 ** -40              # a fraction of y this close to 1/2 goes to '%'
+_BLOCK = 2048                       # float values formatted per block of whole x-rows
+
+
+@lru_cache(maxsize=1)
+def _g17_tables():
+    """The tables of :func:`_g17_cells`, built on first use.
+
+    10^k = (hi + lo) 2^b for k in [_POW10_MIN, _POW10_MAX], hi in [1, 2] and
+    |lo| <= 2^-53, from Python integers (1/10^n truncated 130 bits past its
+    leading one), hi Veltkamp-split into 26-bit halves.  ``last[j][g]`` is
+    the number of significant digits D has when its group j + 1 (of four
+    digits each, after the lead digit) is g and the later groups are zero.
+    Cell words: the four digits of g in the digit slots, trailing zeros
+    dropped (``quads[g]``) or kept (``quads[10000 + g]``); the sign, "0.000"
+    prefix and lead digit; the exponent X ("e+XX", "e-XXX", none for fixed
+    notation) at X + 400; and the masks of the digit words keeping the first
+    u digits of D."""
+    hi, lo, b = [], [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        t = 0 if k >= 0 else (10 ** -k).bit_length() + 130
+        n = 10 ** k if k >= 0 else (1 << t) // 10 ** -k
+        shift = n.bit_length() - 53
+        top = (n + (1 << (shift - 1))) >> shift if shift > 0 else n << -shift
+        hi.append(top / 2.0 ** 52)
+        lo.append((n - (top << shift) if shift > 0 else 0) / (1 << (shift + 52)))
+        b.append(shift + 52 - t)
+    hi = np.array(hi)
+    c = hi * 134217729.0
+    hi_hi = c - (c - hi)
+
+    g = np.arange(10000, dtype=np.int32)
+    digits = np.empty((10000, 4), np.uint8)
+    tail = np.zeros(10000, np.uint8)             # place of the last non-zero digit, 1-4
+    for i, p in enumerate((1000, 100, 10, 1)):
+        digits[:, i] = g // p % 10
+        tail[digits[:, i] != 0] = i + 1
+    last = np.stack([(tail + 1 + 4 * j) * (tail > 0) for j in range(4)]).astype(np.uint8)
+    quads = np.zeros((2, 10000, 8), np.uint8)
+    quads[:, :, ::2] = digits + 48
+    quads[0, :, ::2] *= np.arange(4) < tail[:, None]
+    head = np.zeros((2, 5, 10, 8), np.uint8)     # sign, -X of a 0.000 prefix, lead digit
+    head[1, ..., 0] = ord("-")
+    for z in range(1, 5):
+        head[:, z, :, 1:2 + z] = np.frombuffer(b"0." + b"0" * (z - 1), np.uint8)
+    head[..., 6] = 48 + np.arange(10)
+    expo = np.frombuffer(b"".join(bytes(8) if -4 <= x < 17 else (b"e%+03d" % x).ljust(8, b"\0")
+                                  for x in range(-400, 400)), np.uint8)
+    keep = np.zeros((18, 16, 2), np.uint8)
+    keep[:, :, 0] = np.where(np.arange(1, 17) < np.arange(18)[:, None], 255, 0)
+    tables = (hi, hi_hi, hi - hi_hi, np.array(lo), np.array(b, dtype=np.int32), last,
+              *(t.view(np.uint64).ravel() for t in (quads, head, expo)),
+              keep.reshape(18, 32).view(np.uint64))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _g17_digits(v):
+    """The digits of ``'%.17g' % v`` for every float64 in the 1-D array v:
+    D (int64, 17 correctly rounded digits, 0 for +-0), the decimal exponent
+    X (int32, |v| ~ D 10^(X - 16)), and the mask of the values that
+    :func:`_g17_cells` formats with '%' instead.
+
+    D and X come from y = |v| 10^(16 - X) in [1e16 - 1/64, 1e17), X from
+    log10 and corrected until y lies there (below 1e16, y and 10 y round to
+    the same digits).  With |v| = M 2^(e - 53) (M the 53-bit mantissa) and
+    10^k = T 2^b, y = M T 2^s.  Dekker's product gives M hi exactly; M lo
+    (< 1) and its sum with the product's error (< 2) are rounded once each
+    (2^-54, 2^-53), T - hi - lo contributes M (2^-107 + 2^-129) < 2^-54 +
+    2^-76, and 2^s <= 16, so the fraction of y is known to within 2^-47.  D
+    rounds y to nearest.  A fraction within _TIE_BAND = 2^-40 of 1/2 (exact
+    ties among them, which C rounds half to even), NaN and +-inf are marked
+    for '%'."""
+    hi, hi_hi, hi_lo, lo, b = _g17_tables()[:5]
+    n = len(v)
+    a = np.abs(v)
+    finite, zero = np.isfinite(a), a == 0.0
+    a[~finite | zero] = 1.0
+    f, e = np.frexp(a)
+    m = f * 2.0 ** 53
+    c = m * 134217729.0
+    m_hi = c - (c - m)
+    m_lo = m - m_hi
+    X = np.floor(np.log10(a)).astype(np.int32)
+    y_hi, y_lo = np.empty(n), np.empty(n)
+    todo = slice(None)
+    while True:
+        j = 16 - X[todo] - _POW10_MIN
+        mh, ml, mt = m_hi[todo], m_lo[todo], m[todo]
+        prod = mt * hi[j]
+        err = ((mh * hi_hi[j] - prod) + mh * hi_lo[j] + ml * hi_hi[j]) + ml * hi_lo[j]
+        s = e[todo] - 53 + b[j]
+        y_hi[todo], y_lo[todo] = np.ldexp(prod, s), np.ldexp(err + mt * lo[j], s)
+        # y_hi is an integer near 1e16 or 1e17, so each difference is exact; a
+        # y just under 1e16 rounds up to it, as 10 y would to 1e17
+        low = (y_hi[todo] - 1e16) + y_lo[todo] < -1 / 64
+        high = (y_hi[todo] - 1e17) + y_lo[todo] >= 0
+        if not (low.any() or high.any()):
+            break
+        X[todo] += high.astype(np.int32) - low
+        todo = np.arange(n)[todo][low | high]
+    floor = np.floor(y_lo)
+    frac = y_lo - floor
+    D = y_hi.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    X += carry
+    D[zero] = 0
+    X[zero] = 0
+    return D, X, ~finite | (np.abs(frac - 0.5) < _TIE_BAND)
+
+
+def _g17_cells(v):
+    """``'%.17g' % v`` of every float64 in the 1-D array v, byte for byte, as
+    one row of six uint64 words (48 bytes) per value: its ASCII characters in
+    order, with zero bytes in the slots it leaves empty (sign, "0.000" prefix,
+    17 digits each followed by a dot slot, "e+XXX").  Bytes 45-47 are zero.
+    D and X come from :func:`_g17_digits`; the values it marks are
+    formatted by '%' instead."""
+    last, quads, head, expo, keep = _g17_tables()[5:]
+    D, X, odd = _g17_digits(v)
+    n = len(v)
+    lead = D // 10 ** 16
+    rest = D - lead * 10 ** 16
+    top = rest // 10 ** 8
+    bottom = rest - top * 10 ** 8
+    groups = (top // 10000, top % 10000, bottom // 10000, bottom % 10000)
+    sig = np.maximum(np.maximum(last[0][groups[0]], last[1][groups[1]]),
+                     np.maximum(last[2][groups[2]], last[3][groups[3]]))
+    np.maximum(sig, 1, out=sig)
+    cells = np.empty((n, 6), np.uint64)
+    for w, g in enumerate(groups):
+        # groups before the last non-zero one keep their trailing zeros
+        cells[:, 1 + w] = quads[g + 10000 * (sig > 4 * w + 5)]
+    fixed = (X >= -4) & (X < 17)
+    small = fixed & (X < 0)
+    cells[:, 0] = head[50 * np.signbit(v) + 10 * np.where(small, -X, 0) + lead]
+    cells[:, 5] = expo[X + 400]
+    point = np.where(fixed, X, 0)
+    dotted = np.flatnonzero((sig > point + 1) & ~small)
+    cells.view(np.uint8).ravel()[48 * dotted + 7 + 2 * point[dotted]] = 46
+    # fixed notation keeps the integer part's zeros: 1e16 -> 10000000000000000
+    pad = np.flatnonzero(fixed & (X >= sig))
+    if len(pad):
+        full = np.stack([g[pad] for g in groups], axis=1) + 10000
+        cells[pad, 1:5] = quads[full] & keep[X[pad] + 1]
+    for i in np.flatnonzero(odd):
+        text = b"%.17g" % v[i]
+        cells[i] = 0
+        cells.view(np.uint8)[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return cells
+
+
+def _axis_cells(axis, sep):
+    """The '%.17g' cells of a grid axis, sep in byte 47, all-zero words dropped."""
+    cells = _g17_cells(axis)
+    cells.view(np.uint8)[:, 47] = sep
+    return cells[:, cells.any(axis=0)]
+
+
 def _write_rows(field, path, sep, header):
-    """The header, then x-major rows x, p, re, im as %.17g joined by sep,
-    formatted one x-row at a time."""
+    """The header, then x-major rows x, p, re, im as '%.17g' joined by sep.
+
+    The x and p strings are formatted once per axis, the values in blocks of
+    whole x-rows, about _BLOCK floats each; a block's lines are laid out as
+    one zero-padded byte matrix, and its non-zero bytes are written."""
     g = field.grid
-    num = "%.17g" + sep
-    pair = (num + "%.17g\n").__mod__
-    xs, ps = ([num % a for a in axis.tolist()] for axis in (g.x, g.p))
-    with open(path, "w") as fh:
-        fh.write(header)
-        for x, row in zip(xs, field.values):
-            vals = map(pair, zip(row.real.tolist(), row.imag.tolist()))
-            fh.writelines(x + p + v for p, v in zip(ps, vals))
+    sep = ord(sep)
+    xs, ps = _axis_cells(g.x, sep), _axis_cells(g.p, sep)
+    wx, wxp = xs.shape[1], xs.shape[1] + ps.shape[1]
+    values = np.ascontiguousarray(field.values, dtype=np.complex128)
+    step = max(1, _BLOCK // (2 * g.np))
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for j in range(0, g.nx, step):
+            block = values[j:j + step]
+            lines = np.empty((len(block), g.np, wxp + 12), np.uint64)
+            lines[:, :, :wx] = xs[j:j + step, None]
+            lines[:, :, wx:wxp] = ps
+            cells = _g17_cells(block.view(np.float64).ravel())
+            pairs = cells.view(np.uint8).reshape(-1, 2, 48)
+            pairs[:, 0, 47] = sep
+            pairs[:, 1, 47] = 10
+            lines[:, :, wxp:] = cells.reshape(len(block), g.np, 12)
+            fh.write(lines.tobytes().translate(None, b"\0"))
 
 
 def write_field_csv(field, path):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import shutil
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import psq
 from psq import PolyH, PSQError, integrate, read_field
-from psq.cli import CONFIG_SCHEMA, PARAMS, main, parse_poly, run
+from psq.cli import CONFIG_SCHEMA, PARAMS, _Emitter, main, parse_poly, run
 from psq.cli import run_config as cli_run_config
 from psq.ordering import ORDERING_SCHEMA, _conforms
 
@@ -650,6 +651,19 @@ class TestRunContract:
         assert manifest["files"][0]["path"] == "symbolic.txt"
         assert len(manifest["files"][0]["sha256"]) == 64
         assert (Path(outdir) / "manifest.json").exists()
+
+    def test_manifest_digests_span_read_blocks(self, tmp_path):
+        # artifacts hashed in 1 MiB reads: empty, one block exactly, and several
+        sizes = {"empty.bin": 0, "block.bin": 1 << 20, "big.bin": (5 << 19) + 3}
+        data = {name: np.random.default_rng(size).bytes(size) for name, size in sizes.items()}
+        emit = _Emitter(str(tmp_path / "out"), ["bin"])
+        for name, raw in data.items():
+            with open(emit.path(name), "wb") as fh:
+                fh.write(raw)
+        files = emit.manifest({})["files"]
+        emit.discard()
+        assert files == [{"path": name, "sha256": hashlib.sha256(data[name]).hexdigest()}
+                         for name in sorted(data)]
 
     def test_dat_is_the_csv_rows_for_every_field(self, tmp_path):
         # a field of any scenario, not only evolve's snapshots: the CSV's data
