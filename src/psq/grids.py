@@ -22,8 +22,9 @@ and its configuration-space kernel (``_to_kernel``, ``_from_kernel``) with
 their dense lag sums and shear geometry, its rank-one case for the twisted
 tensor product (``_from_pair``), the star product's twisted convolution
 on the conjugate lattice (``_twisted_convolution``), the two halves of the
-mixed multiply (``_to_mixed``, ``_from_mixed``), and the circulant lag
-layout of the x-axis mixed multiply's dense matrix (``_mixed_matrix``);
+mixed multiply (``_to_mixed``, ``_from_mixed``), the mixed multiply's sum
+along its axis read at zero frequency (``_mixed_sum``), and the circulant
+lag layout of the x-axis mixed multiply's dense matrix (``_mixed_matrix``);
 other modules transform through these, and no other module calls numpy.fft.
 
 Phase tables that depend on the grid alone are built once and cached
@@ -377,6 +378,30 @@ def _from_mixed(grid, mixed, axis, profile):
     out = _MIXED[axis][1](grid, work, out=work)
     out /= grid.nx if axis == "x" else grid.np
     return out
+
+
+def _mixed_sum(grid, summed, axis, profile):
+    """The sum along ``axis`` of multiply_mixed(grid, values, axis, profile),
+    read as its zero-frequency sample; ``summed`` is the values' own sum along
+    that axis, and no transform runs.
+
+    The sum of an inverse half-DFT over its n output samples is n times its
+    zero-frequency input, because the conjugate lattice is centred: its
+    sample n//2 is exactly 0, and with n * d * d' = 2 pi hbar the phases
+    exp(i j d (k - n//2) d' / hbar) summed over j vanish for every other k,
+    whatever the first sample of the span (x_min or p_min).  The forward half
+    at zero frequency is the plain sum of the values.  So the sum is
+    ``summed`` times the profile's zero-frequency sample: its u = 0 row for
+    axis 'x', its eta = 0 column for axis 'p' (a profile of length 1 along
+    the axis broadcasts).  It equals the sum of the mixed multiply in exact
+    arithmetic and to round-off in floats.
+    """
+    i = 0 if axis == "x" else 1
+    profile = np.asarray(profile)
+    if profile.ndim > i:
+        zero = grid.nx // 2 if axis == "x" else grid.np // 2
+        profile = profile.take(zero if profile.shape[i] > 1 else 0, axis=i)
+    return summed * profile
 
 
 def _mixed_matrix(grid, profile):

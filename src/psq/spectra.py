@@ -1,5 +1,12 @@
 """Expectations, uncertainties, star-genvalue residuals and the eigensolver.
 
+Expectations under the identity smoother are zero-frequency contractions of
+the lattice: the sum of the left Bopp action over the lattice is read where
+the shifts vanish (grids._mixed_sum), which leaves the marginals of the
+state's field, plus one x-transform for factor pairs that mix x and p, and
+no field A * rho is built.  Gaussian orderings keep the Bopp series, and
+integrate(bopp_apply(A, rho, "left", spec)) stays the reference route.
+
 The eigensolver never discretizes the star-genvalue equation directly: the
 ordered operator A_{sigma,S}(qhat, phat) with qhat = x, phat = -i hbar d_x is
 assembled as a dense matrix on the x axis from the same a(q) b(p) factor
@@ -30,12 +37,13 @@ the sigma tables, is built once per spectrum.
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import sqrt
+from math import pi, sqrt
 
 import numpy as np
 
 from .errors import NumericalPreconditionError, PSQError
-from .grids import WaveFunction, _mixed_matrix, fourier_full, integrate, l2_norm, pair_shear
+from .grids import (WaveFunction, _from_mixed, _mixed_matrix, _mixed_sum, _to_mixed, fourier_full,
+                    integrate, l2_norm, pair_shear)
 from .ordering import GaussianSmoother, OrderingSpec
 from .polyalg import nf_adjoint
 from .starprod import ObservableSpec, bopp_apply
@@ -49,10 +57,42 @@ HERMITICITY_TOL = 1e-10
 # ---------------------------------------------------------------------------
 
 def expectation(A, state):
-    """<A> = iint (A star rho) dx dp for a pure or mixed state."""
-    rho = state.rho_field()
-    acted = bopp_apply(A, rho, "left", state.spec)
-    return integrate(acted)
+    """<A> = iint (A star rho) dx dp for a pure or mixed state.
+
+    Under a plain-sigma ordering the lattice sum of the left Bopp action is
+    read at zero frequency (grids._mixed_sum), with no field built: each
+    factor pair of :meth:`ObservableSpec.factors` contracts a(x) with
+    sum_p Psi, b(p) with sum_x Psi, or, for a mixed pair, a(x) with the 1-D
+    inverse of sum_p b(p + sigmabar u) (F_x Psi)(u, p), F_x Psi made once per
+    call; the sum is scaled by dx dp / sqrt(2 pi hbar).  A non-finite Psi or
+    contracted profile makes it non-finite, and it raises PSQError as
+    bopp_apply does.  Other orderings take integrate(bopp_apply(A, rho,
+    "left", spec)), the reference route the contraction is tested against
+    (under a Gaussian smoother, the Bopp series).
+    """
+    spec = state.spec
+    if not spec.is_plain_sigma():
+        return integrate(bopp_apply(A, state.rho_field(), "left", spec))
+    g = state.grid
+    psi = state.psi_field.values
+    over_p, over_x = psi.sum(axis=1), psi.sum(axis=0)      # sum_p Psi on x, sum_x Psi on p
+    mixed = None                # Psi on the (u, p) lattice, made for the first mixed pair
+    total = 0j
+    for b, a in A.factors(spec, "left", g.x[:, None],
+                          g.p[None, :] + spec.sigma_bar * g.xi[:, None], g.hbar):
+        if b is None:
+            total += _mixed_sum(g, over_p, "p", a).sum()
+        elif np.ndim(a) == 0:
+            total += a * _mixed_sum(g, over_x, "x", b).sum()
+        else:
+            if mixed is None:
+                mixed = _to_mixed(g, psi, "x")
+            row = _from_mixed(g, (mixed * b).sum(axis=1), "x", 1.0)
+            total += _mixed_sum(g, row, "p", a).sum()
+    total *= g.dx * g.dp / sqrt(2.0 * pi * g.hbar)
+    if not np.isfinite(total):
+        raise PSQError("field contains non-finite samples")
+    return complex(total)
 
 
 def uncertainty(state, which):

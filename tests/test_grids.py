@@ -13,8 +13,8 @@ from psq import (GridMismatchError, PhaseField, PSQError,
                  read_field, star_sigma, write_field, write_field_csv,
                  write_field_dat)
 from psq.grids import (_dft_phases, _fourier_powers, _from_kernel, _fwd_x, _kernel_phases,
-                       _mixed_matrix, _shear_phases, _sheared_samples, _to_kernel, _to_kernels,
-                       half_dft, multiply_mixed, spectral_derivatives)
+                       _mixed_matrix, _mixed_sum, _shear_phases, _sheared_samples, _to_kernel,
+                       _to_kernels, half_dft, multiply_mixed, spectral_derivatives)
 from psq.ordering import OrderingSpec
 from psq.states import hermite_function, twisted_tensor
 
@@ -175,6 +175,20 @@ class TestMixedDispatch:
     def test_multiply_mixed_rejects_axis(self, grid64):
         with pytest.raises(PSQError, match="axis must be 'x' or 'p'"):
             multiply_mixed(grid64, np.ones((64, 64)), "z", 1.0)
+
+    @pytest.mark.parametrize("axis", ["x", "p"])
+    @pytest.mark.parametrize("shape", [(64, 32), (64, 1), (1, 32), ()])
+    def test_mixed_sum_is_the_zero_frequency_sample(self, rng, axis, shape):
+        # an off-centre span on a non-square grid: the conjugate lattice is
+        # centred all the same, which is all the identity needs
+        g = make_grid(64, 32, -5.0, 11.0, -3.0, 9.0, 0.7)
+        values = rng.normal(size=(64, 32)) + 1j * rng.normal(size=(64, 32))
+        profile = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        i = 0 if axis == "x" else 1
+        want = multiply_mixed(g, values, axis, profile).sum(axis=i)
+        got = _mixed_sum(g, values.sum(axis=i), axis, profile)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 
 
 def _frozen(values):

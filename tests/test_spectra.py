@@ -2,14 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import psq.spectra
 import psq.starprod
 from psq import (EvolutionConfig, GaussianSmoother, IdentitySmoother, MixedState,
                  NumericalPreconditionError, ObservableSpec, OrderingSpec,
-                 PhaseField, PolyH, PSQError, evolve_schrodinger, expectation,
-                 gauge_spectrum_check, l2_norm, make_grid,
+                 PhaseField, PolyH, PSQError, bopp_apply, evolve_phase_space,
+                 evolve_schrodinger, expectation, gauge_spectrum_check, integrate,
+                 l2_norm, make_grid,
                  operator_matrix, spectrum_via_schrodinger, stargen_residual,
                  twisted_tensor, uncertainty)
 from psq.closedforms import (CoherentParams, FreeGaussianParams,
@@ -77,6 +80,112 @@ class TestExpectation:
         H = ObservableSpec.harmonic(1.0)
         val = expectation(H, state)
         assert abs(val.imag) < 1e-8
+
+
+def bopp_expectation(A, state):
+    """The reference route: the whole field A * rho, summed."""
+    return integrate(bopp_apply(A, state.rho_field(), "left", state.spec))
+
+
+_X, _P = PolyH.x(), PolyH.p()
+CONTRACTED = (
+    ObservableSpec.position(),
+    ObservableSpec.momentum(),
+    ObservableSpec.from_poly(_X * _P, "xp"),
+    ObservableSpec.from_poly(_X * _X * _P * _P * _P + _X * _P * _P, "x2p3+xp2"),
+    ObservableSpec.harmonic(1.3) + ObservableSpec.from_poly(PolyH.const(0.25), "1/4"),
+    ObservableSpec.x_function(np.cos, "cos x")
+    + ObservableSpec.p_function(lambda p: np.exp(-p * p / 4), "exp(-p^2/4)"),
+)
+GRID_E = make_grid(64, 64, -8.0, 8.0, -8.0, 8.0, 1.0)
+
+
+def _ramped_hermite(rng):
+    """A Hermite function times a phase ramp: a complex wavefunction."""
+    n, k = int(rng.integers(0, 4)), rng.uniform(-1.5, 1.5)
+    return WaveFunction(GRID_E, hermite_function(GRID_E, n).values * np.exp(1j * k * GRID_E.x))
+
+
+def _contracted_state(seed, sigma, kind):
+    rng = np.random.default_rng(seed)
+    spec = OrderingSpec(sigma)
+    pair = twisted_tensor(_ramped_hermite(rng), _ramped_hermite(rng), spec)
+    if kind == "pair":
+        return pair
+    if kind == "mixed":
+        w = rng.uniform(0.2, 0.8)
+        other = twisted_tensor(_ramped_hermite(rng), _ramped_hermite(rng), spec)
+        return MixedState(((w, pair), (1.0 - w, other)))
+    # RK4 output: a raw field that carries no canonical field
+    cfg = EvolutionConfig(dt=0.01, steps=2, method="phase_space_rk4")
+    field = evolve_phase_space(pair, ObservableSpec.harmonic(), cfg).snapshots[-1]
+    return QuasiDistribution(field, spec)
+
+
+class TestExpectationContraction:
+    """Plain-sigma expectations are zero-frequency contractions; the Bopp
+    action summed over the lattice is their reference route."""
+
+    @settings(derandomize=True, max_examples=12, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), sigma=st.floats(0.0, 1.0),
+           kind=st.sampled_from(["pair", "mixed", "raw"]))
+    def test_matches_the_bopp_route(self, seed, sigma, kind):
+        state = _contracted_state(seed, sigma, kind)
+        assert state.canonical is None or kind == "pair"
+        for A in CONTRACTED:
+            want = bopp_expectation(A, state)
+            assert abs(expectation(A, state) - want) <= 1e-12 * max(1.0, abs(want)), A.label
+
+    def test_coherent_moments_as_close_as_the_bopp_route(self):
+        grid = make_grid(256, 128, -12.0, 12.0, -8.0, 8.0, 1.0)
+        moments = {"x": lambda c: c.x_bar, "p": lambda c: c.p_bar,
+                   "x2": lambda c: c.x_bar ** 2 + 0.5, "p2": lambda c: c.p_bar ** 2 + 0.5}
+        obs = {"x": ObservableSpec.position(), "p": ObservableSpec.momentum(),
+               "x2": ObservableSpec.from_poly(_X * _X, "x2"),
+               "p2": ObservableSpec.from_poly(_P * _P, "p2")}
+        for sigma in (0.0, 0.3, 0.5, 1.0):
+            for packet in (CoherentParams(1.25, -0.5), CoherentParams(-2.0, 1.5)):
+                state = coherent_state(packet, OrderingSpec(sigma), grid)
+                for name, A in obs.items():
+                    exact = moments[name](packet)
+                    err = abs(expectation(A, state) - exact)
+                    assert err <= abs(bopp_expectation(A, state) - exact), (sigma, name)
+                    assert err < 1e-12 * max(1.0, abs(exact))
+
+    def test_gaussian_orderings_keep_the_series(self, grid64):
+        spec = OrderingSpec(0.3, GaussianSmoother(0.05, 0.08))
+        phi = hermite_function(grid64, 1)
+        state = twisted_tensor(phi, hermite_function(grid64, 2), spec)
+        for A in CONTRACTED[:5]:
+            assert expectation(A, state) == bopp_expectation(A, state)
+
+    @pytest.mark.parametrize("A", CONTRACTED, ids=lambda A: A.label)
+    def test_nan_state_refused_by_both_routes(self, grid64, A):
+        state = twisted_tensor(hermite_function(grid64, 0), hermite_function(grid64, 1),
+                               OrderingSpec(0.3))
+        values = state.psi_field.values.copy()
+        values[20, 40] = np.nan
+        bad = QuasiDistribution(PhaseField(grid64, values), state.spec)
+        with np.errstate(invalid="ignore"):
+            for route in (expectation, bopp_expectation):
+                with pytest.raises(PSQError, match="non-finite"):
+                    route(A, bad)
+
+    @pytest.mark.parametrize("A", [
+        ObservableSpec.from_poly(PolyH.monomial(400, 0), "x^400"),
+        ObservableSpec.from_poly(PolyH.monomial(0, 400), "p^400"),
+        ObservableSpec.from_poly(PolyH.monomial(200, 200), "x^200 p^200"),
+        ObservableSpec.x_function(lambda x: np.exp(800.0 * x * x), "exp(800 x^2)"),
+        ObservableSpec.p_function(lambda p: np.exp(800.0 * p * p), "exp(800 p^2)")],
+        ids=lambda A: A.label)
+    def test_overflowing_profile_refused_by_both_routes(self, grid64, A):
+        # standard ordering (sigma 0) keeps x^200 p^200 one factor pair
+        state = twisted_tensor(hermite_function(grid64, 0), hermite_function(grid64, 0),
+                               OrderingSpec(0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for route in (expectation, bopp_expectation):
+                with pytest.raises(PSQError, match="non-finite"):
+                    route(A, state)
 
 
 class TestUncertainty:
