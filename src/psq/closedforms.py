@@ -264,7 +264,7 @@ def coherent_state(params, spec, grid):
     _require_span(grid, abs(params.x_bar) + 5.0 * sqrt(hbar * ss / omega),
                   abs(params.p_bar) + 5.0 * sqrt(hbar * omega * ss))
     denom = 2.0 * hbar * omega * ss
-    vals = (1.0 / sqrt(pi * hbar * omega * ss)) \
+    vals = (1.0 / sqrt(pi * hbar * ss)) \
         * np.exp(-omega ** 2 * (X - params.x_bar) ** 2 / denom) \
         * np.exp(-(P - params.p_bar) ** 2 / denom) \
         * np.exp(2j * (2.0 * s - 1.0) * omega * (X - params.x_bar)

@@ -23,7 +23,8 @@ their dense lag sums and shear geometry, its rank-one case for the twisted
 tensor product (``_from_pair``), the star product's twisted convolution
 on the conjugate lattice (``_twisted_convolution``), the two halves of the
 mixed multiply (``_to_mixed``, ``_from_mixed``), the mixed multiply's sum
-along its axis read at zero frequency (``_mixed_sum``), and the circulant
+along its axis read at zero frequency (``_mixed_sum``), its conjugate-lattice
+spectrum taken without the way back (``_mixed_spectrum``), and the circulant
 lag layout of the x-axis mixed multiply's dense matrix (``_mixed_matrix``);
 other modules transform through these, and no other module calls numpy.fft.
 
@@ -402,6 +403,24 @@ def _mixed_sum(grid, summed, axis, profile):
         zero = grid.nx // 2 if axis == "x" else grid.np // 2
         profile = profile.take(zero if profile.shape[i] > 1 else 0, axis=i)
     return summed * profile
+
+
+def _mixed_spectrum(grid, mixed, axis, profile):
+    """The conjugate-lattice (xi, eta) spectrum of multiply_mixed(grid, values,
+    axis, profile), unweighted (fourier_full's values without its dx dp /
+    2 pi hbar), from the values' mixed samples ``mixed``: the forward transform
+    along the other axis of ``mixed * profile``, in the product's own buffer.
+
+    The full transform runs the way back of the mixed multiply forward again,
+    and n times the identity is what that pair of half-DFTs makes, so the 1/n
+    of the multiply cancels it and no inverse transform runs.  The spectrum
+    equals fourier_full(multiply_mixed(...)) / (dx dp / 2 pi hbar) in exact
+    arithmetic and to round-off in floats.
+    """
+    work = mixed * profile
+    if axis == "x":
+        return _p_to_eta(grid, work, out=work)
+    return _fwd_x(grid, work, out=work)
 
 
 def _mixed_matrix(grid, profile):

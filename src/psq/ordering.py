@@ -64,7 +64,10 @@ class GaussianSmoother:
         return "identity" if self.is_identity() else "gaussian"
 
     def multiplier(self, XI, ETA, hbar):
-        return np.exp(-(self.alpha * XI ** 2 + self.beta * ETA ** 2) / (2.0 * hbar))
+        # an amplifying smoother (alpha or beta < 0) overflows to inf only far
+        # past the amplification cutoff, where every consumer clamps it
+        with np.errstate(over="ignore"):
+            return np.exp(-(self.alpha * XI ** 2 + self.beta * ETA ** 2) / (2.0 * hbar))
 
     def to_word(self):
         return DiffOpWord.gaussian(self.alpha, self.beta)

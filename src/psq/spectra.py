@@ -29,10 +29,13 @@ The bridge identity
 is the master cross-check between this module and the Bopp route.
 The eigenfields' two-sided star-genvalue residuals are that route's
 independent check of the matrix: under a Gaussian smoother S they are taken
-on the plain-sigma field Psi_c that each twisted-tensor state carries, as
-S[(S^-1 H) *_sigma Psi_c - E Psi_c], with S's multiplier applied in Fourier
-space only (stargen_residual), so no Bopp series runs; the multiplier, like
-the sigma tables, is built once per spectrum.
+on the plain-sigma field Psi_c of each level, as
+S[(S^-1 H) *_sigma Psi_c - E Psi_c], contracted on the conjugate lattice
+with S's multiplier clamped as the smoothing clamps it
+(starprod._canonical_residuals), so neither S Psi_c nor the residual field
+is built and no Bopp series runs; the multiplier, like the sigma tables, is
+built once per spectrum.  Plain-sigma orderings build each level's state
+with twisted_tensor and take stargen_residual of it.
 """
 
 from dataclasses import dataclass
@@ -42,12 +45,12 @@ from math import pi, sqrt
 import numpy as np
 
 from .errors import NumericalPreconditionError, PSQError
-from .grids import (WaveFunction, _from_mixed, _mixed_matrix, _mixed_sum, _to_mixed, fourier_full,
-                    integrate, l2_norm, pair_shear)
+from .grids import (WaveFunction, _from_mixed, _mixed_matrix, _mixed_sum, _to_mixed, integrate,
+                    l2_norm, pair_shear)
 from .ordering import GaussianSmoother, OrderingSpec
 from .polyalg import nf_adjoint
-from .starprod import ObservableSpec, bopp_apply
-from .states import twisted_tensor
+from .starprod import ObservableSpec, _canonical_residuals, bopp_apply
+from .states import _plain_sigma_field, twisted_tensor
 
 HERMITICITY_TOL = 1e-10
 
@@ -118,46 +121,37 @@ def stargen_residual(H, state, energy, multiplier=None):
     """Relative residuals of the two-sided star-genvalue equations.
 
     (|H*Psi - E Psi| / |Psi|, |Psi*H - E Psi| / |Psi|), both sides from one
-    Bopp action; a zero field raises NumericalPreconditionError.
+    Bopp action; a zero field raises NumericalPreconditionError and a
+    non-finite residual PSQError, so none is ever returned.
 
     A state under a Gaussian smoother S that carries its plain-sigma field
-    Psi_c (``state.canonical``) takes the canonical route: with
-    r_c = (S^-1 H) *_sigma Psi_c - E Psi_c from one canonical
-    :func:`bopp_apply` (the identity route, real shifts), each side's
-    residual field is S r_c, and its ratio is |mult F r_c| / |mult F Psi_c|
-    in Fourier space (Parseval), mult being S's multiplier, so S is never
-    applied on the lattice and the Bopp series never runs.  ``multiplier``
-    is :func:`_gaussian_multiplier` of the state's ordering and grid, for a
-    caller that checks several states under one ordering; by default the
-    call builds its own.  Every other state, among them those that carry no
-    Psi_c, takes the Bopp action on Psi itself (the series under a Gaussian
-    smoother).  Both routes refuse the same inputs with the same errors.
+    Psi_c (``state.canonical``) takes the canonical route,
+    :func:`starprod._canonical_residuals`: each side's residual field is
+    S r_c with r_c = (S^-1 H) *_sigma Psi_c - E Psi_c, and its ratio
+    |m F r_c| / |m F Psi_c| (Parseval, m being S's multiplier, clamped as
+    the smoothing clamps it) is contracted on the conjugate lattice, so
+    neither S Psi_c nor r_c is built and the Bopp series never runs.
+    ``multiplier`` is :func:`_gaussian_multiplier` of the state's ordering
+    and grid, for a caller that checks several states under one ordering; by
+    default the call builds its own.  Every other state, among them those
+    that carry no Psi_c, takes the Bopp action on Psi itself (the series
+    under a Gaussian smoother).  Both routes refuse the same inputs with the
+    same errors.
     """
     spec = state.spec
     psi = state.canonical
     if psi is not None and multiplier is None:
         multiplier = _gaussian_multiplier(spec, psi.grid)
-    if psi is None or multiplier is None:
-        psi = state.psi_field
-        nrm = l2_norm(psi)
-        if nrm == 0.0:
-            raise NumericalPreconditionError("star-genvalue residual of a zero field")
-        return tuple(l2_norm(acted - psi * energy) / nrm
-                     for acted in bopp_apply(H, psi, "both", spec))
-    if np.shape(multiplier) != (psi.grid.nx, psi.grid.np):
-        raise PSQError("smoother multiplier of shape %r for a %d x %d grid"
-                       % (np.shape(multiplier), psi.grid.nx, psi.grid.np))
-
-    def smoothed_norm(field):
-        spectrum = fourier_full(field).values
-        spectrum *= multiplier
-        return float(np.linalg.norm(spectrum))
-
-    nrm = smoothed_norm(psi)
+    if psi is not None and multiplier is not None:
+        return _canonical_residuals(H, psi, energy, spec, multiplier)
+    psi = state.psi_field
+    nrm = l2_norm(psi)
     if nrm == 0.0:
         raise NumericalPreconditionError("star-genvalue residual of a zero field")
-    return tuple(smoothed_norm(acted - psi * energy) / nrm
-                 for acted in bopp_apply(H, psi, "both", spec, canonical=True))
+    out = tuple(l2_norm(acted - psi * energy) / nrm for acted in bopp_apply(H, psi, "both", spec))
+    if not np.all(np.isfinite(out)):
+        raise PSQError("field contains non-finite samples")
+    return out
 
 
 def _gaussian_multiplier(spec, grid):
@@ -342,11 +336,16 @@ def spectrum_via_schrodinger(H, spec, n_levels, grid, residual_fields=True):
     residuals = []
     if residual_fields:
         # one set of sigma tables (and of a Gaussian smoother's multiplier) for
-        # every level; each state goes before the next is built
+        # every level; each field goes before the next is built.  A Gaussian
+        # ordering builds Psi_c only: its residuals never read S Psi_c.
         shear = pair_shear(grid, spec.sigma)
         mult = _gaussian_multiplier(spec, grid)
-        residuals = [stargen_residual(H, twisted_tensor(w, w, spec, shear), e, mult)
-                     for w, e in zip(waves, kept_e)]
+        if mult is None:
+            residuals = [stargen_residual(H, twisted_tensor(w, w, spec, shear), e)
+                         for w, e in zip(waves, kept_e)]
+        else:
+            residuals = [_canonical_residuals(H, _plain_sigma_field(w, w, shear), e, spec, mult)
+                         for w, e in zip(waves, kept_e)]
     return SpectralResult(kept_e, waves, spec, residuals)
 
 

@@ -22,7 +22,10 @@ Three computational routes, cross-checked in the test suite:
   one set of forward transforms of psi, as the two-sided star-genvalue
   residual and the Moyal-bracket evolution need.  With canonical=True it
   acts on a state's plain-sigma field Psi_c instead, by S^-1 A on the
-  identity route, as S is an algebra isomorphism.
+  identity route, as S is an algebra isomorphism.  That canonical action
+  is the reference route of ``_canonical_residuals``, which takes a
+  Gaussian-smoothed state's star-genvalue residual norms from Psi_c on the
+  conjugate lattice, with no field built.
 
 Every transform runs through ``grids``, the sigma-field <-> kernel maps and
 the twisted convolution included.
@@ -47,9 +50,9 @@ import numpy as np
 from .errors import (IllPosedSmoothingError, NumericalPreconditionError, PSQError,
                      UnsupportedObservableError)
 # _to_kernel, the one-operand map, stays importable from here beside the stacked _to_kernels
-from .grids import (PhaseField, _fourier_powers, _from_kernel, _from_mixed, _to_kernel,  # noqa: F401
-                    _to_kernels, _to_mixed, _twisted_convolution, boundary_tail_mass,
-                    fourier_full, fourier_full_inverse)
+from .grids import (PhaseField, _fourier_powers, _from_kernel, _from_mixed,  # noqa: F401
+                    _mixed_spectrum, _to_kernel, _to_kernels, _to_mixed, _twisted_convolution,
+                    boundary_tail_mass, fourier_full, fourier_full_inverse)
 from .ordering import GaussianSmoother, OrderingSpec
 from .polyalg import PolyH, sigma_order, sigma_order_right, word_profiles
 
@@ -158,28 +161,44 @@ class ObservableSpec:
 # Fourier multipliers with the deconvolution guard
 # ---------------------------------------------------------------------------
 
-def _apply_multiplier(field, mult):
-    """Apply a conjugate-lattice multiplier, clamping unstable amplification.
+def _clamp(spectrum, mult, bad, meta):
+    """The deconvolution guard: ``mult`` zeroed on ``bad``, the lattice points
+    where it (or the multiplier it inverts) passes the amplification cutoff.
+
+    A spectrum that carries more than a sliver of relative mass there is
+    refused as ill-posed; else the clamped mass fraction is max-merged into
+    ``meta["deconvolution_clamped"]`` so consumers can widen their tolerances.
+    ``spectrum`` may be scaled by any constant.
+    """
+    if not np.any(bad):
+        return mult
+    total = np.sum(np.abs(spectrum) ** 2)
+    clamped = np.sum(np.abs(spectrum[bad]) ** 2)
+    if total > 0 and clamped / total > CLAMPED_MASS_TOLERANCE:
+        raise IllPosedSmoothingError("deconvolution ill-posed for this field")
+    fraction = float(clamped / total) if total > 0 else 0.0
+    meta["deconvolution_clamped"] = max(meta.get("deconvolution_clamped", 0.0), fraction)
+    return np.where(bad, 0.0, mult)
+
+
+def _apply_multiplier(field, mult, inverse=False):
+    """Apply a conjugate-lattice multiplier (its reciprocal if ``inverse``),
+    clamping unstable amplification with :func:`_clamp`.
 
     The one guarded multiply behind smoothers, gauge maps and the involution.
-    The result keeps the field's guard flags.  Lattice points where |mult|
-    exceeds the cutoff are zeroed; if the field carries more than a sliver of
-    relative spectral mass there, the operation is refused as ill-posed.  A
-    clamp max-merges the clamped mass fraction into the flag
-    ``deconvolution_clamped`` so consumers can widen their tolerances.
+    The result keeps the field's guard flags.  The clamp zeroes the lattice
+    points where the applied multiplier would exceed the cutoff in modulus;
+    the reciprocal is formed only on the others, so an underflowing
+    multiplier never makes 1/0.
     """
     F = fourier_full(field)
     mvals = np.asarray(mult, dtype=complex)
-    bad = np.abs(mvals) > AMPLIFICATION_CUTOFF
-    if np.any(bad):
-        total = np.sum(np.abs(F.values) ** 2)
-        clamped = np.sum(np.abs(F.values[bad]) ** 2)
-        if total > 0 and clamped / total > CLAMPED_MASS_TOLERANCE:
-            raise IllPosedSmoothingError("deconvolution ill-posed for this field")
-        fraction = float(clamped / total) if total > 0 else 0.0
-        F.meta["deconvolution_clamped"] = max(F.meta.get("deconvolution_clamped", 0.0), fraction)
-        mvals = np.where(bad, 0.0, mvals)
-    F.values *= mvals
+    if inverse:
+        bad = np.abs(mvals) < 1.0 / AMPLIFICATION_CUTOFF
+        mvals = np.divide(1.0, mvals, out=np.zeros_like(mvals), where=~bad)
+    else:
+        bad = np.abs(mvals) > AMPLIFICATION_CUTOFF
+    F.values *= _clamp(F.values, mvals, bad, F.meta)
     return fourier_full_inverse(F).assert_finite()
 
 
@@ -194,8 +213,8 @@ def apply_smoother(spec, field, direction="forward"):
         return field.copy()
     g = field.grid
     XI, ETA = g.conj_meshes()
-    mult = np.asarray(spec.smoother.multiplier(XI, ETA, g.hbar), dtype=complex)
-    return _apply_multiplier(field, mult if direction == "forward" else 1.0 / mult)
+    mult = spec.smoother.multiplier(XI, ETA, g.hbar)
+    return _apply_multiplier(field, mult, inverse=direction == "inverse")
 
 
 def _gauge_phase(grid, delta):
@@ -316,6 +335,15 @@ def _bopp_series(poly, field, shifts):
     return [PhaseField(g, out, field.meta) for out in outs]
 
 
+def _require_gaussian_polynomial(A, spec):
+    """Refuse a smoothed action the Bopp routes cannot take: one under a
+    smoother other than a Gaussian, or with function terms."""
+    if A.fns or not isinstance(spec.smoother, GaussianSmoother):
+        raise UnsupportedObservableError(
+            "smoothed Bopp actions need a Gaussian smoother and polynomial "
+            "terms; got %s with %s" % (spec.smoother.kind, A.label))
+
+
 def bopp_apply(A, psi, side, spec, canonical=False):
     """A *_{sigma,S} psi (side='left'), psi *_{sigma,S} A (side='right'), or
     the pair (A *_{sigma,S} psi, psi *_{sigma,S} A) (side='both').
@@ -345,10 +373,8 @@ def bopp_apply(A, psi, side, spec, canonical=False):
     if side not in ("left", "right", "both"):
         raise PSQError("side must be 'left', 'right' or 'both'")
     smoothed = not spec.is_plain_sigma()
-    if smoothed and (A.fns or not isinstance(spec.smoother, GaussianSmoother)):
-        raise UnsupportedObservableError(
-            "smoothed Bopp actions need a Gaussian smoother and polynomial "
-            "terms; got %s with %s" % (spec.smoother.kind, A.label))
+    if smoothed:
+        _require_gaussian_polynomial(A, spec)
     g = psi.grid
     sides = ("left", "right") if side == "both" else (side,)
     # the canonical route's shifts are the plain-sigma ones, real
@@ -377,6 +403,67 @@ def bopp_apply(A, psi, side, spec, canonical=False):
             acted.append(PhaseField(g, out, psi.meta))
     acted = tuple(f.assert_finite() for f in acted)
     return acted if side == "both" else acted[0]
+
+
+def _canonical_residuals(A, psi, energy, spec, mult):
+    """Relative residuals (|S r_left| / |S Psi_c|, |S r_right| / |S Psi_c|) of
+    the two-sided star-genvalue equations of the state S Psi_c, from its
+    plain-sigma field Psi_c (``psi``) under a Gaussian-smoothed ``spec``.
+
+    r_side is (S^-1 A) *_sigma Psi_c - E Psi_c, the action of
+    :func:`bopp_apply` with canonical=True, contracted on the conjugate
+    lattice (xi, eta) without a field built: ``grids._mixed_spectrum`` maps
+    each mixed multiply straight to its spectrum, so no inverse transform
+    runs.  Per side, the factor pairs of :meth:`ObservableSpec.factors`
+    with a scalar a, the constants and -E fold into one profile on Psi_c's
+    x -> u samples (one p -> eta transform), the x-only pairs into one
+    profile on its p -> y samples (one x -> xi transform), and a pair that
+    mixes x and p keeps its own three transforms.  The spectrum of Psi_c is
+    the p -> eta transform of the shared x -> u samples.  Each ratio is
+    |m R| / |m F Psi_c| (Parseval), m being ``mult``, S's multiplier
+    (nx, np), clamped as :func:`_apply_multiplier` clamps the smoothing:
+    a Psi_c that smoothing refuses raises IllPosedSmoothingError here too.
+    A zero Psi_c raises NumericalPreconditionError, a non-finite residual
+    PSQError, and a word or smoother bopp_apply refuses what it refuses.
+    """
+    _require_gaussian_polynomial(A, spec)
+    g = psi.grid
+    if np.shape(mult) != (g.nx, g.np):
+        raise PSQError("smoother multiplier of shape %r for a %d x %d grid"
+                       % (np.shape(mult), g.nx, g.np))
+    on_u = _to_mixed(g, psi.values, "x")
+    on_y = None                 # Psi_c's p -> y samples, made for the first x-only pair
+    spectrum = _mixed_spectrum(g, on_u, "x", 1.0)
+    mult = _clamp(spectrum, mult, np.abs(mult) > AMPLIFICATION_CUTOFF, {})
+    nrm = np.linalg.norm(spectrum * mult)
+    del spectrum
+    if nrm == 0.0:
+        raise NumericalPreconditionError("star-genvalue residual of a zero field")
+    plain = OrderingSpec(spec.sigma)
+    out = []
+    for side in ("left", "right"):
+        m_x, m_p = _bopp_shifts(plain, side, g)
+        pairs = A.factors(spec, side, g.x[:, None] + m_x, g.p[None, :] + m_p, g.hbar)
+        scalar_a, x_only = -energy, 0.0
+        for b, a in pairs:
+            if np.ndim(a) == 0:
+                scalar_a = scalar_a + (a if b is None else a * b)
+            elif b is None:
+                x_only = x_only + a
+        acted = _mixed_spectrum(g, on_u, "x", scalar_a)
+        if np.ndim(x_only):
+            if on_y is None:
+                on_y = _to_mixed(g, psi.values, "p")
+            acted += _mixed_spectrum(g, on_y, "p", x_only)
+        for b, a in pairs:
+            if b is not None and np.ndim(a):
+                work = _from_mixed(g, on_u, "x", b)
+                acted += _mixed_spectrum(g, _to_mixed(g, work, "p", out=work), "p", a)
+        acted *= mult
+        out.append(np.linalg.norm(acted) / nrm)
+    if not np.all(np.isfinite(out)):
+        raise PSQError("field contains non-finite samples")
+    return tuple(float(r) for r in out)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ A twisted-tensor state also keeps the plain-sigma field Psi_c it was smoothed
 from (``QuasiDistribution.canonical``, with Psi = S Psi_c), so that a consumer
 can work on Psi_c without pulling Psi back through S^-1:
 ``spectra.stargen_residual`` takes a smoothed state's residuals from it.
+A caller that needs Psi_c alone builds it with ``_plain_sigma_field``,
+which twisted_tensor calls too, so both share its guards: a Gaussian
+spectrum's residual loop does.
 """
 
 import json
@@ -145,16 +148,24 @@ def twisted_tensor(phi, psi, spec, shear=None):
     elif shear.grid != grid or shear.sigma != spec.sigma:
         raise PSQError("shear tables built for sigma=%r on another grid, or for another "
                        "sigma than %r" % (shear.sigma, spec.sigma))
+    canonical = _plain_sigma_field(phi, psi, shear)
+    out = apply_smoother(spec, canonical)
+    # the identity smoother's copy is the plain-sigma field itself
+    return QuasiDistribution(out, spec, out if spec.is_plain_sigma() else canonical)
+
+
+def _plain_sigma_field(phi, psi, shear):
+    """The plain-sigma field Psi_c of the pair (phi, psi) on the tables ``shear``,
+    which are taken as built for the pair's grid: twisted_tensor's field before
+    its smoother.  An interpolation tail past INTERPOLATION_TAIL_THRESHOLD
+    raises NumericalPreconditionError, a non-finite sample PSQError."""
     values, tail = _from_pair(phi.values, psi.values, shear)
     if tail > INTERPOLATION_TAIL_THRESHOLD:
         raise NumericalPreconditionError(
             "band-limited interpolation error estimate %.3g exceeds %.1g; "
             "refine the axis or widen the span"
             % (tail, INTERPOLATION_TAIL_THRESHOLD))
-    canonical = PhaseField(grid, values)
-    out = apply_smoother(spec, canonical).assert_finite()
-    # the identity smoother's copy is the plain-sigma field itself
-    return QuasiDistribution(out, spec, out if spec.is_plain_sigma() else canonical)
+    return PhaseField(shear.grid, values).assert_finite()
 
 
 def _kernel(state):

@@ -588,6 +588,20 @@ class TestRunContract:
             assert cli_run_config(dict(payload, output_dir=str(nested)))[0] == 3
         assert nested.is_dir() and not os.listdir(nested)
 
+    @pytest.mark.parametrize("smoother", [{"kind": "identity"},
+                                          {"kind": "gaussian", "alpha": 0.1, "beta": 0.1}],
+                             ids=["identity", "gaussian"])
+    def test_non_finite_residual_exit_2_writes_nothing(self, tmp_path, capsys, smoother):
+        # the levels are finite, but the residual norms overflow: no inf is written
+        payload = {"scenario": "spectrum", "grid": {"nx": 64, "np": 64},
+                   "ordering": {"sigma": 0.5, "smoother": smoother},
+                   "params": {"hamiltonian": "1e300*p^2 + 1e300*x^2", "levels": 2}}
+        with np.errstate(all="ignore"):
+            (code, manifest), outdir = run_config(payload, tmp_path)
+        assert (code, manifest) == (2, None)
+        assert "non-finite" in capsys.readouterr().err
+        assert not Path(outdir).exists()
+
     def test_unresolved_level_exit_3(self, tmp_path):
         # eight harmonic levels do not fit in [-3, 3]: not even level 0 decays
         payload = {"scenario": "spectrum",
@@ -1005,6 +1019,37 @@ class TestSubcommands:
         want = free_gaussian(FreeGaussianParams(1.0, np.sqrt(0.5)), 0.5, OrderingSpec(0.5), grid)
         assert np.array_equal(field.values, want.psi_field.values)
         assert abs(integrate(field) / np.sqrt(2 * np.pi) - 1.0) < 1e-10
+
+    def test_spectrum_under_an_amplifying_smoother(self, tmp_path):
+        # the smoother's multiplier passes the cutoff and overflows; the
+        # residuals take it clamped, as the smoothing does
+        outdir = tmp_path / "amplifying"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["spectrum", "--alpha", "-0.1", "--beta", "0.05", "--nx", "1024",
+                         "--np", "128", "--levels", "2", "--output-dir", str(outdir)])
+        assert code == 0
+        rows = (outdir / "spectrum.csv").read_text().splitlines()[1:]
+        residuals = [float(v) for row in rows for v in row.split(",")[2:]]
+        assert len(residuals) == 4
+        assert all(np.isfinite(residuals)) and max(residuals) < 1e-6
+
+    def test_oscillator_start_is_normalized_off_unit_omega(self, tmp_path):
+        # the closed-form coherent start (RK4) and the wavepacket (split step)
+        # write the same t = 0 row
+        rows = {}
+        for method in ("phase_space_rk4", "split_step_schrodinger"):
+            payload = {"scenario": "evolve", "grid": {"nx": 64, "np": 64},
+                       "params": {"system": "oscillator", "omega": 2, "method": method,
+                                  "steps": 2, "dt": 0.005}}
+            (code, _manifest), outdir = run_config(payload, tmp_path, method + ".json")
+            assert code == 0
+            with open(Path(outdir) / "trajectory.csv") as fh:
+                header, first = fh.readline().strip().split(","), fh.readline().split(",")
+            rows[method] = {name: float(first[header.index(name)]) for name in ("x_re", "norm")}
+        for name in ("x_re", "norm"):
+            assert abs(rows["phase_space_rk4"][name] - rows["split_step_schrodinger"][name]) < 1e-12
+        assert abs(rows["phase_space_rk4"]["norm"] - 1.0) < 1e-12
 
     def test_evolve_custom_system(self, tmp_path):
         # the harmonic polynomial as a custom Hamiltonian is the oscillator system

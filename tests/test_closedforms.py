@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from psq import (CohenSmoother, GaussianSmoother, NumericalPreconditionError, ObservableSpec,
@@ -217,6 +219,19 @@ class TestCoherent:
         cs = coherent_state(CoherentParams(1.0, 0.5, 1.0), OrderingSpec(0.5), grid64)
         prod = uncertainty(cs, "x") * uncertainty(cs, "p")
         assert abs(prod - grid64.hbar / 2) < 1e-7
+
+    @settings(derandomize=True, max_examples=15, deadline=None, database=None)
+    @given(hbar=st.floats(0.2, 2.0), omega=st.floats(0.3, 3.0), sigma=st.floats(0.0, 1.0),
+           x_bar=st.floats(-1.0, 1.0), p_bar=st.floats(-1.0, 1.0))
+    def test_normalized_over_the_parameter_box(self, hbar, omega, sigma, x_bar, p_bar):
+        grid = make_grid(256, 256, -16.0, 16.0, -16.0, 16.0, hbar)
+        cs = coherent_state(CoherentParams(x_bar, p_bar, omega), OrderingSpec(sigma), grid)
+        energy = 0.5 * p_bar ** 2 + 0.5 * omega ** 2 * x_bar ** 2 + 0.5 * hbar * omega
+        assert abs(cs.normalization_integral() - 1.0) < 1e-10
+        assert abs(cs.norm_h() - 1.0) < 1e-10
+        assert abs(expectation(ObservableSpec.position(), cs) - x_bar) < 1e-10
+        assert abs(expectation(ObservableSpec.momentum(), cs) - p_bar) < 1e-10
+        assert abs(expectation(ObservableSpec.harmonic(omega), cs) - energy) < 1e-10 * energy
 
     def test_matches_tensor_of_wavepacket(self, grid64):
         cp = CoherentParams(0.8, -0.3, 1.0)

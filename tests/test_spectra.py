@@ -2,13 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+import psq.grids
 import psq.spectra
 import psq.starprod
-from psq import (EvolutionConfig, GaussianSmoother, IdentitySmoother, MixedState,
+import psq.states
+from psq import (EvolutionConfig, GaussianSmoother, IdentitySmoother, IllPosedSmoothingError,
+                 MixedState,
                  NumericalPreconditionError, ObservableSpec, OrderingSpec,
                  PhaseField, PolyH, PSQError, bopp_apply, evolve_phase_space,
                  evolve_schrodinger, expectation, gauge_spectrum_check, integrate,
@@ -346,6 +349,125 @@ class TestCanonicalResidual:
         other = psq.spectra._gaussian_multiplier(GAUSSIAN, make_grid(32, 32, -6, 6, -6, 6, 1.0))
         with pytest.raises(PSQError, match="multiplier"):
             stargen_residual(QUARTIC, state, 0.5, other)
+
+
+# a factor pair that mixes x and p: the x^2 p^2 term
+MIXED_WORD = ObservableSpec.from_poly(QUARTIC.poly + PolyH.monomial(2, 2, c=0.02), "H_mixed")
+GRID64 = make_grid(64, 64, -8.0, 8.0, -8.0, 8.0, 1.0)
+
+
+def _field_route_residuals(H, psi, energy, spec, mult=None):
+    """The canonical residuals from fields: bopp_apply(..., canonical=True) on
+    Psi_c, then |m F r| / |m F Psi_c| with fourier_full and S's multiplier m."""
+    if mult is None:
+        mult = psq.spectra._gaussian_multiplier(spec, psi.grid)
+
+    def smoothed_norm(field):
+        return np.linalg.norm(psq.grids.fourier_full(field).values * mult)
+
+    nrm = smoothed_norm(psi)
+    return tuple(smoothed_norm(acted - psi * energy) / nrm
+                 for acted in bopp_apply(H, psi, "both", spec, canonical=True))
+
+
+class TestResidualContraction:
+    """Under a Gaussian ordering the canonical residuals are contracted on the
+    conjugate lattice; the field route (canonical bopp_apply, Fourier norms)
+    is their reference."""
+
+    @settings(derandomize=True, max_examples=12, deadline=None, database=None)
+    @given(sigma=st.floats(0.0, 1.0),
+           smoother=st.sampled_from([GaussianSmoother(0.1, 0.1), GaussianSmoother(0.3, 0.0)]),
+           H=st.sampled_from([QUARTIC, MIXED_WORD]),
+           pair=st.sampled_from([(0, 3), (1, 2), (2, 0)]),
+           energy=st.floats(0.0, 3.0))
+    @example(sigma=0.0, smoother=GaussianSmoother(0.1, 0.1), H=MIXED_WORD, pair=(0, 3), energy=1.0)
+    @example(sigma=1.0, smoother=GaussianSmoother(0.3, 0.0), H=MIXED_WORD, pair=(1, 2), energy=2.5)
+    @example(sigma=0.0, smoother=GaussianSmoother(0.3, 0.0), H=QUARTIC, pair=(2, 0), energy=0.5)
+    @example(sigma=1.0, smoother=GaussianSmoother(0.1, 0.1), H=QUARTIC, pair=(0, 3), energy=1.5)
+    def test_matches_the_field_route(self, sigma, smoother, H, pair, energy):
+        spec = OrderingSpec(sigma, smoother)
+        phi, psi = (hermite_function(GRID64, n) for n in pair)
+        canonical = twisted_tensor(phi, psi, spec).canonical
+        got = psq.starprod._canonical_residuals(
+            H, canonical, energy, spec, psq.spectra._gaussian_multiplier(spec, GRID64))
+        want = _field_route_residuals(H, canonical, energy, spec)
+        assert min(want) > 0.1
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * w
+
+    def test_one_level_runs_ten_transforms(self, grid64, monkeypatch):
+        # Psi_c (3), its x -> u and p -> y samples and spectrum (3), and per
+        # side one transform for each folded profile (4); S Psi_c is never built
+        spectrum_via_schrodinger(QUARTIC, GAUSSIAN, 1, grid64)     # orders the words
+        transforms, smoothed = [], []
+        half_dft = psq.grids.half_dft
+        monkeypatch.setattr(psq.grids, "half_dft", lambda values, *args, **kw:
+                            transforms.append(np.ndim(values)) or half_dft(values, *args, **kw))
+        smoother = psq.starprod.apply_smoother
+        for module in (psq.starprod, psq.states):
+            monkeypatch.setattr(module, "apply_smoother",
+                                lambda spec, field, direction="forward":
+                                smoothed.append(direction) or smoother(spec, field, direction))
+        _no_series(monkeypatch)
+        res = spectrum_via_schrodinger(QUARTIC, GAUSSIAN, 1, grid64)
+        assert transforms.count(2) <= 10
+        assert "forward" not in smoothed
+        assert max(res.residuals[0]) < 1e-6
+
+    def test_nan_field_is_refused_as_by_bopp_apply(self, grid64):
+        state = twisted_tensor(hermite_function(grid64, 0), hermite_function(grid64, 0), GAUSSIAN)
+        values = state.canonical.values.copy()
+        values[20, 30] = np.nan
+        nan_field = PhaseField(grid64, values)
+        with pytest.raises(PSQError) as want:
+            bopp_apply(QUARTIC, nan_field, "both", GAUSSIAN, canonical=True)
+        with pytest.raises(PSQError) as got:
+            stargen_residual(QUARTIC, QuasiDistribution(state.psi_field, GAUSSIAN, nan_field), 0.5)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_overflowing_residual_is_refused_on_both_routes(self, grid64):
+        H = ObservableSpec.from_poly(PolyH.monomial(0, 2, c=1e300) + PolyH.monomial(2, 0, c=1e300))
+        state = twisted_tensor(hermite_function(grid64, 0), hermite_function(grid64, 0), GAUSSIAN)
+        for st_ in (state, QuasiDistribution(state.psi_field, GAUSSIAN)):
+            with np.errstate(all="ignore"), pytest.raises(PSQError, match="non-finite"):
+                stargen_residual(H, st_, 1e300)
+
+
+AMPLIFYING = OrderingSpec(0.5, GaussianSmoother(-0.1, 0.05))
+
+
+class TestAmplifyingSmoother:
+    """A smoother with alpha < 0 amplifies: its multiplier is clamped where it
+    passes the cutoff, by the smoothing and by the residual contraction alike."""
+
+    def test_residuals_take_the_clamped_multiplier(self):
+        grid = make_grid(256, 128, -8.0, 8.0, -8.0, 8.0, 1.0)
+        H = ObservableSpec.harmonic(1.0)
+        res = spectrum_via_schrodinger(H, AMPLIFYING, 2, grid)
+        assert max(max(r) for r in res.residuals) < 1e-6
+        mult = psq.spectra._gaussian_multiplier(AMPLIFYING, grid)
+        clamped = np.where(np.abs(mult) > psq.starprod.AMPLIFICATION_CUTOFF, 0.0, mult)
+        # near an eigenstate a residual is a cancellation: the two routes
+        # round differently, and the multiplier amplifies that by up to 1e6
+        for n, got in enumerate(res.residuals):
+            canonical = res.eigenfield(n, n).canonical
+            want = _field_route_residuals(H, canonical, res.energies[n], AMPLIFYING, clamped)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-9
+
+    def test_refuses_what_the_smoothing_refuses(self, grid64):
+        spec = OrderingSpec(0.5, GaussianSmoother(-2.0, -2.0))
+        h0 = hermite_function(grid64, 0)
+        with pytest.raises(IllPosedSmoothingError):
+            twisted_tensor(h0, h0, spec)
+        canonical = twisted_tensor(h0, h0, OrderingSpec(0.5)).psi_field
+        with pytest.raises(IllPosedSmoothingError):
+            stargen_residual(ObservableSpec.harmonic(1.0),
+                             QuasiDistribution(canonical, spec, canonical), 2.5)
+        with pytest.raises(IllPosedSmoothingError):
+            spectrum_via_schrodinger(ObservableSpec.harmonic(1.0), spec, 2, grid64)
 
 
 class TestSpectrumSolver:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.fft as sp_fft
@@ -560,6 +562,20 @@ class TestSmoothers:
         spec = OrderingSpec(0.5, GaussianSmoother(0.8, 0.8))
         with pytest.raises(IllPosedSmoothingError, match="ill-posed"):
             apply_smoother(spec, sharp, "inverse")
+
+    def test_pullback_forms_no_reciprocal_of_zero(self):
+        # the multiplier underflows to 0 at the lattice corners: the pullback
+        # clamps them without dividing, so no RuntimeWarning reaches the caller
+        grid = make_grid(1024, 128, -8.0, 8.0, -8.0, 8.0, 1.0)
+        spec = OrderingSpec(0.5, GaussianSmoother(0.1, 0.1))
+        h0 = hermite_function(grid, 0)
+        state = twisted_tensor(h0, h0, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pulled = apply_smoother(spec, state.psi_field, "inverse")
+            norm = state.norm_h()
+        assert pulled.meta["deconvolution_clamped"] <= 1e-12
+        assert abs(norm - 1.0) < 1e-12
 
     def test_word_smoother_rejected_on_fields(self, grid64):
         word = WordSmoother(DiffOpWord.three_parameter(0.1, 0.2, 0.3))

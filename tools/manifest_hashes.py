@@ -49,6 +49,8 @@ BRANCHES = {
                          "params": {"state": "ho-ladder", "m": 1, "n": 2}},
     "oracle-coherent": {"scenario": "oracle", "grid": _SMALL, "ordering": {"sigma": 0.2},
                         "params": {"state": "coherent"}},
+    "oracle-coherent-omega": {"scenario": "oracle", "grid": _MID, "ordering": {"sigma": 0.2},
+                              "params": {"state": "coherent", "omega": 1.6}},
     "starprod-commutator": {"scenario": "starprod", "grid": _MID, "formats": ["bin"],
                             "params": {"op": "commutator", "right_hermite": 1}},
     "starprod-star-convolution": {"scenario": "starprod", "grid": _CONVOLVED, "formats": ["bin"],
@@ -84,6 +86,14 @@ BRANCHES = {
                                "params": {"hamiltonian": _QUARTIC + " + 0.02*x^3"}},
     "spectrum-uncentred-span": {"scenario": "spectrum",
                                 "grid": dict(_MID, x_min=-7.0, x_max=9.0)},
+    # Gaussian residuals with a factor pair that mixes x and p, and under a
+    # smoother that amplifies (its multiplier is clamped)
+    "spectrum-gaussian-mixed-word": {"scenario": "spectrum", "grid": _MID, "ordering": _GAUSSIAN,
+                                     "params": {"hamiltonian": _QUARTIC + " + 0.01*x^2*p^2"}},
+    "spectrum-amplifying-smoother": {"scenario": "spectrum", "grid": {"nx": 256, "np": 128},
+                                     "ordering": {"sigma": 0.5,
+                                                  "smoother": {"kind": "gaussian",
+                                                               "alpha": -0.1, "beta": 0.05}}},
     # the closed forms under a Gaussian ordering
     "oracle-free-gaussian": {"scenario": "oracle", "grid": _MID, "ordering": _GAUSSIAN,
                              "formats": ["bin"], "params": {"state": "free", "t": 0.5}},
